@@ -10,12 +10,11 @@
 
 use preinfer_core::{infer_all_preconditions, PreInferConfig};
 use report::{evaluate_corpus, EvalConfig};
-use solver::{BackendKind, CacheStats, CanonQuery, SolverCache, TierSnapshot};
+use solver::{BackendKind, CacheStats, SolverCache, TierSnapshot};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use subjects::SubjectMethod;
-use symbolic::linform::{CPred, CanonPred, LinExpr, Monomial};
 use testgen::{generate_tests, TestGenConfig};
 
 const REPS: usize = 3;
@@ -362,151 +361,6 @@ fn run_solver_incremental_case() -> SolverIncrementalResult {
     }
 }
 
-/// The CacheKey-construction microbench: the interned key path against a
-/// deep-structure baseline replaying what the pre-interning representation
-/// paid per key.
-struct CacheKeyMicrobench {
-    queries: usize,
-    interned_ns_per_key: f64,
-    deep_baseline_ns_per_key: f64,
-    speedup_interned: f64,
-}
-
-// Owned mirror of the canonical-predicate tree — the shape of the
-// pre-interning `Vec<CanonPred>` cache key, where every node was its own
-// allocation and `Hash`/`Clone` walked the whole structure. The baseline
-// arm rebuilds, hashes, and clones this mirror per key; the interned arm
-// hashes a precomputed digest and memcpys a `Vec` of ids.
-#[derive(Clone, Hash)]
-enum DeepMono {
-    Var(String),
-    Div(Box<DeepLin>, i64),
-    Rem(Box<DeepLin>, i64),
-}
-
-#[derive(Clone, Hash)]
-struct DeepLin {
-    terms: Vec<(DeepMono, i64)>,
-    constant: i64,
-}
-
-#[derive(Clone, Hash)]
-enum DeepPred {
-    Le(DeepLin),
-    Eq(DeepLin),
-    Ne(DeepLin),
-    Null { place: String, positive: bool },
-    Bool { name: String, positive: bool },
-    IsSpace { arg: DeepLin, positive: bool },
-    Const(bool),
-}
-
-fn deep_mono(m: &Monomial) -> DeepMono {
-    match m {
-        Monomial::Var(v) => DeepMono::Var(v.to_string()),
-        Monomial::Div(e, k) => DeepMono::Div(Box::new(deep_lin(e)), *k),
-        Monomial::Rem(e, k) => DeepMono::Rem(Box::new(deep_lin(e)), *k),
-    }
-}
-
-fn deep_lin(e: &LinExpr) -> DeepLin {
-    DeepLin {
-        terms: e.terms().map(|(m, c)| (deep_mono(m), c)).collect(),
-        constant: e.constant_part(),
-    }
-}
-
-fn deep_pred(p: &CPred) -> DeepPred {
-    match p.node() {
-        CanonPred::Le(e) => DeepPred::Le(deep_lin(e)),
-        CanonPred::Eq(e) => DeepPred::Eq(deep_lin(e)),
-        CanonPred::Ne(e) => DeepPred::Ne(deep_lin(e)),
-        CanonPred::Null { place, positive } => {
-            DeepPred::Null { place: place.to_string(), positive: *positive }
-        }
-        CanonPred::Bool { name, positive } => {
-            DeepPred::Bool { name: name.clone(), positive: *positive }
-        }
-        CanonPred::IsSpace { arg, positive } => {
-            DeepPred::IsSpace { arg: deep_lin(arg), positive: *positive }
-        }
-        CanonPred::Const(b) => DeepPred::Const(*b),
-    }
-}
-
-/// Times cache-key construction-plus-probe on the corpus's real failing
-/// path conditions. Both arms pay `CanonQuery::build` (so the comparison
-/// is conservative: the old code built deep trees there too, which is not
-/// charged to the baseline); on top of that the interned arm pays what a
-/// cache probe and store actually pay now — hashing the precomputed
-/// digest and cloning a `Vec` of `Copy` ids — while the baseline arm pays
-/// what they used to: a deep structural rebuild, a full-tree hash walk,
-/// and a deep clone. Arms are interleaved per rep so drift hits both the
-/// same way; the minimum per arm is kept.
-fn run_cachekey_microbench() -> CacheKeyMicrobench {
-    const PASSES: usize = 40;
-    const MICRO_REPS: usize = 5;
-    let mut workload: Vec<(solver::FuncSig, Vec<symbolic::pred::Pred>)> = Vec::new();
-    for m in subjects::all_subjects() {
-        let tp = m.compile();
-        let sig = solver::FuncSig::of(m.func(&tp));
-        let suite = generate_tests(&tp, m.name, &TestGenConfig::default());
-        for run in suite.runs.iter().filter(|r| r.failed()) {
-            let preds: Vec<symbolic::pred::Pred> =
-                run.path.entries.iter().map(|e| e.pred.clone()).collect();
-            if !preds.is_empty() {
-                workload.push((sig.clone(), preds));
-            }
-        }
-    }
-    assert!(!workload.is_empty(), "cache-key microbench found no failing paths");
-
-    use std::hash::{Hash, Hasher};
-    let cfg = solver::SolverConfig::default();
-    let interned_pass = || -> u128 {
-        let start = Instant::now();
-        for _ in 0..PASSES {
-            for (sig, preds) in &workload {
-                let q = CanonQuery::build(preds, sig, &cfg);
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                q.key().hash(&mut h);
-                std::hint::black_box((h.finish(), q.key().clone()));
-            }
-        }
-        start.elapsed().as_nanos()
-    };
-    let deep_pass = || -> u128 {
-        let start = Instant::now();
-        for _ in 0..PASSES {
-            for (sig, preds) in &workload {
-                let q = CanonQuery::build(preds, sig, &cfg);
-                let deep: Vec<DeepPred> = q.canon_preds().iter().map(deep_pred).collect();
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                deep.hash(&mut h);
-                std::hint::black_box((h.finish(), deep.clone()));
-            }
-        }
-        start.elapsed().as_nanos()
-    };
-    // Warm-up: fills the interner's dedup map and the page cache so the
-    // first timed pass is not charged cold-start costs.
-    std::hint::black_box((interned_pass(), deep_pass()));
-    let (mut interned_ns, mut deep_ns) = (u128::MAX, u128::MAX);
-    for _ in 0..MICRO_REPS {
-        interned_ns = interned_ns.min(interned_pass());
-        deep_ns = deep_ns.min(deep_pass());
-    }
-    let keys = (PASSES * workload.len()) as f64;
-    let interned_ns_per_key = interned_ns as f64 / keys;
-    let deep_baseline_ns_per_key = deep_ns as f64 / keys;
-    CacheKeyMicrobench {
-        queries: workload.len(),
-        interned_ns_per_key,
-        deep_baseline_ns_per_key,
-        speedup_interned: deep_baseline_ns_per_key / interned_ns_per_key,
-    }
-}
-
 /// The interprocedural comparison: inline callee unrolling vs bottom-up
 /// ψ-summary application over the multi-function corpus slice, end to end
 /// (generation + inference per method). The summary arm runs against one
@@ -769,14 +623,6 @@ fn main() {
     }
     json.push_str("  ],\n");
 
-    let mb = run_cachekey_microbench();
-    let _ = writeln!(json, "  \"cachekey_microbench\": {{");
-    let _ = writeln!(json, "    \"queries\": {},", mb.queries);
-    let _ = writeln!(json, "    \"interned_ns_per_key\": {:.1},", mb.interned_ns_per_key);
-    let _ = writeln!(json, "    \"deep_baseline_ns_per_key\": {:.1},", mb.deep_baseline_ns_per_key);
-    let _ = writeln!(json, "    \"speedup_interned\": {:.3}", mb.speedup_interned);
-    let _ = writeln!(json, "  }},");
-
     let TraceOverhead {
         disabled_ms,
         disabled_rerun_ms,
@@ -862,11 +708,6 @@ fn main() {
             r.stats.hit_rate() * 100.0,
         );
     }
-    println!(
-        "  cache-key microbench: interned {:.0} ns/key vs deep baseline {:.0} ns/key \
-         ({:.2}x) over {} corpus queries",
-        mb.interned_ns_per_key, mb.deep_baseline_ns_per_key, mb.speedup_interned, mb.queries,
-    );
     println!(
         "  trace overhead: disabled {disabled_ms:.2} ms / rerun {disabled_rerun_ms:.2} ms \
          ({disabled_overhead_percent:+.2}% noise) | aggregate sink {aggregate_ms:.2} ms \

@@ -10,7 +10,7 @@
 //! preinfer-client --addr HOST:PORT corpus [NAME] [--check-offline]
 //! preinfer-client --addr HOST:PORT load --requests N --concurrency C
 //!                 [--pipeline D] [--duration-s S] [--deadline-ms N]
-//!                 [--label-io NAME] [--label-shards N]
+//!                 [--label-shards N]
 //!                 [--out BENCH_server.json]
 //! ```
 //!
@@ -28,8 +28,8 @@
 //!   total (or running for `--duration-s` seconds), each keeping
 //!   `--pipeline` requests in flight, reporting throughput and latency
 //!   quantiles (p50/p90/p99/p99.9) to stdout and to a
-//!   `BENCH_server.json` file. `--label-io`/`--label-shards` tag the
-//!   report with the server topology being measured.
+//!   `BENCH_server.json` file. `--label-shards` tags the report with the
+//!   server topology being measured.
 
 use server::{served_psis, Client, Histogram, InferRequest};
 use std::process::ExitCode;
@@ -55,7 +55,7 @@ fn usage() -> ! {
          \x20                                   --check-offline diffs against the\n\
          \x20                                   local offline pipeline\n\
          \x20 load --requests N --concurrency C [--pipeline D] [--duration-s S]\n\
-         \x20      [--deadline-ms N] [--label-io NAME] [--label-shards N]\n\
+         \x20      [--deadline-ms N] [--label-shards N]\n\
          \x20      [--out FILE]                 load generator: C connections,\n\
          \x20                                   D requests in flight each\n\
          \x20                                   (default 1); --duration-s runs\n\
@@ -330,7 +330,6 @@ fn cmd_load(c: &Common) -> ExitCode {
     let pipeline = (parse_u64_flag(&c.rest, "--pipeline").unwrap_or(1) as usize).max(1);
     let duration_s = parse_u64_flag(&c.rest, "--duration-s");
     let deadline_ms = parse_u64_flag(&c.rest, "--deadline-ms");
-    let label_io = flag_value(&c.rest, "--label-io").unwrap_or_else(|| "unknown".to_string());
     let label_shards = parse_u64_flag(&c.rest, "--label-shards").unwrap_or(1);
     let out_path = flag_value(&c.rest, "--out").unwrap_or_else(|| "BENCH_server.json".to_string());
     // A small, fast subject keeps the loop tight; the warm cache makes
@@ -435,7 +434,6 @@ fn cmd_load(c: &Common) -> ExitCode {
     let completed = ok.load(Ordering::Relaxed);
     let report = server::json::ObjBuilder::new()
         .str("workload", "guarded_div infer")
-        .str("io_mode", &label_io)
         .u64("shards", label_shards)
         .u64("requests", if stop_at.is_some() { completed } else { requests as u64 })
         .u64("concurrency", concurrency as u64)

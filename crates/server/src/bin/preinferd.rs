@@ -1,16 +1,20 @@
 //! `preinferd` — the resident precondition-inference daemon.
 //!
 //! ```text
-//! preinferd [--addr HOST:PORT] [--io threads|epoll] [--workers N]
-//!           [--queue N] [--default-deadline-ms N] [--idle-timeout-ms N]
+//! preinferd [--addr HOST:PORT] [--workers N] [--queue N]
+//!           [--default-deadline-ms N] [--idle-timeout-ms N]
 //!           [--incremental on|off] [--interproc inline|summary]
 //!           [--memo on|off] [--memo-capacity K]
 //!           [--trace-sample N] [--slow-trace-ms N] [--trace-buffer K]
 //! ```
 //!
+//! One epoll thread serves every connection and a worker pool runs
+//! inference; a connection may pipeline requests, answered in completion
+//! order.
+//!
 //! Prints `listening on HOST:PORT` once bound (scripts parse this to learn
 //! the port when binding `:0`). SIGTERM or SIGINT triggers a graceful
-//! shutdown: the acceptor stops admitting, in-flight and queued requests
+//! shutdown: the daemon stops accepting, in-flight and queued requests
 //! drain, then the process exits 0.
 
 use server::{Server, ServerConfig};
@@ -43,8 +47,8 @@ fn install_signal_handlers() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: preinferd [--addr HOST:PORT] [--io threads|epoll] [--workers N]\n\
-         \x20                [--queue N] [--default-deadline-ms N]\n\
+        "usage: preinferd [--addr HOST:PORT] [--workers N] [--queue N]\n\
+         \x20                [--default-deadline-ms N]\n\
          \x20                [--idle-timeout-ms N] [--incremental on|off]\n\
          \x20                [--interproc inline|summary]\n\
          \x20                [--memo on|off] [--memo-capacity K]\n\
@@ -55,9 +59,9 @@ fn usage() -> ! {
          (see PROTOCOL.md). Defaults: --addr 127.0.0.1:0 (prints the bound\n\
          port), --workers = cores, --queue 64. SIGTERM drains and exits 0.\n\
          \n\
-         --io threads (default) runs the original thread-per-connection\n\
-         core; --io epoll runs the event-driven core with request\n\
-         pipelining. Served results are identical either way.\n\
+         One event-driven thread serves every connection; a connection\n\
+         may pipeline requests, and `infer` replies arrive in completion\n\
+         order, matched by `id`.\n\
          \n\
          --idle-timeout-ms N (default 60000, 0 = off) closes connections\n\
          that stay silent with no in-flight work, with a typed\n\
@@ -92,7 +96,6 @@ fn parse_args() -> ServerConfig {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--addr" => cfg.addr = args.next().unwrap_or_else(|| usage()),
-            "--io" => cfg.io = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()),
             "--idle-timeout-ms" => {
                 cfg.idle_timeout_ms =
                     args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())

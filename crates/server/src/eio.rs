@@ -1,69 +1,47 @@
-//! The daemon's event-driven connection core (`preinferd --io epoll`).
+//! The daemon's connection core.
 //!
-//! One thread runs an epoll loop ([`netcore::Poller`]) that drives the
-//! listener, every client connection, and an eventfd [`netcore::Waker`]:
+//! One thread runs an epoll loop over the `netcore::Reactor` that
+//! [`server::Server::start`] bound: the listener, every client
+//! connection (the shared `netcore::Clients` lifecycle), and an eventfd
+//! [`netcore::Waker`]:
 //!
-//! * **Accept**: non-blocking accept bursts; each connection becomes a
-//!   [`FramedConn`] registered with read interest.
+//! * **Accept**: non-blocking accept bursts; each connection is
+//!   registered with read interest.
 //! * **Read**: readiness drains the socket and decodes every complete
-//!   frame ([`FramedConn::read_frames`]); each frame is dispatched — verbs
-//!   other than `infer` answer inline, `infer` goes through the shared
-//!   admission path ([`server::start_infer`]): drain check, memo lookup
-//!   (hits answer inline with no worker hop), then bounded admission with
-//!   [`ReplyTo::Event`]. Connections pipeline freely: many frames may be
-//!   in flight at once and responses are written in completion order (the
+//!   frame; each frame is dispatched — verbs other than `infer` answer
+//!   inline, `infer` goes through the admission path
+//!   ([`server::start_infer`]): drain check, memo lookup (hits answer
+//!   inline with no worker hop), then bounded admission with a
+//!   [`ReplyTo`]. Connections pipeline freely: many frames may be in
+//!   flight at once and responses are written in completion order (the
 //!   client matches them by `request_id`/`id`, see PROTOCOL.md).
 //! * **Completions**: workers push finished responses onto the
 //!   [`Completions`] queue and wake the loop, which routes each response
 //!   to its connection token (dropped silently if the client vanished).
-//! * **Write**: responses queue into the connection's write buffer;
-//!   whatever the socket refuses stays buffered under `EPOLLOUT`
-//!   interest. A peer that stops reading (backlog past
-//!   [`WRITE_BACKPRESSURE_BYTES`]) or floods requests (in-flight past
-//!   [`MAX_CONN_IN_FLIGHT`]) has its read interest dropped until the
-//!   pressure clears.
-//! * **Idle sweep**: every [`SWEEP`] the loop closes connections that
-//!   have been silent past the configured idle deadline and have no
-//!   in-flight work, with a typed `idle_timeout` response.
+//! * **Write, idle sweep, backpressure**: `Clients::sweep` flushes
+//!   write buffers (arming `EPOLLOUT` for what the socket refuses), drops
+//!   read interest from peers that flood requests or stop reading, and
+//!   closes connections silent past the idle deadline with a typed
+//!   `idle_timeout` response.
 //! * **Drain**: on shutdown the loop does a final accept sweep (backlog
-//!   connections get typed `shutting_down` answers, as in the threaded
-//!   core), stops accepting, keeps serving until each connection has zero
+//!   connections get typed `shutting_down` answers instead of a reset),
+//!   stops accepting, keeps serving until each connection has zero
 //!   in-flight work and an empty write buffer, then closes it. When the
 //!   last connection closes it sets `conns_done`, releasing the workers.
 
-use crate::netcore::{ConnError, FramedConn, Interest, Poller, Waker, WRITE_BACKPRESSURE_BYTES};
+use crate::netcore::{self, ClientConn, Clients, Reactor, SWEEP_MS, TOKEN_LISTENER, TOKEN_WAKER};
 use crate::protocol::{self, render_error, ErrorCode, Request};
 use crate::server::{self, InferDisposition, ReplyTo, Shared};
-use std::collections::HashMap;
-use std::net::TcpListener;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Reserved poller tokens.
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const TOKEN_FIRST_CONN: u64 = 2;
-
-/// Idle-deadline sweep period (also the `epoll_wait` timeout, so the loop
-/// observes the shutdown flag at least this often even without a wake).
-const SWEEP_MS: i32 = 100;
-
-/// Per-connection in-flight ceiling: past this the connection's read
-/// interest is dropped (requests already decoded still run; the kernel
-/// socket buffer is the only place further frames can wait).
-const MAX_CONN_IN_FLIGHT: usize = 512;
-
-/// How long a quiescent connection survives after shutdown begins, so a
-/// peer mid-request still gets its typed `shutting_down` answer.
-const DRAIN_GRACE: std::time::Duration = std::time::Duration::from_millis(200);
-
 /// The worker→loop completion channel: finished responses tagged with
 /// their connection token, plus the waker that interrupts `epoll_wait`.
 pub struct Completions {
     queue: Mutex<Vec<(u64, String)>>,
-    waker: Arc<Waker>,
+    waker: Arc<netcore::Waker>,
 }
 
 impl Completions {
@@ -77,67 +55,20 @@ impl Completions {
     }
 }
 
-struct Conn {
-    io: FramedConn,
-    /// Interest currently registered in the poller.
-    registered: Interest,
-    /// Requests admitted to the worker pool whose responses have not yet
-    /// been queued for writing.
-    in_flight: usize,
-    /// No further reads; close once `in_flight` is 0 and the write buffer
-    /// has flushed.
-    closing: bool,
-}
-
-impl Conn {
-    fn desired_interest(&self) -> Interest {
-        Interest {
-            readable: !self.closing
-                && self.in_flight < MAX_CONN_IN_FLIGHT
-                && self.io.write_backlog() < WRITE_BACKPRESSURE_BYTES,
-            writable: self.io.wants_write(),
-        }
-    }
-
-    /// A closing connection with nothing left to deliver can be dropped.
-    fn drained(&self) -> bool {
-        self.closing && self.in_flight == 0 && !self.io.wants_write()
-    }
-}
-
-/// Runs the event core until shutdown completes. Takes the role of both
-/// the threaded core's acceptor and all its connection threads; the worker
-/// pool is unchanged.
-pub(crate) fn event_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    let poller = match Poller::new() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("preinferd: epoll unavailable: {e}");
-            shared.conns_done.store(true, Ordering::SeqCst);
-            return;
-        }
-    };
-    let waker = match Waker::new() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("preinferd: eventfd unavailable: {e}");
-            shared.conns_done.store(true, Ordering::SeqCst);
-            return;
-        }
-    };
-    if poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ).is_err()
-        || poller.add(waker.fd(), TOKEN_WAKER, Interest::READ).is_err()
-    {
-        eprintln!("preinferd: failed to register event-core fds");
-        shared.conns_done.store(true, Ordering::SeqCst);
-        return;
-    }
-    *shared.wake.lock().expect("wake lock") = Some(Arc::clone(&waker));
+/// Runs the connection core until shutdown completes; the worker pool
+/// runs beside it.
+pub(crate) fn event_loop(reactor: Reactor, shared: &Arc<Shared>) {
+    let Reactor { listener, poller, waker } = reactor;
     let completions =
         Arc::new(Completions { queue: Mutex::new(Vec::new()), waker: Arc::clone(&waker) });
+    let counters = &shared.counters;
+    let accept = |clients: &mut Clients| {
+        let (accepted, failed) = clients.accept_burst(&listener, &poller);
+        counters.connections.fetch_add(accepted, Ordering::Relaxed);
+        counters.conns_closed.fetch_add(failed, Ordering::Relaxed);
+    };
 
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token = TOKEN_FIRST_CONN;
+    let mut clients = Clients::default();
     let mut events = Vec::new();
     let mut frames = Vec::new();
     let mut draining = false;
@@ -147,28 +78,12 @@ pub(crate) fn event_loop(listener: TcpListener, shared: &Arc<Shared>) {
             draining = true;
             // Final sweep: backlog connections get typed `shutting_down`
             // answers instead of a reset, then the listener goes quiet.
-            accept_burst(&listener, &poller, shared, &mut conns, &mut next_token);
+            accept(&mut clients);
             poller.delete(listener.as_raw_fd());
         }
         if draining {
-            // Close connections with nothing pending — but give each a
-            // short grace since its last activity so a just-accepted
-            // backlog connection can still send its request and read the
-            // typed `shutting_down` answer (the threaded core's
-            // one-read-timeout parity).
-            let quiet: Vec<u64> = conns
-                .iter()
-                .filter(|(_, c)| {
-                    c.in_flight == 0
-                        && !c.io.wants_write()
-                        && c.io.last_activity.elapsed() >= DRAIN_GRACE
-                })
-                .map(|(t, _)| *t)
-                .collect();
-            for t in quiet {
-                close_conn(&poller, shared, &mut conns, t);
-            }
-            if conns.is_empty() {
+            counters.conns_closed.fetch_add(clients.close_quiet(&poller), Ordering::Relaxed);
+            if clients.is_empty() {
                 break;
             }
         }
@@ -180,26 +95,25 @@ pub(crate) fn event_loop(listener: TcpListener, shared: &Arc<Shared>) {
         // the newest responses in the same iteration.
         waker.drain();
         for (token, response) in completions.drain() {
-            if let Some(conn) = conns.get_mut(&token) {
-                conn.in_flight -= 1;
-                conn.io.queue(&response);
+            if let Some(conn) = clients.get_mut(token) {
+                conn.complete(&response);
             }
         }
 
-        for ev in std::mem::take(&mut events) {
+        for ev in &events {
             match ev.token {
                 TOKEN_LISTENER => {
                     if !draining {
-                        accept_burst(&listener, &poller, shared, &mut conns, &mut next_token);
+                        accept(&mut clients);
                     }
                 }
                 TOKEN_WAKER => {} // drained above
                 token => {
-                    let Some(conn) = conns.get_mut(&token) else { continue };
+                    let Some(conn) = clients.get_mut(token) else { continue };
                     if ev.error {
-                        conn.closing = true;
-                        conn.in_flight = 0; // nothing can be delivered anymore
-                        close_conn(&poller, shared, &mut conns, token);
+                        // Nothing can be delivered anymore.
+                        clients.close(&poller, token);
+                        counters.conns_closed.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
                     if ev.readable && !conn.closing {
@@ -209,123 +123,20 @@ pub(crate) fn event_loop(listener: TcpListener, shared: &Arc<Shared>) {
                         for frame in frames.drain(..) {
                             dispatch(frame, token, conn, shared, &completions);
                         }
-                        match fault {
-                            None => {}
-                            Some(ConnError::Closed) => {
-                                if conn.io.has_partial_frame() {
-                                    shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                                    conn.io.queue(&render_error(
-                                        None,
-                                        ErrorCode::BadRequest,
-                                        "malformed frame",
-                                    ));
-                                }
-                                conn.closing = true;
-                            }
-                            Some(ConnError::TooLarge(n)) => {
-                                shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                                conn.io.queue(&render_error(
-                                    None,
-                                    ErrorCode::FrameTooLarge,
-                                    &format!(
-                                        "frame length {n} outside 1..={}",
-                                        protocol::MAX_FRAME_LEN
-                                    ),
-                                ));
-                                conn.closing = true;
-                            }
-                            Some(ConnError::NotUtf8) => {
-                                shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                                conn.io.queue(&render_error(
-                                    None,
-                                    ErrorCode::BadRequest,
-                                    "malformed frame",
-                                ));
-                                conn.closing = true;
-                            }
+                        if fault.is_some_and(|f| conn.fault(f)) {
+                            counters.bad_requests.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
             }
         }
 
-        // Flush, re-arm, and reap every connection whose state changed.
-        // (Iterating all connections each tick is fine at the daemon's
-        // connection counts and keeps the bookkeeping obviously right.)
-        let now = Instant::now();
-        let mut dead = Vec::new();
-        for (&token, conn) in conns.iter_mut() {
-            if let Some(limit) = shared.idle_timeout {
-                if !draining
-                    && !conn.closing
-                    && conn.in_flight == 0
-                    && !conn.io.wants_write()
-                    && now.duration_since(conn.io.last_activity) >= limit
-                {
-                    shared.counters.idle_closed.fetch_add(1, Ordering::Relaxed);
-                    conn.io.queue(&render_error(
-                        None,
-                        ErrorCode::IdleTimeout,
-                        &format!("connection idle past {} ms", limit.as_millis()),
-                    ));
-                    conn.closing = true;
-                }
-            }
-            if conn.io.wants_write() && conn.io.flush().is_err() {
-                conn.in_flight = 0;
-                conn.closing = true;
-                dead.push(token);
-                continue;
-            }
-            if conn.drained() {
-                dead.push(token);
-                continue;
-            }
-            let want = conn.desired_interest();
-            if want != conn.registered
-                && poller.modify(conn.io.stream().as_raw_fd(), token, want).is_ok()
-            {
-                conn.registered = want;
-            }
-        }
-        for token in dead {
-            close_conn(&poller, shared, &mut conns, token);
-        }
+        let sweep = clients.sweep(&poller, shared.idle_timeout, draining);
+        counters.idle_closed.fetch_add(sweep.idle_expired, Ordering::Relaxed);
+        counters.conns_closed.fetch_add(sweep.closed, Ordering::Relaxed);
     }
 
-    drop(completions);
-    *shared.wake.lock().expect("wake lock") = None;
     shared.conns_done.store(true, Ordering::SeqCst);
-}
-
-fn accept_burst(
-    listener: &TcpListener,
-    poller: &Poller,
-    shared: &Arc<Shared>,
-    conns: &mut HashMap<u64, Conn>,
-    next_token: &mut u64,
-) {
-    while let Ok((stream, _)) = listener.accept() {
-        shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-        let Ok(io) = FramedConn::new(stream) else {
-            shared.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
-            continue;
-        };
-        let token = *next_token;
-        *next_token += 1;
-        if poller.add(io.stream().as_raw_fd(), token, Interest::READ).is_err() {
-            shared.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        conns.insert(token, Conn { io, registered: Interest::READ, in_flight: 0, closing: false });
-    }
-}
-
-fn close_conn(poller: &Poller, shared: &Arc<Shared>, conns: &mut HashMap<u64, Conn>, token: u64) {
-    if let Some(conn) = conns.remove(&token) {
-        poller.delete(conn.io.stream().as_raw_fd());
-        shared.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// Parses and dispatches one request frame. Inline verbs queue their
@@ -334,7 +145,7 @@ fn close_conn(poller: &Poller, shared: &Arc<Shared>, conns: &mut HashMap<u64, Co
 fn dispatch(
     payload: String,
     token: u64,
-    conn: &mut Conn,
+    conn: &mut ClientConn,
     shared: &Arc<Shared>,
     completions: &Arc<Completions>,
 ) {
@@ -363,11 +174,18 @@ fn dispatch(
             shared.latency.trace.record(started.elapsed());
         }
         Ok(Request::Infer { id, infer }) => {
-            let reply = ReplyTo::Event { token, completions: Arc::clone(completions) };
+            // Taken before admission consumes the request, so an inline
+            // answer (memo hit, overload, drain) keeps its exemplar too.
+            let exemplar = server::sampled_trace_id(&infer).map(str::to_string);
+            let reply = ReplyTo { token, completions: Arc::clone(completions) };
             match server::start_infer(id, infer, shared, reply) {
                 InferDisposition::Done(resp) => {
                     conn.io.queue(&resp);
-                    shared.latency.infer.record(started.elapsed());
+                    server::record_latency(
+                        &shared.latency.infer,
+                        started.elapsed(),
+                        exemplar.as_deref(),
+                    );
                 }
                 InferDisposition::Queued => conn.in_flight += 1,
             }

@@ -45,6 +45,6 @@ pub use protocol::{ErrorCode, InferRequest, Request, TraceContext, TraceSelect, 
 pub use queue::BoundedQueue;
 pub use router::{Router, RouterConfig, RouterHandle};
 pub use routing::{canonical_method, shard_of, CanonicalMethod};
-pub use server::{IoMode, Server, ServerConfig, ServerHandle, ServerLatency};
+pub use server::{Server, ServerConfig, ServerHandle, ServerLatency};
 pub use service::{run_infer, IncrementalPolicy, InferOutcome, SummaryPolicy};
 pub use trace::{RetainReason, SamplingPolicy, StoredTrace, TraceRing};

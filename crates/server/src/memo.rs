@@ -9,7 +9,7 @@
 //! outcome is stored under the method's canonical α-renamed source
 //! ([`crate::routing::canonical_method`]) and later requests for the same
 //! canonical method are answered without touching the worker pool at all —
-//! the event core serves hits inline on the run loop. Combined with the
+//! the connection core serves hits inline on its run loop. Combined with the
 //! router's key-affinity sharding (which hashes the same canonical text),
 //! this is the "partitioned global ψ cache": every caller of a method
 //! lands on the one shard that already holds its ψ.

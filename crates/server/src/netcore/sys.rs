@@ -1,4 +1,4 @@
-//! Raw Linux syscall FFI for the event core: `epoll(7)` and `eventfd(2)`.
+//! Raw Linux syscall FFI for the connection core: `epoll(7)` and `eventfd(2)`.
 //!
 //! The offline build environment has no `libc` crate, so — in the same
 //! style as the `signal(2)` FFI in `preinferd` — the handful of symbols

@@ -20,17 +20,13 @@ pub const MAX_FRAME_LEN: usize = 16 << 20;
 pub enum FrameError {
     /// Clean EOF at a frame boundary — the peer is done.
     Eof,
-    /// Read timed out while *waiting* for a frame to start (no bytes of
-    /// the length prefix arrived). The connection is still in sync; the
-    /// caller typically polls its shutdown flag and retries.
-    Idle,
     /// The declared length is zero or exceeds [`MAX_FRAME_LEN`].
     TooLarge(usize),
-    /// The stream ended or timed out mid-frame; the framing is lost.
+    /// The stream ended mid-frame; the framing is lost.
     Truncated,
     /// The payload is not UTF-8.
     NotUtf8,
-    /// Any other I/O failure.
+    /// Any other I/O failure, read timeouts included.
     Io(io::Error),
 }
 
@@ -38,7 +34,6 @@ impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FrameError::Eof => write!(f, "end of stream"),
-            FrameError::Idle => write!(f, "idle (no frame started)"),
             FrameError::TooLarge(n) => {
                 write!(f, "declared frame length {n} outside 1..={MAX_FRAME_LEN}")
             }
@@ -49,13 +44,8 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-}
-
-/// Reads exactly `buf.len()` bytes, treating timeouts as truncation once
-/// `started` (at least one byte already consumed) and as [`FrameError::Idle`]
-/// otherwise. Interrupted reads are retried.
+/// Reads exactly `buf.len()` bytes; EOF is truncation once `started` (at
+/// least one byte already consumed). Interrupted reads are retried.
 fn read_exact_frame(
     r: &mut impl Read,
     buf: &mut [u8],
@@ -72,9 +62,6 @@ fn read_exact_frame(
                 started = true;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => {
-                return Err(if started { FrameError::Truncated } else { FrameError::Idle });
-            }
             Err(e) => return Err(FrameError::Io(e)),
         }
     }

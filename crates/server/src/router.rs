@@ -1,7 +1,7 @@
 //! `preinfer-router` — the key-affinity sharding front.
 //!
-//! One event loop (the same [`crate::netcore`] reactor as `--io epoll`)
-//! fronts N `preinferd` shard daemons:
+//! One event loop (the [`crate::netcore`] reactor, with the same client
+//! connection lifecycle as the daemon) fronts N `preinferd` shard daemons:
 //!
 //! * **Routing**: every `infer` request's target method is canonicalized
 //!   ([`crate::routing::canonical_method`] — the α-renamed pretty-printed
@@ -30,7 +30,9 @@
 //!   thread re-dials lost connections with bounded exponential backoff.
 
 use crate::json::{self, ObjBuilder};
-use crate::netcore::{ConnError, FramedConn, Interest, Poller, Waker, WRITE_BACKPRESSURE_BYTES};
+use crate::netcore::{
+    Clients, FramedConn, Interest, Poller, Reactor, Waker, SWEEP_MS, TOKEN_LISTENER, TOKEN_WAKER,
+};
 use crate::protocol::{self, render_error, ErrorCode, Request, TraceContext, TraceSelect};
 use crate::routing;
 use crate::trace::{mint_trace_id, RetainReason, SamplingPolicy, StoredTrace, TraceRing};
@@ -38,26 +40,13 @@ use obs::{MetricsRegistry, TraceSink};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const TOKEN_FIRST_CONN: u64 = 2;
-
-/// Sweep period (idle deadlines, shutdown flag) in ms.
-const SWEEP_MS: i32 = 100;
-
-/// Drain grace, mirroring the daemon cores.
-const DRAIN_GRACE: Duration = Duration::from_millis(200);
-
-/// Per-downstream-connection in-flight ceiling before reads pause.
-const MAX_CONN_IN_FLIGHT: usize = 512;
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -138,7 +127,9 @@ impl RouterCounters {
 
 struct RouterShared {
     shutdown: AtomicBool,
-    wake: Mutex<Option<Arc<Waker>>>,
+    /// The event loop's waker, registered before the connector thread
+    /// starts, so the connector's first result can never go unnoticed.
+    wake: Arc<Waker>,
     /// (shard, slot) pairs the loop wants re-dialed.
     connect_requests: Mutex<Vec<(usize, usize)>>,
     /// Freshly connected upstream streams from the connector thread.
@@ -163,12 +154,6 @@ impl RouterShared {
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
-
-    fn wake_loop(&self) {
-        if let Some(w) = &*self.wake.lock().expect("wake lock") {
-            w.wake();
-        }
-    }
 }
 
 /// A cloneable graceful-shutdown trigger.
@@ -180,7 +165,7 @@ pub struct RouterHandle {
 impl RouterHandle {
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.wake_loop();
+        self.shared.wake.wake();
     }
 }
 
@@ -199,15 +184,14 @@ impl Router {
         if cfg.shards.is_empty() {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "no shards configured"));
         }
-        let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
+        let reactor = Reactor::bind(&cfg.addr)?;
+        let local_addr = reactor.listener.local_addr()?;
         let counters = Arc::new(RouterCounters::default());
         let registry = Arc::new(MetricsRegistry::new());
         let started = Instant::now();
         let shared = Arc::new(RouterShared {
             shutdown: AtomicBool::new(false),
-            wake: Mutex::new(None),
+            wake: Arc::clone(&reactor.waker),
             connect_requests: Mutex::new(
                 (0..cfg.shards.len())
                     .flat_map(|s| (0..cfg.conns_per_shard.max(1)).map(move |p| (s, p)))
@@ -234,7 +218,7 @@ impl Router {
         };
         let event = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || event_loop(listener, &shared))
+            std::thread::spawn(move || event_loop(reactor, &shared))
         };
         let deadline = Instant::now() + Duration::from_millis(shared.cfg.wait_ready_ms);
         while shared.live_shards.load(Ordering::SeqCst) < shared.cfg.shards.len() as u64
@@ -402,7 +386,7 @@ fn connector_loop(shared: &Arc<RouterShared>) {
                         .lock()
                         .expect("connect results")
                         .push((a.shard, a.slot, stream));
-                    shared.wake_loop();
+                    shared.wake.wake();
                 }
                 None => {
                     a.not_before = now + a.backoff;
@@ -417,31 +401,6 @@ fn connector_loop(shared: &Arc<RouterShared>) {
 }
 
 // ---- event loop -------------------------------------------------------------
-
-/// A downstream (client) connection.
-struct DownConn {
-    io: FramedConn,
-    registered: Interest,
-    /// Client requests forwarded upstream whose responses have not yet
-    /// been queued back.
-    in_flight: usize,
-    closing: bool,
-}
-
-impl DownConn {
-    fn desired_interest(&self) -> Interest {
-        Interest {
-            readable: !self.closing
-                && self.in_flight < MAX_CONN_IN_FLIGHT
-                && self.io.write_backlog() < WRITE_BACKPRESSURE_BYTES,
-            writable: self.io.wants_write(),
-        }
-    }
-
-    fn drained(&self) -> bool {
-        self.closing && self.in_flight == 0 && !self.io.wants_write()
-    }
-}
 
 /// An upstream (shard daemon) connection.
 struct UpConn {
@@ -543,52 +502,37 @@ struct Shards {
 struct Loop<'a> {
     poller: &'a Poller,
     shared: &'a Arc<RouterShared>,
-    downs: HashMap<u64, DownConn>,
+    /// Downstream client connections; their token space also numbers the
+    /// upstream connections.
+    downs: Clients,
     ups: HashMap<u64, UpConn>,
     shards: Shards,
     pending: HashMap<u64, Pending>,
     next_seq: u64,
-    next_token: u64,
     /// 1-based admission counter for routed `infer` requests — the
     /// sampling policy's deterministic input, independent of `next_seq`
     /// (which fan-out sub-requests also consume).
     next_req_id: u64,
 }
 
-fn event_loop(listener: TcpListener, shared: &Arc<RouterShared>) {
-    let poller = match Poller::new() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("preinfer-router: epoll unavailable: {e}");
-            return;
-        }
-    };
-    let waker = match Waker::new() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("preinfer-router: eventfd unavailable: {e}");
-            return;
-        }
-    };
-    if poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ).is_err()
-        || poller.add(waker.fd(), TOKEN_WAKER, Interest::READ).is_err()
-    {
-        eprintln!("preinfer-router: failed to register event fds");
-        return;
-    }
-    *shared.wake.lock().expect("wake lock") = Some(Arc::clone(&waker));
-
+fn event_loop(reactor: Reactor, shared: &Arc<RouterShared>) {
+    let Reactor { listener, poller, waker } = reactor;
     let nshards = shared.cfg.shards.len();
     let mut lp = Loop {
         poller: &poller,
         shared,
-        downs: HashMap::new(),
+        downs: Clients::default(),
         ups: HashMap::new(),
         shards: Shards { slots: vec![vec![None; shared.cfg.conns_per_shard.max(1)]; nshards] },
         pending: HashMap::new(),
         next_seq: 0,
-        next_token: TOKEN_FIRST_CONN,
         next_req_id: 0,
+    };
+    let counters = &shared.counters;
+    let accept = |downs: &mut Clients| {
+        let (accepted, failed) = downs.accept_burst(&listener, &poller);
+        counters.connections.fetch_add(accepted, Ordering::Relaxed);
+        counters.conns_closed.fetch_add(failed, Ordering::Relaxed);
     };
     let mut events = Vec::new();
     let mut frames = Vec::new();
@@ -597,23 +541,11 @@ fn event_loop(listener: TcpListener, shared: &Arc<RouterShared>) {
     loop {
         if shared.shutting_down() && !draining {
             draining = true;
-            lp.accept_burst(&listener);
+            accept(&mut lp.downs);
             poller.delete(listener.as_raw_fd());
         }
         if draining {
-            let quiet: Vec<u64> = lp
-                .downs
-                .iter()
-                .filter(|(_, c)| {
-                    c.in_flight == 0
-                        && !c.io.wants_write()
-                        && c.io.last_activity.elapsed() >= DRAIN_GRACE
-                })
-                .map(|(t, _)| *t)
-                .collect();
-            for t in quiet {
-                lp.close_down(t);
-            }
+            counters.conns_closed.fetch_add(lp.downs.close_quiet(&poller), Ordering::Relaxed);
             if lp.downs.is_empty() {
                 break;
             }
@@ -625,11 +557,11 @@ fn event_loop(listener: TcpListener, shared: &Arc<RouterShared>) {
         waker.drain();
         lp.adopt_new_upstreams();
 
-        for ev in std::mem::take(&mut events) {
+        for ev in &events {
             match ev.token {
                 TOKEN_LISTENER => {
                     if !draining {
-                        lp.accept_burst(&listener);
+                        accept(&mut lp.downs);
                     }
                 }
                 TOKEN_WAKER => {}
@@ -650,10 +582,8 @@ fn event_loop(listener: TcpListener, shared: &Arc<RouterShared>) {
                     }
                 }
                 token => {
-                    let Some(conn) = lp.downs.get_mut(&token) else { continue };
+                    let Some(conn) = lp.downs.get_mut(token) else { continue };
                     if ev.error {
-                        conn.closing = true;
-                        conn.in_flight = 0;
                         lp.close_down(token);
                         continue;
                     }
@@ -662,41 +592,9 @@ fn event_loop(listener: TcpListener, shared: &Arc<RouterShared>) {
                         for frame in frames.drain(..) {
                             lp.dispatch_down(token, frame);
                         }
-                        let conn = lp.downs.get_mut(&token).expect("still present");
-                        match fault {
-                            None => {}
-                            Some(ConnError::Closed) => {
-                                if conn.io.has_partial_frame() {
-                                    shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                                    conn.io.queue(&render_error(
-                                        None,
-                                        ErrorCode::BadRequest,
-                                        "malformed frame",
-                                    ));
-                                }
-                                conn.closing = true;
-                            }
-                            Some(ConnError::TooLarge(n)) => {
-                                shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                                conn.io.queue(&render_error(
-                                    None,
-                                    ErrorCode::FrameTooLarge,
-                                    &format!(
-                                        "frame length {n} outside 1..={}",
-                                        protocol::MAX_FRAME_LEN
-                                    ),
-                                ));
-                                conn.closing = true;
-                            }
-                            Some(ConnError::NotUtf8) => {
-                                shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                                conn.io.queue(&render_error(
-                                    None,
-                                    ErrorCode::BadRequest,
-                                    "malformed frame",
-                                ));
-                                conn.closing = true;
-                            }
+                        let conn = lp.downs.get_mut(token).expect("still present");
+                        if fault.is_some_and(|f| conn.fault(f)) {
+                            counters.bad_requests.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
@@ -705,31 +603,9 @@ fn event_loop(listener: TcpListener, shared: &Arc<RouterShared>) {
 
         lp.flush_and_sweep(draining);
     }
-
-    *shared.wake.lock().expect("wake lock") = None;
 }
 
 impl<'a> Loop<'a> {
-    fn accept_burst(&mut self, listener: &TcpListener) {
-        while let Ok((stream, _)) = listener.accept() {
-            self.shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-            let Ok(io) = FramedConn::new(stream) else {
-                self.shared.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
-                continue;
-            };
-            let token = self.next_token;
-            self.next_token += 1;
-            if self.poller.add(io.stream().as_raw_fd(), token, Interest::READ).is_err() {
-                self.shared.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            self.downs.insert(
-                token,
-                DownConn { io, registered: Interest::READ, in_flight: 0, closing: false },
-            );
-        }
-    }
-
     /// Registers streams the connector thread delivered.
     fn adopt_new_upstreams(&mut self) {
         let arrivals: Vec<(usize, usize, TcpStream)> =
@@ -739,8 +615,7 @@ impl<'a> Loop<'a> {
                 self.request_reconnect(shard, slot);
                 continue;
             };
-            let token = self.next_token;
-            self.next_token += 1;
+            let token = self.downs.next_token();
             if self.poller.add(io.stream().as_raw_fd(), token, Interest::READ).is_err() {
                 self.request_reconnect(shard, slot);
                 continue;
@@ -827,15 +702,13 @@ impl<'a> Loop<'a> {
     /// Queues a response onto a downstream connection (dropped if the
     /// client has vanished) and releases its in-flight slot.
     fn deliver_down(&mut self, token: u64, response: String) {
-        if let Some(conn) = self.downs.get_mut(&token) {
-            conn.in_flight = conn.in_flight.saturating_sub(1);
-            conn.io.queue(&response);
+        if let Some(conn) = self.downs.get_mut(token) {
+            conn.complete(&response);
         }
     }
 
     fn close_down(&mut self, token: u64) {
-        if let Some(conn) = self.downs.remove(&token) {
-            self.poller.delete(conn.io.stream().as_raw_fd());
+        if self.downs.close(self.poller, token) {
             self.shared.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -917,7 +790,7 @@ impl<'a> Loop<'a> {
                 up.pending.push(seq);
                 self.pending
                     .insert(seq, Pending { down_token: token, orig_id: id, fan: None, trace });
-                if let Some(conn) = self.downs.get_mut(&token) {
+                if let Some(conn) = self.downs.get_mut(token) {
                     conn.in_flight += 1;
                 }
                 self.shared.counters.forwarded.fetch_add(1, Ordering::Relaxed);
@@ -938,7 +811,7 @@ impl<'a> Loop<'a> {
     /// Queues a locally produced response without touching in-flight
     /// accounting (the request never went upstream).
     fn deliver_inline(&mut self, token: u64, response: String) {
-        if let Some(conn) = self.downs.get_mut(&token) {
+        if let Some(conn) = self.downs.get_mut(token) {
             conn.io.queue(&response);
         }
     }
@@ -1006,7 +879,7 @@ impl<'a> Loop<'a> {
             local_traces,
             local_buffered,
         }));
-        if let Some(conn) = self.downs.get_mut(&token) {
+        if let Some(conn) = self.downs.get_mut(token) {
             conn.in_flight += 1;
         }
         for (shard, target) in targets {
@@ -1138,47 +1011,12 @@ impl<'a> Loop<'a> {
     /// Flushes every connection, re-arms interest, applies idle
     /// deadlines, and reaps the dead.
     fn flush_and_sweep(&mut self, draining: bool) {
-        let now = Instant::now();
         let idle_limit = (self.shared.cfg.idle_timeout_ms > 0)
             .then(|| Duration::from_millis(self.shared.cfg.idle_timeout_ms));
-        let mut dead_downs = Vec::new();
-        for (&token, conn) in self.downs.iter_mut() {
-            if let Some(limit) = idle_limit {
-                if !draining
-                    && !conn.closing
-                    && conn.in_flight == 0
-                    && !conn.io.wants_write()
-                    && now.duration_since(conn.io.last_activity) >= limit
-                {
-                    self.shared.counters.idle_closed.fetch_add(1, Ordering::Relaxed);
-                    conn.io.queue(&render_error(
-                        None,
-                        ErrorCode::IdleTimeout,
-                        &format!("connection idle past {} ms", limit.as_millis()),
-                    ));
-                    conn.closing = true;
-                }
-            }
-            if conn.io.wants_write() && conn.io.flush().is_err() {
-                conn.in_flight = 0;
-                conn.closing = true;
-                dead_downs.push(token);
-                continue;
-            }
-            if conn.drained() {
-                dead_downs.push(token);
-                continue;
-            }
-            let want = conn.desired_interest();
-            if want != conn.registered
-                && self.poller.modify(conn.io.stream().as_raw_fd(), token, want).is_ok()
-            {
-                conn.registered = want;
-            }
-        }
-        for token in dead_downs {
-            self.close_down(token);
-        }
+        let sweep = self.downs.sweep(self.poller, idle_limit, draining);
+        let counters = &self.shared.counters;
+        counters.idle_closed.fetch_add(sweep.idle_expired, Ordering::Relaxed);
+        counters.conns_closed.fetch_add(sweep.closed, Ordering::Relaxed);
         let mut dead_ups = Vec::new();
         for (&token, up) in self.ups.iter_mut() {
             if up.io.wants_write() {

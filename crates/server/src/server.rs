@@ -1,21 +1,20 @@
-//! The resident daemon: acceptor, connection handlers, worker pool,
-//! admission control, and graceful shutdown.
+//! The resident daemon: connection core, worker pool, admission control,
+//! and graceful shutdown.
 //!
 //! ## Threading model
 //!
-//! * One **acceptor** thread polls a non-blocking [`TcpListener`] (~20 ms
-//!   period) so it can observe the shutdown flag between accepts.
-//! * One **connection** thread per client reads frames with a read
-//!   timeout (idle polls re-check the shutdown flag), answers `ping` and
-//!   `stats` inline, and submits `infer` work to the admission queue —
-//!   waiting for the worker's reply before reading the next frame (one
-//!   in-flight request per connection; concurrency comes from opening
-//!   more connections, as the load generator does).
+//! * One **connection-core** thread (`eio::event_loop`) drives the
+//!   listener and every client connection non-blockingly over epoll,
+//!   answers `ping`, `stats`, `metrics` and `trace` inline, and submits
+//!   `infer` work to the admission queue. Connections may pipeline: many
+//!   requests can be in flight on one connection, answered in completion
+//!   order.
 //! * A fixed **worker pool** pops jobs and runs inference, all workers
 //!   sharing one warm [`SolverCache`] — the serving layer's whole point:
 //!   request N+1 reuses request N's canonical verdicts, and because
 //!   cached values are pure functions of their keys, served results are
-//!   byte-identical to cold offline runs.
+//!   byte-identical to cold offline runs. A finished response goes back
+//!   to the connection core through its completion queue.
 //!
 //! ## Admission, deadlines, shutdown
 //!
@@ -25,16 +24,14 @@
 //! it; workers check it between solver calls and return partial results
 //! marked `timed_out` — a deadline can never hang a worker because every
 //! solve is budget-bounded. On shutdown (SIGTERM in the binary, or
-//! [`ServerHandle::shutdown`]), the acceptor stops admitting, connection
-//! threads reject new work with `shutting_down`, workers drain the queue
-//! to empty, and `join` returns once every thread has exited.
+//! [`ServerHandle::shutdown`]), the connection core stops accepting and
+//! answers new work with `shutting_down`, workers drain the queue to
+//! empty, and `join` returns once every thread has exited.
 
 use crate::eio;
 use crate::memo::{MemoKey, ResponseMemo};
-use crate::netcore::Waker;
-use crate::protocol::{
-    self, render_error, ErrorCode, FrameError, InferRequest, Request, TraceSelect, MAX_FRAME_LEN,
-};
+use crate::netcore::{Reactor, Waker};
+use crate::protocol::{render_error, ErrorCode, InferRequest, TraceSelect};
 use crate::queue::BoundedQueue;
 use crate::routing;
 use crate::service;
@@ -44,58 +41,20 @@ use concolic::InterprocMode;
 use obs::{Histogram, MetricsRegistry};
 use solver::{Deadline, IncrementalCounters, SolverCache, TierCounters};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked threads re-check the shutdown flag.
+/// How often idle workers re-check the shutdown flag.
 const POLL_PERIOD: Duration = Duration::from_millis(20);
-
-/// Socket read timeout: long enough that a slow-but-live client streaming
-/// a frame body is not cut off, short enough to bound drain time.
-const READ_TIMEOUT: Duration = Duration::from_millis(200);
-
-/// Which connection core drives the daemon's sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// The original thread-per-connection core: blocking reads, one
-    /// in-flight request per connection.
-    #[default]
-    Threads,
-    /// The event-driven core (`server::eio`): one epoll loop drives every
-    /// connection non-blockingly with request pipelining.
-    Epoll,
-}
-
-impl IoMode {
-    pub fn label(&self) -> &'static str {
-        match self {
-            IoMode::Threads => "threads",
-            IoMode::Epoll => "epoll",
-        }
-    }
-}
-
-impl std::str::FromStr for IoMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<IoMode, String> {
-        match s {
-            "threads" => Ok(IoMode::Threads),
-            "epoll" => Ok(IoMode::Epoll),
-            other => Err(format!("unknown io mode `{other}` (expected `threads` or `epoll`)")),
-        }
-    }
-}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see [`Server::local_addr`]).
     pub addr: String,
-    /// Connection core (`--io {threads,epoll}`).
-    pub io: IoMode,
     /// Worker threads executing `infer` jobs.
     pub workers: usize,
     /// Admission-queue capacity (requests waiting for a worker).
@@ -133,7 +92,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            io: IoMode::Threads,
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2),
             queue_capacity: 64,
             default_deadline_ms: None,
@@ -189,26 +147,12 @@ pub struct ServerLatency {
     pub queue_wait: Histogram,
 }
 
-/// Where a worker delivers a finished response.
-pub(crate) enum ReplyTo {
-    /// The threaded core: the connection thread blocks on the channel.
-    Sync(mpsc::Sender<String>),
-    /// The event core: the response is pushed onto the loop's completion
-    /// queue (tagged with the connection token) and the loop is woken.
-    Event { token: u64, completions: Arc<eio::Completions> },
-}
-
-impl ReplyTo {
-    fn send(self, response: String) {
-        match self {
-            // The connection thread may have vanished (client hung up);
-            // the work is simply discarded then.
-            ReplyTo::Sync(tx) => {
-                let _ = tx.send(response);
-            }
-            ReplyTo::Event { token, completions } => completions.push(token, response),
-        }
-    }
+/// Where a worker delivers a finished response: the connection core's
+/// completion queue, tagged with the connection token (the push wakes
+/// the loop).
+pub(crate) struct ReplyTo {
+    pub(crate) token: u64,
+    pub(crate) completions: Arc<eio::Completions>,
 }
 
 /// One admitted unit of work.
@@ -264,9 +208,9 @@ pub(crate) struct Shared {
     pub(crate) memo: Option<Arc<ResponseMemo>>,
     /// Idle-close deadline for silent connections; `None` when disabled.
     pub(crate) idle_timeout: Option<Duration>,
-    /// The event core's waker, registered by the loop at startup so
-    /// [`ServerHandle::shutdown`] can interrupt `epoll_wait` immediately.
-    pub(crate) wake: Mutex<Option<Arc<Waker>>>,
+    /// The connection core's waker, so [`ServerHandle::shutdown`] can
+    /// interrupt `epoll_wait` immediately.
+    pub(crate) wake: Arc<Waker>,
     /// Admission counter: ids are 1-based, assigned in [`start_infer`].
     pub(crate) next_request_id: AtomicU64,
     pub(crate) started: Instant,
@@ -289,11 +233,9 @@ impl ServerHandle {
     /// Requests a graceful shutdown: stop admitting, drain, exit.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Interrupt the event core's `epoll_wait` so the drain starts now
-        // rather than at the next sweep tick.
-        if let Some(waker) = &*self.shared.wake.lock().expect("wake lock") {
-            waker.wake();
-        }
+        // Interrupt `epoll_wait` so the drain starts now rather than at
+        // the next sweep tick.
+        self.shared.wake.wake();
     }
 }
 
@@ -301,16 +243,15 @@ impl ServerHandle {
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    acceptor: JoinHandle<()>,
+    event: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds and starts the daemon.
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
+        let reactor = Reactor::bind(&cfg.addr)?;
+        let local_addr = reactor.listener.local_addr()?;
         let started = Instant::now();
         let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity));
         let cache = Arc::new(SolverCache::new());
@@ -360,7 +301,7 @@ impl Server {
             memo,
             idle_timeout: (cfg.idle_timeout_ms > 0)
                 .then(|| Duration::from_millis(cfg.idle_timeout_ms)),
-            wake: Mutex::new(None),
+            wake: Arc::clone(&reactor.waker),
             next_request_id: AtomicU64::new(0),
             started,
             default_deadline_ms: cfg.default_deadline_ms,
@@ -371,14 +312,11 @@ impl Server {
                 std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        let acceptor = {
+        let event = {
             let shared = Arc::clone(&shared);
-            match cfg.io {
-                IoMode::Threads => std::thread::spawn(move || accept_loop(listener, &shared)),
-                IoMode::Epoll => std::thread::spawn(move || eio::event_loop(listener, &shared)),
-            }
+            std::thread::spawn(move || eio::event_loop(reactor, &shared))
         };
-        Ok(Server { shared, local_addr, acceptor, workers })
+        Ok(Server { shared, local_addr, event, workers })
     }
 
     /// The bound address (resolves port 0).
@@ -400,158 +338,14 @@ impl Server {
     /// Call [`ServerHandle::shutdown`] (or deliver SIGTERM to the binary)
     /// first, or this never returns.
     pub fn join(self) {
-        let _ = self.acceptor.join();
+        let _ = self.event.join();
         for w in self.workers {
             let _ = w.join();
         }
     }
 }
 
-// ---- acceptor ---------------------------------------------------------------
-
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    while !shared.shutting_down() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::clone(shared);
-                let handle = std::thread::spawn(move || {
-                    let _ = connection_loop(stream, &shared);
-                    shared.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
-                });
-                let mut guard = conns.lock().expect("conns lock");
-                guard.retain(|h| !h.is_finished());
-                guard.push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL_PERIOD),
-            Err(_) => std::thread::sleep(POLL_PERIOD),
-        }
-    }
-    // Final sweep: connections the kernel already completed in the accept
-    // backlog get a thread too — they will be answered with typed
-    // `shutting_down` errors rather than a connection reset.
-    while let Ok((stream, _)) = listener.accept() {
-        shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::clone(shared);
-        let handle = std::thread::spawn(move || {
-            let _ = connection_loop(stream, &shared);
-            shared.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
-        });
-        conns.lock().expect("conns lock").push(handle);
-    }
-    // Drain: wait for every connection thread (each observes the flag
-    // within one read timeout and finishes its in-flight request first).
-    let handles = std::mem::take(&mut *conns.lock().expect("conns lock"));
-    for h in handles {
-        let _ = h.join();
-    }
-    shared.conns_done.store(true, Ordering::SeqCst);
-}
-
-// ---- connection handling ----------------------------------------------------
-
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    stream.set_nodelay(true)?;
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
-    let mut last_activity = Instant::now();
-    loop {
-        let payload = match protocol::read_frame(&mut reader) {
-            Ok(p) => p,
-            Err(FrameError::Idle) => {
-                if shared.shutting_down() {
-                    return Ok(()); // idle connection at shutdown: close
-                }
-                if let Some(limit) = shared.idle_timeout {
-                    if last_activity.elapsed() >= limit {
-                        // Silent past the deadline: typed close so a live
-                        // peer knows why, not a mystery reset.
-                        shared.counters.idle_closed.fetch_add(1, Ordering::Relaxed);
-                        let _ = protocol::write_frame(
-                            &mut writer,
-                            &render_error(
-                                None,
-                                ErrorCode::IdleTimeout,
-                                &format!("connection idle past {} ms", limit.as_millis()),
-                            ),
-                        );
-                        return Ok(());
-                    }
-                }
-                continue;
-            }
-            Err(FrameError::Eof) => return Ok(()),
-            Err(FrameError::TooLarge(n)) => {
-                // The stream cannot be resynchronized: typed error, close.
-                shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                let msg = format!("frame length {n} outside 1..={MAX_FRAME_LEN}");
-                let _ = protocol::write_frame(
-                    &mut writer,
-                    &render_error(None, ErrorCode::FrameTooLarge, &msg),
-                );
-                return Ok(());
-            }
-            Err(FrameError::Truncated) | Err(FrameError::NotUtf8) => {
-                shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                let _ = protocol::write_frame(
-                    &mut writer,
-                    &render_error(None, ErrorCode::BadRequest, "malformed frame"),
-                );
-                return Ok(());
-            }
-            Err(FrameError::Io(_)) => return Ok(()),
-        };
-        shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-        last_activity = Instant::now();
-        let started = Instant::now();
-        match protocol::parse_request(&payload) {
-            Ok(Request::Ping { id }) => {
-                let resp = crate::json::ObjBuilder::new()
-                    .bool("ok", true)
-                    .opt_str("id", id.as_deref())
-                    .str("verb", "ping")
-                    .build();
-                protocol::write_frame(&mut writer, &resp)?;
-                shared.latency.ping.record(started.elapsed());
-            }
-            Ok(Request::Stats { id }) => {
-                let resp = render_stats_response(id.as_deref(), shared);
-                protocol::write_frame(&mut writer, &resp)?;
-                shared.latency.stats.record(started.elapsed());
-            }
-            Ok(Request::Metrics { id }) => {
-                let resp = render_metrics_response(id.as_deref(), shared);
-                protocol::write_frame(&mut writer, &resp)?;
-                shared.latency.metrics.record(started.elapsed());
-            }
-            Ok(Request::Trace { id, select }) => {
-                let resp = render_trace_response(id.as_deref(), &select, shared);
-                protocol::write_frame(&mut writer, &resp)?;
-                shared.latency.trace.record(started.elapsed());
-            }
-            Ok(Request::Infer { id, infer }) => {
-                let exemplar = sampled_trace_id(&infer).map(str::to_string);
-                let resp = submit_infer(id, infer, shared);
-                protocol::write_frame(&mut writer, &resp)?;
-                match &exemplar {
-                    Some(tid) => shared.latency.infer.record_with_exemplar(started.elapsed(), tid),
-                    None => shared.latency.infer.record(started.elapsed()),
-                }
-            }
-            Err(reason) => {
-                // Parseable framing, unparseable payload: answer and keep
-                // the connection (the stream is still in sync).
-                shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-                protocol::write_frame(
-                    &mut writer,
-                    &render_error(None, ErrorCode::BadRequest, &reason),
-                )?;
-            }
-        }
-    }
-}
+// ---- admission --------------------------------------------------------------
 
 /// The outcome of trying to start an `infer` request.
 pub(crate) enum InferDisposition {
@@ -561,10 +355,10 @@ pub(crate) enum InferDisposition {
     Queued,
 }
 
-/// The shared admission path for both connection cores: drain check, memo
-/// lookup, then bounded admission. On a memo hit the stored completed
-/// outcome is rendered inline — no worker-pool hop at all — which is what
-/// lets the event core answer warm repeat traffic at wire speed.
+/// The admission path: drain check, memo lookup, then bounded admission.
+/// On a memo hit the stored completed outcome is rendered inline — no
+/// worker-pool hop at all — which is what lets the connection core answer
+/// warm repeat traffic at wire speed.
 pub(crate) fn start_infer(
     id: Option<String>,
     request: InferRequest,
@@ -620,20 +414,6 @@ pub(crate) fn start_infer(
         ));
     }
     InferDisposition::Queued
-}
-
-/// Admits an `infer` request and waits for its worker reply (the threaded
-/// core's one-in-flight-per-connection path).
-fn submit_infer(id: Option<String>, request: InferRequest, shared: &Arc<Shared>) -> String {
-    let (tx, rx) = mpsc::channel();
-    match start_infer(id.clone(), request, shared, ReplyTo::Sync(tx)) {
-        InferDisposition::Done(resp) => resp,
-        // The worker always replies, including during drain; a closed
-        // channel means the pool died, which is itself a typed error.
-        InferDisposition::Queued => rx.recv().unwrap_or_else(|_| {
-            render_error(id.as_deref(), ErrorCode::Internal, "worker pool unavailable")
-        }),
-    }
 }
 
 pub(crate) fn render_stats_response(id: Option<&str>, shared: &Shared) -> String {
@@ -828,15 +608,25 @@ pub(crate) fn render_trace_response(
 
 /// The trace id to stamp on latency exemplars: present only when the
 /// request carries a sampled cross-process trace context.
-fn sampled_trace_id(req: &InferRequest) -> Option<&str> {
+pub(crate) fn sampled_trace_id(req: &InferRequest) -> Option<&str> {
     req.trace.as_ref().filter(|c| c.sampled).map(|c| c.trace_id.as_str())
+}
+
+/// Records one latency sample, with `trace_id` as its exemplar if any, so
+/// a fat bucket in `metrics` links straight to a retained trace.
+pub(crate) fn record_latency(h: &Histogram, d: Duration, trace_id: Option<&str>) {
+    match trace_id {
+        Some(tid) => h.record_with_exemplar(d, tid),
+        None => h.record(d),
+    }
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let Some(job) = shared.queue.pop_timeout(POLL_PERIOD) else {
-            // Exit only after every connection thread has gone: a request
-            // admitted in the same instant the flag flipped still drains.
+            // Exit only after the connection core has closed every
+            // connection: a request admitted in the same instant the flag
+            // flipped still drains.
             if shared.shutting_down()
                 && shared.conns_done.load(Ordering::SeqCst)
                 && shared.queue.is_empty()
@@ -847,13 +637,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         let dequeued = Instant::now();
         let queue_wait = dequeued.duration_since(job.admitted_at);
-        // A sampled cross-process request leaves its trace_id as the
-        // exemplar on whatever bucket its wait lands in, so a fat tail
-        // bucket in `metrics` links straight to a retained trace.
-        match sampled_trace_id(&job.request) {
-            Some(tid) => shared.latency.queue_wait.record_with_exemplar(queue_wait, tid),
-            None => shared.latency.queue_wait.record(queue_wait),
-        }
+        record_latency(&shared.latency.queue_wait, queue_wait, sampled_trace_id(&job.request));
         let queue_ms = queue_wait.as_secs_f64() * 1e3;
         // Sampled requests (and all requests under a slow threshold) run
         // on a private recording sink; everyone else shares the aggregate.
@@ -951,18 +735,14 @@ fn worker_loop(shared: &Arc<Shared>) {
                 });
             }
         }
-        // The threaded core records infer latency on the connection
-        // thread; for event-core jobs the worker is the last stop that
-        // knows the request, so record admission→completion here.
-        if matches!(job.reply, ReplyTo::Event { .. }) {
-            match sampled_trace_id(&job.request) {
-                Some(tid) => {
-                    shared.latency.infer.record_with_exemplar(job.admitted_at.elapsed(), tid)
-                }
-                None => shared.latency.infer.record(job.admitted_at.elapsed()),
-            }
-        }
-        job.reply.send(response);
+        // The worker is the last stop that knows the request, so it
+        // records admission→completion latency.
+        record_latency(
+            &shared.latency.infer,
+            job.admitted_at.elapsed(),
+            sampled_trace_id(&job.request),
+        );
+        job.reply.completions.push(job.reply.token, response);
     }
 }
 

@@ -4,37 +4,34 @@
 //! wedged daemon. Every property finishes by proving the daemon still
 //! answers a fresh `ping`.
 //!
-//! Every property runs against all three serving topologies: the
-//! thread-per-connection core, the epoll event core, and the
-//! `preinfer-router` front (two shards) — hostile bytes must bounce off
-//! each of them identically.
+//! Every property runs against both serving topologies: a daemon, and the
+//! `preinfer-router` front over two shard daemons — hostile bytes must
+//! bounce off each of them identically.
 
 use proptest::prelude::*;
-use server::{Client, IoMode, Router, RouterConfig, Server, ServerConfig, MAX_FRAME_LEN};
+use server::{Client, Router, RouterConfig, Server, ServerConfig, MAX_FRAME_LEN};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-/// The addresses of one threaded daemon, one epoll daemon, and one
-/// two-shard router, shared by every property case in this process. None
-/// are ever shut down — the process exit reaps their threads — because
-/// what we are testing is precisely that no hostile input can take them
-/// down first.
-fn topology_addrs() -> &'static [SocketAddr; 3] {
-    static ADDRS: OnceLock<[SocketAddr; 3]> = OnceLock::new();
+/// The addresses of one daemon and one two-shard router, shared by every
+/// property case in this process. None are ever shut down — the process
+/// exit reaps their threads — because what we are testing is precisely
+/// that no hostile input can take them down first.
+fn topology_addrs() -> &'static [SocketAddr; 2] {
+    static ADDRS: OnceLock<[SocketAddr; 2]> = OnceLock::new();
     ADDRS.get_or_init(|| {
-        let start = |io: IoMode| {
-            let server = Server::start(ServerConfig { workers: 2, io, ..ServerConfig::default() })
+        let start = || {
+            let server = Server::start(ServerConfig { workers: 2, ..ServerConfig::default() })
                 .expect("bind loopback");
             let addr = server.local_addr();
             Box::leak(Box::new(server));
             addr
         };
-        let threaded = start(IoMode::Threads);
-        let epoll = start(IoMode::Epoll);
-        let shard0 = start(IoMode::Epoll);
-        let shard1 = start(IoMode::Threads);
+        let daemon = start();
+        let shard0 = start();
+        let shard1 = start();
         let router = Router::start(RouterConfig {
             shards: vec![shard0.to_string(), shard1.to_string()],
             ..RouterConfig::default()
@@ -42,7 +39,7 @@ fn topology_addrs() -> &'static [SocketAddr; 3] {
         .expect("start router");
         let router_addr = router.local_addr();
         Box::leak(Box::new(router));
-        [threaded, epoll, router_addr]
+        [daemon, router_addr]
     })
 }
 
@@ -144,9 +141,8 @@ proptest! {
 }
 
 /// Non-property companion: a non-UTF-8 payload inside a well-formed frame
-/// is a typed error, and the server survives. (The threaded core answers
-/// `bad_request` with the connection already doomed; the event cores do
-/// the same.)
+/// is a typed error (`bad_request`, with the connection already doomed),
+/// and the server survives.
 #[test]
 fn non_utf8_payload_is_a_typed_error() {
     for &addr in topology_addrs() {
@@ -160,15 +156,13 @@ fn non_utf8_payload_is_a_typed_error() {
     }
 }
 
-/// Regression (the legacy threaded core used to hold silent connections
-/// open forever): a connection that goes quiet past the idle deadline is
-/// closed with a typed `idle_timeout` error, on every topology.
+/// A connection that goes quiet past the idle deadline is closed with a
+/// typed `idle_timeout` error, on every topology.
 #[test]
 fn idle_connections_are_closed_with_a_typed_error() {
-    let start = |io: IoMode| {
+    let start = || {
         let server = Server::start(ServerConfig {
             workers: 1,
-            io,
             idle_timeout_ms: 300,
             ..ServerConfig::default()
         })
@@ -188,10 +182,9 @@ fn idle_connections_are_closed_with_a_typed_error() {
         Box::leak(Box::new(router));
         addr
     };
-    let threaded = start(IoMode::Threads);
-    let epoll = start(IoMode::Epoll);
-    let fronted = router_over(threaded);
-    for addr in [threaded, epoll, fronted] {
+    let daemon = start();
+    let router = router_over(daemon);
+    for addr in [daemon, router] {
         let mut cl = connect(addr);
         // Prove the connection works, then go silent.
         assert_eq!(cl.ping().unwrap().get("ok").and_then(|v| v.as_bool()), Some(true));
@@ -207,13 +200,9 @@ fn idle_connections_are_closed_with_a_typed_error() {
 /// fire while bytes keep arriving.
 #[test]
 fn slow_partial_writes_are_decoded_not_idle_closed() {
-    let server = Server::start(ServerConfig {
-        workers: 1,
-        io: IoMode::Epoll,
-        idle_timeout_ms: 200,
-        ..ServerConfig::default()
-    })
-    .expect("bind loopback");
+    let server =
+        Server::start(ServerConfig { workers: 1, idle_timeout_ms: 200, ..ServerConfig::default() })
+            .expect("bind loopback");
     let addr = server.local_addr();
     Box::leak(Box::new(server));
 

@@ -7,12 +7,10 @@
 //! a second corpus pass.
 
 use server::protocol;
-use server::{
-    served_psis, Client, InferRequest, IoMode, Router, RouterConfig, Server, ServerConfig,
-};
+use server::{served_psis, Client, InferRequest, Router, RouterConfig, Server, ServerConfig};
 
-fn start_shard(io: IoMode) -> Server {
-    Server::start(ServerConfig { workers: 1, io, ..ServerConfig::default() })
+fn start_shard() -> Server {
+    Server::start(ServerConfig { workers: 1, ..ServerConfig::default() })
         .expect("bind shard daemon")
 }
 
@@ -74,10 +72,9 @@ fn solver_misses(cl: &mut Client) -> u64 {
 /// Corpus differential across the router, plus the key-affinity claim.
 #[test]
 fn routed_psis_match_direct_and_offline_for_the_whole_corpus() {
-    // One shard on each io core: the router must be oblivious.
-    let shard0 = start_shard(IoMode::Epoll);
-    let shard1 = start_shard(IoMode::Threads);
-    let direct = start_shard(IoMode::Threads);
+    let shard0 = start_shard();
+    let shard1 = start_shard();
+    let direct = start_shard();
     let router = start_router(&[&shard0, &shard1]);
 
     let mut via_router = Client::connect(&router.local_addr().to_string()).expect("connect");
@@ -134,8 +131,8 @@ fn routed_psis_match_direct_and_offline_for_the_whole_corpus() {
 /// `upstream_unavailable`; the surviving shard keeps serving.
 #[test]
 fn dead_shard_yields_typed_upstream_unavailable() {
-    let shard0 = start_shard(IoMode::Epoll);
-    let shard1 = start_shard(IoMode::Epoll);
+    let shard0 = start_shard();
+    let shard1 = start_shard();
     let router = start_router(&[&shard0, &shard1]);
     let mut cl = Client::connect(&router.local_addr().to_string()).expect("connect");
 
@@ -173,8 +170,8 @@ fn dead_shard_yields_typed_upstream_unavailable() {
 /// re-labels each shard's exposition with `shard="i"`.
 #[test]
 fn fanout_verbs_merge_across_shards() {
-    let shard0 = start_shard(IoMode::Threads);
-    let shard1 = start_shard(IoMode::Epoll);
+    let shard0 = start_shard();
+    let shard1 = start_shard();
     let router = start_router(&[&shard0, &shard1]);
     let mut cl = Client::connect(&router.local_addr().to_string()).expect("connect");
 
@@ -223,8 +220,8 @@ fn fanout_verbs_merge_across_shards() {
 /// nested under the router's `upstream_rtt` span.
 #[test]
 fn tracing_is_psi_neutral_and_stitches_across_processes() {
-    let shard0 = start_shard(IoMode::Epoll);
-    let shard1 = start_shard(IoMode::Threads);
+    let shard0 = start_shard();
+    let shard1 = start_shard();
     let plain = start_router(&[&shard0, &shard1]);
     let traced = Router::start(RouterConfig {
         shards: vec![shard0.local_addr().to_string(), shard1.local_addr().to_string()],
@@ -351,34 +348,41 @@ fn tracing_is_psi_neutral_and_stitches_across_processes() {
     }
 }
 
-/// Requests pipelined onto one router connection complete and are
-/// correlated by id even when shards answer out of order.
+/// Requests pipelined onto one connection complete and are correlated by
+/// id even when they finish out of order — on a daemon directly
+/// (pipelining is its default protocol behaviour, and two workers finish
+/// in any order) and through the router, whose shards answer
+/// independently.
 #[test]
 fn pipelined_requests_are_answered_by_id() {
-    let shard0 = start_shard(IoMode::Epoll);
-    let shard1 = start_shard(IoMode::Epoll);
+    let shard0 = start_shard();
+    let shard1 = start_shard();
+    let direct = Server::start(ServerConfig { workers: 2, ..ServerConfig::default() })
+        .expect("bind direct daemon");
     let router = start_router(&[&shard0, &shard1]);
-    let mut cl = Client::connect(&router.local_addr().to_string()).expect("connect");
 
     let corpus = subjects::all_subjects();
     let depth = 8.min(corpus.len());
-    for (i, m) in corpus.iter().take(depth).enumerate() {
-        let frame = protocol::render_infer(Some(&format!("pipe-{i}")), &infer_req(m));
-        protocol::write_frame(cl.stream_mut(), &frame).expect("pipelined write");
+    for addr in [direct.local_addr(), router.local_addr()] {
+        let mut cl = Client::connect(&addr.to_string()).expect("connect");
+        for (i, m) in corpus.iter().take(depth).enumerate() {
+            let frame = protocol::render_infer(Some(&format!("pipe-{i}")), &infer_req(m));
+            protocol::write_frame(cl.stream_mut(), &frame).expect("pipelined write");
+        }
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..depth {
+            let resp = cl.read_response().expect("pipelined response");
+            assert!(served_psis(&resp).is_some(), "{addr}: pipelined request failed: {resp:?}");
+            let id = resp.str_field("id").expect("id echoed").to_string();
+            assert!(id.starts_with("pipe-"), "{addr}: original id echoed back, got {id}");
+            assert!(seen.insert(id), "{addr}: each id answered exactly once");
+        }
+        assert_eq!(seen.len(), depth);
     }
-    let mut seen = std::collections::HashSet::new();
-    for _ in 0..depth {
-        let resp = cl.read_response().expect("pipelined response");
-        assert!(served_psis(&resp).is_some(), "pipelined request failed: {resp:?}");
-        let id = resp.str_field("id").expect("id echoed").to_string();
-        assert!(id.starts_with("pipe-"), "original id spliced back, got {id}");
-        assert!(seen.insert(id), "each id answered exactly once");
-    }
-    assert_eq!(seen.len(), depth);
 
     router.handle().shutdown();
     router.join();
-    for s in [shard0, shard1] {
+    for s in [shard0, shard1, direct] {
         s.handle().shutdown();
         s.join();
     }

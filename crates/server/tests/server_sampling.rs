@@ -245,6 +245,46 @@ fn metrics_verb_serves_prometheus_exposition() {
     server.join();
 }
 
+/// An `infer` answered inline — here a response-memo hit, which never
+/// reaches a worker — still leaves its sampled trace_id as the exemplar
+/// on the infer latency histogram. Exemplars are kept only for samples of
+/// at least ~1 ms, so the program carries a ~2 MB comment: decoding and
+/// canonicalizing it makes even the memo hit that slow.
+#[test]
+fn inline_memo_hits_keep_their_latency_exemplar() {
+    let server = Server::start(ServerConfig { memo: true, ..ServerConfig::default() })
+        .expect("bind loopback");
+    let mut cl = Client::connect(&server.local_addr().to_string()).expect("connect");
+    let mut req = motivating_req();
+    req.program.push_str(&"// padding keeps this frame slow to decode\n".repeat(50_000));
+
+    // Cold and unsampled: runs the pipeline and fills the memo.
+    assert!(served_psis(&cl.infer(&req).expect("cold infer")).is_some(), "cold infer failed");
+    let tid = "0123456789abcdef0123456789abcdef";
+    req.trace = Some(server::TraceContext {
+        trace_id: tid.to_string(),
+        parent_span_id: None,
+        sampled: true,
+    });
+    assert!(served_psis(&cl.infer(&req).expect("memo-hit infer")).is_some(), "memo hit failed");
+    let stats = cl.stats().expect("stats round-trip");
+    let hits = stats.get("response_memo").and_then(|m| m.u64_field("hits"));
+    assert_eq!(hits, Some(1), "the sampled repeat must be a memo hit: {stats:?}");
+
+    let resp = cl.metrics().expect("metrics round-trip");
+    let text = resp.str_field("text").expect("exposition text");
+    let exemplar = format!(" # {{trace_id=\"{tid}\"}} ");
+    assert!(
+        text.lines().any(|l| {
+            l.starts_with("preinfer_request_duration_us_bucket{verb=\"infer\",")
+                && l.contains(&exemplar)
+        }),
+        "infer latency lacks the memo hit's exemplar:\n{text}"
+    );
+    server.handle().shutdown();
+    server.join();
+}
+
 /// The tentpole invariant: per-request recording sinks never change a
 /// served answer. Every corpus subject's ψ is byte-identical between a
 /// daemon that samples every request and one that never samples.
