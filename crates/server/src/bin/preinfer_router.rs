@@ -13,26 +13,6 @@
 
 use server::{Router, RouterConfig};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static SIGNALLED: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_signum: i32) {
-    SIGNALLED.store(true, Ordering::SeqCst);
-}
-
-fn install_signal_handlers() {
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    let handler = on_signal as *const () as usize;
-    unsafe {
-        signal(SIGTERM, handler);
-        signal(SIGINT, handler);
-    }
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -58,8 +38,9 @@ fn usage() -> ! {
          and injects the context into the forwarded frame so the shard\n\
          records under the same trace_id; `trace --trace-id X` then\n\
          returns the stitched multi-process trace. --slow-trace-ms T also\n\
-         retains any routed request slower than T ms end-to-end;\n\
-         --trace-buffer K (default 64) bounds the retained-trace ring.\n\
+         retains any routed request slower than T ms end-to-end (absent =\n\
+         off, 0 = every request), as on preinferd; --trace-buffer K\n\
+         (default 64) bounds the retained-trace ring.\n\
          \n\
          Defaults: --addr 127.0.0.1:0 (prints the bound port),\n\
          --conns-per-shard 2, --idle-timeout-ms 60000 (0 = off)."
@@ -91,7 +72,7 @@ fn parse_args() -> RouterConfig {
             }
             "--slow-trace-ms" => {
                 cfg.slow_trace_ms =
-                    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+                    Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
             }
             "--trace-buffer" => {
                 cfg.trace_buffer = args
@@ -112,7 +93,6 @@ fn parse_args() -> RouterConfig {
 
 fn main() -> ExitCode {
     let cfg = parse_args();
-    install_signal_handlers();
     let router = match Router::start(cfg) {
         Ok(r) => r,
         Err(e) => {
@@ -121,13 +101,9 @@ fn main() -> ExitCode {
         }
     };
     // Parsed by scripts; keep the format stable.
-    println!("listening on {}", router.local_addr());
-    let handle = router.handle();
-    while !SIGNALLED.load(Ordering::SeqCst) {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
+    server::wait_for_signal(|| println!("listening on {}", router.local_addr()));
     eprintln!("preinfer-router: signal received, draining …");
-    handle.shutdown();
+    router.handle().shutdown();
     router.join();
     eprintln!("preinfer-router: drained, bye");
     ExitCode::SUCCESS

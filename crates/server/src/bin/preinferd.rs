@@ -19,31 +19,6 @@
 
 use server::{Server, ServerConfig};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Set from the signal handler; polled by the main thread.
-static SIGNALLED: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_signum: i32) {
-    // Only async-signal-safe work here: flip the flag.
-    SIGNALLED.store(true, Ordering::SeqCst);
-}
-
-/// Installs `on_signal` for SIGTERM and SIGINT via the libc `signal(2)`
-/// already linked into every Rust binary (no crate dependency needed in
-/// this offline environment).
-fn install_signal_handlers() {
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    let handler = on_signal as *const () as usize;
-    unsafe {
-        signal(SIGTERM, handler);
-        signal(SIGINT, handler);
-    }
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -84,8 +59,9 @@ fn usage() -> ! {
          \n\
          Tracing: --trace-sample N head-samples every N-th request\n\
          (deterministic, 0 = off); --slow-trace-ms T also retains any\n\
-         request slower than T ms; --trace-buffer K (default 64) bounds the\n\
-         retained-trace ring served by the `trace` verb."
+         request slower than T ms (absent = off, 0 = every request);\n\
+         --trace-buffer K (default 64) bounds the retained-trace ring\n\
+         served by the `trace` verb."
     );
     std::process::exit(2);
 }
@@ -166,7 +142,6 @@ fn parse_args() -> ServerConfig {
 
 fn main() -> ExitCode {
     let cfg = parse_args();
-    install_signal_handlers();
     let server = match Server::start(cfg) {
         Ok(s) => s,
         Err(e) => {
@@ -175,13 +150,9 @@ fn main() -> ExitCode {
         }
     };
     // Parsed by scripts; keep the format stable.
-    println!("listening on {}", server.local_addr());
-    let handle = server.handle();
-    while !SIGNALLED.load(Ordering::SeqCst) {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
+    server::wait_for_signal(|| println!("listening on {}", server.local_addr()));
     eprintln!("preinferd: signal received, draining …");
-    handle.shutdown();
+    server.handle().shutdown();
     server.join();
     eprintln!("preinferd: drained, bye");
     ExitCode::SUCCESS

@@ -22,12 +22,14 @@
 //!   write buffers (arming `EPOLLOUT` for what the socket refuses), drops
 //!   read interest from peers that flood requests or stop reading, and
 //!   closes connections silent past the idle deadline with a typed
-//!   `idle_timeout` response.
+//!   `idle_timeout` response. `Clients` counts every lifecycle event in
+//!   the daemon's `netcore::ConnCounters` itself.
 //! * **Drain**: on shutdown the loop does a final accept sweep (backlog
 //!   connections get typed `shutting_down` answers instead of a reset),
 //!   stops accepting, keeps serving until each connection has zero
 //!   in-flight work and an empty write buffer, then closes it. When the
-//!   last connection closes it sets `conns_done`, releasing the workers.
+//!   last connection closes it closes the admission queue — the loop is
+//!   its only producer — so workers drain what is queued and exit.
 
 use crate::netcore::{self, ClientConn, Clients, Reactor, SWEEP_MS, TOKEN_LISTENER, TOKEN_WAKER};
 use crate::protocol::{self, render_error, ErrorCode, Request};
@@ -61,28 +63,21 @@ pub(crate) fn event_loop(reactor: Reactor, shared: &Arc<Shared>) {
     let Reactor { listener, poller, waker } = reactor;
     let completions =
         Arc::new(Completions { queue: Mutex::new(Vec::new()), waker: Arc::clone(&waker) });
-    let counters = &shared.counters;
-    let accept = |clients: &mut Clients| {
-        let (accepted, failed) = clients.accept_burst(&listener, &poller);
-        counters.connections.fetch_add(accepted, Ordering::Relaxed);
-        counters.conns_closed.fetch_add(failed, Ordering::Relaxed);
-    };
-
-    let mut clients = Clients::default();
+    let mut clients = Clients::new(Arc::clone(&shared.conns));
     let mut events = Vec::new();
     let mut frames = Vec::new();
     let mut draining = false;
 
     loop {
-        if shared.shutting_down() && !draining {
+        if shared.shutdown.requested() && !draining {
             draining = true;
             // Final sweep: backlog connections get typed `shutting_down`
             // answers instead of a reset, then the listener goes quiet.
-            accept(&mut clients);
+            clients.accept_burst(&listener, &poller);
             poller.delete(listener.as_raw_fd());
         }
         if draining {
-            counters.conns_closed.fetch_add(clients.close_quiet(&poller), Ordering::Relaxed);
+            clients.close_quiet(&poller);
             if clients.is_empty() {
                 break;
             }
@@ -104,7 +99,7 @@ pub(crate) fn event_loop(reactor: Reactor, shared: &Arc<Shared>) {
             match ev.token {
                 TOKEN_LISTENER => {
                     if !draining {
-                        accept(&mut clients);
+                        clients.accept_burst(&listener, &poller);
                     }
                 }
                 TOKEN_WAKER => {} // drained above
@@ -113,7 +108,6 @@ pub(crate) fn event_loop(reactor: Reactor, shared: &Arc<Shared>) {
                     if ev.error {
                         // Nothing can be delivered anymore.
                         clients.close(&poller, token);
-                        counters.conns_closed.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
                     if ev.readable && !conn.closing {
@@ -123,20 +117,18 @@ pub(crate) fn event_loop(reactor: Reactor, shared: &Arc<Shared>) {
                         for frame in frames.drain(..) {
                             dispatch(frame, token, conn, shared, &completions);
                         }
-                        if fault.is_some_and(|f| conn.fault(f)) {
-                            counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        if let Some(fault) = fault {
+                            clients.fault(token, fault);
                         }
                     }
                 }
             }
         }
 
-        let sweep = clients.sweep(&poller, shared.idle_timeout, draining);
-        counters.idle_closed.fetch_add(sweep.idle_expired, Ordering::Relaxed);
-        counters.conns_closed.fetch_add(sweep.closed, Ordering::Relaxed);
+        clients.sweep(&poller, shared.idle_timeout, draining);
     }
 
-    shared.conns_done.store(true, Ordering::SeqCst);
+    shared.queue.close();
 }
 
 /// Parses and dispatches one request frame. Inline verbs queue their
@@ -149,7 +141,7 @@ fn dispatch(
     shared: &Arc<Shared>,
     completions: &Arc<Completions>,
 ) {
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+    shared.conns.requests.fetch_add(1, Ordering::Relaxed);
     let started = Instant::now();
     match protocol::parse_request(&payload) {
         Ok(Request::Ping { id }) => {
@@ -193,7 +185,7 @@ fn dispatch(
         Err(reason) => {
             // Parseable framing, unparseable payload: answer and keep the
             // connection (the stream is still in sync).
-            shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+            shared.conns.bad_requests.fetch_add(1, Ordering::Relaxed);
             conn.io.queue(&render_error(None, ErrorCode::BadRequest, &reason));
         }
     }

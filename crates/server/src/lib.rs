@@ -24,6 +24,12 @@
 //! `obs::analyze` merges into a single tree (the shard's spans nested
 //! under the router's `upstream_rtt`). Sampled requests also leave their
 //! `trace_id` as Prometheus exemplars on the latency histograms.
+//!
+//! Both processes share one serving shell: the client-connection
+//! lifecycle and its counters ([`netcore::ConnCounters`]), the trace-ring
+//! surface ([`TraceRing::select`], [`StoredTrace::render`], the retention
+//! metric families), one [`ShutdownHandle`] and one SIGTERM/SIGINT wait
+//! ([`wait_for_signal`]).
 
 pub mod client;
 pub mod eio;
@@ -40,11 +46,12 @@ pub mod trace;
 
 pub use client::{served_psis, Client, ClientError};
 pub use memo::{MemoKey, MemoStats, ResponseMemo};
+pub use netcore::{wait_for_signal, ShutdownHandle};
 pub use obs::Histogram;
 pub use protocol::{ErrorCode, InferRequest, Request, TraceContext, TraceSelect, MAX_FRAME_LEN};
 pub use queue::BoundedQueue;
-pub use router::{Router, RouterConfig, RouterHandle};
+pub use router::{Router, RouterConfig};
 pub use routing::{canonical_method, shard_of, CanonicalMethod};
-pub use server::{Server, ServerConfig, ServerHandle, ServerLatency};
+pub use server::{Server, ServerConfig, ServerLatency};
 pub use service::{run_infer, IncrementalPolicy, InferOutcome, SummaryPolicy};
 pub use trace::{RetainReason, SamplingPolicy, StoredTrace, TraceRing};

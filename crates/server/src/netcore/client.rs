@@ -5,16 +5,20 @@
 //! expiry, and the shutdown drain.
 //!
 //! The loops differ only in what a decoded frame turns into; everything
-//! here is caller-agnostic. Methods report what happened (connections
-//! accepted, closed, idle-expired, malformed) and each loop bumps its own
-//! counters from the returned values.
+//! here is caller-agnostic. [`Clients`] bumps the shared lifecycle
+//! counters ([`ConnCounters`]: accepted, closed, idle-expired, malformed)
+//! itself, and [`ShutdownHandle`] is the one graceful-shutdown trigger
+//! both processes hand out.
 
 use super::{ConnError, FramedConn, Interest, Poller, Waker, WRITE_BACKPRESSURE_BYTES};
+use crate::json::ObjBuilder;
 use crate::protocol::{render_error, ErrorCode, MAX_FRAME_LEN};
+use obs::MetricsRegistry;
 use std::collections::HashMap;
 use std::io;
 use std::net::TcpListener;
 use std::os::unix::io::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -56,6 +60,102 @@ impl Reactor {
         poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         poller.add(waker.fd(), TOKEN_WAKER, Interest::READ)?;
         Ok(Reactor { listener, poller, waker })
+    }
+
+    /// A shutdown trigger that wakes this reactor's loop.
+    pub(crate) fn shutdown_handle(&self) -> ShutdownHandle {
+        ShutdownHandle {
+            requested: Arc::new(AtomicBool::new(false)),
+            waker: Arc::clone(&self.waker),
+        }
+    }
+}
+
+/// A cloneable graceful-shutdown trigger for a running daemon or router:
+/// sets the loop's shutdown flag and wakes it, so the drain starts now
+/// rather than at the next sweep tick.
+#[derive(Clone)]
+pub struct ShutdownHandle {
+    requested: Arc<AtomicBool>,
+    waker: Arc<Waker>,
+}
+
+impl ShutdownHandle {
+    /// Requests a graceful shutdown: stop admitting, drain, exit.
+    pub fn shutdown(&self) {
+        self.requested.store(true, Ordering::SeqCst);
+        self.waker.wake();
+    }
+
+    pub(crate) fn requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
+}
+
+/// Client-connection lifecycle counters, kept by [`Clients`] for the
+/// `stats` verb and the metrics registry of whichever process owns it.
+#[derive(Debug, Default)]
+pub struct ConnCounters {
+    /// Accepted connections.
+    pub connections: AtomicU64,
+    /// Connections torn down (every accepted connection is eventually
+    /// counted here too; `connections - conns_closed` is the live gauge).
+    pub conns_closed: AtomicU64,
+    /// Subset of `conns_closed`: closed by the per-connection idle
+    /// deadline with a typed `idle_timeout` response.
+    pub idle_closed: AtomicU64,
+    /// Request frames decoded (counted by the loop's dispatch).
+    pub requests: AtomicU64,
+    /// Malformed frames and unparseable payloads.
+    pub bad_requests: AtomicU64,
+}
+
+impl ConnCounters {
+    /// Currently open connections (accepted minus closed).
+    pub fn open_connections(&self) -> u64 {
+        self.connections
+            .load(Ordering::Relaxed)
+            .saturating_sub(self.conns_closed.load(Ordering::Relaxed))
+    }
+
+    /// Appends the lifecycle fields to a `stats` counters block.
+    pub(crate) fn stats_fields(&self, b: ObjBuilder) -> ObjBuilder {
+        b.u64("connections", self.connections.load(Ordering::Relaxed))
+            .u64("conns_closed", self.conns_closed.load(Ordering::Relaxed))
+            .u64("idle_closed", self.idle_closed.load(Ordering::Relaxed))
+            .u64("open_connections", self.open_connections())
+            .u64("requests", self.requests.load(Ordering::Relaxed))
+            .u64("bad_requests", self.bad_requests.load(Ordering::Relaxed))
+    }
+
+    /// Registers the process-lifecycle families every serving process
+    /// exports: uptime, open connections, and connection events.
+    pub(crate) fn register(self: &Arc<Self>, reg: &MetricsRegistry, started: Instant) {
+        reg.gauge(
+            "preinfer_uptime_seconds",
+            "Seconds since the process started.",
+            &[],
+            move || started.elapsed().as_secs_f64(),
+        );
+        let c = Arc::clone(self);
+        reg.gauge("preinfer_server_connections", "Currently open connections.", &[], move || {
+            c.open_connections() as f64
+        });
+        type Select = fn(&ConnCounters) -> &AtomicU64;
+        let events: [(&str, Select); 3] = [
+            ("accepted", |c| &c.connections),
+            ("closed", |c| &c.conns_closed),
+            ("idle_closed", |c| &c.idle_closed),
+        ];
+        for (event, sel) in events {
+            let c = Arc::clone(self);
+            reg.counter(
+                "preinfer_connection_events_total",
+                "Connection lifecycle events.",
+                &[("event", event)],
+                move || sel(&c).load(Ordering::Relaxed),
+            );
+        }
     }
 }
 
@@ -107,33 +207,6 @@ impl ClientConn {
         self.in_flight = self.in_flight.saturating_sub(1);
         self.io.queue(response);
     }
-
-    /// Answers a read fault with its typed reply (none for a clean close
-    /// at a frame boundary) and stops reading. Returns whether the peer
-    /// sent a malformed frame, which callers count as a bad request.
-    pub(crate) fn fault(&mut self, fault: ConnError) -> bool {
-        self.closing = true;
-        let (code, msg) = match fault {
-            ConnError::Closed if !self.io.has_partial_frame() => return false,
-            ConnError::Closed | ConnError::NotUtf8 => {
-                (ErrorCode::BadRequest, "malformed frame".to_string())
-            }
-            ConnError::TooLarge(n) => {
-                (ErrorCode::FrameTooLarge, format!("frame length {n} outside 1..={MAX_FRAME_LEN}"))
-            }
-        };
-        self.io.queue(&render_error(None, code, &msg));
-        true
-    }
-}
-
-/// What one [`Clients::sweep`] did.
-#[derive(Debug, Default)]
-pub(crate) struct Sweep {
-    /// Connections told `idle_timeout` (they close once flushed).
-    pub(crate) idle_expired: u64,
-    /// Connections dropped.
-    pub(crate) closed: u64,
 }
 
 /// Every client connection of one run loop, keyed by poller token. The
@@ -142,15 +215,14 @@ pub(crate) struct Sweep {
 pub(crate) struct Clients {
     conns: HashMap<u64, ClientConn>,
     next_token: u64,
-}
-
-impl Default for Clients {
-    fn default() -> Self {
-        Clients { conns: HashMap::new(), next_token: TOKEN_FIRST_CONN }
-    }
+    counters: Arc<ConnCounters>,
 }
 
 impl Clients {
+    pub(crate) fn new(counters: Arc<ConnCounters>) -> Clients {
+        Clients { conns: HashMap::new(), next_token: TOKEN_FIRST_CONN, counters }
+    }
+
     /// A fresh poller token.
     pub(crate) fn next_token(&mut self) -> u64 {
         let token = self.next_token;
@@ -166,45 +238,60 @@ impl Clients {
         self.conns.is_empty()
     }
 
-    /// Accepts every pending connection with read interest. Returns
-    /// `(accepted, failed)`: failed ones were accepted and then dropped
-    /// (they count as both accepted and closed).
-    pub(crate) fn accept_burst(&mut self, listener: &TcpListener, poller: &Poller) -> (u64, u64) {
-        let (mut accepted, mut failed) = (0, 0);
+    /// Accepts every pending connection with read interest. One that
+    /// fails to register is dropped at once (counted accepted and closed).
+    pub(crate) fn accept_burst(&mut self, listener: &TcpListener, poller: &Poller) {
         while let Ok((stream, _)) = listener.accept() {
-            accepted += 1;
+            self.counters.connections.fetch_add(1, Ordering::Relaxed);
             let Ok(io) = FramedConn::new(stream) else {
-                failed += 1;
+                self.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
                 continue;
             };
             let token = self.next_token();
             if poller.add(io.stream().as_raw_fd(), token, Interest::READ).is_err() {
-                failed += 1;
+                self.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             let conn = ClientConn { io, registered: Interest::READ, in_flight: 0, closing: false };
             self.conns.insert(token, conn);
         }
-        (accepted, failed)
     }
 
-    /// Drops a connection. Returns whether it was still open.
-    pub(crate) fn close(&mut self, poller: &Poller, token: u64) -> bool {
-        match self.conns.remove(&token) {
-            Some(conn) => {
-                poller.delete(conn.io.stream().as_raw_fd());
-                true
-            }
-            None => false,
+    /// Drops a connection if it is still open.
+    pub(crate) fn close(&mut self, poller: &Poller, token: u64) {
+        if let Some(conn) = self.conns.remove(&token) {
+            poller.delete(conn.io.stream().as_raw_fd());
+            self.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Shutdown drain: drops every connection that is quiescent and past
-    /// [`DRAIN_GRACE`]. Returns how many closed.
-    pub(crate) fn close_quiet(&mut self, poller: &Poller) -> u64 {
+    /// [`DRAIN_GRACE`].
+    pub(crate) fn close_quiet(&mut self, poller: &Poller) {
         let quiet: Vec<u64> =
             self.conns.iter().filter(|(_, c)| c.drain_quiet()).map(|(t, _)| *t).collect();
-        quiet.into_iter().filter(|&t| self.close(poller, t)).count() as u64
+        for token in quiet {
+            self.close(poller, token);
+        }
+    }
+
+    /// Answers a read fault on `token` with its typed reply (none for a
+    /// clean close at a frame boundary) and stops reading from it; a
+    /// malformed frame counts as a bad request.
+    pub(crate) fn fault(&mut self, token: u64, fault: ConnError) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        conn.closing = true;
+        let (code, msg) = match fault {
+            ConnError::Closed if !conn.io.has_partial_frame() => return,
+            ConnError::Closed | ConnError::NotUtf8 => {
+                (ErrorCode::BadRequest, "malformed frame".to_string())
+            }
+            ConnError::TooLarge(n) => {
+                (ErrorCode::FrameTooLarge, format!("frame length {n} outside 1..={MAX_FRAME_LEN}"))
+            }
+        };
+        conn.io.queue(&render_error(None, code, &msg));
+        self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One tick's bookkeeping for every connection: idle expiry (unless
@@ -212,19 +299,13 @@ impl Clients {
     /// and reaping of connections that are drained or whose socket
     /// failed. (Visiting every connection each tick is fine at these
     /// connection counts and keeps the bookkeeping obviously right.)
-    pub(crate) fn sweep(
-        &mut self,
-        poller: &Poller,
-        idle: Option<Duration>,
-        draining: bool,
-    ) -> Sweep {
+    pub(crate) fn sweep(&mut self, poller: &Poller, idle: Option<Duration>, draining: bool) {
         let now = Instant::now();
-        let mut sweep = Sweep::default();
         let mut dead = Vec::new();
         for (&token, conn) in self.conns.iter_mut() {
             if let Some(limit) = idle.filter(|_| !draining) {
                 if conn.idle_expired(now, limit) {
-                    sweep.idle_expired += 1;
+                    self.counters.idle_closed.fetch_add(1, Ordering::Relaxed);
                     conn.io.queue(&render_error(
                         None,
                         ErrorCode::IdleTimeout,
@@ -245,8 +326,7 @@ impl Clients {
             }
         }
         for token in dead {
-            sweep.closed += u64::from(self.close(poller, token));
+            self.close(poller, token);
         }
-        sweep
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! An epoll-backed reactor ([`Poller`], [`Waker`]), a framed non-blocking
 //! connection state machine ([`FramedConn`]), and the client-connection
-//! lifecycle built on them (`Clients`), written directly on
-//! `epoll(7)`/`eventfd(2)` FFI in the same spirit as the daemon's
-//! `signal(2)` handler — no async runtime, no external crates.
+//! lifecycle built on them (`Clients`, which keeps the shared
+//! [`ConnCounters`]), written directly on `epoll(7)`/`eventfd(2)` FFI — no
+//! async runtime, no external crates. The process shell both serving
+//! binaries share lives here too: one [`ShutdownHandle`] type and one
+//! SIGTERM/SIGINT wait ([`wait_for_signal`]).
 //!
 //! Two run loops share it:
 //!
@@ -25,5 +27,7 @@ pub mod poll;
 mod sys;
 
 pub(crate) use client::{ClientConn, Clients, Reactor, SWEEP_MS, TOKEN_LISTENER, TOKEN_WAKER};
+pub use client::{ConnCounters, ShutdownHandle};
 pub use conn::{ConnError, FramedConn, WRITE_BACKPRESSURE_BYTES};
 pub use poll::{Event, Interest, Poller, Waker};
+pub use sys::wait_for_signal;

@@ -1,12 +1,14 @@
-//! Raw Linux syscall FFI for the connection core: `epoll(7)` and `eventfd(2)`.
+//! Raw Linux syscall FFI for the connection core: `epoll(7)`,
+//! `eventfd(2)`, and the `signal(2)` handler the serving binaries wait on.
 //!
-//! The offline build environment has no `libc` crate, so — in the same
-//! style as the `signal(2)` FFI in `preinferd` — the handful of symbols
-//! the reactor needs are declared directly against the C library every
-//! Rust binary already links. Constants are the x86-64 Linux UAPI values
-//! (the only target this repository builds on).
+//! The offline build environment has no `libc` crate, so the handful of
+//! symbols the reactor needs are declared directly against the C library
+//! every Rust binary already links. Constants are the x86-64 Linux UAPI
+//! values (the only target this repository builds on).
 
 use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 /// `EPOLL_CLOEXEC` for [`epoll_create1`].
 pub const EPOLL_CLOEXEC: i32 = 0o2000000;
@@ -52,6 +54,7 @@ extern "C" {
     fn close(fd: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    fn signal(signum: i32, handler: usize) -> usize;
 }
 
 /// Checked `epoll_create1`.
@@ -119,5 +122,30 @@ pub fn sys_eventfd_drain(fd: i32) {
     let mut buf = [0u8; 8];
     unsafe {
         read(fd, buf.as_mut_ptr(), 8);
+    }
+}
+
+/// Blocks until SIGTERM or SIGINT arrives. The handlers are installed
+/// before `ready` runs, so a signal sent by anyone who observed `ready`'s
+/// effect (a supervisor that read the announced address) sets the flag
+/// instead of killing the process with the default action.
+pub fn wait_for_signal(ready: impl FnOnce()) {
+    const SIGINT: i32 = 2;
+    const SIGTERM: i32 = 15;
+    static SIGNALLED: AtomicBool = AtomicBool::new(false);
+    extern "C" fn on_signal(_signum: i32) {
+        // Only async-signal-safe work here: flip the flag.
+        SIGNALLED.store(true, Ordering::SeqCst);
+    }
+    let handler = on_signal as *const () as usize;
+    // SAFETY: both are valid signal numbers and the handler only stores
+    // to an atomic, which is async-signal-safe.
+    unsafe {
+        signal(SIGTERM, handler);
+        signal(SIGINT, handler);
+    }
+    ready();
+    while !SIGNALLED.load(Ordering::SeqCst) {
+        std::thread::sleep(Duration::from_millis(50));
     }
 }

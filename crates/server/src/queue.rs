@@ -12,20 +12,26 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
-/// A bounded MPMC queue with non-blocking admission and timed removal.
+/// A bounded MPMC queue with non-blocking admission and blocking removal
+/// until it is closed.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
-    items: Mutex<VecDeque<T>>,
+    state: Mutex<State<T>>,
     ready: Condvar,
     capacity: usize,
+}
+
+#[derive(Debug)]
+struct State<T> {
+    items: VecDeque<T>,
+    closed: bool,
 }
 
 impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> BoundedQueue<T> {
         BoundedQueue {
-            items: Mutex::new(VecDeque::with_capacity(capacity)),
+            state: Mutex::new(State { items: VecDeque::with_capacity(capacity), closed: false }),
             ready: Condvar::new(),
             capacity: capacity.max(1),
         }
@@ -33,47 +39,41 @@ impl<T> BoundedQueue<T> {
 
     /// Admits `item` if a slot is free; returns it back on a full queue.
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut q = self.items.lock().expect("queue lock");
-        if q.len() >= self.capacity {
+        let mut q = self.state.lock().expect("queue lock");
+        if q.items.len() >= self.capacity {
             return Err(item);
         }
-        q.push_back(item);
+        q.items.push_back(item);
         drop(q);
         self.ready.notify_one();
         Ok(())
     }
 
-    /// Removes the oldest item, waiting up to `timeout` for one to arrive.
-    /// `None` on timeout — callers poll their shutdown flag and re-enter.
-    ///
-    /// The wait is against an absolute deadline: a wakeup that finds the
-    /// queue still empty (another consumer won the race, or the condvar
-    /// woke spuriously) re-waits only for the *remaining* time, so
-    /// repeated wakeups can never stretch the total wait beyond `timeout`.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = Instant::now() + timeout;
-        let mut q = self.items.lock().expect("queue lock");
+    /// Removes the oldest item, blocking while the queue is empty and
+    /// open. `None` once the queue is closed and drained.
+    pub fn pop(&self) -> Option<T> {
+        let mut q = self.state.lock().expect("queue lock");
         loop {
-            if let Some(item) = q.pop_front() {
+            if let Some(item) = q.items.pop_front() {
                 return Some(item);
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if q.closed {
                 return None;
             }
-            let (guard, _res) = self.ready.wait_timeout(q, deadline - now).expect("queue lock");
-            q = guard;
+            q = self.ready.wait(q).expect("queue lock");
         }
     }
 
-    /// Removes the oldest item without waiting (used while draining).
-    pub fn try_pop(&self) -> Option<T> {
-        self.items.lock().expect("queue lock").pop_front()
+    /// Marks the end of input: consumers drain what is queued, then every
+    /// `pop` returns `None`. Call it once the last producer is done.
+    pub fn close(&self) {
+        self.state.lock().expect("queue lock").closed = true;
+        self.ready.notify_all();
     }
 
     /// Current depth.
     pub fn len(&self) -> usize {
-        self.items.lock().expect("queue lock").len()
+        self.state.lock().expect("queue lock").items.len()
     }
 
     /// Whether the queue is empty.
@@ -91,6 +91,7 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn rejects_when_full_and_frees_on_pop() {
@@ -99,14 +100,8 @@ mod tests {
         assert!(q.try_push(2).is_ok());
         assert_eq!(q.try_push(3), Err(3), "full queue returns the item");
         assert_eq!(q.len(), 2);
-        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.pop(), Some(1));
         assert!(q.try_push(3).is_ok(), "slot freed");
-    }
-
-    #[test]
-    fn pop_timeout_returns_none_when_starved() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(1);
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), None);
     }
 
     #[test]
@@ -114,45 +109,33 @@ mod tests {
         let q = Arc::new(BoundedQueue::new(4));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_timeout(Duration::from_secs(5)))
+            std::thread::spawn(move || q.pop())
         };
         std::thread::sleep(Duration::from_millis(20));
         q.try_push(42u32).unwrap();
         assert_eq!(consumer.join().unwrap(), Some(42));
     }
 
-    /// Regression: `pop_timeout` used to restart the full timeout after
-    /// every wakeup that found the queue empty, so a stream of wakeups
-    /// (another consumer winning the race, or spurious condvar wakeups)
-    /// could postpone the deadline indefinitely. The wait must be against
-    /// an absolute deadline.
+    /// Closing never loses queued work, and releases a consumer waiting on
+    /// an empty queue. (Whether the consumer is already blocked when
+    /// `close` runs or arrives after it, `pop` must return `None`; the
+    /// sleep only makes the blocked case the likely one.)
     #[test]
-    fn wakeups_without_items_do_not_extend_the_deadline() {
+    fn close_drains_queued_items_then_releases_blocked_consumers() {
+        let q = BoundedQueue::new(4);
+        q.try_push(1u32).unwrap();
+        q.try_push(2).unwrap();
+        q.close();
+        assert_eq!((q.pop(), q.pop(), q.pop()), (Some(1), Some(2), None));
+
         let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        // Hammer the condvar with empty wakeups every few milliseconds —
-        // far more often than the 120 ms timeout.
-        let waker = {
+        let consumer = {
             let q = Arc::clone(&q);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    q.ready.notify_all();
-                    std::thread::sleep(Duration::from_millis(3));
-                }
-            })
+            std::thread::spawn(move || q.pop())
         };
-        let started = std::time::Instant::now();
-        let got = q.pop_timeout(Duration::from_millis(120));
-        let elapsed = started.elapsed();
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        waker.join().unwrap();
-        assert_eq!(got, None);
-        assert!(elapsed >= Duration::from_millis(100), "returned early: {elapsed:?}");
-        assert!(
-            elapsed < Duration::from_millis(2_000),
-            "deadline drifted under repeated wakeups: {elapsed:?}"
-        );
+        std::thread::sleep(Duration::from_millis(20));
+        q.close();
+        assert_eq!(consumer.join().unwrap(), None);
     }
 
     #[test]

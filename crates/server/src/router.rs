@@ -22,8 +22,13 @@
 //! * **Fan-out verbs**: `stats`, `metrics`, and `trace` go to every live
 //!   shard and the responses are merged (`stats` nests each shard's
 //!   report; `metrics` re-labels each shard's Prometheus exposition with
-//!   `shard="i"` and concatenates; `trace` concatenates the retained
-//!   traces). `ping` answers locally — it is the router's liveness.
+//!   `shard="i"` and regroups every family under one `# HELP`/`# TYPE`
+//!   header; `trace` concatenates the retained traces). `ping` answers
+//!   locally — it is the router's liveness.
+//! * **Process shell**: the client-connection counters
+//!   ([`ConnCounters`]), the retained-trace ring surface ([`TraceRing`]),
+//!   the shutdown handle and the signal wait are the daemon's own, so the
+//!   two processes count, export and stop identically.
 //! * **Dead shards**: a request routed to a shard with no live upstream
 //!   connection gets a typed `upstream_unavailable` error immediately;
 //!   in-flight requests on a dying connection get the same. A connector
@@ -31,7 +36,8 @@
 
 use crate::json::{self, ObjBuilder};
 use crate::netcore::{
-    Clients, FramedConn, Interest, Poller, Reactor, Waker, SWEEP_MS, TOKEN_LISTENER, TOKEN_WAKER,
+    Clients, ConnCounters, FramedConn, Interest, Poller, Reactor, ShutdownHandle, Waker, SWEEP_MS,
+    TOKEN_LISTENER, TOKEN_WAKER,
 };
 use crate::protocol::{self, render_error, ErrorCode, Request, TraceContext, TraceSelect};
 use crate::routing;
@@ -43,7 +49,7 @@ use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -73,10 +79,11 @@ pub struct RouterConfig {
     /// `trace_id` and the two per-process traces stitch back together.
     pub trace_sample: u64,
     /// Also retain the router-side trace of any routed request slower
-    /// than this many milliseconds end-to-end (0 disables). Tail capture
-    /// records — and forwards a sampled context for — every request, so
-    /// the shard half of a slow trace exists by the time it is wanted.
-    pub slow_trace_ms: u64,
+    /// than this many milliseconds end-to-end (`None` disables; 0 retains
+    /// every request). Tail capture records — and forwards a sampled
+    /// context for — every request, so the shard half of a slow trace
+    /// exists by the time it is wanted.
+    pub slow_trace_ms: Option<u64>,
     /// Bounded retained-trace ring capacity.
     pub trace_buffer: usize,
 }
@@ -92,24 +99,20 @@ impl Default for RouterConfig {
             reconnect_max_ms: 1_000,
             wait_ready_ms: 2_000,
             trace_sample: 0,
-            slow_trace_ms: 0,
+            slow_trace_ms: None,
             trace_buffer: 64,
         }
     }
 }
 
-/// Monotonic router counters (the merged `stats` response's `router`
-/// block and the `preinfer_router_*` metrics family).
+/// Monotonic routing counters (the merged `stats` response's `router`
+/// block and the `preinfer_router_*` metrics family; the connection
+/// lifecycle is counted by [`ConnCounters`]).
 #[derive(Debug, Default)]
 pub struct RouterCounters {
-    pub connections: AtomicU64,
-    pub conns_closed: AtomicU64,
-    pub idle_closed: AtomicU64,
-    pub requests: AtomicU64,
     pub forwarded: AtomicU64,
     pub fanouts: AtomicU64,
     pub unavailable: AtomicU64,
-    pub bad_requests: AtomicU64,
     pub reconnects: AtomicU64,
     /// Upstream frames whose correlation token matched nothing (e.g. a
     /// shard's unsolicited `idle_timeout` notice before it closes a
@@ -117,16 +120,8 @@ pub struct RouterCounters {
     pub unmatched: AtomicU64,
 }
 
-impl RouterCounters {
-    pub fn open_connections(&self) -> u64 {
-        self.connections
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.conns_closed.load(Ordering::Relaxed))
-    }
-}
-
 struct RouterShared {
-    shutdown: AtomicBool,
+    shutdown: ShutdownHandle,
     /// The event loop's waker, registered before the connector thread
     /// starts, so the connector's first result can never go unnoticed.
     wake: Arc<Waker>,
@@ -134,6 +129,7 @@ struct RouterShared {
     connect_requests: Mutex<Vec<(usize, usize)>>,
     /// Freshly connected upstream streams from the connector thread.
     connect_results: Mutex<Vec<(usize, usize, TcpStream)>>,
+    conns: Arc<ConnCounters>,
     counters: Arc<RouterCounters>,
     /// Live upstream connections across all shards.
     live_upstreams: AtomicU64,
@@ -148,25 +144,6 @@ struct RouterShared {
     /// the shard fan-out parts.
     ring: Arc<TraceRing>,
     cfg: RouterConfig,
-}
-
-impl RouterShared {
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-}
-
-/// A cloneable graceful-shutdown trigger.
-#[derive(Clone)]
-pub struct RouterHandle {
-    shared: Arc<RouterShared>,
-}
-
-impl RouterHandle {
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.wake.wake();
-    }
 }
 
 /// A running router.
@@ -186,11 +163,10 @@ impl Router {
         }
         let reactor = Reactor::bind(&cfg.addr)?;
         let local_addr = reactor.listener.local_addr()?;
-        let counters = Arc::new(RouterCounters::default());
         let registry = Arc::new(MetricsRegistry::new());
         let started = Instant::now();
         let shared = Arc::new(RouterShared {
-            shutdown: AtomicBool::new(false),
+            shutdown: reactor.shutdown_handle(),
             wake: Arc::clone(&reactor.waker),
             connect_requests: Mutex::new(
                 (0..cfg.shards.len())
@@ -198,17 +174,14 @@ impl Router {
                     .collect(),
             ),
             connect_results: Mutex::new(Vec::new()),
-            counters: Arc::clone(&counters),
+            conns: Arc::new(ConnCounters::default()),
+            counters: Arc::new(RouterCounters::default()),
             live_upstreams: AtomicU64::new(0),
             live_shards: AtomicU64::new(0),
             registry,
             started,
-            sampling: SamplingPolicy {
-                sample: cfg.trace_sample,
-                slow_threshold: (cfg.slow_trace_ms > 0)
-                    .then(|| Duration::from_millis(cfg.slow_trace_ms)),
-            },
-            ring: Arc::new(TraceRing::new(cfg.trace_buffer.max(1))),
+            sampling: SamplingPolicy::new(cfg.trace_sample, cfg.slow_trace_ms),
+            ring: Arc::new(TraceRing::new(cfg.trace_buffer)),
             cfg,
         });
         register_router_metrics(&shared);
@@ -233,12 +206,12 @@ impl Router {
         self.local_addr
     }
 
-    pub fn handle(&self) -> RouterHandle {
-        RouterHandle { shared: Arc::clone(&self.shared) }
+    pub fn handle(&self) -> ShutdownHandle {
+        self.shared.shutdown.clone()
     }
 
     /// Blocks until the router has drained (call
-    /// [`RouterHandle::shutdown`] first).
+    /// [`ShutdownHandle::shutdown`] first).
     pub fn join(self) {
         let _ = self.event.join();
         let _ = self.connector.join();
@@ -247,40 +220,8 @@ impl Router {
 
 fn register_router_metrics(shared: &Arc<RouterShared>) {
     let reg = &shared.registry;
-    let started = shared.started;
-    reg.gauge("preinfer_uptime_seconds", "Seconds since the router started.", &[], move || {
-        started.elapsed().as_secs_f64()
-    });
-    let c = Arc::clone(&shared.counters);
-    reg.gauge(
-        "preinfer_server_connections",
-        "Currently open downstream connections.",
-        &[],
-        move || c.open_connections() as f64,
-    );
-    const CONN_EVENT_HELP: &str = "Connection lifecycle events.";
-    let c = Arc::clone(&shared.counters);
-    reg.counter(
-        "preinfer_connection_events_total",
-        CONN_EVENT_HELP,
-        &[("event", "accepted")],
-        move || c.connections.load(Ordering::Relaxed),
-    );
-    let c = Arc::clone(&shared.counters);
-    reg.counter(
-        "preinfer_connection_events_total",
-        CONN_EVENT_HELP,
-        &[("event", "closed")],
-        move || c.conns_closed.load(Ordering::Relaxed),
-    );
-    let c = Arc::clone(&shared.counters);
-    reg.counter(
-        "preinfer_connection_events_total",
-        CONN_EVENT_HELP,
-        &[("event", "idle_closed")],
-        move || c.idle_closed.load(Ordering::Relaxed),
-    );
-    let c = Arc::clone(&shared.counters);
+    shared.conns.register(reg, shared.started);
+    let c = Arc::clone(&shared.conns);
     reg.counter("preinfer_router_requests_total", "Downstream request frames.", &[], move || {
         c.requests.load(Ordering::Relaxed)
     });
@@ -321,30 +262,7 @@ fn register_router_metrics(shared: &Arc<RouterShared>) {
     );
     let n = shared.cfg.shards.len() as f64;
     reg.gauge("preinfer_router_shards", "Configured shard count.", &[], move || n);
-    const RETAIN_HELP: &str = "Per-request traces retained, by reason.";
-    let r = Arc::clone(&shared.ring);
-    reg.counter("preinfer_traces_retained_total", RETAIN_HELP, &[("reason", "head")], move || {
-        r.counters().0
-    });
-    let r = Arc::clone(&shared.ring);
-    reg.counter("preinfer_traces_retained_total", RETAIN_HELP, &[("reason", "slow")], move || {
-        r.counters().1
-    });
-    let r = Arc::clone(&shared.ring);
-    reg.counter(
-        "preinfer_traces_retained_total",
-        RETAIN_HELP,
-        &[("reason", "context")],
-        move || r.counters().2,
-    );
-    let r = Arc::clone(&shared.ring);
-    reg.counter("preinfer_traces_evicted_total", "Traces evicted from the ring.", &[], move || {
-        r.counters().3
-    });
-    let r = Arc::clone(&shared.ring);
-    reg.gauge("preinfer_trace_buffer_entries", "Traces currently retained.", &[], move || {
-        r.len() as f64
-    });
+    shared.ring.register(reg);
 }
 
 // ---- connector thread -------------------------------------------------------
@@ -362,7 +280,7 @@ fn connector_loop(shared: &Arc<RouterShared>) {
     let min = Duration::from_millis(shared.cfg.reconnect_min_ms.max(1));
     let max = Duration::from_millis(shared.cfg.reconnect_max_ms.max(shared.cfg.reconnect_min_ms));
     let mut queue: Vec<Attempt> = Vec::new();
-    while !shared.shutting_down() {
+    while !shared.shutdown.requested() {
         for (shard, slot) in shared.connect_requests.lock().expect("connect requests").drain(..) {
             queue.push(Attempt { shard, slot, not_before: Instant::now(), backoff: min });
         }
@@ -521,31 +439,25 @@ fn event_loop(reactor: Reactor, shared: &Arc<RouterShared>) {
     let mut lp = Loop {
         poller: &poller,
         shared,
-        downs: Clients::default(),
+        downs: Clients::new(Arc::clone(&shared.conns)),
         ups: HashMap::new(),
         shards: Shards { slots: vec![vec![None; shared.cfg.conns_per_shard.max(1)]; nshards] },
         pending: HashMap::new(),
         next_seq: 0,
         next_req_id: 0,
     };
-    let counters = &shared.counters;
-    let accept = |downs: &mut Clients| {
-        let (accepted, failed) = downs.accept_burst(&listener, &poller);
-        counters.connections.fetch_add(accepted, Ordering::Relaxed);
-        counters.conns_closed.fetch_add(failed, Ordering::Relaxed);
-    };
     let mut events = Vec::new();
     let mut frames = Vec::new();
     let mut draining = false;
 
     loop {
-        if shared.shutting_down() && !draining {
+        if shared.shutdown.requested() && !draining {
             draining = true;
-            accept(&mut lp.downs);
+            lp.downs.accept_burst(&listener, &poller);
             poller.delete(listener.as_raw_fd());
         }
         if draining {
-            counters.conns_closed.fetch_add(lp.downs.close_quiet(&poller), Ordering::Relaxed);
+            lp.downs.close_quiet(&poller);
             if lp.downs.is_empty() {
                 break;
             }
@@ -561,7 +473,7 @@ fn event_loop(reactor: Reactor, shared: &Arc<RouterShared>) {
             match ev.token {
                 TOKEN_LISTENER => {
                     if !draining {
-                        accept(&mut lp.downs);
+                        lp.downs.accept_burst(&listener, &poller);
                     }
                 }
                 TOKEN_WAKER => {}
@@ -584,7 +496,7 @@ fn event_loop(reactor: Reactor, shared: &Arc<RouterShared>) {
                 token => {
                     let Some(conn) = lp.downs.get_mut(token) else { continue };
                     if ev.error {
-                        lp.close_down(token);
+                        lp.downs.close(&poller, token);
                         continue;
                     }
                     if ev.readable && !conn.closing {
@@ -592,9 +504,8 @@ fn event_loop(reactor: Reactor, shared: &Arc<RouterShared>) {
                         for frame in frames.drain(..) {
                             lp.dispatch_down(token, frame);
                         }
-                        let conn = lp.downs.get_mut(token).expect("still present");
-                        if fault.is_some_and(|f| conn.fault(f)) {
-                            counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                        if let Some(fault) = fault {
+                            lp.downs.fault(token, fault);
                         }
                     }
                 }
@@ -707,15 +618,9 @@ impl<'a> Loop<'a> {
         }
     }
 
-    fn close_down(&mut self, token: u64) {
-        if self.downs.close(self.poller, token) {
-            self.shared.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Parses and routes one downstream request frame.
     fn dispatch_down(&mut self, token: u64, payload: String) {
-        self.shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+        self.shared.conns.requests.fetch_add(1, Ordering::Relaxed);
         match protocol::parse_request(&payload) {
             Ok(Request::Ping { id }) => {
                 // The router's own liveness, answered locally.
@@ -801,7 +706,7 @@ impl<'a> Loop<'a> {
                 self.fan_out(token, id, FanVerb::Trace, Some(select))
             }
             Err(reason) => {
-                self.shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+                self.shared.conns.bad_requests.fetch_add(1, Ordering::Relaxed);
                 let resp = render_error(None, ErrorCode::BadRequest, &reason);
                 self.deliver_inline(token, resp);
             }
@@ -830,17 +735,7 @@ impl<'a> Loop<'a> {
         // shards get, so a stitched trace response carries every tier.
         let (local_traces, local_buffered) = match verb {
             FanVerb::Trace => {
-                let matched = match &select {
-                    TraceSelect::Last(k) => {
-                        self.shared.ring.last(usize::try_from(*k).unwrap_or(usize::MAX))
-                    }
-                    TraceSelect::ById(rid) => {
-                        self.shared.ring.by_request_id(*rid).into_iter().collect()
-                    }
-                    TraceSelect::ByTraceId(tid) => {
-                        self.shared.ring.by_trace_id(tid).into_iter().collect()
-                    }
-                };
+                let matched = self.shared.ring.select(&select);
                 // `request_id` is meaningful only within one process's
                 // admission counter — every shard has its own request 17.
                 // When the id names a router-retained trace, resolve the
@@ -851,7 +746,7 @@ impl<'a> Loop<'a> {
                         select = TraceSelect::ByTraceId(tid);
                     }
                 }
-                (matched.iter().map(render_router_trace).collect(), self.shared.ring.len() as u64)
+                (matched.iter().map(StoredTrace::render).collect(), self.shared.ring.len() as u64)
             }
             _ => (Vec::new(), 0),
         };
@@ -974,6 +869,7 @@ impl<'a> Loop<'a> {
         };
         let Some(reason) = reason else { return };
         self.shared.ring.push(StoredTrace {
+            process: Some("preinfer-router"),
             request_id: tr.request_id,
             trace_id: Some(tr.trace_id),
             func: tr.func,
@@ -1013,10 +909,7 @@ impl<'a> Loop<'a> {
     fn flush_and_sweep(&mut self, draining: bool) {
         let idle_limit = (self.shared.cfg.idle_timeout_ms > 0)
             .then(|| Duration::from_millis(self.shared.cfg.idle_timeout_ms));
-        let sweep = self.downs.sweep(self.poller, idle_limit, draining);
-        let counters = &self.shared.counters;
-        counters.idle_closed.fetch_add(sweep.idle_expired, Ordering::Relaxed);
-        counters.conns_closed.fetch_add(sweep.closed, Ordering::Relaxed);
+        self.downs.sweep(self.poller, idle_limit, draining);
         let mut dead_ups = Vec::new();
         for (&token, up) in self.ups.iter_mut() {
             if up.io.wants_write() {
@@ -1101,22 +994,6 @@ fn decide_trace(
     Some((sink, ctx.trace_id, from_client))
 }
 
-/// Renders one retained router-side trace, in the same shape as the
-/// daemon's `trace` verb elements plus a `process` marker (shard parts
-/// carry a `shard` index instead).
-fn render_router_trace(t: &StoredTrace) -> String {
-    ObjBuilder::new()
-        .str("process", "preinfer-router")
-        .u64("request_id", t.request_id)
-        .opt_str("trace_id", t.trace_id.as_deref())
-        .str("func", &t.func)
-        .str("reason", t.reason.label())
-        .u64("queue_us", t.queue_us)
-        .u64("service_us", t.service_us)
-        .arr("events", t.lines.clone())
-        .build()
-}
-
 /// Locates the router's correlation token `"id":"r<seq>"` in a raw shard
 /// response, returning the byte range of the whole `"id":"r<seq>"` field
 /// and the parsed sequence number. Raw double quotes cannot occur inside
@@ -1141,18 +1018,15 @@ fn find_correlation_id(raw: &str) -> Option<(usize, usize, u64)> {
 /// Renders the router block common to merged responses.
 fn router_block(shared: &Arc<RouterShared>) -> String {
     let c = &shared.counters;
-    ObjBuilder::new()
+    let b = ObjBuilder::new()
         .u64("shards", shared.cfg.shards.len() as u64)
-        .u64("live_upstreams", shared.live_upstreams.load(Ordering::SeqCst))
-        .u64("connections", c.connections.load(Ordering::Relaxed))
-        .u64("conns_closed", c.conns_closed.load(Ordering::Relaxed))
-        .u64("idle_closed", c.idle_closed.load(Ordering::Relaxed))
-        .u64("open_connections", c.open_connections())
-        .u64("requests", c.requests.load(Ordering::Relaxed))
+        .u64("live_upstreams", shared.live_upstreams.load(Ordering::SeqCst));
+    shared
+        .conns
+        .stats_fields(b)
         .u64("forwarded", c.forwarded.load(Ordering::Relaxed))
         .u64("fanouts", c.fanouts.load(Ordering::Relaxed))
         .u64("unavailable", c.unavailable.load(Ordering::Relaxed))
-        .u64("bad_requests", c.bad_requests.load(Ordering::Relaxed))
         .u64("reconnects", c.reconnects.load(Ordering::Relaxed))
         .u64("unmatched", c.unmatched.load(Ordering::Relaxed))
         .u64("uptime_s", shared.started.elapsed().as_secs())
@@ -1184,32 +1058,53 @@ fn merge_stats(f: &FanState, shared: &Arc<RouterShared>) -> String {
 }
 
 /// Merged `metrics`: the router's own exposition plus each shard's,
-/// re-labeled with `shard="i"` and de-duplicated `# HELP`/`# TYPE`.
+/// re-labeled with `shard="i"`. Lines are grouped per family in
+/// first-seen order (router, then shard 0, 1, …): one `# HELP` and one
+/// `# TYPE` line (the first seen), then every series of that family.
 fn merge_metrics(f: &FanState, shared: &Arc<RouterShared>) -> String {
-    let mut out = String::new();
-    let mut seen_headers = std::collections::HashSet::new();
-    let mut push = |line: &str, out: &mut String| {
-        if line.starts_with("# ") && !seen_headers.insert(line.to_string()) {
-            return;
-        }
-        out.push_str(line);
-        out.push('\n');
-    };
-    for line in shared.registry.render_prometheus().lines() {
-        push(line, &mut out);
+    #[derive(Default)]
+    struct Family {
+        help: Option<String>,
+        ty: Option<String>,
+        samples: Vec<String>,
     }
+    let mut order: Vec<String> = Vec::new();
+    let mut families: HashMap<String, Family> = HashMap::new();
+    let mut add = |text: &str, shard: Option<usize>| {
+        // Each source exposition is grouped, so a sample belongs to the
+        // family whose header it follows.
+        let mut current = String::new();
+        for line in text.lines().filter(|l| !l.is_empty()) {
+            if let Some(header) = line.strip_prefix("# ") {
+                let mut words = header.split(' ');
+                let (Some(kind), Some(name)) = (words.next(), words.next()) else { continue };
+                current = name.to_string();
+                let fam = families.entry(current.clone()).or_insert_with(|| {
+                    order.push(current.clone());
+                    Family::default()
+                });
+                let slot = if kind == "HELP" { &mut fam.help } else { &mut fam.ty };
+                slot.get_or_insert_with(|| line.to_string());
+            } else if let Some(fam) = families.get_mut(&current) {
+                fam.samples.push(match shard {
+                    Some(i) => relabel_metric_line(line, i),
+                    None => line.to_string(),
+                });
+            }
+        }
+    };
+    add(&shared.registry.render_prometheus(), None);
     for (shard, raw) in &f.parts {
         let Ok(parsed) = json::parse(raw) else { continue };
         let Some(text) = parsed.str_field("text") else { continue };
-        for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('#') {
-                push(line, &mut out);
-            } else {
-                push(&relabel_metric_line(line, *shard), &mut out);
-            }
+        add(text, Some(*shard));
+    }
+    let mut out = String::new();
+    for name in &order {
+        let fam = &families[name];
+        for line in fam.help.iter().chain(&fam.ty).chain(&fam.samples) {
+            out.push_str(line);
+            out.push('\n');
         }
     }
     ObjBuilder::new()

@@ -24,13 +24,14 @@
 //! it; workers check it between solver calls and return partial results
 //! marked `timed_out` — a deadline can never hang a worker because every
 //! solve is budget-bounded. On shutdown (SIGTERM in the binary, or
-//! [`ServerHandle::shutdown`]), the connection core stops accepting and
-//! answers new work with `shutting_down`, workers drain the queue to
-//! empty, and `join` returns once every thread has exited.
+//! [`ShutdownHandle::shutdown`]), the connection core stops accepting and
+//! answers new work with `shutting_down`; once its last connection closes
+//! it closes the queue, workers drain it to empty, and `join` returns once
+//! every thread has exited.
 
 use crate::eio;
 use crate::memo::{MemoKey, ResponseMemo};
-use crate::netcore::{Reactor, Waker};
+use crate::netcore::{ConnCounters, Reactor, ShutdownHandle};
 use crate::protocol::{render_error, ErrorCode, InferRequest, TraceSelect};
 use crate::queue::BoundedQueue;
 use crate::routing;
@@ -42,13 +43,10 @@ use obs::{Histogram, MetricsRegistry};
 use solver::{Deadline, IncrementalCounters, SolverCache, TierCounters};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often idle workers re-check the shutdown flag.
-const POLL_PERIOD: Duration = Duration::from_millis(20);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -107,31 +105,14 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic counters for the `stats` verb.
+/// The daemon's `infer` outcome counters for the `stats` verb (the
+/// connection lifecycle is counted by [`ConnCounters`]).
 #[derive(Debug, Default)]
 pub struct Counters {
-    pub connections: AtomicU64,
-    /// Connections torn down (every accepted connection is eventually
-    /// counted here too; `connections - conns_closed` is the live gauge).
-    pub conns_closed: AtomicU64,
-    /// Subset of `conns_closed`: closed by the per-connection idle
-    /// deadline with a typed `idle_timeout` response.
-    pub idle_closed: AtomicU64,
-    pub requests: AtomicU64,
     pub infers_ok: AtomicU64,
     pub infer_errors: AtomicU64,
     pub overloaded: AtomicU64,
     pub timed_out: AtomicU64,
-    pub bad_requests: AtomicU64,
-}
-
-impl Counters {
-    /// Currently open connections (accepted minus closed).
-    pub fn open_connections(&self) -> u64 {
-        self.connections
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.conns_closed.load(Ordering::Relaxed))
-    }
 }
 
 /// Server-side latency histograms: one per verb, plus `queue_wait`
@@ -175,13 +156,13 @@ pub(crate) struct Job {
 /// `Arc`'d so the metrics registry's scrape closures can capture them
 /// without holding the whole `Shared` (which owns the registry — a cycle).
 pub(crate) struct Shared {
-    pub(crate) shutdown: AtomicBool,
-    /// Set by the connection core once every connection has closed; the
-    /// workers wait for it so that a request admitted in the instant the
-    /// shutdown flag flips is still drained, not orphaned.
-    pub(crate) conns_done: AtomicBool,
+    pub(crate) shutdown: ShutdownHandle,
+    /// Closed by the connection core once every connection has closed, so
+    /// a request admitted in the instant the shutdown flag flips is still
+    /// drained, not orphaned.
     pub(crate) queue: Arc<BoundedQueue<Job>>,
     pub(crate) cache: Arc<SolverCache>,
+    pub(crate) conns: Arc<ConnCounters>,
     pub(crate) counters: Arc<Counters>,
     pub(crate) latency: Arc<ServerLatency>,
     /// Aggregate pipeline-stage histograms shared by every worker. Served
@@ -208,35 +189,10 @@ pub(crate) struct Shared {
     pub(crate) memo: Option<Arc<ResponseMemo>>,
     /// Idle-close deadline for silent connections; `None` when disabled.
     pub(crate) idle_timeout: Option<Duration>,
-    /// The connection core's waker, so [`ServerHandle::shutdown`] can
-    /// interrupt `epoll_wait` immediately.
-    pub(crate) wake: Arc<Waker>,
     /// Admission counter: ids are 1-based, assigned in [`start_infer`].
     pub(crate) next_request_id: AtomicU64,
     pub(crate) started: Instant,
     pub(crate) default_deadline_ms: Option<u64>,
-}
-
-impl Shared {
-    pub(crate) fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-}
-
-/// A cloneable trigger for graceful shutdown.
-#[derive(Clone)]
-pub struct ServerHandle {
-    shared: Arc<Shared>,
-}
-
-impl ServerHandle {
-    /// Requests a graceful shutdown: stop admitting, drain, exit.
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Interrupt `epoll_wait` so the drain starts now rather than at
-        // the next sweep tick.
-        self.shared.wake.wake();
-    }
 }
 
 /// A running daemon.
@@ -255,6 +211,7 @@ impl Server {
         let started = Instant::now();
         let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity));
         let cache = Arc::new(SolverCache::new());
+        let conns = Arc::new(ConnCounters::default());
         let counters = Arc::new(Counters::default());
         let latency = Arc::new(ServerLatency::default());
         let trace = Arc::new(obs::TraceSink::aggregate());
@@ -271,6 +228,7 @@ impl Server {
             &registry,
             &cache,
             &tiers,
+            &conns,
             &counters,
             &latency,
             &trace,
@@ -282,10 +240,10 @@ impl Server {
             started,
         );
         let shared = Arc::new(Shared {
-            shutdown: AtomicBool::new(false),
-            conns_done: AtomicBool::new(false),
+            shutdown: reactor.shutdown_handle(),
             queue,
             cache,
+            conns,
             counters,
             latency,
             trace,
@@ -293,15 +251,11 @@ impl Server {
             ring,
             incremental,
             summaries,
-            sampling: SamplingPolicy {
-                sample: cfg.trace_sample,
-                slow_threshold: cfg.slow_trace_ms.map(Duration::from_millis),
-            },
+            sampling: SamplingPolicy::new(cfg.trace_sample, cfg.slow_trace_ms),
             registry,
             memo,
             idle_timeout: (cfg.idle_timeout_ms > 0)
                 .then(|| Duration::from_millis(cfg.idle_timeout_ms)),
-            wake: Arc::clone(&reactor.waker),
             next_request_id: AtomicU64::new(0),
             started,
             default_deadline_ms: cfg.default_deadline_ms,
@@ -325,8 +279,8 @@ impl Server {
     }
 
     /// A shutdown trigger usable from signal handlers and tests.
-    pub fn handle(&self) -> ServerHandle {
-        ServerHandle { shared: Arc::clone(&self.shared) }
+    pub fn handle(&self) -> ShutdownHandle {
+        self.shared.shutdown.clone()
     }
 
     /// The shared solver cache (exposed for tests and diagnostics).
@@ -335,7 +289,7 @@ impl Server {
     }
 
     /// Blocks until the daemon has fully drained and every thread exited.
-    /// Call [`ServerHandle::shutdown`] (or deliver SIGTERM to the binary)
+    /// Call [`ShutdownHandle::shutdown`] (or deliver SIGTERM to the binary)
     /// first, or this never returns.
     pub fn join(self) {
         let _ = self.event.join();
@@ -365,7 +319,7 @@ pub(crate) fn start_infer(
     shared: &Arc<Shared>,
     reply: ReplyTo,
 ) -> InferDisposition {
-    if shared.shutting_down() {
+    if shared.shutdown.requested() {
         return InferDisposition::Done(render_error(
             id.as_deref(),
             ErrorCode::ShuttingDown,
@@ -515,17 +469,13 @@ pub(crate) fn render_stats_response(id: Option<&str>, shared: &Shared) -> String
         })
         .raw(
             "counters",
-            ObjBuilder::new()
-                .u64("connections", c.connections.load(Ordering::Relaxed))
-                .u64("conns_closed", c.conns_closed.load(Ordering::Relaxed))
-                .u64("idle_closed", c.idle_closed.load(Ordering::Relaxed))
-                .u64("open_connections", c.open_connections())
-                .u64("requests", c.requests.load(Ordering::Relaxed))
+            shared
+                .conns
+                .stats_fields(ObjBuilder::new())
                 .u64("infers_ok", c.infers_ok.load(Ordering::Relaxed))
                 .u64("infer_errors", c.infer_errors.load(Ordering::Relaxed))
                 .u64("overloaded", c.overloaded.load(Ordering::Relaxed))
                 .u64("timed_out", c.timed_out.load(Ordering::Relaxed))
-                .u64("bad_requests", c.bad_requests.load(Ordering::Relaxed))
                 .u64("queue_depth", shared.queue.len() as u64)
                 .u64("queue_capacity", shared.queue.capacity() as u64)
                 .u64("uptime_s", shared.started.elapsed().as_secs())
@@ -576,25 +526,7 @@ pub(crate) fn render_trace_response(
     shared: &Shared,
 ) -> String {
     use crate::json::ObjBuilder;
-    let traces = match select {
-        TraceSelect::Last(k) => shared.ring.last(usize::try_from(*k).unwrap_or(usize::MAX)),
-        TraceSelect::ById(rid) => shared.ring.by_request_id(*rid).into_iter().collect(),
-        TraceSelect::ByTraceId(tid) => shared.ring.by_trace_id(tid).into_iter().collect(),
-    };
-    let rendered: Vec<String> = traces
-        .iter()
-        .map(|t| {
-            ObjBuilder::new()
-                .u64("request_id", t.request_id)
-                .opt_str("trace_id", t.trace_id.as_deref())
-                .str("func", &t.func)
-                .str("reason", t.reason.label())
-                .u64("queue_us", t.queue_us)
-                .u64("service_us", t.service_us)
-                .arr("events", t.lines.clone())
-                .build()
-        })
-        .collect();
+    let rendered = shared.ring.select(select).iter().map(StoredTrace::render).collect();
     ObjBuilder::new()
         .bool("ok", true)
         .opt_str("id", id)
@@ -622,19 +554,7 @@ pub(crate) fn record_latency(h: &Histogram, d: Duration, trace_id: Option<&str>)
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let Some(job) = shared.queue.pop_timeout(POLL_PERIOD) else {
-            // Exit only after the connection core has closed every
-            // connection: a request admitted in the same instant the flag
-            // flipped still drains.
-            if shared.shutting_down()
-                && shared.conns_done.load(Ordering::SeqCst)
-                && shared.queue.is_empty()
-            {
-                return;
-            }
-            continue;
-        };
+    while let Some(job) = shared.queue.pop() {
         let dequeued = Instant::now();
         let queue_wait = dequeued.duration_since(job.admitted_at);
         record_latency(&shared.latency.queue_wait, queue_wait, sampled_trace_id(&job.request));
@@ -725,6 +645,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             if let Some(reason) = reason {
                 let trace_id = sink.trace_id();
                 shared.ring.push(StoredTrace {
+                    process: None,
                     request_id: job.request_id,
                     trace_id,
                     func,
@@ -754,6 +675,7 @@ fn register_metrics(
     reg: &MetricsRegistry,
     cache: &Arc<SolverCache>,
     tiers: &Arc<TierCounters>,
+    conns: &Arc<ConnCounters>,
     counters: &Arc<Counters>,
     latency: &Arc<ServerLatency>,
     trace: &Arc<obs::TraceSink>,
@@ -764,9 +686,7 @@ fn register_metrics(
     memo: &Option<Arc<ResponseMemo>>,
     started: Instant,
 ) {
-    reg.gauge("preinfer_uptime_seconds", "Seconds since the daemon started.", &[], move || {
-        started.elapsed().as_secs_f64()
-    });
+    conns.register(reg, started);
     let q = Arc::clone(queue);
     reg.gauge("preinfer_queue_depth", "Requests waiting for a worker.", &[], move || {
         q.len() as f64
@@ -775,37 +695,6 @@ fn register_metrics(
     reg.gauge("preinfer_queue_capacity", "Admission queue capacity.", &[], move || {
         q.capacity() as f64
     });
-
-    let c = Arc::clone(counters);
-    reg.counter("preinfer_connections_total", "Accepted TCP connections.", &[], move || {
-        c.connections.load(Ordering::Relaxed)
-    });
-    let c = Arc::clone(counters);
-    reg.gauge("preinfer_server_connections", "Currently open connections.", &[], move || {
-        c.open_connections() as f64
-    });
-    const CONN_EVENT_HELP: &str = "Connection lifecycle events.";
-    let c = Arc::clone(counters);
-    reg.counter(
-        "preinfer_connection_events_total",
-        CONN_EVENT_HELP,
-        &[("event", "accepted")],
-        move || c.connections.load(Ordering::Relaxed),
-    );
-    let c = Arc::clone(counters);
-    reg.counter(
-        "preinfer_connection_events_total",
-        CONN_EVENT_HELP,
-        &[("event", "closed")],
-        move || c.conns_closed.load(Ordering::Relaxed),
-    );
-    let c = Arc::clone(counters);
-    reg.counter(
-        "preinfer_connection_events_total",
-        CONN_EVENT_HELP,
-        &[("event", "idle_closed")],
-        move || c.idle_closed.load(Ordering::Relaxed),
-    );
     if let Some(memo) = memo {
         const MEMO_LOOKUP_HELP: &str = "Response-memo lookups by result.";
         let m = Arc::clone(memo);
@@ -844,11 +733,11 @@ fn register_metrics(
             move || m.stats().entries as f64,
         );
     }
-    let c = Arc::clone(counters);
+    let c = Arc::clone(conns);
     reg.counter("preinfer_requests_total", "Parsed request frames.", &[], move || {
         c.requests.load(Ordering::Relaxed)
     });
-    let c = Arc::clone(counters);
+    let c = Arc::clone(conns);
     reg.counter(
         "preinfer_bad_requests_total",
         "Malformed or unparseable requests.",
@@ -1034,29 +923,5 @@ fn register_metrics(
         &[],
         move || l.queue_wait.snapshot(),
     );
-
-    const RETAIN_HELP: &str = "Per-request traces retained, by reason.";
-    let r = Arc::clone(ring);
-    reg.counter("preinfer_traces_retained_total", RETAIN_HELP, &[("reason", "head")], move || {
-        r.counters().0
-    });
-    let r = Arc::clone(ring);
-    reg.counter("preinfer_traces_retained_total", RETAIN_HELP, &[("reason", "slow")], move || {
-        r.counters().1
-    });
-    let r = Arc::clone(ring);
-    reg.counter(
-        "preinfer_traces_retained_total",
-        RETAIN_HELP,
-        &[("reason", "context")],
-        move || r.counters().2,
-    );
-    let r = Arc::clone(ring);
-    reg.counter("preinfer_traces_evicted_total", "Traces evicted from the ring.", &[], move || {
-        r.counters().3
-    });
-    let r = Arc::clone(ring);
-    reg.gauge("preinfer_trace_buffer_entries", "Traces currently retained.", &[], move || {
-        r.len() as f64
-    });
+    ring.register(reg);
 }

@@ -21,9 +21,12 @@
 //! observation-only: the trace-neutrality differential proves served ψ
 //! byte-identical with sampling on or off.
 
+use crate::json::ObjBuilder;
+use crate::protocol::TraceSelect;
+use obs::MetricsRegistry;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Why a completed trace was retained.
@@ -90,6 +93,12 @@ pub struct SamplingPolicy {
 }
 
 impl SamplingPolicy {
+    /// The policy for `--trace-sample N` (0 = off) and `--slow-trace-ms T`
+    /// (absent = off; 0 retains every request).
+    pub fn new(sample: u64, slow_trace_ms: Option<u64>) -> SamplingPolicy {
+        SamplingPolicy { sample, slow_threshold: slow_trace_ms.map(Duration::from_millis) }
+    }
+
     /// Whether any per-request recording is configured at all.
     pub fn enabled(&self) -> bool {
         self.sample > 0 || self.slow_threshold.is_some()
@@ -122,6 +131,10 @@ impl SamplingPolicy {
 /// One retained request trace.
 #[derive(Debug, Clone)]
 pub struct StoredTrace {
+    /// The recording process when it must be named in a merged response
+    /// (`"preinfer-router"`); `None` for a daemon, whose parts the router
+    /// tags with a `shard` index instead.
+    pub process: Option<&'static str>,
     pub request_id: u64,
     /// The distributed trace id this request recorded under, when it ran
     /// inside a cross-process trace (or minted one itself).
@@ -135,6 +148,24 @@ pub struct StoredTrace {
     pub service_us: u64,
     /// The recorded JSON-lines events, in `seq` order.
     pub lines: Vec<String>,
+}
+
+impl StoredTrace {
+    /// One element of the `trace` verb's `traces` array.
+    pub fn render(&self) -> String {
+        let b = match self.process {
+            Some(p) => ObjBuilder::new().str("process", p),
+            None => ObjBuilder::new(),
+        };
+        b.u64("request_id", self.request_id)
+            .opt_str("trace_id", self.trace_id.as_deref())
+            .str("func", &self.func)
+            .str("reason", self.reason.label())
+            .u64("queue_us", self.queue_us)
+            .u64("service_us", self.service_us)
+            .arr("events", self.lines.clone())
+            .build()
+    }
 }
 
 /// A bounded ring of completed traces: pushing beyond capacity evicts the
@@ -200,6 +231,15 @@ impl TraceRing {
         entries.iter().rev().find(|t| t.trace_id.as_deref() == Some(trace_id)).cloned()
     }
 
+    /// The traces a `trace` verb selection names, newest first.
+    pub fn select(&self, select: &TraceSelect) -> Vec<StoredTrace> {
+        match select {
+            TraceSelect::Last(k) => self.last(usize::try_from(*k).unwrap_or(usize::MAX)),
+            TraceSelect::ById(rid) => self.by_request_id(*rid).into_iter().collect(),
+            TraceSelect::ByTraceId(tid) => self.by_trace_id(tid).into_iter().collect(),
+        }
+    }
+
     /// Number of traces currently retained.
     pub fn len(&self) -> usize {
         self.entries.lock().expect("trace ring").len()
@@ -219,6 +259,36 @@ impl TraceRing {
             self.evicted.load(Ordering::Relaxed),
         )
     }
+
+    /// Registers the retention and eviction series.
+    pub(crate) fn register(self: &Arc<Self>, reg: &MetricsRegistry) {
+        type Select = fn(&TraceRing) -> &AtomicU64;
+        let reasons: [(&str, Select); 3] = [
+            ("head", |r| &r.retained_head),
+            ("slow", |r| &r.retained_slow),
+            ("context", |r| &r.retained_context),
+        ];
+        for (reason, sel) in reasons {
+            let r = Arc::clone(self);
+            reg.counter(
+                "preinfer_traces_retained_total",
+                "Per-request traces retained, by reason.",
+                &[("reason", reason)],
+                move || sel(&r).load(Ordering::Relaxed),
+            );
+        }
+        let r = Arc::clone(self);
+        reg.counter(
+            "preinfer_traces_evicted_total",
+            "Traces evicted from the ring.",
+            &[],
+            move || r.evicted.load(Ordering::Relaxed),
+        );
+        let r = Arc::clone(self);
+        reg.gauge("preinfer_trace_buffer_entries", "Traces currently retained.", &[], move || {
+            r.len() as f64
+        });
+    }
 }
 
 #[cfg(test)]
@@ -227,6 +297,7 @@ mod tests {
 
     fn stored(id: u64, reason: RetainReason) -> StoredTrace {
         StoredTrace {
+            process: None,
             request_id: id,
             trace_id: Some(format!("{id:032x}")),
             func: "f".to_string(),

@@ -160,13 +160,10 @@ fn non_utf8_payload_is_a_typed_error() {
 /// typed `idle_timeout` error, on every topology.
 #[test]
 fn idle_connections_are_closed_with_a_typed_error() {
-    let start = || {
-        let server = Server::start(ServerConfig {
-            workers: 1,
-            idle_timeout_ms: 300,
-            ..ServerConfig::default()
-        })
-        .expect("bind loopback");
+    let start = |idle_timeout_ms| {
+        let server =
+            Server::start(ServerConfig { workers: 1, idle_timeout_ms, ..ServerConfig::default() })
+                .expect("bind loopback");
         let addr = server.local_addr();
         Box::leak(Box::new(server));
         addr
@@ -182,15 +179,21 @@ fn idle_connections_are_closed_with_a_typed_error() {
         Box::leak(Box::new(router));
         addr
     };
-    let daemon = start();
-    let router = router_over(daemon);
-    for addr in [daemon, router] {
+    let daemon = start(300);
+    // The router's shard keeps its pooled upstream connections open, so
+    // the router's `stats` fan-out below always finds it reachable.
+    let router = router_over(start(0));
+    // Where each process's `stats` reports its connection counters.
+    for (addr, block) in [(daemon, "counters"), (router, "router")] {
         let mut cl = connect(addr);
         // Prove the connection works, then go silent.
         assert_eq!(cl.ping().unwrap().get("ok").and_then(|v| v.as_bool()), Some(true));
         let resp = cl.read_response().expect("typed idle_timeout before close");
         assert_eq!(resp.str_field("error"), Some("idle_timeout"), "addr {addr}");
         assert_alive(addr);
+        let stats = connect(addr).stats().expect("stats round-trip");
+        let idle_closed = stats.get(block).and_then(|b| b.u64_field("idle_closed"));
+        assert!(idle_closed >= Some(1), "{block}.idle_closed not counted: {stats:?}");
     }
 }
 

@@ -8,6 +8,7 @@
 
 use server::protocol;
 use server::{served_psis, Client, InferRequest, Router, RouterConfig, Server, ServerConfig};
+use std::collections::HashMap;
 
 fn start_shard() -> Server {
     Server::start(ServerConfig { workers: 1, ..ServerConfig::default() })
@@ -197,9 +198,39 @@ fn fanout_verbs_merge_across_shards() {
     assert!(text.contains("shard=\"0\""), "shard 0 exposition present");
     assert!(text.contains("shard=\"1\""), "shard 1 exposition present");
     assert!(text.contains("preinfer_router_requests_total"), "router's own metrics lead the merge");
-    // HELP/TYPE headers are deduplicated across shards.
-    let help_lines = text.lines().filter(|l| l.starts_with("# HELP preinfer_queue_depth")).count();
-    assert_eq!(help_lines, 1, "headers deduped across shards");
+    // Every family — shared ones included — has exactly one HELP line,
+    // one TYPE line, and all of its lines in one contiguous group.
+    let mut headers: HashMap<(&str, &str), usize> = HashMap::new();
+    let mut groups: Vec<&str> = Vec::new();
+    for line in text.lines() {
+        let family = if let Some(header) = line.strip_prefix("# ") {
+            let mut words = header.split(' ');
+            let (kind, name) =
+                (words.next().unwrap(), words.next().expect("header names a family"));
+            *headers.entry((name, kind)).or_default() += 1;
+            name
+        } else {
+            let series = line.split(['{', ' ']).next().expect("sample names a series");
+            ["_bucket", "_sum", "_count"]
+                .iter()
+                .filter_map(|suffix| series.strip_suffix(suffix))
+                .find(|base| headers.contains_key(&(*base, "TYPE")))
+                .unwrap_or(series)
+        };
+        if groups.last() != Some(&family) {
+            assert!(
+                !groups.contains(&family),
+                "family {family} split into several groups:\n{text}"
+            );
+            groups.push(family);
+        }
+    }
+    for family in groups {
+        for kind in ["HELP", "TYPE"] {
+            let n = headers.get(&(family, kind)).copied().unwrap_or(0);
+            assert_eq!(n, 1, "family {family} has {n} {kind} lines:\n{text}");
+        }
+    }
 
     router.handle().shutdown();
     router.join();

@@ -4,7 +4,9 @@
 //! sampling off, the retained-trace ring evicts oldest-first, and — the
 //! invariant everything else rides on — sampling never changes a served ψ.
 
-use server::{served_psis, Client, InferRequest, Server, ServerConfig, TraceSelect};
+use server::{
+    served_psis, Client, InferRequest, Router, RouterConfig, Server, ServerConfig, TraceSelect,
+};
 
 fn infer_req(program: &str, func: &str) -> InferRequest {
     InferRequest {
@@ -88,6 +90,27 @@ fn tail_capture_retains_slow_requests_with_head_sampling_off() {
         .expect("retained trace ends with a run event");
     assert_eq!(run.u64_field("request_id"), Some(1));
     assert!(run.u64_field("dur_us").is_some() && run.u64_field("queue_us").is_some());
+
+    // `--slow-trace-ms 0` means the same on the router: every routed
+    // request is retained, with reason `slow`.
+    let router = Router::start(RouterConfig {
+        shards: vec![addr],
+        slow_trace_ms: Some(0),
+        ..RouterConfig::default()
+    })
+    .expect("start router");
+    let mut via_router = Client::connect(&router.local_addr().to_string()).expect("connect");
+    for _ in 0..3 {
+        via_router.infer(&motivating_req()).expect("routed infer round-trip");
+    }
+    let resp = via_router.trace(TraceSelect::Last(10)).expect("trace round-trip");
+    let traces = resp.get("traces").and_then(|t| t.as_array()).expect("traces array");
+    let routed: Vec<_> =
+        traces.iter().filter(|t| t.str_field("process") == Some("preinfer-router")).collect();
+    assert_eq!(routed.len(), 3, "every routed request is retained: {resp:?}");
+    assert!(routed.iter().all(|t| t.str_field("reason") == Some("slow")), "{resp:?}");
+    router.handle().shutdown();
+    router.join();
     server.handle().shutdown();
     server.join();
 }

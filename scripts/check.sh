@@ -151,38 +151,12 @@ done
 for SUBJECT in guarded_div reverse_words binary_search; do
     ./target/release/preinfer-client --addr "$ADDR" corpus "$SUBJECT" --check-offline
 done
-# The metrics verb must serve well-formed Prometheus text exposition
-# (traced requests may append OpenMetrics exemplars after " # " on
-# histogram bucket lines — validated, then stripped before the
-# version-0.0.4 checks).
+# The metrics verb must serve well-formed Prometheus text exposition,
+# one HELP/TYPE pair and one contiguous group per family (traced requests
+# may append OpenMetrics exemplars after " # " on histogram bucket lines;
+# scripts/check_metrics.py validates them too).
 ./target/release/preinfer-client --addr "$ADDR" metrics > server_metrics.txt
-python3 - server_metrics.txt <<'EOF'
-import re, sys
-lines = open(sys.argv[1]).read().splitlines()
-assert lines, "empty metrics exposition"
-names = set()
-exemplars = 0
-for line in lines:
-    if line.startswith("# "):
-        kind, name = line[2:].split(" ", 2)[:2]
-        assert kind in ("HELP", "TYPE"), f"bad comment line: {line}"
-        names.add(name)
-        continue
-    sample, sep, exemplar = line.partition(" # ")
-    if sep:
-        assert "_bucket{" in sample, f"exemplar on a non-bucket line: {line}"
-        assert re.fullmatch(r'\{trace_id="[0-9a-f]{32}"\} \d+(\.\d+)?', exemplar), \
-            f"malformed exemplar: {line}"
-        exemplars += 1
-    series, value = sample.rsplit(" ", 1)
-    assert value == "+Inf" or float(value) >= 0, f"bad sample value: {line}"
-    base = series.split("{")[0]
-    for suffix in ("_bucket", "_sum", "_count"):
-        base = base.removesuffix(suffix)
-    assert base in names, f"sample without HELP/TYPE metadata: {line}"
-print(f"metrics smoke: {len(lines)} exposition lines, {len(names)} metric "
-      f"families, {exemplars} exemplars")
-EOF
+python3 scripts/check_metrics.py server_metrics.txt
 python3 - <<'EOF'
 lines = open("server_metrics.txt").read().splitlines()
 for needle in ("preinfer_infer_results_total{result=\"ok\"} 3",
@@ -323,9 +297,11 @@ for stage in ("route", "upstream_rtt", "run"):
 print(f"distributed trace smoke: trace {tid[:8]}… stitched across 2 processes, "
       f"exclusive {excl} ms <= wall {wall} ms")
 EOF
-# Merged metrics must stay valid exposition and now carry shard-side
-# exemplars linking latency buckets to this trace id's family.
+# Merged metrics must stay valid exposition (the daemon's validator, so
+# families both tiers export stay one group each) and now carry
+# shard-side exemplars linking latency buckets to this trace id's family.
 ./target/release/preinfer-client --addr "$RADDR" metrics > router_metrics.txt
+python3 scripts/check_metrics.py router_metrics.txt
 python3 - <<'EOF'
 lines = open("router_metrics.txt").read().splitlines()
 assert any(" # {trace_id=\"" in l for l in lines), \
