@@ -266,9 +266,6 @@ fn prune_one(
             preds.push(path.entries[j].pred.negated());
             if session_solve(&preds, sig, cfg, &mut session, stats) == SolveResult::Unsat {
                 kept[j] = false;
-                if std::env::var_os("PREINFER_DEBUG").is_some() {
-                    eprintln!("  IMPLIED-REMOVED [{j}] {}", path.entries[j].pred);
-                }
                 stats.removed += 1;
                 decision("implied", j);
                 continue;
@@ -388,9 +385,6 @@ fn prune_one(
                 decision("guard", j);
                 continue;
             }
-        }
-        if std::env::var_os("PREINFER_DEBUG").is_some() {
-            eprintln!("  REMOVED [{j}] {}", path.entries[j].pred);
         }
         stats.removed += 1;
         decision("removed", j);

@@ -85,7 +85,12 @@ impl FramedConn {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return Err(ConnError::Closed),
+                // A reset still delivers the frames read before it, like
+                // an orderly close.
+                Err(_) => {
+                    saw_eof = true;
+                    break;
+                }
             }
         }
         self.decode(frames)?;
@@ -231,6 +236,23 @@ mod tests {
     fn eof_is_reported_after_buffered_frames() {
         let (mut client, mut conn) = pair();
         client.write_all(&frame("{\"z\":9}")).unwrap();
+        drop(client);
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        let mut frames = Vec::new();
+        assert_eq!(conn.read_frames(&mut frames).unwrap_err(), ConnError::Closed);
+        assert_eq!(frames, vec!["{\"z\":9}".to_string()]);
+    }
+
+    #[test]
+    fn frames_sent_before_a_reset_are_still_delivered() {
+        // A peer that closes with our bytes still unread resets the
+        // connection (RST, not FIN), as a shard does when a request lands
+        // just after it stopped reading to send its idle notice.
+        let (mut client, mut conn) = pair();
+        conn.queue("{\"unread\":1}");
+        assert!(conn.flush().unwrap());
+        client.write_all(&frame("{\"z\":9}")).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(30));
         drop(client);
         std::thread::sleep(std::time::Duration::from_millis(30));
         let mut frames = Vec::new();

@@ -33,6 +33,11 @@
 //!   connection gets a typed `upstream_unavailable` error immediately;
 //!   in-flight requests on a dying connection get the same. A connector
 //!   thread re-dials lost connections with bounded exponential backoff.
+//! * **Idle closes**: a shard closes a quiet pooled connection with a
+//!   typed `idle_timeout` notice. That is not a dead shard: the router
+//!   re-dials at once, sends the requests already written to the closed
+//!   connection once more on the fresh one (every forwarded verb is
+//!   pure), and parks new requests for the shard until it lands.
 
 use crate::json::{self, ObjBuilder};
 use crate::netcore::{
@@ -114,9 +119,8 @@ pub struct RouterCounters {
     pub fanouts: AtomicU64,
     pub unavailable: AtomicU64,
     pub reconnects: AtomicU64,
-    /// Upstream frames whose correlation token matched nothing (e.g. a
-    /// shard's unsolicited `idle_timeout` notice before it closes a
-    /// quiet pooled connection).
+    /// Upstream frames that match no in-flight request (a shard's
+    /// `idle_timeout` notice is handled, and counted as a reconnect).
     pub unmatched: AtomicU64,
 }
 
@@ -267,6 +271,14 @@ fn register_router_metrics(shared: &Arc<RouterShared>) {
 
 // ---- connector thread -------------------------------------------------------
 
+/// How long one upstream dial may block the connector thread.
+const DIAL_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// How long requests for a shard stay parked after it idle-closed a pooled
+/// connection: two dial timeouts, time for a re-dial to a live shard to
+/// land. Past it they fail over to `upstream_unavailable`.
+const REDIAL_GRACE: Duration = DIAL_TIMEOUT.saturating_mul(2);
+
 /// Dials lost upstream connections off the event loop (blocking
 /// `connect_timeout`), with per-shard exponential backoff between
 /// attempts, and hands live streams back through `connect_results`.
@@ -295,7 +307,7 @@ fn connector_loop(shared: &Arc<RouterShared>) {
             let dialed = addr
                 .parse::<SocketAddr>()
                 .ok()
-                .and_then(|sa| TcpStream::connect_timeout(&sa, Duration::from_millis(500)).ok())
+                .and_then(|sa| TcpStream::connect_timeout(&sa, DIAL_TIMEOUT).ok())
                 .or_else(|| TcpStream::connect(addr.as_str()).ok());
             match dialed {
                 Some(stream) => {
@@ -339,6 +351,12 @@ struct Pending {
     /// `Some` when this forwarded `infer` is part of a recorded
     /// distributed trace.
     trace: Option<PendingTrace>,
+    /// The frame as forwarded, kept until the response arrives in case
+    /// the shard idle-closes the connection under it.
+    frame: String,
+    /// Whether the frame has already been sent once more after an idle
+    /// close; a second one fails the request over.
+    resent: bool,
 }
 
 /// Router-side tracing state for one forwarded `infer` request. Span
@@ -415,6 +433,11 @@ enum FanVerb {
 struct Shards {
     /// Per shard: per pool slot, the live upstream conn token.
     slots: Vec<Vec<Option<u64>>>,
+    /// Per shard: requests waiting for the re-dial after an idle close.
+    parked: Vec<Vec<u64>>,
+    /// Per shard: set by an idle close, cleared when a fresh connection
+    /// lands; when it passes, the parked requests fail over.
+    redial_until: Vec<Option<Instant>>,
 }
 
 struct Loop<'a> {
@@ -441,7 +464,11 @@ fn event_loop(reactor: Reactor, shared: &Arc<RouterShared>) {
         shared,
         downs: Clients::new(Arc::clone(&shared.conns)),
         ups: HashMap::new(),
-        shards: Shards { slots: vec![vec![None; shared.cfg.conns_per_shard.max(1)]; nshards] },
+        shards: Shards {
+            slots: vec![vec![None; shared.cfg.conns_per_shard.max(1)]; nshards],
+            parked: vec![Vec::new(); nshards],
+            redial_until: vec![None; nshards],
+        },
         pending: HashMap::new(),
         next_seq: 0,
         next_req_id: 0,
@@ -478,17 +505,15 @@ fn event_loop(reactor: Reactor, shared: &Arc<RouterShared>) {
                 }
                 TOKEN_WAKER => {}
                 token if lp.ups.contains_key(&token) => {
-                    if ev.error {
-                        lp.fail_upstream(token);
-                        continue;
-                    }
-                    if ev.readable {
+                    // Read even on a socket error: a shard's `idle_timeout`
+                    // notice may sit in front of it.
+                    if ev.readable || ev.error {
                         let fault =
                             lp.ups.get_mut(&token).unwrap().io.read_frames(&mut frames).err();
                         for frame in frames.drain(..) {
                             lp.on_upstream_frame(token, frame);
                         }
-                        if fault.is_some() {
+                        if fault.is_some() || ev.error {
                             lp.fail_upstream(token);
                         }
                     }
@@ -538,6 +563,10 @@ impl<'a> Loop<'a> {
             self.ups.insert(token, UpConn { io, shard, slot, pending: Vec::new() });
             self.shared.live_upstreams.fetch_add(1, Ordering::SeqCst);
             self.recount_live_shards();
+            self.shards.redial_until[shard] = None;
+            for seq in std::mem::take(&mut self.shards.parked[shard]) {
+                self.send(token, seq);
+            }
         }
     }
 
@@ -560,6 +589,29 @@ impl<'a> Loop<'a> {
             .min_by_key(|t| self.ups.get(t).map(|u| u.pending.len()).unwrap_or(usize::MAX))
     }
 
+    /// Whether `shard` can take a request now: a pooled connection is
+    /// live, or a re-dial after an idle close is under way.
+    fn routable(&self, shard: usize) -> bool {
+        self.pick_upstream(shard).is_some() || self.shards.redial_until[shard].is_some()
+    }
+
+    /// Sends pending request `seq` to a routable `shard`: on its
+    /// least-loaded live connection, or parked for the re-dial.
+    fn forward(&mut self, shard: usize, seq: u64) {
+        match self.pick_upstream(shard) {
+            Some(up_token) => self.send(up_token, seq),
+            None => self.shards.parked[shard].push(seq),
+        }
+    }
+
+    /// Queues pending request `seq`'s frame on an upstream connection.
+    fn send(&mut self, up_token: u64, seq: u64) {
+        if let (Some(up), Some(p)) = (self.ups.get_mut(&up_token), self.pending.get(&seq)) {
+            up.io.queue(&p.frame);
+            up.pending.push(seq);
+        }
+    }
+
     /// Tears an upstream connection down without failing its in-flight
     /// requests (used when a slot is superseded).
     fn retire_upstream(&mut self, token: u64) {
@@ -573,19 +625,44 @@ impl<'a> Loop<'a> {
         }
     }
 
+    /// Takes a lost upstream connection out of routing: the slot empties
+    /// and the connector re-dials it with backoff.
+    fn lose_upstream(&mut self, token: u64) -> Option<UpConn> {
+        let up = self.ups.remove(&token)?;
+        self.poller.delete(up.io.stream().as_raw_fd());
+        self.shared.live_upstreams.fetch_sub(1, Ordering::SeqCst);
+        self.shared.counters.reconnects.fetch_add(1, Ordering::Relaxed);
+        self.shards.slots[up.shard][up.slot] = None;
+        self.recount_live_shards();
+        self.request_reconnect(up.shard, up.slot);
+        Some(up)
+    }
+
     /// Handles an upstream connection dying: every pipelined request on
-    /// it fails over to a typed `upstream_unavailable`, the slot empties,
-    /// and the connector re-dials with backoff.
+    /// it fails over to a typed `upstream_unavailable`.
     fn fail_upstream(&mut self, token: u64) {
-        if let Some(up) = self.ups.remove(&token) {
-            self.poller.delete(up.io.stream().as_raw_fd());
-            self.shared.live_upstreams.fetch_sub(1, Ordering::SeqCst);
-            self.shared.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-            self.shards.slots[up.shard][up.slot] = None;
-            self.recount_live_shards();
-            self.request_reconnect(up.shard, up.slot);
+        if let Some(up) = self.lose_upstream(token) {
             for seq in up.pending {
                 self.answer_unavailable(seq, up.shard);
+            }
+        }
+    }
+
+    /// Handles a shard's `idle_timeout` notice: the shard answers nothing
+    /// more on this connection, so each request already written to it is
+    /// parked to go once more on the fresh connection (a request meeting
+    /// its second idle close fails over), and new requests for the shard
+    /// park too until the re-dial lands or [`REDIAL_GRACE`] passes.
+    fn idle_close_upstream(&mut self, token: u64) {
+        let Some(up) = self.lose_upstream(token) else { return };
+        self.shards.redial_until[up.shard] = Some(Instant::now() + REDIAL_GRACE);
+        for seq in up.pending {
+            match self.pending.get_mut(&seq) {
+                Some(p) if !p.resent => {
+                    p.resent = true;
+                    self.shards.parked[up.shard].push(seq);
+                }
+                _ => self.answer_unavailable(seq, up.shard),
             }
         }
     }
@@ -647,11 +724,11 @@ impl<'a> Loop<'a> {
                     infer.func.as_deref(),
                     self.shared.cfg.shards.len(),
                 );
-                let picked = self.pick_upstream(shard);
+                let routable = self.routable(shard);
                 if let (Some((sink, _, _)), Some((did, t0))) = (&traced, decide) {
                     sink.end_span(did, "route_decide", t0.elapsed());
                 }
-                let Some(up_token) = picked else {
+                if !routable {
                     self.shared.counters.unavailable.fetch_add(1, Ordering::Relaxed);
                     let msg =
                         format!("shard {shard} ({}) is unavailable", self.shared.cfg.shards[shard]);
@@ -689,12 +766,19 @@ impl<'a> Loop<'a> {
                         queue_us: 0,
                     }
                 });
-                let rewritten = protocol::render_infer(Some(&format!("r{seq}")), &infer);
-                let up = self.ups.get_mut(&up_token).expect("picked upstream exists");
-                up.io.queue(&rewritten);
-                up.pending.push(seq);
-                self.pending
-                    .insert(seq, Pending { down_token: token, orig_id: id, fan: None, trace });
+                let frame = protocol::render_infer(Some(&format!("r{seq}")), &infer);
+                self.pending.insert(
+                    seq,
+                    Pending {
+                        down_token: token,
+                        orig_id: id,
+                        fan: None,
+                        trace,
+                        frame,
+                        resent: false,
+                    },
+                );
+                self.forward(shard, seq);
                 if let Some(conn) = self.downs.get_mut(token) {
                     conn.in_flight += 1;
                 }
@@ -751,9 +835,8 @@ impl<'a> Loop<'a> {
             _ => (Vec::new(), 0),
         };
         let nshards = self.shared.cfg.shards.len();
-        let targets: Vec<(usize, Option<u64>)> =
-            (0..nshards).map(|s| (s, self.pick_upstream(s))).collect();
-        let reachable = targets.iter().filter(|(_, t)| t.is_some()).count();
+        let targets: Vec<usize> = (0..nshards).filter(|&s| self.routable(s)).collect();
+        let reachable = targets.len();
         if reachable == 0 {
             self.shared.counters.unavailable.fetch_add(1, Ordering::Relaxed);
             let resp = render_error(
@@ -777,20 +860,15 @@ impl<'a> Loop<'a> {
         if let Some(conn) = self.downs.get_mut(token) {
             conn.in_flight += 1;
         }
-        for (shard, target) in targets {
-            let Some(up_token) = target else { continue };
+        for shard in targets {
             let seq = self.next_seq;
             self.next_seq += 1;
             let rid = format!("r{seq}");
-            let request = match verb {
+            let frame = match verb {
                 FanVerb::Stats => protocol::render_stats(Some(&rid)),
                 FanVerb::Metrics => protocol::render_metrics(Some(&rid)),
                 FanVerb::Trace => protocol::render_trace(Some(&rid), &select),
             };
-            let up = self.ups.get_mut(&up_token).expect("picked upstream exists");
-            up.io.queue(&request);
-            up.pending.push(seq);
-            let _ = shard; // shard is recoverable from the upstream conn
             self.pending.insert(
                 seq,
                 Pending {
@@ -798,8 +876,11 @@ impl<'a> Loop<'a> {
                     orig_id: None,
                     fan: Some(Rc::clone(&fan)),
                     trace: None,
+                    frame,
+                    resent: false,
                 },
             );
+            self.forward(shard, seq);
         }
         // Every target may already have been unavailable-only; nothing
         // else completes the fan in that case.
@@ -810,9 +891,11 @@ impl<'a> Loop<'a> {
     /// splice the original id back, and deliver or collect.
     fn on_upstream_frame(&mut self, up_token: u64, raw: String) {
         let Some((start, end, seq)) = find_correlation_id(&raw) else {
-            // E.g. the shard's typed idle_timeout notice for this pooled
-            // connection; the connection will close and re-dial.
-            self.shared.counters.unmatched.fetch_add(1, Ordering::Relaxed);
+            if is_idle_notice(&raw) {
+                self.idle_close_upstream(up_token);
+            } else {
+                self.shared.counters.unmatched.fetch_add(1, Ordering::Relaxed);
+            }
             return;
         };
         let Some(p) = self.pending.remove(&seq) else {
@@ -907,6 +990,15 @@ impl<'a> Loop<'a> {
     /// Flushes every connection, re-arms interest, applies idle
     /// deadlines, and reaps the dead.
     fn flush_and_sweep(&mut self, draining: bool) {
+        let now = Instant::now();
+        for shard in 0..self.shards.parked.len() {
+            if self.shards.redial_until[shard].is_some_and(|t| now >= t) {
+                self.shards.redial_until[shard] = None;
+                for seq in std::mem::take(&mut self.shards.parked[shard]) {
+                    self.answer_unavailable(seq, shard);
+                }
+            }
+        }
         let idle_limit = (self.shared.cfg.idle_timeout_ms > 0)
             .then(|| Duration::from_millis(self.shared.cfg.idle_timeout_ms));
         self.downs.sweep(self.poller, idle_limit, draining);
@@ -1013,6 +1105,12 @@ fn find_correlation_id(raw: &str) -> Option<(usize, usize, u64)> {
         return None;
     }
     Some((start, start + PAT.len() + n + 1, seq))
+}
+
+/// Whether an uncorrelated shard frame is the typed `idle_timeout` notice
+/// a shard sends before closing a quiet connection.
+fn is_idle_notice(raw: &str) -> bool {
+    raw.contains(&format!("\"error\":\"{}\"", ErrorCode::IdleTimeout.as_str()))
 }
 
 /// Renders the router block common to merged responses.
@@ -1166,6 +1264,13 @@ fn merge_traces(f: &FanState) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn idle_notices_are_told_apart_from_other_uncorrelated_frames() {
+        let notice = render_error(None, ErrorCode::IdleTimeout, "connection idle past 300 ms");
+        assert!(is_idle_notice(&notice));
+        assert!(!is_idle_notice(&render_error(None, ErrorCode::BadRequest, "idle_timeout")));
+    }
 
     #[test]
     fn correlation_ids_are_found_and_spliced() {

@@ -166,6 +166,51 @@ fn dead_shard_yields_typed_upstream_unavailable() {
     shard1.join();
 }
 
+/// A shard closes the router's quiet pooled connections with a typed
+/// `idle_timeout` notice. Requests routed right after that close, while
+/// the router re-dials or onto a connection the shard is closing, go out
+/// on a fresh connection and succeed: none fails over.
+#[test]
+fn requests_routed_just_after_a_shard_idle_close_succeed() {
+    let shard =
+        Server::start(ServerConfig { workers: 1, idle_timeout_ms: 200, ..ServerConfig::default() })
+            .expect("bind shard daemon");
+    // One pooled connection, so each idle close leaves no live one.
+    let router = Router::start(RouterConfig {
+        shards: vec![shard.local_addr().to_string()],
+        conns_per_shard: 1,
+        ..RouterConfig::default()
+    })
+    .expect("start router");
+    // A direct connection that polls faster than the idle deadline, so
+    // every idle close the shard counts is one of the router's.
+    let mut watch = Client::connect(&shard.local_addr().to_string()).expect("connect shard");
+    let mut idle_closed = || {
+        let stats = watch.stats().expect("shard stats round-trip");
+        stats.get("counters").and_then(|c| c.u64_field("idle_closed")).expect("idle_closed")
+    };
+    let mut cl = Client::connect(&router.local_addr().to_string()).expect("connect router");
+    let subject = &subjects::all_subjects()[0];
+    for round in 0..5 {
+        let before = idle_closed();
+        let t0 = std::time::Instant::now();
+        while idle_closed() == before {
+            assert!(t0.elapsed().as_secs() < 5, "round {round}: the shard never idle-closed");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let resp = cl.infer(&infer_req(subject)).expect("infer round-trip");
+        assert!(served_psis(&resp).is_some(), "round {round}: {resp:?}");
+        let stats = cl.stats().expect("stats round-trip");
+        let router_block = stats.get("router").unwrap_or_else(|| panic!("{stats:?}"));
+        assert_eq!(router_block.u64_field("unavailable"), Some(0), "round {round}: {stats:?}");
+    }
+
+    router.handle().shutdown();
+    router.join();
+    shard.handle().shutdown();
+    shard.join();
+}
+
 /// `stats` and `metrics` fan out to every shard and come back merged:
 /// stats nests each shard's full report under its index, metrics
 /// re-labels each shard's exposition with `shard="i"`.

@@ -2,7 +2,9 @@
 //!
 //! Solves `min c·x  s.t.  A·x ≤ b, x ≥ 0`. Problem sizes here (path
 //! conditions) are tens of variables and rows, so a dense rational tableau
-//! is simple and fast enough.
+//! is simple and fast enough. Most of its cells are zero, so a pivot
+//! updates only the columns where the pivot row is nonzero, in the rows
+//! where the pivot column is nonzero.
 //!
 //! ## Pivot rule: Dantzig with a Bland's-rule fallback
 //!
@@ -152,6 +154,9 @@ struct Tableau {
     /// dead — no further pivots run and the solve reports
     /// [`LpResult::Blowup`].
     aborted: bool,
+    /// The scaled pivot row's nonzero `(column, value)` cells, kept between
+    /// pivots so the buffer is allocated once per solve.
+    pivot_row: Vec<(usize, Rat)>,
 }
 
 impl Tableau {
@@ -192,13 +197,16 @@ impl Tableau {
             work_left: allowance,
             work_used: 0,
             aborted,
+            pivot_row: Vec::new(),
         }
     }
 
     fn pivot(&mut self, row: usize, col: usize) {
-        // One pivot touches every cell of the tableau; charge that, so a
-        // pivot on a branching-bloated 200-row tableau costs its true
-        // weight rather than the same single tick as a 3-row one.
+        // Charge the dense tableau's cell count, so a pivot on a
+        // branching-bloated 200-row tableau costs its true weight rather
+        // than the same single tick as a 3-row one. The sparse update below
+        // does less arithmetic, but the charge (and so every budget and
+        // `Blowup` verdict) stays the dense one.
         let cost = ((self.m + 1) * (self.cols + 1)) as u64;
         if self.work_left < cost {
             self.aborted = true;
@@ -209,37 +217,38 @@ impl Tableau {
         let pivot_val = self.t[row][col];
         debug_assert!(!pivot_val.is_zero());
         let inv = pivot_val.recip();
-        for j in 0..=self.cols {
-            // Zero cells are fixed points of the scaling (0 · inv = 0), and
-            // most tableau cells are zero — skip the multiply and store.
-            if !self.t[row][j].is_zero() {
-                self.t[row][j] = self.t[row][j] * inv;
+        // Scale the pivot row and keep its nonzero cells: a zero cell is a
+        // fixed point of both the scaling (0 · inv = 0) and the row update
+        // (delta = 0), so only these columns change anywhere.
+        let mut nonzero = std::mem::take(&mut self.pivot_row);
+        nonzero.clear();
+        for (j, cell) in self.t[row].iter_mut().enumerate() {
+            if !cell.is_zero() {
+                *cell = *cell * inv;
+                nonzero.push((j, *cell));
             }
         }
-        for i in 0..=self.m {
-            if i == row {
+        let mut grew = nonzero.iter().any(|(_, v)| oversized(v));
+        for (i, r) in self.t.iter_mut().enumerate() {
+            let factor = r[col];
+            if i == row || factor.is_zero() {
                 continue;
             }
-            let factor = self.t[i][col];
-            if factor.is_zero() {
-                continue;
-            }
-            for j in 0..=self.cols {
-                // Same fixed-point skip: a zero pivot-row cell contributes
-                // delta = 0, leaving t[i][j] bit-identical.
-                if self.t[row][j].is_zero() {
-                    continue;
-                }
-                let delta = factor * self.t[row][j];
-                self.t[i][j] = self.t[i][j] - delta;
+            for &(j, v) in &nonzero {
+                r[j] = r[j] - factor * v;
+                grew |= oversized(&r[j]);
             }
         }
+        self.pivot_row = nonzero;
         self.basis[row] = col;
-        // The scan is O(rows × cols) comparisons against the O(rows × cols)
-        // rational multiplications above — growth detection is free in
-        // relative terms and catches blowup the pivot after it starts.
+        // Growth detection: cells this pivot did not write are unchanged,
+        // and while the tableau is live no constraint-row cell is oversized
+        // (construction and every earlier pivot checked them), so checking
+        // the written cells covers those rows. The objective row is also
+        // rewritten by `install_objective`, unchecked, so it is rescanned
+        // whole; together this finds exactly what a full-tableau scan would.
         if !self.aborted {
-            self.aborted = self.t.iter().flatten().any(oversized);
+            self.aborted = grew || self.t[self.m].iter().any(oversized);
         }
     }
 

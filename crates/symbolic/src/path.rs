@@ -58,7 +58,9 @@ pub struct PathEntry {
 }
 
 impl PathEntry {
-    /// Canonical form of the predicate (cached nowhere; cheap to recompute).
+    /// Canonical form of the predicate. Path comparisons compare the
+    /// interned predicates first and fall back to this only when the syntax
+    /// differs, so it is computed on demand and stored nowhere.
     pub fn canon(&self) -> CanonPred {
         canon_pred(&self.pred)
     }
@@ -145,6 +147,10 @@ impl PathCondition {
 
     /// Whether entries `0..j` of `self` and `other` agree (same sites, same
     /// canonical predicates).
+    ///
+    /// Syntactically equal predicates have equal canonical forms, and on
+    /// interned terms the syntactic test is O(1), so the canonical forms are
+    /// computed only for the entries whose syntax differs.
     pub fn shares_prefix(&self, other: &PathCondition, j: usize) -> bool {
         if self.entries.len() < j || other.entries.len() < j {
             return false;
@@ -152,19 +158,21 @@ impl PathCondition {
         self.entries[..j]
             .iter()
             .zip(&other.entries[..j])
-            .all(|(a, b)| a.site == b.site && a.canon() == b.canon())
+            .all(|(a, b)| a.site == b.site && (a.pred == b.pred || a.canon() == b.canon()))
     }
 
     /// Whether `other` *deviates from* `self` at entry `j`: same prefix, same
-    /// site at `j`, negated predicate at `j`.
+    /// site at `j`, negated predicate at `j` (syntax first, canonical form
+    /// on a mismatch, as in [`PathCondition::shares_prefix`]).
     pub fn deviates_at(&self, other: &PathCondition, j: usize) -> bool {
-        if !self.shares_prefix(other, j) {
-            return false;
-        }
         let (Some(a), Some(b)) = (self.entries.get(j), other.entries.get(j)) else {
             return false;
         };
-        a.site == b.site && canon_pred(&a.pred.negated()) == b.canon()
+        if a.site != b.site || !self.shares_prefix(other, j) {
+            return false;
+        }
+        let negated = a.pred.negated();
+        negated == b.pred || canon_pred(&negated) == b.canon()
     }
 
     /// Whether the path reaches (passes through or violates) the given

@@ -90,6 +90,19 @@ print(f"interproc gate: summary/inline {ratio:.3f}x (limit 0.85) over "
       f"{ip['methods']} methods, {ip['summary_applies']} summary applies")
 EOF
 
+echo "== benchmark ψ smoke (preinfer_bench --smoke, all four workloads)"
+# The repository benchmark checks each of its 82 pinned methods against
+# its ψ oracle, offline, served by preinferd and routed through
+# preinfer-router, and exits non-zero on any failed request or ψ mismatch.
+# It builds apart from target/ (into .bench_build/, as run.py does), and
+# the workspace's `cargo test` never builds it, so its own unit tests run
+# here too.
+cargo build --release --quiet -p server --bin preinferd --bin preinfer-router \
+    --target-dir .bench_build
+cargo build --release --quiet --manifest-path preinfer_bench/Cargo.toml --target-dir .bench_build
+cargo test --manifest-path preinfer_bench/Cargo.toml --target-dir .bench_build -q
+./.bench_build/release/preinfer_bench --seed 1 --smoke
+
 echo "== trace smoke (preinfer --trace-out)"
 cargo build --release --bin preinfer --quiet
 cat > trace_smoke.ml <<'EOF'
