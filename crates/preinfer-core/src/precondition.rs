@@ -44,19 +44,16 @@ pub fn assemble(paths: &[GeneralizedPath]) -> InferredPrecondition {
             // Canonical-level simplification: `t >= t`, `len + 1 >= 0` after
             // constant folding, and similar tautologies add nothing; a
             // canonically false part makes the whole disjunct vacuous.
-            if let Formula::Pred(q) = part {
-                match symbolic::canon_pred(q) {
+            let key = match part {
+                Formula::Pred(q) => match symbolic::canon_pred(q) {
                     symbolic::CanonPred::Const(true) => continue,
                     symbolic::CanonPred::Const(false) => {
                         parts.clear();
                         parts.push(Formula::f());
                         break;
                     }
-                    _ => {}
-                }
-            }
-            let key = match part {
-                Formula::Pred(q) => format!("{}", symbolic::canon_pred(q)),
+                    canon => canon.to_string(),
+                },
                 other => other.to_string(),
             };
             if !seen.contains(&key) {

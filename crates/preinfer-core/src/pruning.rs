@@ -246,6 +246,8 @@ fn prune_one(
         &path.entries[last_branch_idx].pred,
         "_ix",
     ));
+    // Positional comparisons use the violating condition as it stands.
+    let last_canon_positional = canon_pred(&path.entries[last_branch_idx].pred);
 
     for j in (0..n).rev() {
         if j == last_branch_idx {
@@ -311,8 +313,7 @@ fn prune_one(
                     && q.last_branch()
                         .map(|e| {
                             if positional {
-                                canon_pred(&e.pred)
-                                    != canon_pred(&path.entries[last_branch_idx].pred)
+                                canon_pred(&e.pred) != last_canon_positional
                             } else {
                                 canon_pred(&crate::generalize::abstract_all_indices(&e.pred, "_ix"))
                                     != last_canon

@@ -30,4 +30,5 @@ pub(crate) use client::{ClientConn, Clients, Reactor, SWEEP_MS, TOKEN_LISTENER, 
 pub use client::{ConnCounters, ShutdownHandle};
 pub use conn::{ConnError, FramedConn, WRITE_BACKPRESSURE_BYTES};
 pub use poll::{Event, Interest, Poller, Waker};
+pub(crate) use sys::resident_bytes;
 pub use sys::wait_for_signal;

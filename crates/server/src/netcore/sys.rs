@@ -1,5 +1,6 @@
 //! Raw Linux syscall FFI for the connection core: `epoll(7)`,
-//! `eventfd(2)`, and the `signal(2)` handler the serving binaries wait on.
+//! `eventfd(2)`, the `signal(2)` handler the serving binaries wait on, and
+//! the page size behind the resident-memory gauge.
 //!
 //! The offline build environment has no `libc` crate, so the handful of
 //! symbols the reactor needs are declared directly against the C library
@@ -55,6 +56,7 @@ extern "C" {
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn signal(signum: i32, handler: usize) -> usize;
+    fn sysconf(name: i32) -> i64;
 }
 
 /// Checked `epoll_create1`.
@@ -123,6 +125,19 @@ pub fn sys_eventfd_drain(fd: i32) {
     unsafe {
         read(fd, buf.as_mut_ptr(), 8);
     }
+}
+
+/// The process's resident set size in bytes: `/proc/self/statm`'s
+/// resident page count times the page size. 0 if procfs cannot be read.
+pub fn resident_bytes() -> u64 {
+    const SC_PAGESIZE: i32 = 30;
+    let pages = std::fs::read_to_string("/proc/self/statm")
+        .ok()
+        .and_then(|s| s.split_whitespace().nth(1)?.parse::<u64>().ok())
+        .unwrap_or(0);
+    // SAFETY: `sysconf` takes a plain integer and touches no memory of ours.
+    let page = unsafe { sysconf(SC_PAGESIZE) };
+    pages.saturating_mul(u64::try_from(page).unwrap_or(0))
 }
 
 /// Blocks until SIGTERM or SIGINT arrives. The handlers are installed

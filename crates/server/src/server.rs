@@ -31,7 +31,7 @@
 
 use crate::eio;
 use crate::memo::{MemoKey, ResponseMemo};
-use crate::netcore::{ConnCounters, Reactor, ShutdownHandle};
+use crate::netcore::{resident_bytes, ConnCounters, Reactor, ShutdownHandle};
 use crate::protocol::{render_error, ErrorCode, InferRequest, TraceSelect};
 use crate::queue::BoundedQueue;
 use crate::routing;
@@ -492,6 +492,16 @@ pub(crate) fn render_stats_response(id: Option<&str>, shared: &Shared) -> String
                 .raw("queue_wait", verb(&shared.latency.queue_wait))
                 .build(),
         )
+        .raw("memory", {
+            let mut arenas = ObjBuilder::new();
+            for (arena, nodes) in symbolic::arena_sizes() {
+                arenas = arenas.u64(arena, nodes as u64);
+            }
+            ObjBuilder::new()
+                .u64("resident_bytes", resident_bytes())
+                .raw("arena_nodes", arenas.build())
+                .build()
+        })
         .raw("traces", {
             let (head, slow, context, evicted) = shared.ring.counters();
             ObjBuilder::new()
@@ -924,4 +934,19 @@ fn register_metrics(
         move || l.queue_wait.snapshot(),
     );
     ring.register(reg);
+
+    reg.gauge(
+        "preinfer_resident_bytes",
+        "Resident set size (/proc/self/statm), bytes.",
+        &[],
+        || resident_bytes() as f64,
+    );
+    for (i, (arena, _)) in symbolic::arena_sizes().into_iter().enumerate() {
+        reg.gauge(
+            "preinfer_arena_nodes",
+            "Distinct nodes in the process-wide hash-consing arenas (never freed).",
+            &[("arena", arena)],
+            move || symbolic::arena_sizes()[i].1 as f64,
+        );
+    }
 }

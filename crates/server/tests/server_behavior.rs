@@ -1,7 +1,8 @@
 //! Daemon behavior under pressure: bounded admission (queue saturation →
 //! typed `overloaded`), per-request deadlines (`timed_out` partial results
 //! that never kill a worker), and graceful shutdown (in-flight requests
-//! drain, late arrivals get `shutting_down`).
+//! drain, late arrivals get `shutting_down`), and the memory gauges an
+//! operator reads from `stats` and `metrics`.
 
 use server::{served_psis, Client, InferRequest, Server, ServerConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -114,6 +115,36 @@ fn expired_deadline_returns_timed_out_partial_result_and_worker_survives() {
         .and_then(|v| v.as_u64())
         .expect("counters.timed_out");
     assert!(timed_out >= 1);
+
+    server.handle().shutdown();
+    server.join();
+}
+
+/// `stats` reports resident bytes and the arena node counts, and
+/// `metrics` serves the same numbers as gauges.
+#[test]
+fn stats_and_metrics_report_memory() {
+    let server = Server::start(ServerConfig::default()).expect("bind loopback");
+    let mut cl = Client::connect(&server.local_addr().to_string()).expect("connect");
+    cl.infer(&infer_req(None)).expect("infer");
+
+    let stats = cl.stats().expect("stats");
+    let memory = stats.get("memory").expect("memory block");
+    assert!(memory.u64_field("resident_bytes").unwrap_or(0) > 0, "resident bytes: {memory:?}");
+    let arenas = memory.get("arena_nodes").expect("arena_nodes");
+    for arena in ["places", "symvars", "terms", "cpreds"] {
+        assert!(arenas.u64_field(arena).is_some(), "no {arena}: {arenas:?}");
+    }
+    // The inference above interned terms and canonical predicates.
+    assert!(arenas.u64_field("terms") > Some(0) && arenas.u64_field("cpreds") > Some(0));
+
+    let metrics = cl.metrics().expect("metrics");
+    let text = metrics.str_field("text").expect("exposition text");
+    assert!(text.lines().any(|l| l.starts_with("preinfer_resident_bytes ")), "{text}");
+    for arena in ["places", "symvars", "terms", "cpreds"] {
+        let series = format!("preinfer_arena_nodes{{arena=\"{arena}\"}} ");
+        assert!(text.lines().any(|l| l.starts_with(&series)), "no {series}in:\n{text}");
+    }
 
     server.handle().shutdown();
     server.join();

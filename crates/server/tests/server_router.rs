@@ -236,6 +236,9 @@ fn fanout_verbs_merge_across_shards() {
         assert_eq!(entry.u64_field("shard"), Some(i as u64));
         let nested = entry.get("stats").expect("nested shard stats");
         assert!(nested.get("counters").is_some(), "full shard report nested verbatim");
+        let memory = nested.get("memory").expect("each shard reports its memory");
+        assert!(memory.u64_field("resident_bytes").unwrap_or(0) > 0, "{memory:?}");
+        assert!(memory.get("arena_nodes").and_then(|a| a.u64_field("cpreds")).is_some());
     }
 
     let metrics = cl.metrics().expect("merged metrics");
@@ -243,6 +246,10 @@ fn fanout_verbs_merge_across_shards() {
     assert!(text.contains("shard=\"0\""), "shard 0 exposition present");
     assert!(text.contains("shard=\"1\""), "shard 1 exposition present");
     assert!(text.contains("preinfer_router_requests_total"), "router's own metrics lead the merge");
+    for shard in ["0", "1"] {
+        let gauge = format!("preinfer_arena_nodes{{shard=\"{shard}\",arena=\"cpreds\"}} ");
+        assert!(text.lines().any(|l| l.starts_with(&gauge)), "no {gauge}in the merged metrics");
+    }
     // Every family — shared ones included — has exactly one HELP line,
     // one TYPE line, and all of its lines in one contiguous group.
     let mut headers: HashMap<(&str, &str), usize> = HashMap::new();

@@ -45,6 +45,7 @@ use crate::cache::{CacheLookup, SolverCache};
 use crate::canon::{cache_key, uncanonicalize_with, Renaming};
 use crate::interval::IntervalBackend;
 use crate::theory::{simplex_starved, FuncSig, SolveResult, SolverConfig};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -158,6 +159,10 @@ struct Frame {
 /// cache — see the module docs for why.
 pub struct IncrementalSession {
     renaming: Renaming,
+    /// Canonical form of every predicate this session has pushed: a
+    /// predicate pushed again (a flip or pruning sweep re-pushing a prefix
+    /// it popped) skips renaming and canonicalization.
+    canon_memo: HashMap<Pred, CPred>,
     cfg: SolverConfig,
     cache: Option<Arc<SolverCache>>,
     frames: Vec<Frame>,
@@ -196,6 +201,7 @@ impl IncrementalSession {
         counters.count_session();
         IncrementalSession {
             renaming: Renaming::of(sig),
+            canon_memo: HashMap::new(),
             cfg: cfg.clone(),
             cache,
             frames: Vec::new(),
@@ -220,13 +226,21 @@ impl IncrementalSession {
         self.frames.len()
     }
 
-    /// Pushes one predicate onto the stack. Cost: one canonicalization and
-    /// one sorted insert; the warm builder is only touched when a later
-    /// query escalates to the simplex tier.
+    /// Pushes one predicate onto the stack. Cost: one canonicalization the
+    /// first time the session sees `pred` (a memo probe after that) and one
+    /// sorted insert; the warm builder is only touched when a later query
+    /// escalates to the simplex tier.
     pub fn push(&mut self, pred: &Pred) {
         self.counters.count_push();
-        let canon = self.renaming.canon_one(pred);
-        let counted = canon != CanonPred::Const(true).intern();
+        let canon = match self.canon_memo.get(pred) {
+            Some(&canon) => canon,
+            None => {
+                let canon = self.renaming.canon_one(pred);
+                self.canon_memo.insert(pred.clone(), canon);
+                canon
+            }
+        };
+        let counted = *canon.node() != CanonPred::Const(true);
         let mut inserted = false;
         if counted {
             match self.sorted.binary_search(&canon) {

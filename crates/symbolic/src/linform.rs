@@ -8,7 +8,6 @@
 use crate::intern::{intern_handle, Interned, Interner};
 use crate::pred::{CmpOp, Pred};
 use crate::term::{Place, SymVar, SymVarId, Term};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -34,9 +33,15 @@ impl fmt::Display for Monomial {
 }
 
 /// `Σ coeff · monomial + constant` over the integers.
+///
+/// The terms are a vector sorted by monomial with unique monomials — the
+/// exact `(k, v)` sequence a `BTreeMap<Monomial, i64>` would iterate — so
+/// the derived `Ord`, `Eq` and `Hash` and the `Display` rendering agree
+/// with that map representation while a one-monomial expression costs one
+/// small allocation instead of a B-tree leaf.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct LinExpr {
-    terms: BTreeMap<Monomial, i64>,
+    terms: Vec<(Monomial, i64)>,
     constant: i64,
 }
 
@@ -48,7 +53,7 @@ impl LinExpr {
 
     /// A constant expression.
     pub fn constant(v: i64) -> Self {
-        LinExpr { terms: BTreeMap::new(), constant: v }
+        LinExpr { terms: Vec::new(), constant: v }
     }
 
     /// A single variable with coefficient 1.
@@ -58,9 +63,7 @@ impl LinExpr {
 
     /// A single monomial with coefficient 1.
     pub fn mono(m: Monomial) -> Self {
-        let mut terms = BTreeMap::new();
-        terms.insert(m, 1);
-        LinExpr { terms, constant: 0 }
+        LinExpr { terms: vec![(m, 1)], constant: 0 }
     }
 
     /// The constant part.
@@ -68,9 +71,11 @@ impl LinExpr {
         self.constant
     }
 
-    /// Iterates `(monomial, coefficient)` pairs; coefficients are nonzero.
+    /// Iterates `(monomial, coefficient)` pairs in monomial order.
+    /// Coefficients are nonzero except where [`scale`](Self::scale)
+    /// wrapped a product to 0.
     pub fn terms(&self) -> impl Iterator<Item = (&Monomial, i64)> {
-        self.terms.iter().map(|(m, &c)| (m, c))
+        self.terms.iter().map(|(m, c)| (m, *c))
     }
 
     /// Whether the expression is a constant.
@@ -91,11 +96,10 @@ impl LinExpr {
     /// — the shape interval reasoning consumes (`k·m + c`). `None` when the
     /// expression is constant or mentions more than one monomial.
     pub fn as_unit(&self) -> Option<(&Monomial, i64, i64)> {
-        if self.terms.len() != 1 {
-            return None;
+        match self.terms.as_slice() {
+            [(m, k)] => Some((m, *k, self.constant)),
+            _ => None,
         }
-        let (m, &k) = self.terms.iter().next()?;
-        Some((m, k, self.constant))
     }
 
     // Coefficient/constant accumulation is *wrapping*, matching the
@@ -103,40 +107,60 @@ impl LinExpr {
     // forms must be identical in debug and release profiles, so the
     // arithmetic here must not panic on overflow in one and wrap in the
     // other.
-    fn add_term(&mut self, m: Monomial, coeff: i64) {
-        if coeff == 0 {
-            return;
-        }
-        use std::collections::btree_map::Entry;
-        match self.terms.entry(m) {
-            Entry::Vacant(v) => {
-                v.insert(coeff);
-            }
-            Entry::Occupied(mut o) => {
-                *o.get_mut() = o.get().wrapping_add(coeff);
-                if *o.get() == 0 {
-                    o.remove();
-                }
-            }
-        }
-    }
 
     /// `self + other` (wrapping on overflow, like the term builders).
     pub fn add(&self, other: &LinExpr) -> LinExpr {
-        let mut out = self.clone();
-        out.constant = out.constant.wrapping_add(other.constant);
-        for (m, c) in other.terms() {
-            out.add_term(m.clone(), c);
-        }
-        out
+        self.merge(other, false)
     }
 
     /// `self - other`.
     pub fn sub(&self, other: &LinExpr) -> LinExpr {
-        self.add(&other.scale(-1))
+        self.merge(other, true)
     }
 
-    /// `k * self` (wrapping on overflow, like the term builders).
+    /// `self ± other` as one pass over both sorted term lists. A zero
+    /// addend leaves `self`'s term as it is (even a zero one `scale` left
+    /// behind), and a sum that wraps to 0 drops the monomial.
+    fn merge(&self, other: &LinExpr, negate: bool) -> LinExpr {
+        let sign = |c: i64| if negate { c.wrapping_neg() } else { c };
+        let (xs, ys) = (&self.terms, &other.terms);
+        let mut terms = Vec::with_capacity(xs.len() + ys.len());
+        let (mut i, mut j) = (0, 0);
+        while i < xs.len() && j < ys.len() {
+            let (m, c) = &xs[i];
+            let (n, d) = &ys[j];
+            match m.cmp(n) {
+                std::cmp::Ordering::Less => {
+                    terms.push(xs[i].clone());
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    if *d != 0 {
+                        terms.push((n.clone(), sign(*d)));
+                    }
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    if *d == 0 {
+                        terms.push(xs[i].clone());
+                    } else {
+                        let sum = c.wrapping_add(sign(*d));
+                        if sum != 0 {
+                            terms.push((m.clone(), sum));
+                        }
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        terms.extend_from_slice(&xs[i..]);
+        terms.extend(ys[j..].iter().filter(|(_, d)| *d != 0).map(|(n, d)| (n.clone(), sign(*d))));
+        LinExpr { terms, constant: self.constant.wrapping_add(sign(other.constant)) }
+    }
+
+    /// `k * self` (wrapping on overflow, like the term builders). A product
+    /// that wraps to 0 keeps its monomial.
     pub fn scale(&self, k: i64) -> LinExpr {
         if k == 0 {
             return LinExpr::zero();
@@ -147,13 +171,22 @@ impl LinExpr {
         }
     }
 
-    /// GCD of the variable coefficients (0 if there are none). Computed
+    /// Divides every coefficient by `g` (exactly: `g` is their gcd) and
+    /// drops the zero ones.
+    fn divide_coeffs(&mut self, g: i64) {
+        self.terms.retain_mut(|(_, c)| {
+            *c /= g;
+            *c != 0
+        });
+    }
+
+    /// GCD of the variable coefficients (0 if every one is 0). Computed
     /// over `u64` absolute values so an `i64::MIN` coefficient cannot
     /// overflow (`i64::abs` panics on it in debug); the degenerate gcd of
     /// 2^63 — every coefficient is `i64::MIN` — has no positive `i64`
     /// representation and falls back to 1, skipping normalization.
     fn coeff_gcd(&self) -> i64 {
-        let g = self.terms.values().fold(0u64, |g, &c| gcd(g, c.unsigned_abs()));
+        let g = self.terms.iter().fold(0u64, |g, (_, c)| gcd(g, c.unsigned_abs()));
         i64::try_from(g).unwrap_or(1)
     }
 
@@ -193,6 +226,8 @@ fn gcd(a: u64, b: u64) -> u64 {
 }
 
 impl fmt::Display for LinExpr {
+    // Negations wrap: an `i64::MIN` coefficient or constant renders as
+    // release builds always rendered it, instead of trapping in debug.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
         for (m, c) in self.terms() {
@@ -214,7 +249,7 @@ impl fmt::Display for LinExpr {
             } else if c == -1 {
                 write!(f, " - {m}")?;
             } else {
-                write!(f, " - {}*{m}", -c)?;
+                write!(f, " - {}*{m}", c.wrapping_neg())?;
             }
         }
         if first {
@@ -222,7 +257,7 @@ impl fmt::Display for LinExpr {
         } else if self.constant > 0 {
             write!(f, " + {}", self.constant)?;
         } else if self.constant < 0 {
-            write!(f, " - {}", -self.constant)?;
+            write!(f, " - {}", self.constant.wrapping_neg())?;
         }
         Ok(())
     }
@@ -242,22 +277,14 @@ pub fn lin_of_term(t: &Term) -> LinExpr {
             let inner = lin_of_term(a);
             match inner.as_const() {
                 Some(c) => LinExpr::constant(c.wrapping_div(*k)),
-                None => {
-                    let mut e = LinExpr::zero();
-                    e.add_term(Monomial::Div(Box::new(inner), *k), 1);
-                    e
-                }
+                None => LinExpr::mono(Monomial::Div(Box::new(inner), *k)),
             }
         }
         TermNode::Rem(a, k) => {
             let inner = lin_of_term(a);
             match inner.as_const() {
                 Some(c) => LinExpr::constant(c.wrapping_rem(*k)),
-                None => {
-                    let mut e = LinExpr::zero();
-                    e.add_term(Monomial::Rem(Box::new(inner), *k), 1);
-                    e
-                }
+                None => LinExpr::mono(Monomial::Rem(Box::new(inner), *k)),
             }
         }
     }
@@ -312,6 +339,11 @@ impl CanonPred {
 fn cpreds() -> &'static Interner<CanonPred> {
     static ARENA: OnceLock<Interner<CanonPred>> = OnceLock::new();
     ARENA.get_or_init(Interner::new)
+}
+
+/// Distinct canonical predicates interned so far.
+pub(crate) fn cpred_count() -> usize {
+    cpreds().len()
 }
 
 /// An interned canonical predicate: the unit the solver layer passes
@@ -375,44 +407,45 @@ impl fmt::Display for CanonPred {
 
 /// Canonicalizes `e <= 0`: divides by the coefficient gcd (flooring the
 /// constant), and folds constants to `Const`.
-fn canon_le(e: LinExpr) -> CanonPred {
+fn canon_le(mut e: LinExpr) -> CanonPred {
     if let Some(c) = e.as_const() {
         return CanonPred::Const(c <= 0);
     }
     let g = e.coeff_gcd();
-    debug_assert!(g > 0);
+    if g == 0 {
+        // Every coefficient wrapped to 0: the expression is its constant.
+        return CanonPred::Const(e.constant <= 0);
+    }
     if g == 1 {
         return CanonPred::Le(e);
     }
     // Σ g·aᵢvᵢ + c ≤ 0  ⇔  Σ aᵢvᵢ ≤ ⌊-c/g⌋  ⇔  Σ aᵢvᵢ - ⌊-c/g⌋ ≤ 0
     // (wrapping negation: `c == i64::MIN` must not trap in debug builds).
-    let c = e.constant_part();
-    let bound = c.wrapping_neg().div_euclid(g);
-    let mut scaled = LinExpr::constant(-bound);
-    for (m, coeff) in e.terms() {
-        scaled.add_term(m.clone(), coeff / g);
-    }
-    CanonPred::Le(scaled)
+    let bound = e.constant.wrapping_neg().div_euclid(g);
+    e.divide_coeffs(g);
+    e.constant = -bound;
+    CanonPred::Le(e)
 }
 
 /// Canonicalizes `e == 0` / `e != 0`.
-fn canon_eq(e: LinExpr, equal: bool) -> CanonPred {
+fn canon_eq(mut e: LinExpr, equal: bool) -> CanonPred {
     if let Some(c) = e.as_const() {
         return CanonPred::Const((c == 0) == equal);
     }
     let g = e.coeff_gcd();
-    let c = e.constant_part();
-    if c % g != 0 {
+    if g == 0 {
+        // Every coefficient wrapped to 0: the expression is its constant.
+        return CanonPred::Const((e.constant == 0) == equal);
+    }
+    if e.constant % g != 0 {
         // No integer solution exists.
         return CanonPred::Const(!equal);
     }
-    let mut normalized = LinExpr::constant(c / g);
-    for (m, coeff) in e.terms() {
-        normalized.add_term(m.clone(), coeff / g);
-    }
+    e.divide_coeffs(g);
+    e.constant /= g;
     // Fix sign: make the first (smallest) monomial's coefficient positive.
-    let flip = normalized.terms().next().map(|(_, c)| c < 0).unwrap_or(false);
-    let normalized = if flip { normalized.scale(-1) } else { normalized };
+    let flip = e.terms().next().map(|(_, c)| c < 0).unwrap_or(false);
+    let normalized = if flip { e.scale(-1) } else { e };
     if equal {
         CanonPred::Eq(normalized)
     } else {
@@ -585,5 +618,21 @@ mod tests {
         // MIN is its own negation under wrapping; scale(-1) must not trap.
         let r = canon_pred(&Pred::cmp(CmpOp::Le, v("x").mul(i64::MIN), Term::int(i64::MIN)));
         let _ = r.negated();
+    }
+
+    /// Regression: a linear part whose coefficients all wrapped to 0
+    /// (`x·2^62·4` — the builders fold a constant multiplicand only, and
+    /// `scale` keeps zero products) is its constant. Canonicalization used
+    /// to divide by their zero gcd and panic.
+    #[test]
+    fn all_zero_coefficients_fold_to_the_constant() {
+        let zeroed = v("x").mul(1 << 62).mul(4);
+        assert_eq!(lin_of_term(&zeroed).arity(), 1, "the zero product keeps its monomial");
+        let eq = canon_pred(&Pred::cmp(CmpOp::Eq, zeroed, Term::int(0)));
+        assert_eq!(eq, CanonPred::Const(true));
+        let le = canon_pred(&Pred::cmp(CmpOp::Le, zeroed, Term::int(-1)));
+        assert_eq!(le, CanonPred::Const(false));
+        let ne = canon_pred(&Pred::cmp(CmpOp::Ne, zeroed.add(Term::int(3)), Term::int(0)));
+        assert_eq!(ne, CanonPred::Const(true));
     }
 }

@@ -32,10 +32,17 @@ fn terms() -> &'static Interner<TermNode> {
     ARENA.get_or_init(Interner::new)
 }
 
-/// Distinct node counts of the three term-layer arenas
-/// `(places, symvars, terms)` — observability for benches and tests.
-pub fn arena_sizes() -> (usize, usize, usize) {
-    (places().len(), symvars().len(), terms().len())
+/// Distinct node counts of the process-wide hash-consing arenas, as
+/// `(arena, nodes)` in a fixed order: places, symbolic variables, terms and
+/// interned canonical predicates ([`crate::CPred`]). Every node lives for
+/// the life of the process, so the counts only grow.
+pub fn arena_sizes() -> [(&'static str, usize); 4] {
+    [
+        ("places", places().len()),
+        ("symvars", symvars().len()),
+        ("terms", terms().len()),
+        ("cpreds", crate::linform::cpred_count()),
+    ]
 }
 
 /// A nullable input *place*: a string or array parameter, or a string

@@ -262,3 +262,335 @@ proptest! {
         }
     }
 }
+
+/// A test-only reference for [`symbolic::LinExpr`]: the `BTreeMap`
+/// representation and arithmetic the flat sorted vector replaced (`add` is
+/// clone then `add_term`, `scale` keeps products that wrap to 0), plus the
+/// canonicalization and rendering built on it.
+mod reference {
+    use std::collections::BTreeMap;
+    use std::fmt;
+    use symbolic::{CmpOp, Monomial, Pred, SymVar, Term, TermNode};
+
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum Mono {
+        Var(SymVar),
+        Div(Box<Lin>, i64),
+        Rem(Box<Lin>, i64),
+    }
+
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
+    pub struct Lin {
+        pub terms: BTreeMap<Mono, i64>,
+        pub constant: i64,
+    }
+
+    impl Lin {
+        fn constant(v: i64) -> Lin {
+            Lin { terms: BTreeMap::new(), constant: v }
+        }
+
+        fn mono(m: Mono) -> Lin {
+            let mut e = Lin::default();
+            e.add_term(m, 1);
+            e
+        }
+
+        fn add_term(&mut self, m: Mono, coeff: i64) {
+            if coeff == 0 {
+                return;
+            }
+            let c = self.terms.entry(m.clone()).or_insert(0);
+            *c = c.wrapping_add(coeff);
+            if *c == 0 {
+                self.terms.remove(&m);
+            }
+        }
+
+        pub fn add(&self, other: &Lin) -> Lin {
+            let mut out = self.clone();
+            out.constant = out.constant.wrapping_add(other.constant);
+            for (m, &c) in &other.terms {
+                out.add_term(m.clone(), c);
+            }
+            out
+        }
+
+        pub fn sub(&self, other: &Lin) -> Lin {
+            self.add(&other.scale(-1))
+        }
+
+        pub fn scale(&self, k: i64) -> Lin {
+            if k == 0 {
+                return Lin::default();
+            }
+            Lin {
+                terms: self.terms.iter().map(|(m, c)| (m.clone(), c.wrapping_mul(k))).collect(),
+                constant: self.constant.wrapping_mul(k),
+            }
+        }
+
+        fn coeff_gcd(&self) -> i64 {
+            fn gcd(a: u64, b: u64) -> u64 {
+                if b == 0 {
+                    a
+                } else {
+                    gcd(b, a % b)
+                }
+            }
+            let g = self.terms.values().fold(0u64, |g, &c| gcd(g, c.unsigned_abs()));
+            i64::try_from(g).unwrap_or(1)
+        }
+
+        /// The flat expression's shape in reference terms.
+        pub fn of(e: &symbolic::LinExpr) -> Lin {
+            let mut terms = BTreeMap::new();
+            for (m, c) in e.terms() {
+                assert!(terms.insert(Mono::of(m), c).is_none(), "duplicate monomial in {e}");
+            }
+            Lin { terms, constant: e.constant_part() }
+        }
+    }
+
+    impl Mono {
+        pub fn of(m: &Monomial) -> Mono {
+            match m {
+                Monomial::Var(v) => Mono::Var(*v),
+                Monomial::Div(e, k) => Mono::Div(Box::new(Lin::of(e)), *k),
+                Monomial::Rem(e, k) => Mono::Rem(Box::new(Lin::of(e)), *k),
+            }
+        }
+    }
+
+    impl fmt::Display for Mono {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                Mono::Var(v) => write!(f, "{v}"),
+                Mono::Div(e, k) => write!(f, "(({e}) / {k})"),
+                Mono::Rem(e, k) => write!(f, "(({e}) % {k})"),
+            }
+        }
+    }
+
+    impl fmt::Display for Lin {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            let mut first = true;
+            for (m, &c) in &self.terms {
+                if first {
+                    match c {
+                        1 => write!(f, "{m}")?,
+                        -1 => write!(f, "-{m}")?,
+                        _ => write!(f, "{c}*{m}")?,
+                    }
+                    first = false;
+                } else if c >= 0 {
+                    match c {
+                        1 => write!(f, " + {m}")?,
+                        _ => write!(f, " + {c}*{m}")?,
+                    }
+                } else if c == -1 {
+                    write!(f, " - {m}")?;
+                } else {
+                    write!(f, " - {}*{m}", c.wrapping_neg())?;
+                }
+            }
+            if first {
+                write!(f, "{}", self.constant)
+            } else if self.constant > 0 {
+                write!(f, " + {}", self.constant)
+            } else if self.constant < 0 {
+                write!(f, " - {}", self.constant.wrapping_neg())
+            } else {
+                Ok(())
+            }
+        }
+    }
+
+    pub fn lin_of_term(t: &Term) -> Lin {
+        match t.node() {
+            TermNode::Const(v) => Lin::constant(*v),
+            TermNode::Var(v) => Lin::mono(Mono::Var(*v)),
+            TermNode::Add(a, b) => lin_of_term(a).add(&lin_of_term(b)),
+            TermNode::Sub(a, b) => lin_of_term(a).sub(&lin_of_term(b)),
+            TermNode::Neg(a) => lin_of_term(a).scale(-1),
+            TermNode::Mul(k, a) => lin_of_term(a).scale(*k),
+            TermNode::Div(a, k) => {
+                let inner = lin_of_term(a);
+                if inner.terms.is_empty() {
+                    Lin::constant(inner.constant.wrapping_div(*k))
+                } else {
+                    Lin::mono(Mono::Div(Box::new(inner), *k))
+                }
+            }
+            TermNode::Rem(a, k) => {
+                let inner = lin_of_term(a);
+                if inner.terms.is_empty() {
+                    Lin::constant(inner.constant.wrapping_rem(*k))
+                } else {
+                    Lin::mono(Mono::Rem(Box::new(inner), *k))
+                }
+            }
+        }
+    }
+
+    /// The canonical form of a comparison, rendered. A linear part whose
+    /// coefficients all wrapped to 0 is its constant.
+    pub fn canon_cmp(op: CmpOp, a: &Term, b: &Term) -> String {
+        let (la, lb) = (lin_of_term(a), lin_of_term(b));
+        let one = Lin::constant(1);
+        match op {
+            CmpOp::Lt => canon_le(la.sub(&lb).add(&one)),
+            CmpOp::Le => canon_le(la.sub(&lb)),
+            CmpOp::Gt => canon_le(lb.sub(&la).add(&one)),
+            CmpOp::Ge => canon_le(lb.sub(&la)),
+            CmpOp::Eq => canon_eq(la.sub(&lb), true),
+            CmpOp::Ne => canon_eq(la.sub(&lb), false),
+        }
+    }
+
+    fn canon_le(e: Lin) -> String {
+        if e.terms.is_empty() {
+            return (e.constant <= 0).to_string();
+        }
+        let g = e.coeff_gcd();
+        if g == 0 {
+            return (e.constant <= 0).to_string();
+        }
+        if g == 1 {
+            return format!("{e} <= 0");
+        }
+        let bound = e.constant.wrapping_neg().div_euclid(g);
+        let mut scaled = Lin::constant(-bound);
+        for (m, &coeff) in &e.terms {
+            scaled.add_term(m.clone(), coeff / g);
+        }
+        format!("{scaled} <= 0")
+    }
+
+    fn canon_eq(e: Lin, equal: bool) -> String {
+        if e.terms.is_empty() {
+            return ((e.constant == 0) == equal).to_string();
+        }
+        let g = e.coeff_gcd();
+        if g == 0 {
+            return ((e.constant == 0) == equal).to_string();
+        }
+        if e.constant % g != 0 {
+            return (!equal).to_string();
+        }
+        let mut normalized = Lin::constant(e.constant / g);
+        for (m, &coeff) in &e.terms {
+            normalized.add_term(m.clone(), coeff / g);
+        }
+        let flip = normalized.terms.values().next().is_some_and(|&c| c < 0);
+        let normalized = if flip { normalized.scale(-1) } else { normalized };
+        format!("{normalized} {} 0", if equal { "==" } else { "!=" })
+    }
+
+    /// The rendered canonical form of `p`, for comparisons.
+    pub fn canon_pred(p: &Pred) -> String {
+        match p {
+            Pred::Cmp(op, a, b) => canon_cmp(*op, a, b),
+            other => panic!("reference canonicalizes comparisons only, got {other}"),
+        }
+    }
+}
+
+/// Coefficients and constants that exercise wrapping: small values,
+/// values at and next to the `i64` bounds, and powers of two whose
+/// products wrap to exactly 0.
+fn wide_i64() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -3i64..=3,
+        Just(i64::MIN),
+        Just(i64::MIN + 1),
+        Just(i64::MAX),
+        Just(i64::MAX - 1),
+        (1u32..=63).prop_map(|s| 1i64.wrapping_shl(s)),
+        (1u32..=63).prop_map(|s| 1i64.wrapping_shl(s).wrapping_neg()),
+    ]
+}
+
+/// Terms with `Div`/`Rem` monomials, wide constants, and nested `Mul`s
+/// (the builders fold a constant multiplicand only, so `x·2^62·4` stays a
+/// term whose linear form has an `x` coefficient that wrapped to 0).
+fn wide_term_strategy() -> impl Strategy<Value = Term> {
+    let leaf = prop_oneof![
+        wide_i64().prop_map(Term::int),
+        Just(Term::var("x")),
+        Just(Term::var("y")),
+        Just(Term::var("z")),
+        Just(Term::len(Place::param("a"))),
+    ];
+    leaf.prop_recursive(4, 32, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.add(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.sub(b)),
+            (inner.clone(), wide_i64()).prop_map(|(a, k)| a.mul(k)),
+            (inner.clone(), wide_i64(), wide_i64()).prop_map(|(a, k, l)| a.mul(k).mul(l)),
+            (inner.clone(), prop_oneof![Just(-3i64), Just(2), Just(7), Just(i64::MIN)])
+                .prop_map(|(a, k)| a.div(k)),
+            (inner.clone(), prop_oneof![Just(2i64), Just(-5), Just(i64::MAX)])
+                .prop_map(|(a, k)| a.rem(k)),
+            inner.prop_map(|a| a.neg()),
+        ]
+    })
+}
+
+fn cmp_op_strategy() -> impl Strategy<Value = CmpOp> {
+    prop_oneof![
+        Just(CmpOp::Lt),
+        Just(CmpOp::Le),
+        Just(CmpOp::Gt),
+        Just(CmpOp::Ge),
+        Just(CmpOp::Eq),
+        Just(CmpOp::Ne)
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    /// The flat sorted-vector `LinExpr` is observationally the `BTreeMap`
+    /// one it replaced: same terms in the same order (zero coefficients
+    /// included), same rendering, same pairwise order, same canonical
+    /// predicates — through `lin_of_term` and through direct
+    /// `add`/`sub`/`scale`.
+    #[test]
+    fn flat_linexpr_matches_btreemap_reference(
+        s in wide_term_strategy(),
+        t in wide_term_strategy(),
+        k in wide_i64(),
+        op in cmp_op_strategy(),
+    ) {
+        use symbolic::lin_of_term;
+        let (a, b) = (lin_of_term(&s), lin_of_term(&t));
+        let (ra, rb) = (reference::lin_of_term(&s), reference::lin_of_term(&t));
+        let cases = [
+            (a.clone(), ra.clone()),
+            (a.add(&b), ra.add(&rb)),
+            (a.sub(&b), ra.sub(&rb)),
+            (b.sub(&a), rb.sub(&ra)),
+            (a.scale(k), ra.scale(k)),
+            (a.scale(k).add(&b), ra.scale(k).add(&rb)),
+            (b.add(&a.scale(k)), rb.add(&ra.scale(k))),
+            (b.sub(&a.scale(k)), rb.sub(&ra.scale(k))),
+        ];
+        for (flat, want) in &cases {
+            let terms: Vec<_> = flat.terms().map(|(m, c)| (reference::Mono::of(m), c)).collect();
+            let want_terms: Vec<_> = want.terms.iter().map(|(m, &c)| (m.clone(), c)).collect();
+            prop_assert_eq!(&terms, &want_terms, "{}", want);
+            prop_assert_eq!(flat.constant_part(), want.constant);
+            prop_assert_eq!(flat.to_string(), want.to_string());
+        }
+        for (x, rx) in &cases {
+            for (y, ry) in &cases {
+                prop_assert_eq!(x.cmp(y), rx.cmp(ry), "{} vs {}", rx, ry);
+            }
+        }
+        let p = Pred::cmp(op, s, t);
+        prop_assert_eq!(canon_pred(&p).to_string(), reference::canon_pred(&p));
+        let n = p.negated();
+        prop_assert_eq!(canon_pred(&n).to_string(), reference::canon_pred(&n));
+    }
+}

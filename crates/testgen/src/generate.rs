@@ -6,6 +6,18 @@
 //! model concolically, and enqueues the new path's suffix for further
 //! flipping. Implicit-check branches are flipped too — that is exactly how
 //! the engine discovers failing tests (inputs violating a check).
+//!
+//! Two sets deduplicate the work: explored paths (a run whose path was
+//! seen before is kept in the suite but not expanded) and attempted flip
+//! queries (one solver call per distinct `φ₁ ∧ … ∧ φ_{j-1} ∧ ¬φ_j`). Both
+//! compare canonical forms, keyed by *signatures*: vectors of dense `u32`
+//! ids that one `generate_tests` call hands out, one per distinct
+//! canonical predicate. A run's predicates are canonicalized once, when it
+//! executes; a flip's signature is its run's signature prefix `[..j]` plus
+//! the id of the negated entry's canonical form, so a flip canonicalizes
+//! one predicate, not `j + 1`, and its solver query is built only when the
+//! signature is new. `tests/testgen_differential.rs` pins that the same
+//! flips are attempted, in the same order, with the same verdicts.
 
 use crate::suite::{Suite, TestRun};
 use concolic::{run_concolic, ConcolicConfig};
@@ -15,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use solver::{
     solve_preds_with, FuncSig, IncrementalSession, SolveResult, SolverCache, SolverConfig,
 };
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use symbolic::{canon_pred, CanonPred, Pred};
 
@@ -66,6 +78,56 @@ impl Default for TestGenConfig {
     }
 }
 
+/// Executed runs plus what deduplicates them (see the module docs): seen
+/// entry states, path and flip signatures, and the canonical-predicate ids
+/// signatures are made of (equal ids ⇔ equal canonical forms).
+#[derive(Default)]
+struct Explored {
+    suite: Suite,
+    seen_states: HashSet<MethodEntryState>,
+    seen_paths: HashSet<Vec<u32>>,
+    attempted_flips: HashSet<Vec<u32>>,
+    /// `signatures[i]` is the signature of `suite.runs[i]`.
+    signatures: Vec<Vec<u32>>,
+    ids: HashMap<CanonPred, u32>,
+}
+
+impl Explored {
+    fn id(&mut self, canon: CanonPred) -> u32 {
+        let next = u32::try_from(self.ids.len()).expect("fewer than 2^32 predicates per call");
+        *self.ids.entry(canon).or_insert(next)
+    }
+
+    /// Runs `state` concolically unless it was run before; returns the new
+    /// run's index when its path is fresh.
+    fn execute(
+        &mut self,
+        program: &TypedProgram,
+        func_name: &str,
+        state: MethodEntryState,
+        cfg: &TestGenConfig,
+    ) -> Option<usize> {
+        if !self.seen_states.insert(state.clone()) {
+            return None;
+        }
+        let outcome = run_concolic(program, func_name, &state, &cfg.concolic);
+        let signature: Vec<u32> = outcome.path.entries.iter().map(|e| self.id(e.canon())).collect();
+        let fresh_path = self.seen_paths.insert(signature.clone());
+        self.signatures.push(signature);
+        self.suite.runs.push(TestRun::new(state, outcome));
+        fresh_path.then(|| self.suite.runs.len() - 1)
+    }
+
+    /// Records the flip of entry `j` of run `run_idx` to `negated`; false
+    /// when the same query was attempted before.
+    fn first_attempt(&mut self, run_idx: usize, j: usize, negated: &Pred) -> bool {
+        let id = self.id(canon_pred(negated));
+        let mut flip_sig = self.signatures[run_idx][..j].to_vec();
+        flip_sig.push(id);
+        self.attempted_flips.insert(flip_sig)
+    }
+}
+
 /// Generates a test suite for `func_name` by generational exploration.
 ///
 /// # Panics
@@ -77,33 +139,10 @@ pub fn generate_tests(program: &TypedProgram, func_name: &str, cfg: &TestGenConf
     let sig = FuncSig::of(func);
     let mut rng = StdRng::seed_from_u64(cfg.rng_seed);
 
-    let mut suite = Suite::default();
-    let mut seen_states: HashSet<MethodEntryState> = HashSet::new();
-    let mut seen_paths: HashSet<Vec<CanonPred>> = HashSet::new();
-    let mut attempted_flips: HashSet<Vec<CanonPred>> = HashSet::new();
-    let mut site_flips: std::collections::HashMap<minilang::NodeId, usize> = Default::default();
+    let mut ex = Explored::default();
+    let mut site_flips: HashMap<minilang::NodeId, usize> = HashMap::new();
     // Work queue of (run index, entry index to flip).
     let mut queue: std::collections::VecDeque<(usize, usize)> = Default::default();
-
-    let execute = |state: MethodEntryState,
-                   suite: &mut Suite,
-                   seen_states: &mut HashSet<MethodEntryState>,
-                   seen_paths: &mut HashSet<Vec<CanonPred>>|
-     -> Option<usize> {
-        if !seen_states.insert(state.clone()) {
-            return None;
-        }
-        let outcome = run_concolic(program, func_name, &state, &cfg.concolic);
-        let signature: Vec<CanonPred> = outcome.path.entries.iter().map(|e| e.canon()).collect();
-        let fresh_path = seen_paths.insert(signature);
-        let run = TestRun::new(state, outcome);
-        suite.runs.push(run);
-        if fresh_path {
-            Some(suite.runs.len() - 1)
-        } else {
-            None
-        }
-    };
 
     // Seeds: all-defaults plus random fuzz.
     let mut seeds = vec![MethodEntryState::seed_for(func)];
@@ -111,11 +150,11 @@ pub fn generate_tests(program: &TypedProgram, func_name: &str, cfg: &TestGenConf
         seeds.push(random_state(func, &mut rng));
     }
     for seed in seeds {
-        if suite.len() >= cfg.max_runs {
+        if ex.suite.len() >= cfg.max_runs {
             break;
         }
-        if let Some(idx) = execute(seed, &mut suite, &mut seen_states, &mut seen_paths) {
-            for j in 0..suite.runs[idx].path.entries.len() {
+        if let Some(idx) = ex.execute(program, func_name, seed, cfg) {
+            for j in 0..ex.suite.runs[idx].path.entries.len() {
                 queue.push_back((idx, j));
             }
         }
@@ -132,7 +171,7 @@ pub fn generate_tests(program: &TypedProgram, func_name: &str, cfg: &TestGenConf
         .incremental
         .then(|| IncrementalSession::new(&sig, &cfg.solver, cfg.solver_cache.clone()));
     while let Some((run_idx, j)) = queue.pop_front() {
-        if suite.len() >= cfg.max_runs || flips >= cfg.max_flips {
+        if ex.suite.len() >= cfg.max_runs || flips >= cfg.max_flips {
             break;
         }
         if cfg.solver.deadline.expired() {
@@ -143,30 +182,30 @@ pub fn generate_tests(program: &TypedProgram, func_name: &str, cfg: &TestGenConf
         if j >= cfg.max_flip_depth {
             continue;
         }
-        let entries = &suite.runs[run_idx].path.entries;
-        let Some(entry) = entries.get(j) else { continue };
+        let Some(entry) = ex.suite.runs[run_idx].path.entries.get(j) else { continue };
         if !entry.kind.is_branch() {
             continue; // pins are not decisions
         }
-        let site_count = site_flips.entry(entry.site).or_insert(0);
+        let (site, negated) = (entry.site, entry.pred.negated());
+        let site_count = site_flips.entry(site).or_insert(0);
         if *site_count >= cfg.max_flips_per_site {
             continue;
         }
         *site_count += 1;
-        // Constraint: prefix (including pins) plus the negated predicate.
-        let mut preds: Vec<Pred> = entries[..j].iter().map(|e| e.pred.clone()).collect();
-        preds.push(entry.pred.negated());
-        let flip_sig: Vec<CanonPred> = preds.iter().map(canon_pred).collect();
-        if !attempted_flips.insert(flip_sig) {
+        if !ex.first_attempt(run_idx, j, &negated) {
             continue;
         }
         flips += 1;
+        // Constraint: prefix (including pins) plus the negated predicate.
+        let entries = &ex.suite.runs[run_idx].path.entries;
+        let mut preds: Vec<Pred> = entries[..j].iter().map(|e| e.pred.clone()).collect();
+        preds.push(negated);
         let verdict = match &mut session {
             Some(s) => s.solve_preds(&preds).0,
             None => solve_preds_with(&preds, &sig, &cfg.solver, cfg.solver_cache.as_deref()).0,
         };
         if let Some(sink) = obs::recording_sink(&cfg.trace) {
-            let site = format!("{:?}", entry.site);
+            let site = format!("{site:?}");
             sink.event(
                 "flip",
                 &[
@@ -178,9 +217,9 @@ pub fn generate_tests(program: &TypedProgram, func_name: &str, cfg: &TestGenConf
         }
         match verdict {
             SolveResult::Sat(model) => {
-                if let Some(idx) = execute(model, &mut suite, &mut seen_states, &mut seen_paths) {
+                if let Some(idx) = ex.execute(program, func_name, model, cfg) {
                     // Expand only the suffix the new path discovered.
-                    let new_len = suite.runs[idx].path.entries.len();
+                    let new_len = ex.suite.runs[idx].path.entries.len();
                     for k in j..new_len {
                         queue.push_back((idx, k));
                     }
@@ -192,10 +231,10 @@ pub fn generate_tests(program: &TypedProgram, func_name: &str, cfg: &TestGenConf
     if let Some(sink) = obs::recording_sink(&cfg.trace) {
         sink.event(
             "testgen_done",
-            &[("runs", obs::Val::U(suite.len() as u64)), ("flips", obs::Val::U(flips as u64))],
+            &[("runs", obs::Val::U(ex.suite.len() as u64)), ("flips", obs::Val::U(flips as u64))],
         );
     }
-    suite
+    ex.suite
 }
 
 /// A random input state for fuzz seeding.

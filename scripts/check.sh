@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== cargo test --release (symbolic, solver, testgen)"
+# Canonical forms use wrapping arithmetic so debug and release builds
+# agree (DESIGN.md §5e); release builds wrap on overflow silently, so the
+# crates that fold and canonicalize terms are tested in release too.
+cargo test --release -q -p symbolic -p solver -p testgen
+
 echo "== perf smoke (BENCH_solver_cache.json, BENCH_solver_tiers.json, BENCH_solver_incremental.json, BENCH_interproc.json)"
 cargo build --release -p bench --quiet
 ./target/release/perf_smoke
@@ -275,6 +281,9 @@ r = s["router"]
 assert r["shards"] == 2, r
 assert len(s["shards"]) == 2, "merged stats must nest both shard reports"
 assert r["unavailable"] == 0, "no request may have failed over"
+for shard in s["shards"]:
+    memory = shard["stats"]["memory"]
+    assert memory["resident_bytes"] > 0 and memory["arena_nodes"]["cpreds"] > 0, shard
 print(f"router smoke: 2 shards live, {r['\''forwarded'\'']} requests forwarded")'
 
 echo "== distributed trace smoke (stitched multi-process trace)"
