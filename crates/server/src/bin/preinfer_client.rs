@@ -1,4 +1,4 @@
-//! `preinfer-client` — CLI client and load generator for `preinferd`.
+//! `preinfer-client` — CLI client for `preinferd`.
 //!
 //! ```text
 //! preinfer-client --addr HOST:PORT ping
@@ -8,10 +8,6 @@
 //! preinfer-client --addr HOST:PORT infer program.ml [--fn NAME]
 //!                 [--deadline-ms N] [--tests N] [--jobs N]
 //! preinfer-client --addr HOST:PORT corpus [NAME] [--check-offline]
-//! preinfer-client --addr HOST:PORT load --requests N --concurrency C
-//!                 [--pipeline D] [--duration-s S] [--deadline-ms N]
-//!                 [--label-shards N]
-//!                 [--out BENCH_server.json]
 //! ```
 //!
 //! * `metrics` prints the daemon's Prometheus text exposition verbatim
@@ -24,18 +20,9 @@
 //!   without a NAME); with `--check-offline` it also runs the offline
 //!   pipeline locally and exits non-zero unless every served ψ is
 //!   byte-identical — the scriptable form of the differential test.
-//! * `load` is the load generator: C connections submitting N requests
-//!   total (or running for `--duration-s` seconds), each keeping
-//!   `--pipeline` requests in flight, reporting throughput and latency
-//!   quantiles (p50/p90/p99/p99.9) to stdout and to a
-//!   `BENCH_server.json` file. `--label-shards` tags the report with the
-//!   server topology being measured.
 
-use server::{served_psis, Client, Histogram, InferRequest};
+use server::{served_psis, Client, InferRequest};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
@@ -53,15 +40,7 @@ fn usage() -> ! {
          \x20 infer FILE [--fn NAME] [--deadline-ms N] [--tests N] [--jobs N]\n\
          \x20 corpus [NAME] [--check-offline]   submit corpus subject(s);\n\
          \x20                                   --check-offline diffs against the\n\
-         \x20                                   local offline pipeline\n\
-         \x20 load --requests N --concurrency C [--pipeline D] [--duration-s S]\n\
-         \x20      [--deadline-ms N] [--label-shards N]\n\
-         \x20      [--out FILE]                 load generator: C connections,\n\
-         \x20                                   D requests in flight each\n\
-         \x20                                   (default 1); --duration-s runs\n\
-         \x20                                   for S seconds instead of a\n\
-         \x20                                   fixed request count (default\n\
-         \x20                                   out: BENCH_server.json)"
+         \x20                                   local offline pipeline"
     );
     std::process::exit(2);
 }
@@ -106,7 +85,6 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(&c),
         "infer" => cmd_infer(&c),
         "corpus" => cmd_corpus(&c),
-        "load" => cmd_load(&c),
         _ => usage(),
     }
 }
@@ -322,140 +300,4 @@ fn offline_psis(m: &subjects::SubjectMethod) -> Vec<String> {
         .iter()
         .map(|(_, inf)| inf.precondition.psi.to_string())
         .collect()
-}
-
-fn cmd_load(c: &Common) -> ExitCode {
-    let requests = parse_u64_flag(&c.rest, "--requests").unwrap_or(50) as usize;
-    let concurrency = (parse_u64_flag(&c.rest, "--concurrency").unwrap_or(4) as usize).max(1);
-    let pipeline = (parse_u64_flag(&c.rest, "--pipeline").unwrap_or(1) as usize).max(1);
-    let duration_s = parse_u64_flag(&c.rest, "--duration-s");
-    let deadline_ms = parse_u64_flag(&c.rest, "--deadline-ms");
-    let label_shards = parse_u64_flag(&c.rest, "--label-shards").unwrap_or(1);
-    let out_path = flag_value(&c.rest, "--out").unwrap_or_else(|| "BENCH_server.json".to_string());
-    // A small, fast subject keeps the loop tight; the warm cache makes
-    // repeat submissions cheap, which is exactly what we are measuring.
-    let subject = subjects::all_subjects()
-        .into_iter()
-        .find(|m| m.name == "guarded_div")
-        .expect("corpus has guarded_div");
-    let program = subject.source.to_string();
-    let func = subject.name.to_string();
-
-    let latency = Arc::new(Histogram::new());
-    let ok = Arc::new(AtomicU64::new(0));
-    let overloaded = Arc::new(AtomicU64::new(0));
-    let timed_out = Arc::new(AtomicU64::new(0));
-    let failed = Arc::new(AtomicU64::new(0));
-    let next = Arc::new(AtomicUsize::new(0));
-    let started = Instant::now();
-    let stop_at = duration_s.map(|s| started + std::time::Duration::from_secs(s));
-    std::thread::scope(|scope| {
-        for _ in 0..concurrency {
-            let (latency, ok, overloaded, timed_out, failed, next) = (
-                Arc::clone(&latency),
-                Arc::clone(&ok),
-                Arc::clone(&overloaded),
-                Arc::clone(&timed_out),
-                Arc::clone(&failed),
-                Arc::clone(&next),
-            );
-            let (addr, program, func) = (c.addr.clone(), program.clone(), func.clone());
-            scope.spawn(move || {
-                let Ok(mut cl) = Client::connect(&addr) else {
-                    failed.fetch_add(1, Ordering::Relaxed);
-                    return;
-                };
-                let req = InferRequest {
-                    program,
-                    func: Some(func),
-                    deadline_ms,
-                    tests: None,
-                    jobs: 1,
-                    trace: None,
-                };
-                // In duration mode the stop condition is the clock; in
-                // request mode it is the shared allocation counter.
-                let may_issue = |next: &AtomicUsize| match stop_at {
-                    Some(t) => Instant::now() < t,
-                    None => next.fetch_add(1, Ordering::Relaxed) < requests,
-                };
-                // `--pipeline D` keeps D requests in flight per
-                // connection; responses can complete out of order (the
-                // daemon's workers finish in any order), so each carries
-                // a unique id and latency is matched by id.
-                let mut pending: std::collections::HashMap<String, Instant> =
-                    std::collections::HashMap::new();
-                let mut seq = 0u64;
-                loop {
-                    while pending.len() < pipeline && may_issue(&next) {
-                        let id = format!("q{seq}");
-                        seq += 1;
-                        let frame = server::protocol::render_infer(Some(&id), &req);
-                        if server::protocol::write_frame(cl.stream_mut(), &frame).is_err() {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                            return;
-                        }
-                        pending.insert(id, Instant::now());
-                    }
-                    if pending.is_empty() {
-                        return;
-                    }
-                    let resp = match server::protocol::read_frame(cl.stream_mut())
-                        .ok()
-                        .and_then(|text| server::json::parse(&text).ok())
-                    {
-                        Some(r) => r,
-                        None => {
-                            // Connection gone: every in-flight request dies.
-                            failed.fetch_add(pending.len() as u64, Ordering::Relaxed);
-                            return;
-                        }
-                    };
-                    if let Some(t0) = resp.str_field("id").and_then(|id| pending.remove(id)) {
-                        latency.record(t0.elapsed());
-                    }
-                    if resp.str_field("error") == Some("overloaded") {
-                        overloaded.fetch_add(1, Ordering::Relaxed);
-                    } else if resp.get("ok").and_then(|v| v.as_bool()) == Some(true) {
-                        ok.fetch_add(1, Ordering::Relaxed);
-                        if resp.get("timed_out").and_then(|v| v.as_bool()) == Some(true) {
-                            timed_out.fetch_add(1, Ordering::Relaxed);
-                        }
-                    } else {
-                        failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    let elapsed = started.elapsed().as_secs_f64();
-    let (p50, p90, p99) = latency.percentiles_us();
-    let p999 = latency.quantile_us(0.999);
-    let completed = ok.load(Ordering::Relaxed);
-    let report = server::json::ObjBuilder::new()
-        .str("workload", "guarded_div infer")
-        .u64("shards", label_shards)
-        .u64("requests", if stop_at.is_some() { completed } else { requests as u64 })
-        .u64("concurrency", concurrency as u64)
-        .u64("pipeline_depth", pipeline as u64)
-        .u64("duration_s", duration_s.unwrap_or(0))
-        .u64("completed", completed)
-        .u64("overloaded", overloaded.load(Ordering::Relaxed))
-        .u64("timed_out", timed_out.load(Ordering::Relaxed))
-        .u64("failed", failed.load(Ordering::Relaxed))
-        .f64("wall_s", elapsed)
-        .f64("throughput_rps", if elapsed > 0.0 { completed as f64 / elapsed } else { 0.0 })
-        .f64("p50_ms", p50 as f64 / 1e3)
-        .f64("p90_ms", p90 as f64 / 1e3)
-        .f64("p99_ms", p99 as f64 / 1e3)
-        .f64("p999_ms", p999 as f64 / 1e3)
-        .f64("mean_ms", latency.mean_us() as f64 / 1e3)
-        .build();
-    println!("{report}");
-    if let Err(e) = std::fs::write(&out_path, &report) {
-        eprintln!("preinfer-client: cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out_path}");
-    ExitCode::SUCCESS
 }

@@ -4,7 +4,6 @@
 //! preinferd [--addr HOST:PORT] [--workers N] [--queue N]
 //!           [--default-deadline-ms N] [--idle-timeout-ms N]
 //!           [--incremental on|off] [--interproc inline|summary]
-//!           [--memo on|off] [--memo-capacity K]
 //!           [--trace-sample N] [--slow-trace-ms N] [--trace-buffer K]
 //! ```
 //!
@@ -26,7 +25,6 @@ fn usage() -> ! {
          \x20                [--default-deadline-ms N]\n\
          \x20                [--idle-timeout-ms N] [--incremental on|off]\n\
          \x20                [--interproc inline|summary]\n\
-         \x20                [--memo on|off] [--memo-capacity K]\n\
          \x20                [--trace-sample N] [--slow-trace-ms N]\n\
          \x20                [--trace-buffer K]\n\
          \n\
@@ -52,11 +50,6 @@ fn usage() -> ! {
          daemon-lifetime table across requests (α-equivalent callee\n\
          closures hit instead of re-inferring; see `stats.summaries`).\n\
          \n\
-         --memo on|off (default off) answers repeat requests for an\n\
-         α-equivalent method from the ψ-level response memo without\n\
-         re-running inference; --memo-capacity K (default 4096) bounds it.\n\
-         Memoized outcomes come only from completed (non-timed-out) runs.\n\
-         \n\
          Tracing: --trace-sample N head-samples every N-th request\n\
          (deterministic, 0 = off); --slow-trace-ms T also retains any\n\
          request slower than T ms (absent = off, 0 = every request);\n\
@@ -75,20 +68,6 @@ fn parse_args() -> ServerConfig {
             "--idle-timeout-ms" => {
                 cfg.idle_timeout_ms =
                     args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--memo" => {
-                cfg.memo = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage(),
-                }
-            }
-            "--memo-capacity" => {
-                cfg.memo_capacity = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage())
             }
             "--workers" => {
                 cfg.workers = args

@@ -1,6 +1,5 @@
 //! A minimal blocking client for the `preinferd` protocol, shared by the
-//! `preinfer-client` binary, the integration tests, and the load
-//! generator.
+//! `preinfer-client` binary and the integration tests.
 
 use crate::json::{self, Json};
 use crate::protocol::{self, FrameError, InferRequest};

@@ -10,9 +10,8 @@
 //! * **Read**: readiness drains the socket and decodes every complete
 //!   frame; each frame is dispatched — verbs other than `infer` answer
 //!   inline, `infer` goes through the admission path
-//!   ([`server::start_infer`]): drain check, memo lookup (hits answer
-//!   inline with no worker hop), then bounded admission with a
-//!   [`ReplyTo`]. Connections pipeline freely: many frames may be in
+//!   ([`server::start_infer`]): drain check, then bounded admission
+//!   with a [`ReplyTo`]. Connections pipeline freely: many frames may be in
 //!   flight at once and responses are written in completion order (the
 //!   client matches them by `request_id`/`id`, see PROTOCOL.md).
 //! * **Completions**: workers push finished responses onto the
@@ -167,7 +166,7 @@ fn dispatch(
         }
         Ok(Request::Infer { id, infer }) => {
             // Taken before admission consumes the request, so an inline
-            // answer (memo hit, overload, drain) keeps its exemplar too.
+            // answer (overload, drain) keeps its exemplar too.
             let exemplar = server::sampled_trace_id(&infer).map(str::to_string);
             let reply = ReplyTo { token, completions: Arc::clone(completions) };
             match server::start_infer(id, infer, shared, reply) {

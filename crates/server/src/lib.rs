@@ -1,7 +1,7 @@
 //! # server
 //!
 //! The serving layer: `preinferd`, a resident batch precondition-inference
-//! daemon, and the `preinfer-client` CLI / load generator. The daemon
+//! daemon, and the `preinfer-client` CLI. The daemon
 //! amortizes the canonicalizing [`solver::SolverCache`] across requests —
 //! the warm-cache counterpart of PR 1's per-process parallel pipeline —
 //! behind a length-prefixed JSON protocol (`PROTOCOL.md`) with bounded
@@ -34,7 +34,6 @@
 pub mod client;
 pub mod eio;
 pub mod json;
-pub mod memo;
 pub mod netcore;
 pub mod protocol;
 pub mod queue;
@@ -45,7 +44,6 @@ pub mod service;
 pub mod trace;
 
 pub use client::{served_psis, Client, ClientError};
-pub use memo::{MemoKey, MemoStats, ResponseMemo};
 pub use netcore::{wait_for_signal, ShutdownHandle};
 pub use obs::Histogram;
 pub use protocol::{ErrorCode, InferRequest, Request, TraceContext, TraceSelect, MAX_FRAME_LEN};

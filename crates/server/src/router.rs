@@ -8,8 +8,8 @@
 //!   source whose hash `solver::affinity_hash` is stable across
 //!   processes) and the request is forwarded to shard
 //!   `hash % shards`. α-equivalent methods therefore always land on the
-//!   same shard — the shard whose solver cache and response memo already
-//!   hold their verdicts. Uncompilable programs route by raw text so the
+//!   same shard — the shard whose solver cache already holds their
+//!   verdicts. Uncompilable programs route by raw text so the
 //!   typed `compile_error` still comes from a real shard.
 //! * **Forwarding** is opaque: the router rewrites only the request `id`
 //!   (to a private correlation token `r<seq>`) and splices the original

@@ -1,12 +1,13 @@
-//! Canonical method identity: the key the router shards by and the memo
-//! caches under.
+//! Canonical method rendering: the key the router shards by.
 //!
 //! The canonical rendering of an `infer` request's target method is its
 //! pretty-printed source with every parameter α-renamed to the positional
-//! `%i` placeholders `solver::canon` uses — so two methods that are
-//! α-equivalent (and therefore produce identical solver `CacheKey`s for
-//! every query their inference issues) share one canonical text, one
-//! [`solver::affinity_hash`], one shard, and one memo entry. `%` cannot
+//! `%i` placeholders `solver::canon` uses — so two α-equivalent entry
+//! functions share one canonical text, one [`solver::affinity_hash`] and
+//! one shard, whose solver cache then holds the verdicts they share. The
+//! key covers the entry function alone, not its callees, so it is an
+//! affinity hint, never a method identity: two programs with the same
+//! entry function and different callees can infer different ψ. `%` cannot
 //! begin a MiniLang identifier, so placeholders never collide with real
 //! names, and string literals are skipped by the renamer so a parameter
 //! name appearing inside one is left alone.

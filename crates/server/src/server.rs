@@ -30,11 +30,9 @@
 //! every thread has exited.
 
 use crate::eio;
-use crate::memo::{MemoKey, ResponseMemo};
 use crate::netcore::{resident_bytes, ConnCounters, Reactor, ShutdownHandle};
 use crate::protocol::{render_error, ErrorCode, InferRequest, TraceSelect};
 use crate::queue::BoundedQueue;
-use crate::routing;
 use crate::service;
 use crate::service::{IncrementalPolicy, SummaryPolicy};
 use crate::trace::{SamplingPolicy, StoredTrace, TraceRing};
@@ -77,13 +75,6 @@ pub struct ServerConfig {
     /// callee body (default) or apply callee ψ-summaries from the
     /// daemon-lifetime shared table.
     pub interproc: InterprocMode,
-    /// Serve repeat requests for an α-equivalent method from the ψ-level
-    /// response memo (`--memo`). Off by default: with the memo on, repeat
-    /// requests skip the pipeline entirely, which changes the solver-cache
-    /// traffic the corpus differential tests observe.
-    pub memo: bool,
-    /// Response-memo capacity in entries (FIFO eviction).
-    pub memo_capacity: usize,
 }
 
 impl Default for ServerConfig {
@@ -99,8 +90,6 @@ impl Default for ServerConfig {
             trace_buffer: 64,
             incremental: true,
             interproc: InterprocMode::Inline,
-            memo: false,
-            memo_capacity: 4096,
         }
     }
 }
@@ -144,10 +133,6 @@ pub(crate) struct Job {
     pub(crate) request: InferRequest,
     pub(crate) deadline: Deadline,
     pub(crate) admitted_at: Instant,
-    /// The response-memo key, precomputed at admission when the memo is
-    /// enabled and the program compiles (the worker stores its completed
-    /// outcome under it).
-    pub(crate) memo_key: Option<MemoKey>,
     pub(crate) reply: ReplyTo,
 }
 
@@ -185,8 +170,6 @@ pub(crate) struct Shared {
     pub(crate) sampling: SamplingPolicy,
     /// Unified metrics, served by the `metrics` verb.
     pub(crate) registry: Arc<MetricsRegistry>,
-    /// The ψ-level response memo (`--memo`); `None` when disabled.
-    pub(crate) memo: Option<Arc<ResponseMemo>>,
     /// Idle-close deadline for silent connections; `None` when disabled.
     pub(crate) idle_timeout: Option<Duration>,
     /// Admission counter: ids are 1-based, assigned in [`start_infer`].
@@ -221,7 +204,6 @@ impl Server {
             enabled: cfg.incremental,
             stats: Arc::new(IncrementalCounters::default()),
         };
-        let memo = cfg.memo.then(|| Arc::new(ResponseMemo::new(cfg.memo_capacity)));
         let summaries = SummaryPolicy { mode: cfg.interproc, ..SummaryPolicy::default() };
         let registry = Arc::new(MetricsRegistry::new());
         register_metrics(
@@ -236,7 +218,6 @@ impl Server {
             &ring,
             &incremental.stats,
             &summaries,
-            &memo,
             started,
         );
         let shared = Arc::new(Shared {
@@ -253,7 +234,6 @@ impl Server {
             summaries,
             sampling: SamplingPolicy::new(cfg.trace_sample, cfg.slow_trace_ms),
             registry,
-            memo,
             idle_timeout: (cfg.idle_timeout_ms > 0)
                 .then(|| Duration::from_millis(cfg.idle_timeout_ms)),
             next_request_id: AtomicU64::new(0),
@@ -303,16 +283,13 @@ impl Server {
 
 /// The outcome of trying to start an `infer` request.
 pub(crate) enum InferDisposition {
-    /// The response is already known: memo hit, rejection, or drain.
+    /// The response is already known: rejection or drain.
     Done(String),
     /// A job was admitted; the response arrives through the [`ReplyTo`].
     Queued,
 }
 
-/// The admission path: drain check, memo lookup, then bounded admission.
-/// On a memo hit the stored completed outcome is rendered inline — no
-/// worker-pool hop at all — which is what lets the connection core answer
-/// warm repeat traffic at wire speed.
+/// The admission path: drain check, then bounded admission.
 pub(crate) fn start_infer(
     id: Option<String>,
     request: InferRequest,
@@ -327,38 +304,12 @@ pub(crate) fn start_infer(
         ));
     }
     // The admission id is assigned before the push so the job carries it;
-    // rejected (overloaded) and memo-served requests consume ids too.
+    // rejected (overloaded) requests consume ids too.
     let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
-    let mut memo_key = None;
-    if let Some(memo) = &shared.memo {
-        // Uncompilable programs get no key: errors are never memoized and
-        // the worker will produce the typed compile_error itself.
-        if let Ok(m) = routing::canonical_method(&request.program, request.func.as_deref()) {
-            let key = MemoKey { canon: m.canon, tests: request.tests };
-            if let Some(entry) = memo.get(&key) {
-                shared.counters.infers_ok.fetch_add(1, Ordering::Relaxed);
-                return InferDisposition::Done(service::render_infer_response(
-                    id.as_deref(),
-                    request_id,
-                    &entry.outcome,
-                    0.0,
-                    &shared.cache,
-                ));
-            }
-            memo_key = Some(key);
-        }
-    }
     let deadline_ms = request.deadline_ms.or(shared.default_deadline_ms);
     let deadline = deadline_ms.map(Deadline::after_ms).unwrap_or_default();
-    let job = Job {
-        request_id,
-        id: id.clone(),
-        request,
-        deadline,
-        admitted_at: Instant::now(),
-        memo_key,
-        reply,
-    };
+    let job =
+        Job { request_id, id: id.clone(), request, deadline, admitted_at: Instant::now(), reply };
     if shared.queue.try_push(job).is_err() {
         shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
         return InferDisposition::Done(render_error(
@@ -450,22 +401,6 @@ pub(crate) fn render_stats_response(id: Option<&str>, shared: &Shared) -> String
                 );
             }
             b.build()
-        })
-        .raw("response_memo", {
-            let b = ObjBuilder::new().bool("enabled", shared.memo.is_some());
-            match &shared.memo {
-                Some(memo) => {
-                    let m = memo.stats();
-                    b.u64("hits", m.hits)
-                        .u64("misses", m.misses)
-                        .u64("inserts", m.inserts)
-                        .u64("evictions", m.evictions)
-                        .u64("entries", m.entries)
-                        .f64("hit_rate", m.hit_rate())
-                        .build()
-                }
-                None => b.build(),
-            }
         })
         .raw(
             "counters",
@@ -614,13 +549,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                     queue_ms,
                     &shared.cache,
                 );
-                // Only clean completions enter the memo: a timed-out
-                // partial must never be replayed to later callers.
-                if !outcome.timed_out {
-                    if let (Some(memo), Some(key)) = (&shared.memo, job.memo_key) {
-                        memo.insert(key, outcome.clone());
-                    }
-                }
                 (resp, outcome.func)
             }
             Err(e) => {
@@ -693,7 +621,6 @@ fn register_metrics(
     ring: &Arc<TraceRing>,
     incremental: &Arc<IncrementalCounters>,
     summaries: &SummaryPolicy,
-    memo: &Option<Arc<ResponseMemo>>,
     started: Instant,
 ) {
     conns.register(reg, started);
@@ -705,44 +632,6 @@ fn register_metrics(
     reg.gauge("preinfer_queue_capacity", "Admission queue capacity.", &[], move || {
         q.capacity() as f64
     });
-    if let Some(memo) = memo {
-        const MEMO_LOOKUP_HELP: &str = "Response-memo lookups by result.";
-        let m = Arc::clone(memo);
-        reg.counter(
-            "preinfer_response_memo_lookups_total",
-            MEMO_LOOKUP_HELP,
-            &[("result", "hit")],
-            move || m.stats().hits,
-        );
-        let m = Arc::clone(memo);
-        reg.counter(
-            "preinfer_response_memo_lookups_total",
-            MEMO_LOOKUP_HELP,
-            &[("result", "miss")],
-            move || m.stats().misses,
-        );
-        let m = Arc::clone(memo);
-        reg.counter(
-            "preinfer_response_memo_inserts_total",
-            "Completed outcomes stored in the response memo.",
-            &[],
-            move || m.stats().inserts,
-        );
-        let m = Arc::clone(memo);
-        reg.counter(
-            "preinfer_response_memo_evictions_total",
-            "Response-memo entries evicted (FIFO).",
-            &[],
-            move || m.stats().evictions,
-        );
-        let m = Arc::clone(memo);
-        reg.gauge(
-            "preinfer_response_memo_entries",
-            "Entries resident in the response memo.",
-            &[],
-            move || m.stats().entries as f64,
-        );
-    }
     let c = Arc::clone(conns);
     reg.counter("preinfer_requests_total", "Parsed request frames.", &[], move || {
         c.requests.load(Ordering::Relaxed)

@@ -58,7 +58,7 @@ impl Default for SummaryPolicy {
 }
 
 /// One inferred ACL in an `infer` response.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct AclOutcome {
     /// Debug-rendered check id (stable across offline/served runs).
     pub acl: String,
@@ -76,7 +76,7 @@ pub struct AclOutcome {
 }
 
 /// A completed `infer` request.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct InferOutcome {
     pub func: String,
     pub tests: usize,

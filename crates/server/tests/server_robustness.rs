@@ -6,13 +6,18 @@
 //!
 //! Every property runs against both serving topologies: a daemon, and the
 //! `preinfer-router` front over two shard daemons — hostile bytes must
-//! bounce off each of them identically.
+//! bounce off each of them identically. A wide pipelined fan-in against a
+//! default daemon must answer every request exactly once.
 
 use proptest::prelude::*;
-use server::{Client, Router, RouterConfig, Server, ServerConfig, MAX_FRAME_LEN};
+use server::{
+    protocol, served_psis, Client, InferRequest, Router, RouterConfig, Server, ServerConfig,
+    MAX_FRAME_LEN,
+};
+use std::collections::HashSet;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::OnceLock;
+use std::sync::{Barrier, OnceLock};
 use std::time::Duration;
 
 /// The addresses of one daemon and one two-shard router, shared by every
@@ -227,4 +232,89 @@ fn slow_partial_writes_are_decoded_not_idle_closed() {
     let resp = cl.read_response().expect("slow frame answered");
     assert_eq!(resp.get("ok").and_then(|v| v.as_bool()), Some(true));
     assert_eq!(resp.str_field("id"), Some("slow"));
+}
+
+/// 64 connections each pipeline 16 `infer` requests at a default daemon at
+/// once, overrunning its 64-slot admission queue. Every request gets
+/// exactly one reply, matched by id: either `ok` with the offline ψ or a
+/// typed `overloaded` rejection. None is dropped and none fails any other
+/// way.
+#[test]
+fn wide_pipelined_fan_in_answers_every_request_once() {
+    const CONNECTIONS: usize = 64;
+    const DEPTH: usize = 16;
+    let subject = subjects::all_subjects()
+        .into_iter()
+        .find(|m| m.name == "guarded_div")
+        .expect("corpus has guarded_div");
+    let tp = subject.compile();
+    let suite = testgen::generate_tests(&tp, subject.name, &testgen::TestGenConfig::default());
+    let offline: Vec<String> = preinfer_core::infer_all_preconditions(
+        &tp,
+        subject.name,
+        &suite,
+        &preinfer_core::PreInferConfig::default(),
+        1,
+    )
+    .iter()
+    .map(|(_, inf)| inf.precondition.psi.to_string())
+    .collect();
+    let req = InferRequest {
+        program: subject.source.to_string(),
+        func: Some(subject.name.to_string()),
+        deadline_ms: None,
+        tests: None,
+        jobs: 1,
+        trace: None,
+    };
+
+    let server = Server::start(ServerConfig::default()).expect("bind loopback");
+    let addr = server.local_addr().to_string();
+    let barrier = Barrier::new(CONNECTIONS);
+    let (ok, overloaded): (usize, usize) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CONNECTIONS)
+            .map(|c| {
+                let (addr, barrier, req, offline) = (&addr, &barrier, &req, &offline);
+                scope.spawn(move || {
+                    let mut cl = Client::connect(addr).expect("connect");
+                    cl.stream_mut()
+                        .set_read_timeout(Some(Duration::from_secs(120)))
+                        .expect("read timeout");
+                    barrier.wait();
+                    let ids: HashSet<String> = (0..DEPTH).map(|i| format!("c{c}-{i}")).collect();
+                    for id in &ids {
+                        let frame = protocol::render_infer(Some(id), req);
+                        protocol::write_frame(cl.stream_mut(), &frame).expect("pipelined write");
+                    }
+                    let (mut ok, mut overloaded) = (0, 0);
+                    let mut answered = HashSet::new();
+                    for _ in 0..DEPTH {
+                        let resp = cl.read_response().expect("every request is answered");
+                        let id = resp.str_field("id").expect("id echoed").to_string();
+                        assert!(ids.contains(&id), "reply to an id never sent: {resp:?}");
+                        assert!(answered.insert(id), "a request answered twice: {resp:?}");
+                        match resp.str_field("error") {
+                            None => {
+                                let served = served_psis(&resp).expect("ok reply");
+                                assert_eq!(&served, offline, "served ψ diverged: {resp:?}");
+                                ok += 1;
+                            }
+                            Some("overloaded") => overloaded += 1,
+                            Some(other) => panic!("unexpected error `{other}`: {resp:?}"),
+                        }
+                    }
+                    (ok, overloaded)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("connection thread"))
+            .fold((0, 0), |(a, b), (x, y)| (a + x, b + y))
+    });
+    assert_eq!(ok + overloaded, CONNECTIONS * DEPTH);
+    assert!(ok > 0, "the fan-in must not starve every request");
+    assert_alive(server.local_addr());
+    server.handle().shutdown();
+    server.join();
 }

@@ -268,44 +268,70 @@ fn metrics_verb_serves_prometheus_exposition() {
     server.join();
 }
 
-/// An `infer` answered inline — here a response-memo hit, which never
-/// reaches a worker — still leaves its sampled trace_id as the exemplar
-/// on the infer latency histogram. Exemplars are kept only for samples of
-/// at least ~1 ms, so the program carries a ~2 MB comment: decoding and
-/// canonicalizing it makes even the memo hit that slow.
+/// An `infer` answered inline — here a typed `overloaded` rejection,
+/// which never reaches a worker — still leaves its sampled trace_id as
+/// the exemplar on the infer latency histogram. Exemplars are kept only
+/// for samples of at least ~1 ms, so the rejected program carries a
+/// ~220 KB comment: decoding it makes even the rejection that slow.
 #[test]
-fn inline_memo_hits_keep_their_latency_exemplar() {
-    let server = Server::start(ServerConfig { memo: true, ..ServerConfig::default() })
-        .expect("bind loopback");
-    let mut cl = Client::connect(&server.local_addr().to_string()).expect("connect");
-    let mut req = motivating_req();
-    req.program.push_str(&"// padding keeps this frame slow to decode\n".repeat(50_000));
-
-    // Cold and unsampled: runs the pipeline and fills the memo.
-    assert!(served_psis(&cl.infer(&req).expect("cold infer")).is_some(), "cold infer failed");
+fn inline_overloaded_replies_keep_their_latency_exemplar() {
     let tid = "0123456789abcdef0123456789abcdef";
-    req.trace = Some(server::TraceContext {
+    let mut probe = motivating_req();
+    probe.program.push_str(&"// padding keeps this frame slow to decode\n".repeat(5_000));
+    probe.trace = Some(server::TraceContext {
         trace_id: tid.to_string(),
         parent_span_id: None,
         sampled: true,
     });
-    assert!(served_psis(&cl.infer(&req).expect("memo-hit infer")).is_some(), "memo hit failed");
-    let stats = cl.stats().expect("stats round-trip");
-    let hits = stats.get("response_memo").and_then(|m| m.u64_field("hits"));
-    assert_eq!(hits, Some(1), "the sampled repeat must be a memo hit: {stats:?}");
-
-    let resp = cl.metrics().expect("metrics round-trip");
-    let text = resp.str_field("text").expect("exposition text");
-    let exemplar = format!(" # {{trace_id=\"{tid}\"}} ");
-    assert!(
-        text.lines().any(|l| {
-            l.starts_with("preinfer_request_duration_us_bucket{verb=\"infer\",")
-                && l.contains(&exemplar)
-        }),
-        "infer latency lacks the memo hit's exemplar:\n{text}"
-    );
-    server.handle().shutdown();
-    server.join();
+    // 4000 uncalled functions make a filler ~20x slower for a worker to
+    // compile than for the connection core to decode.
+    let mut filler = motivating_req();
+    for i in 0..4_000 {
+        filler.program.push_str(&format!("fn pad{i}(x int) -> int {{ return x + {i}; }}\n"));
+    }
+    let frames = [("fill-0", &filler), ("fill-1", &filler), ("probe", &probe)];
+    // One worker and one queue slot: the first filler occupies the
+    // worker, the second takes the slot while the first compiles, so the
+    // probe pipelined behind them is rejected. Timing-dependent, so allow
+    // a few rounds on fresh daemons.
+    for _round in 0..5 {
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServerConfig::default()
+        })
+        .expect("bind loopback");
+        let mut cl = Client::connect(&server.local_addr().to_string()).expect("connect");
+        for (id, req) in frames {
+            let frame = server::protocol::render_infer(Some(id), req);
+            server::protocol::write_frame(cl.stream_mut(), &frame).expect("pipelined write");
+        }
+        let mut rejected = false;
+        for _ in 0..frames.len() {
+            let resp = cl.read_response().expect("pipelined response");
+            if resp.str_field("id") == Some("probe") {
+                rejected = resp.str_field("error") == Some("overloaded");
+            }
+        }
+        if rejected {
+            let resp = cl.metrics().expect("metrics round-trip");
+            let text = resp.str_field("text").expect("exposition text");
+            let exemplar = format!(" # {{trace_id=\"{tid}\"}} ");
+            assert!(
+                text.lines().any(|l| {
+                    l.starts_with("preinfer_request_duration_us_bucket{verb=\"infer\",")
+                        && l.contains(&exemplar)
+                }),
+                "infer latency lacks the overloaded reply's exemplar:\n{text}"
+            );
+        }
+        server.handle().shutdown();
+        server.join();
+        if rejected {
+            return;
+        }
+    }
+    panic!("a probe pipelined behind two fillers was never rejected by a 1-slot queue");
 }
 
 /// The tentpole invariant: per-request recording sinks never change a

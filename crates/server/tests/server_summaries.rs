@@ -3,7 +3,10 @@
 //! the same corpus strictly increases the table hit rate (α-equivalent
 //! callee closures are re-resolved from the shared table instead of
 //! re-inferred), served ψ stays identical across passes, and the
-//! `preinfer_summary_*` metrics family appears in the exposition.
+//! `preinfer_summary_*` metrics family appears in the exposition. A
+//! method's identity is its whole callee closure, not its entry function:
+//! one daemon serves two programs that differ only in a callee body each
+//! its own ψ, in both interprocedural modes.
 
 use concolic::InterprocMode;
 use server::{served_psis, Client, InferRequest, Server, ServerConfig};
@@ -20,10 +23,23 @@ fn divisor(den int) -> int { return 10 / den; }
 fn shifted(v int) -> int { return divisor(v - 1); }
 fn entry(y int) -> int { return shifted(y - 2); }";
 
+/// `lift_guard` with two `check_pos` bodies: the entry function renders
+/// identically in both, so only the callee tells them apart.
+const LIFT_GUARD_GT0: &str = "
+fn check_pos(v int) -> int { assert(v > 0); return v; }
+fn lift_guard(x int) -> int { return check_pos(x - 3); }";
+const LIFT_GUARD_GT10: &str = "
+fn check_pos(v int) -> int { assert(v > 10); return v; }
+fn lift_guard(x int) -> int { return check_pos(x - 3); }";
+
 fn req(program: &str) -> InferRequest {
+    req_for(program, "entry")
+}
+
+fn req_for(program: &str, func: &str) -> InferRequest {
     InferRequest {
         program: program.to_string(),
-        func: Some("entry".to_string()),
+        func: Some(func.to_string()),
         deadline_ms: None,
         tests: None,
         jobs: 1,
@@ -105,4 +121,44 @@ fn inline_mode_serves_an_idle_summaries_block() {
     assert_eq!(block.u64_field("entries"), Some(0));
     server.handle().shutdown();
     server.join();
+}
+
+/// The offline (inline, cold-cache) pipeline's rendered ψ strings.
+fn offline_psis(source: &str, func: &str) -> Vec<String> {
+    let tp = minilang::compile(source).expect("test program compiles");
+    let suite = testgen::generate_tests(&tp, func, &testgen::TestGenConfig::default());
+    let cfg = preinfer_core::PreInferConfig::default();
+    preinfer_core::infer_all_preconditions(&tp, func, &suite, &cfg, 1)
+        .iter()
+        .map(|(_, inf)| inf.precondition.psi.to_string())
+        .collect()
+}
+
+#[test]
+fn same_entry_function_with_different_callees_gets_its_own_psi() {
+    let programs = [(LIFT_GUARD_GT0, "(x - 3) > 0"), (LIFT_GUARD_GT10, "(x - 3) > 10")];
+    let expected: Vec<Vec<String>> = programs
+        .iter()
+        .map(|&(source, psi)| {
+            let offline = offline_psis(source, "lift_guard");
+            assert_eq!(offline, vec![psi.to_string()], "offline ψ of {source}");
+            offline
+        })
+        .collect();
+    for interproc in [InterprocMode::Inline, InterprocMode::Summary] {
+        let server = Server::start(ServerConfig { interproc, ..ServerConfig::default() })
+            .expect("bind loopback");
+        let mut cl = Client::connect(&server.local_addr().to_string()).expect("connect");
+        // Both orders on one daemon: whichever program is served first,
+        // nothing it leaves behind may answer for the other.
+        for round in 0..2 {
+            for ((source, _), want) in programs.iter().zip(&expected) {
+                let resp = cl.infer(&req_for(source, "lift_guard")).expect("infer round-trip");
+                let served = served_psis(&resp).expect("served ψ");
+                assert_eq!(&served, want, "{interproc:?} mode, round {round}: {source}");
+            }
+        }
+        server.handle().shutdown();
+        server.join();
+    }
 }
