@@ -1,12 +1,17 @@
 //! Perf smoke: times end-to-end inference with the solver cache and the
 //! parallel driver against the serial/uncached baseline and emits
 //! `BENCH_solver_cache.json` in the working directory, plus a tiered-vs-
-//! simplex-only backend comparison emitted as `BENCH_solver_tiers.json`.
+//! simplex-only backend comparison (`BENCH_solver_tiers.json`), warm
+//! sessions against the scratch reference (`BENCH_solver_incremental.json`)
+//! and summary against inline interprocedural inference
+//! (`BENCH_interproc.json`).
 //!
 //! This is the quick, scriptable counterpart of `cargo bench -p bench
 //! --bench solver_cache`: a handful of repetitions per configuration, the
 //! minimum wall-clock kept (least-noise estimator), plus the cache's
-//! hit/miss counters from the cached run.
+//! hit/miss counters from the cached run. Every timed arm also reports the
+//! quartiles of all its samples (`spread_ms`), so a reader can tell a
+//! regression from run-to-run noise.
 
 use preinfer_core::{infer_all_preconditions, PreInferConfig};
 use report::{evaluate_corpus, EvalConfig};
@@ -23,11 +28,40 @@ const REPS: usize = 3;
 /// sub-100ms wall clocks and so needs more samples than the tier timings.
 const INCREMENTAL_REPS: usize = 8;
 
+/// Every timed sample of one arm, in nanoseconds.
+#[derive(Default)]
+struct Samples(Vec<u128>);
+
+impl Samples {
+    fn push(&mut self, ns: u128) -> u128 {
+        self.0.push(ns);
+        ns
+    }
+
+    /// The fastest sample (the least-noise time estimator), in ms.
+    fn min_ms(&self) -> f64 {
+        self.0.iter().min().map_or(0.0, |&ns| ns as f64 / 1e6)
+    }
+
+    /// `{"q1": …, "median": …, "q3": …}` over every sample, in ms, with
+    /// linearly interpolated quartiles.
+    fn spread_json(&self) -> String {
+        let mut v: Vec<f64> = self.0.iter().map(|&ns| ns as f64 / 1e6).collect();
+        v.sort_by(|a, b| a.total_cmp(b));
+        let q = |p: f64| {
+            let x = p * (v.len() - 1) as f64;
+            let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+            v[lo] + (v[hi] - v[lo]) * (x - lo as f64)
+        };
+        format!("{{\"q1\": {:.3}, \"median\": {:.3}, \"q3\": {:.3}}}", q(0.25), q(0.5), q(0.75))
+    }
+}
+
 struct CaseResult {
     name: String,
-    serial_uncached_ns: u128,
-    serial_cached_ns: u128,
-    parallel_cached_ns: u128,
+    uncached: Samples,
+    cached: Samples,
+    parallel: Samples,
     /// Median of per-rep paired uncached/cached ratios (see
     /// [`measure_cache_arms`]) — the number the check-script gate consumes.
     speedup_cache: f64,
@@ -58,14 +92,14 @@ enum Arm {
     Parallel,
 }
 
-/// Robust timings for one cache case. `*_ns` are best-of-all-samples per
-/// arm (the least-noise *time* estimator); the speedups are medians of
-/// per-rep *paired* ratios, each cached/parallel sample compared against
-/// the mean of the two uncached samples bracketing it in time.
+/// Robust timings for one cache case: every sample per arm, and the
+/// speedups as medians of per-rep *paired* ratios, each cached/parallel
+/// sample compared against the mean of the two uncached samples bracketing
+/// it in time.
 struct ArmStats {
-    uncached_ns: u128,
-    cached_ns: u128,
-    parallel_ns: u128,
+    uncached: Samples,
+    cached: Samples,
+    parallel: Samples,
     speedup_cache: f64,
     speedup_parallel: f64,
     /// Median |gap| between the two uncached samples of a rep, in percent
@@ -82,25 +116,23 @@ struct ArmStats {
 /// charged to no arm.
 fn measure_cache_arms(mut once: impl FnMut(Arm) -> u128) -> ArmStats {
     once(Arm::Uncached); // warm-up, untimed
-    let (mut u_min, mut c_min, mut p_min) = (u128::MAX, u128::MAX, u128::MAX);
+    let (mut uncached, mut cached, mut parallel) =
+        (Samples::default(), Samples::default(), Samples::default());
     let (mut ratios, mut pratios, mut noises) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..CACHE_REPS {
-        let u1 = once(Arm::Uncached);
-        let c = once(Arm::Cached);
-        let u2 = once(Arm::Uncached);
-        let p = once(Arm::Parallel);
-        u_min = u_min.min(u1).min(u2);
-        c_min = c_min.min(c);
-        p_min = p_min.min(p);
+        let u1 = uncached.push(once(Arm::Uncached));
+        let c = cached.push(once(Arm::Cached));
+        let u2 = uncached.push(once(Arm::Uncached));
+        let p = parallel.push(once(Arm::Parallel));
         let base = (u1 as f64 + u2 as f64) / 2.0;
         ratios.push(base / c as f64);
         pratios.push(base / p as f64);
         noises.push(100.0 * ((u2 as f64 - u1 as f64) / u1 as f64).abs());
     }
     ArmStats {
-        uncached_ns: u_min,
-        cached_ns: c_min,
-        parallel_ns: p_min,
+        uncached,
+        cached,
+        parallel,
         speedup_cache: median(ratios),
         speedup_parallel: median(pratios),
         noise_pct: median(noises),
@@ -165,9 +197,9 @@ fn run_case(m: &SubjectMethod, jobs: usize) -> CaseResult {
     // traffic against an initially empty cache.
     CaseResult {
         name: format!("{}::{}", m.namespace, m.name),
-        serial_uncached_ns: stats.uncached_ns,
-        serial_cached_ns: stats.cached_ns,
-        parallel_cached_ns: stats.parallel_ns,
+        uncached: stats.uncached,
+        cached: stats.cached,
+        parallel: stats.parallel,
         speedup_cache: stats.speedup_cache,
         speedup_cache_parallel: stats.speedup_parallel,
         stats: cache.stats(),
@@ -203,9 +235,9 @@ fn run_tables_case(jobs: usize) -> CaseResult {
     });
     CaseResult {
         name: format!("paper_tables::{}_method_slice", methods.len()),
-        serial_uncached_ns: stats.uncached_ns,
-        serial_cached_ns: stats.cached_ns,
-        parallel_cached_ns: stats.parallel_ns,
+        uncached: stats.uncached,
+        cached: stats.cached,
+        parallel: stats.parallel,
         speedup_cache: stats.speedup_cache,
         speedup_cache_parallel: stats.speedup_parallel,
         stats: CacheStats { hits, misses, evictions: 0, evicted_entries: 0, entries: 0 },
@@ -217,15 +249,14 @@ fn run_tables_case(jobs: usize) -> CaseResult {
 /// timing difference is pure backend cost and the counters reflect raw
 /// query traffic), tiered vs simplex-only.
 struct SolverTiersResult {
-    tiered_ms: f64,
-    simplex_only_ms: f64,
+    tiered: Samples,
+    simplex_only: Samples,
     tiers: TierSnapshot,
 }
 
 /// Times the corpus-slice workload under both backend stacks. Reps are
 /// interleaved (tiered, simplex, tiered, simplex, …) so machine-level
-/// drift hits both configurations the same way; the minimum per
-/// configuration is kept.
+/// drift hits both configurations the same way.
 fn run_solver_tiers_case() -> SolverTiersResult {
     let names = ["bubble_sort", "guarded_div", "stack_pop", "inverse_sum", "binary_search"];
     let methods: Vec<SubjectMethod> =
@@ -244,20 +275,15 @@ fn run_solver_tiers_case() -> SolverTiersResult {
             results.iter().fold(TierSnapshot::default(), |acc, r| acc.plus(&r.solver_tiers));
         (elapsed, tiers)
     };
-    let (mut tiered_ns, mut simplex_ns) = (u128::MAX, u128::MAX);
+    let (mut tiered, mut simplex_only) = (Samples::default(), Samples::default());
     let mut tiers = TierSnapshot::default();
     for _ in 0..REPS {
         let (t, snapshot) = run(BackendKind::Tiered);
-        tiered_ns = tiered_ns.min(t);
+        tiered.push(t);
         tiers = snapshot; // identical every rep: counters are per-run
-        let (s, _) = run(BackendKind::Simplex);
-        simplex_ns = simplex_ns.min(s);
+        simplex_only.push(run(BackendKind::Simplex).0);
     }
-    SolverTiersResult {
-        tiered_ms: tiered_ns as f64 / 1e6,
-        simplex_only_ms: simplex_ns as f64 / 1e6,
-        tiers,
-    }
+    SolverTiersResult { tiered, simplex_only, tiers }
 }
 
 /// The incremental-solving comparison: warm [`IncrementalSession`]s vs
@@ -265,8 +291,8 @@ fn run_solver_tiers_case() -> SolverTiersResult {
 /// Algorithm 1's implied-check sweeps replayed from the corpus's real
 /// failing paths.
 struct SolverIncrementalResult {
-    incremental_ms: f64,
-    scratch_ms: f64,
+    incremental: Samples,
+    scratch: Samples,
     sweeps: usize,
     queries: usize,
 }
@@ -288,8 +314,8 @@ struct PathSweep {
 /// creation, diffing, pushes *and* solves; the scratch arm pays
 /// canonicalization and building per query. Reps are interleaved (warm,
 /// scratch, warm, scratch, …) so machine-level drift hits both arms the
-/// same way; the minimum per arm is kept, and extra reps because the
-/// gate consumes a ratio of two small numbers.
+/// same way; the gate reads the minimum per arm, and extra reps because
+/// it consumes a ratio of two small numbers.
 fn run_solver_incremental_case() -> SolverIncrementalResult {
     const MIN_PATH_DEPTH: usize = 6;
     let mut sweeps: Vec<PathSweep> = Vec::new();
@@ -337,9 +363,9 @@ fn run_solver_incremental_case() -> SolverIncrementalResult {
         }
         start.elapsed().as_nanos()
     };
-    // Warm-up pass doubling as an equivalence spot check (the dedicated
-    // differential suite is the real guarantee; this catches a broken
-    // build before it pollutes the timing).
+    // Warm-up pass doubling as an equivalence spot check (the corpus
+    // replay in tests/session_replay.rs is the real guarantee; this catches
+    // a broken build before it pollutes the timing).
     for sw in &sweeps {
         let mut session = solver::IncrementalSession::new(&sw.sig, &cfg, None);
         for q in &sw.queries {
@@ -348,17 +374,12 @@ fn run_solver_incremental_case() -> SolverIncrementalResult {
             assert_eq!(w, s, "incremental/scratch divergence in bench workload");
         }
     }
-    let (mut incremental_ns, mut scratch_ns) = (u128::MAX, u128::MAX);
+    let (mut incremental, mut scratch_arm) = (Samples::default(), Samples::default());
     for _ in 0..INCREMENTAL_REPS {
-        incremental_ns = incremental_ns.min(warm());
-        scratch_ns = scratch_ns.min(scratch());
+        incremental.push(warm());
+        scratch_arm.push(scratch());
     }
-    SolverIncrementalResult {
-        incremental_ms: incremental_ns as f64 / 1e6,
-        scratch_ms: scratch_ns as f64 / 1e6,
-        sweeps: sweeps.len(),
-        queries,
-    }
+    SolverIncrementalResult { incremental, scratch: scratch_arm, sweeps: sweeps.len(), queries }
 }
 
 /// The interprocedural comparison: inline callee unrolling vs bottom-up
@@ -370,16 +391,16 @@ fn run_solver_incremental_case() -> SolverIncrementalResult {
 /// entry-level path space.
 struct InterprocResult {
     methods: usize,
-    inline_ms: f64,
-    summary_ms: f64,
-    ratio: f64,
+    inline: Samples,
+    summary: Samples,
     table_entries: usize,
     table_hits: u64,
     applies: u64,
 }
 
 /// Reps for the interproc case: interleaved (inline, summary, inline, …)
-/// so machine-level drift hits both modes the same way; minimum per arm.
+/// so machine-level drift hits both modes the same way; the gate reads
+/// the minimum per arm.
 const INTERPROC_REPS: usize = 7;
 
 fn run_interproc_case() -> InterprocResult {
@@ -465,18 +486,15 @@ fn run_interproc_case() -> InterprocResult {
         std::hint::black_box(build);
     }
     let warm_hits = table.hits() - hits_before;
-    let (mut inline_ns, mut summary_ns) = (u128::MAX, u128::MAX);
+    let (mut inline, mut summary) = (Samples::default(), Samples::default());
     for _ in 0..INTERPROC_REPS {
-        inline_ns = inline_ns.min(inline_pass());
-        summary_ns = summary_ns.min(summary_pass());
+        inline.push(inline_pass());
+        summary.push(summary_pass());
     }
-    let inline_ms = inline_ns as f64 / 1e6;
-    let summary_ms = summary_ns as f64 / 1e6;
     InterprocResult {
         methods: methods.len(),
-        inline_ms,
-        summary_ms,
-        ratio: summary_ms / inline_ms,
+        inline,
+        summary,
         table_entries: table.len(),
         table_hits: warm_hits,
         applies: apply_stats.applies(),
@@ -601,17 +619,16 @@ fn main() {
         let hit_rate = r.stats.hit_rate();
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"case\": \"{}\",", r.name);
+        let _ = writeln!(json, "      \"serial_uncached_ms\": {:.3},", r.uncached.min_ms());
+        let _ = writeln!(json, "      \"serial_cached_ms\": {:.3},", r.cached.min_ms());
+        let _ = writeln!(json, "      \"parallel_cached_ms\": {:.3},", r.parallel.min_ms());
         let _ = writeln!(
             json,
-            "      \"serial_uncached_ms\": {:.3},",
-            r.serial_uncached_ns as f64 / 1e6
-        );
-        let _ =
-            writeln!(json, "      \"serial_cached_ms\": {:.3},", r.serial_cached_ns as f64 / 1e6);
-        let _ = writeln!(
-            json,
-            "      \"parallel_cached_ms\": {:.3},",
-            r.parallel_cached_ns as f64 / 1e6
+            "      \"spread_ms\": {{\"serial_uncached\": {}, \"serial_cached\": {}, \
+             \"parallel_cached\": {}}},",
+            r.uncached.spread_json(),
+            r.cached.spread_json(),
+            r.parallel.spread_json()
         );
         let _ = writeln!(json, "      \"cache_hits\": {},", r.stats.hits);
         let _ = writeln!(json, "      \"cache_misses\": {},", r.stats.misses);
@@ -643,16 +660,20 @@ fn main() {
 
     let st = run_solver_tiers_case();
     let t = &st.tiers;
+    let (tiered_ms, simplex_only_ms) = (st.tiered.min_ms(), st.simplex_only.min_ms());
     let mut tiers_json = String::from("{\n");
     let _ = writeln!(tiers_json, "  \"case\": \"paper_tables::5_method_slice\",");
     let _ = writeln!(tiers_json, "  \"reps\": {REPS},");
-    let _ = writeln!(tiers_json, "  \"tiered_ms\": {:.3},", st.tiered_ms);
-    let _ = writeln!(tiers_json, "  \"simplex_only_ms\": {:.3},", st.simplex_only_ms);
+    let _ = writeln!(tiers_json, "  \"tiered_ms\": {tiered_ms:.3},");
+    let _ = writeln!(tiers_json, "  \"simplex_only_ms\": {simplex_only_ms:.3},");
     let _ = writeln!(
         tiers_json,
-        "  \"tiered_vs_simplex_ratio\": {:.4},",
-        st.tiered_ms / st.simplex_only_ms
+        "  \"spread_ms\": {{\"tiered\": {}, \"simplex_only\": {}}},",
+        st.tiered.spread_json(),
+        st.simplex_only.spread_json()
     );
+    let _ =
+        writeln!(tiers_json, "  \"tiered_vs_simplex_ratio\": {:.4},", tiered_ms / simplex_only_ms);
     let _ = writeln!(tiers_json, "  \"answered_by_syntactic\": {},", t.answered_by_syntactic);
     let _ = writeln!(tiers_json, "  \"answered_by_interval\": {},", t.answered_by_interval);
     let _ = writeln!(tiers_json, "  \"answered_by_simplex\": {},", t.answered_by_simplex);
@@ -662,30 +683,45 @@ fn main() {
     std::fs::write("BENCH_solver_tiers.json", &tiers_json).expect("write BENCH_solver_tiers.json");
 
     let si = run_solver_incremental_case();
+    let (incremental_ms, scratch_ms) = (si.incremental.min_ms(), si.scratch.min_ms());
     let mut inc_json = String::from("{\n");
     let _ = writeln!(inc_json, "  \"case\": \"corpus_failing_paths::algorithm1_sweeps\",");
     let _ = writeln!(inc_json, "  \"reps\": {INCREMENTAL_REPS},");
     let _ = writeln!(inc_json, "  \"sweeps\": {},", si.sweeps);
     let _ = writeln!(inc_json, "  \"queries\": {},", si.queries);
-    let _ = writeln!(inc_json, "  \"incremental_ms\": {:.3},", si.incremental_ms);
-    let _ = writeln!(inc_json, "  \"scratch_ms\": {:.3},", si.scratch_ms);
+    let _ = writeln!(inc_json, "  \"incremental_ms\": {incremental_ms:.3},");
+    let _ = writeln!(inc_json, "  \"scratch_ms\": {scratch_ms:.3},");
+    let _ = writeln!(
+        inc_json,
+        "  \"spread_ms\": {{\"incremental\": {}, \"scratch\": {}}},",
+        si.incremental.spread_json(),
+        si.scratch.spread_json()
+    );
     let _ = writeln!(
         inc_json,
         "  \"incremental_vs_scratch_ratio\": {:.4}",
-        si.incremental_ms / si.scratch_ms
+        incremental_ms / scratch_ms
     );
     inc_json.push_str("}\n");
     std::fs::write("BENCH_solver_incremental.json", &inc_json)
         .expect("write BENCH_solver_incremental.json");
 
     let ip = run_interproc_case();
+    let (inline_ms, summary_ms) = (ip.inline.min_ms(), ip.summary.min_ms());
+    let ip_ratio = summary_ms / inline_ms;
     let mut ip_json = String::from("{\n");
     let _ = writeln!(ip_json, "  \"case\": \"interproc::summary_vs_inline\",");
     let _ = writeln!(ip_json, "  \"reps\": {INTERPROC_REPS},");
     let _ = writeln!(ip_json, "  \"methods\": {},", ip.methods);
-    let _ = writeln!(ip_json, "  \"inline_ms\": {:.3},", ip.inline_ms);
-    let _ = writeln!(ip_json, "  \"summary_ms\": {:.3},", ip.summary_ms);
-    let _ = writeln!(ip_json, "  \"summary_vs_inline_ratio\": {:.4},", ip.ratio);
+    let _ = writeln!(ip_json, "  \"inline_ms\": {inline_ms:.3},");
+    let _ = writeln!(ip_json, "  \"summary_ms\": {summary_ms:.3},");
+    let _ = writeln!(
+        ip_json,
+        "  \"spread_ms\": {{\"inline\": {}, \"summary\": {}}},",
+        ip.inline.spread_json(),
+        ip.summary.spread_json()
+    );
+    let _ = writeln!(ip_json, "  \"summary_vs_inline_ratio\": {ip_ratio:.4},");
     let _ = writeln!(ip_json, "  \"table_entries\": {},", ip.table_entries);
     let _ = writeln!(ip_json, "  \"table_hits\": {},", ip.table_hits);
     let _ = writeln!(ip_json, "  \"summary_applies\": {}", ip.applies);
@@ -700,10 +736,10 @@ fn main() {
         println!(
             "  {:<44} serial {:>8.2} ms | cached {:>8.2} ms ({:.2}x) | parallel+cached {:>8.2} ms ({:.2}x) | hit rate {:.1}%",
             r.name,
-            r.serial_uncached_ns as f64 / 1e6,
-            r.serial_cached_ns as f64 / 1e6,
+            r.uncached.min_ms(),
+            r.cached.min_ms(),
             r.speedup_cache,
-            r.parallel_cached_ns as f64 / 1e6,
+            r.parallel.min_ms(),
             r.speedup_cache_parallel,
             r.stats.hit_rate() * 100.0,
         );
@@ -716,9 +752,9 @@ fn main() {
     println!(
         "  solver tiers: tiered {:.2} ms vs simplex-only {:.2} ms ({:.3}x) | \
          {} syntactic / {} interval / {} simplex, {} escalation(s) ({:.1}% above simplex)",
-        st.tiered_ms,
-        st.simplex_only_ms,
-        st.tiered_ms / st.simplex_only_ms,
+        tiered_ms,
+        simplex_only_ms,
+        tiered_ms / simplex_only_ms,
         t.answered_by_syntactic,
         t.answered_by_interval,
         t.answered_by_simplex,
@@ -728,22 +764,16 @@ fn main() {
     println!(
         "  solver incremental: warm sessions {:.2} ms vs scratch {:.2} ms ({:.3}x) \
          over {} Algorithm-1 sweeps / {} queries",
-        si.incremental_ms,
-        si.scratch_ms,
-        si.incremental_ms / si.scratch_ms,
+        incremental_ms,
+        scratch_ms,
+        incremental_ms / scratch_ms,
         si.sweeps,
         si.queries,
     );
     println!(
         "  interproc: summary {:.2} ms vs inline {:.2} ms ({:.3}x) over {} multi-function \
          methods | {} table entries, {} warm hits, {} summary applies",
-        ip.summary_ms,
-        ip.inline_ms,
-        ip.ratio,
-        ip.methods,
-        ip.table_entries,
-        ip.table_hits,
-        ip.applies,
+        summary_ms, inline_ms, ip_ratio, ip.methods, ip.table_entries, ip.table_hits, ip.applies,
     );
     println!(
         "wrote BENCH_solver_cache.json, BENCH_solver_tiers.json, BENCH_solver_incremental.json \

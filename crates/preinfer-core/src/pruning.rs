@@ -17,10 +17,7 @@
 
 use concolic::{run_concolic, ConcolicConfig};
 use minilang::{CheckId, MethodEntryState, TypedProgram};
-use solver::{
-    solve_preds_with, CacheLookup, FuncSig, IncrementalSession, SolveResult, SolverCache,
-    SolverConfig,
-};
+use solver::{CacheLookup, FuncSig, IncrementalSession, SolveResult, SolverCache, SolverConfig};
 use std::sync::Arc;
 use symbolic::eval::{eval_pred, Env};
 use symbolic::{canon_pred, EntryKind, PathCondition, PathEntry, Pred};
@@ -210,13 +207,9 @@ fn prune_one(
     // Witnesses manufactured while pruning *this* path. Kept private so the
     // reduction is a function of (path, base pool) alone.
     let mut local_pool: Vec<PathCondition> = Vec::new();
-    // All solver queries below conjoin prefixes of this one path, so under
-    // `cfg.solver.incremental` they share a single warm session; answers are
-    // byte-identical to per-call scratch solves.
-    let mut session = cfg
-        .solver
-        .incremental
-        .then(|| IncrementalSession::new(sig, &cfg.solver, cfg.solver_cache.clone()));
+    // All solver queries below conjoin prefixes of this one path, so they
+    // share a single warm session.
+    let mut session = IncrementalSession::new(sig, &cfg.solver, cfg.solver_cache.clone());
     // One `prune_decision` event per examined predicate when recording.
     let decision = |kind: &'static str, j: usize| {
         if let Some(sink) = obs::recording_sink(&cfg.trace) {
@@ -266,7 +259,7 @@ fn prune_one(
         if cfg.dynamic_witnesses && stats.dynamic_runs < cfg.max_dynamic_runs {
             let mut preds: Vec<Pred> = path.entries[..j].iter().map(|e| e.pred.clone()).collect();
             preds.push(path.entries[j].pred.negated());
-            if session_solve(&preds, sig, cfg, &mut session, stats) == SolveResult::Unsat {
+            if session_solve(&mut session, &preds, stats) == SolveResult::Unsat {
                 kept[j] = false;
                 stats.removed += 1;
                 decision("implied", j);
@@ -285,7 +278,7 @@ fn prune_one(
                 && stats.dynamic_runs < cfg.max_dynamic_runs
             {
                 if let Some(newly) =
-                    manufacture(program, func_name, sig, acl, path, j, cfg, &mut session, stats)
+                    manufacture(program, func_name, acl, path, j, cfg, &mut session, stats)
                 {
                     let reaches = newly.reaches_check(acl);
                     local_pool.push(newly);
@@ -354,7 +347,7 @@ fn prune_one(
                 .map(|(_, e)| e.pred.clone())
                 .collect();
             preds.push(path.entries[j].pred.negated());
-            let verdict = match session_solve(&preds, sig, cfg, &mut session, stats) {
+            let verdict = match session_solve(&mut session, &preds, stats) {
                 SolveResult::Unsat => Removal::Lossless,
                 SolveResult::Unknown => Removal::Rejected,
                 SolveResult::Sat(model) => {
@@ -398,21 +391,14 @@ fn prune_one(
     path.entries.iter().enumerate().filter(|(j, _)| kept[*j]).map(|(_, e)| e.clone()).collect()
 }
 
-/// One pruning solver call: through the path's warm [`IncrementalSession`]
-/// when one is open, through the scratch entry point otherwise. The two
-/// routes return identical verdicts and models (see `solver::incremental`);
-/// cache-lookup accounting lands in `stats` either way.
+/// One pruning solver call through the path's warm session, with its
+/// cache-lookup accounting landing in `stats`.
 fn session_solve(
+    session: &mut IncrementalSession,
     preds: &[Pred],
-    sig: &FuncSig,
-    cfg: &PruneConfig,
-    session: &mut Option<IncrementalSession>,
     stats: &mut PruneStats,
 ) -> SolveResult {
-    let (result, lookup) = match session {
-        Some(s) => s.solve_preds(preds),
-        None => solve_preds_with(preds, sig, &cfg.solver, cfg.solver_cache.as_deref()),
-    };
+    let (result, lookup) = session.solve_preds(preds);
     stats.count_lookup(lookup);
     result
 }
@@ -459,12 +445,11 @@ fn find_deviation(
 fn manufacture(
     program: &TypedProgram,
     func_name: &str,
-    sig: &FuncSig,
     acl: CheckId,
     path: &PathCondition,
     j: usize,
     cfg: &PruneConfig,
-    session: &mut Option<IncrementalSession>,
+    session: &mut IncrementalSession,
     stats: &mut PruneStats,
 ) -> Option<PathCondition> {
     let prefix_neg = |with_suffix: bool| -> Vec<Pred> {
@@ -478,7 +463,7 @@ fn manufacture(
     let mut last = None;
     for with_suffix in [true, false] {
         stats.dynamic_runs += 1;
-        let solved = session_solve(&prefix_neg(with_suffix), sig, cfg, session, stats);
+        let solved = session_solve(session, &prefix_neg(with_suffix), stats);
         if let SolveResult::Sat(model) = solved {
             let out = run_concolic(program, func_name, &model, &cfg.concolic);
             let reaches = out.path.reaches_check(acl);

@@ -164,10 +164,6 @@ pub struct EvalConfig {
     /// — and therefore every scored field — are identical for either
     /// value; only speed and tier attribution differ.
     pub solver_backend: BackendKind,
-    /// Solve prefix-sharing queries through warm incremental sessions
-    /// (`true` by default). Like the backend choice, results are identical
-    /// either way — only speed differs.
-    pub incremental: bool,
     /// Per-method wall-clock deadline in milliseconds; `None` is unbounded.
     /// Checked between solver calls, so no single method can hang its
     /// worker; expiry is surfaced as [`MethodResult::timed_out`].
@@ -195,7 +191,6 @@ impl Default for EvalConfig {
             jobs: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             solver_cache: true,
             solver_backend: BackendKind::default(),
-            incremental: true,
             timeout_ms: None,
             trace: true,
             interproc: InterprocMode::default(),
@@ -252,7 +247,6 @@ pub fn evaluate_method(m: &SubjectMethod, cfg: &EvalConfig) -> MethodResult {
     testgen_cfg.solver.trace = sink.clone();
     testgen_cfg.solver.backend = cfg.solver_backend;
     testgen_cfg.solver.tiers = tiers.clone();
-    testgen_cfg.solver.incremental = cfg.incremental;
     testgen_cfg.trace = sink.clone();
     let mut infer_cfg = PreInferConfig::default();
     infer_cfg.prune.solver_cache = cache.clone();
@@ -260,7 +254,6 @@ pub fn evaluate_method(m: &SubjectMethod, cfg: &EvalConfig) -> MethodResult {
     infer_cfg.prune.solver.trace = sink.clone();
     infer_cfg.prune.solver.backend = cfg.solver_backend;
     infer_cfg.prune.solver.tiers = tiers.clone();
-    infer_cfg.prune.solver.incremental = cfg.incremental;
     infer_cfg.prune.trace = sink.clone();
     // Summary mode: infer each reachable callee's ψ once, bottom-up, then
     // point both the generation and the pruning executors at the resolved

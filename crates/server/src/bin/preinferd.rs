@@ -3,7 +3,7 @@
 //! ```text
 //! preinferd [--addr HOST:PORT] [--workers N] [--queue N]
 //!           [--default-deadline-ms N] [--idle-timeout-ms N]
-//!           [--incremental on|off] [--interproc inline|summary]
+//!           [--interproc inline|summary]
 //!           [--trace-sample N] [--slow-trace-ms N] [--trace-buffer K]
 //! ```
 //!
@@ -22,8 +22,7 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage: preinferd [--addr HOST:PORT] [--workers N] [--queue N]\n\
-         \x20                [--default-deadline-ms N]\n\
-         \x20                [--idle-timeout-ms N] [--incremental on|off]\n\
+         \x20                [--default-deadline-ms N] [--idle-timeout-ms N]\n\
          \x20                [--interproc inline|summary]\n\
          \x20                [--trace-sample N] [--slow-trace-ms N]\n\
          \x20                [--trace-buffer K]\n\
@@ -39,10 +38,6 @@ fn usage() -> ! {
          --idle-timeout-ms N (default 60000, 0 = off) closes connections\n\
          that stay silent with no in-flight work, with a typed\n\
          `idle_timeout` response.\n\
-         \n\
-         --incremental on|off (default on) solves prefix-sharing queries\n\
-         through warm push/pop solver sessions; served results are\n\
-         byte-identical either way — this is a speed knob.\n\
          \n\
          --interproc inline|summary (default inline) chooses how user\n\
          calls are handled: inline unrolls callee bodies; summary applies\n\
@@ -89,13 +84,6 @@ fn parse_args() -> ServerConfig {
             }
             "--interproc" => {
                 cfg.interproc = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--incremental" => {
-                cfg.incremental = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage(),
-                }
             }
             "--trace-sample" => {
                 cfg.trace_sample =

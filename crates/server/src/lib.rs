@@ -51,5 +51,5 @@ pub use queue::BoundedQueue;
 pub use router::{Router, RouterConfig};
 pub use routing::{canonical_method, shard_of, CanonicalMethod};
 pub use server::{Server, ServerConfig, ServerLatency};
-pub use service::{run_infer, IncrementalPolicy, InferOutcome, SummaryPolicy};
+pub use service::{run_infer, InferOutcome, SummaryPolicy};
 pub use trace::{RetainReason, SamplingPolicy, StoredTrace, TraceRing};

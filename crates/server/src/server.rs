@@ -34,7 +34,7 @@ use crate::netcore::{resident_bytes, ConnCounters, Reactor, ShutdownHandle};
 use crate::protocol::{render_error, ErrorCode, InferRequest, TraceSelect};
 use crate::queue::BoundedQueue;
 use crate::service;
-use crate::service::{IncrementalPolicy, SummaryPolicy};
+use crate::service::SummaryPolicy;
 use crate::trace::{SamplingPolicy, StoredTrace, TraceRing};
 use concolic::InterprocMode;
 use obs::{Histogram, MetricsRegistry};
@@ -68,9 +68,6 @@ pub struct ServerConfig {
     pub slow_trace_ms: Option<u64>,
     /// Capacity of the retained-trace ring served by the `trace` verb.
     pub trace_buffer: usize,
-    /// Solve prefix-sharing queries through warm incremental sessions
-    /// (`--incremental`). Speed only — served ψ is identical either way.
-    pub incremental: bool,
     /// How `infer` requests treat user calls (`--interproc`): inline the
     /// callee body (default) or apply callee ψ-summaries from the
     /// daemon-lifetime shared table.
@@ -88,7 +85,6 @@ impl Default for ServerConfig {
             trace_sample: 0,
             slow_trace_ms: None,
             trace_buffer: 64,
-            incremental: true,
             interproc: InterprocMode::Inline,
         }
     }
@@ -160,9 +156,9 @@ pub(crate) struct Shared {
     pub(crate) tiers: Arc<TierCounters>,
     /// Retained per-request traces, served by the `trace` verb.
     pub(crate) ring: Arc<TraceRing>,
-    /// Incremental-session policy + counters shared by every worker.
-    /// Served by the `stats` verb and the metrics registry.
-    pub(crate) incremental: IncrementalPolicy,
+    /// Incremental-session counters shared by every worker. Served by
+    /// the `stats` verb and the metrics registry.
+    pub(crate) incremental: Arc<IncrementalCounters>,
     /// Interprocedural policy: mode, the daemon-lifetime summary table,
     /// and apply counters. Served by `stats` and the metrics registry.
     pub(crate) summaries: SummaryPolicy,
@@ -200,10 +196,7 @@ impl Server {
         let trace = Arc::new(obs::TraceSink::aggregate());
         let tiers = Arc::new(TierCounters::default());
         let ring = Arc::new(TraceRing::new(cfg.trace_buffer));
-        let incremental = IncrementalPolicy {
-            enabled: cfg.incremental,
-            stats: Arc::new(IncrementalCounters::default()),
-        };
+        let incremental = Arc::new(IncrementalCounters::default());
         let summaries = SummaryPolicy { mode: cfg.interproc, ..SummaryPolicy::default() };
         let registry = Arc::new(MetricsRegistry::new());
         register_metrics(
@@ -216,7 +209,7 @@ impl Server {
             &trace,
             &queue,
             &ring,
-            &incremental.stats,
+            &incremental,
             &summaries,
             started,
         );
@@ -361,9 +354,8 @@ pub(crate) fn render_stats_response(id: Option<&str>, shared: &Shared) -> String
                 .build()
         })
         .raw("solver_incremental", {
-            let i = shared.incremental.stats.snapshot();
+            let i = shared.incremental.snapshot();
             ObjBuilder::new()
-                .bool("enabled", shared.incremental.enabled)
                 .u64("sessions", i.sessions)
                 .u64("queries", i.queries)
                 .u64("pushes", i.pushes)

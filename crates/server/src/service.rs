@@ -17,23 +17,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use testgen::{generate_tests, TestGenConfig};
 
-/// Daemon-wide incremental-solving policy, threaded into every request's
-/// solver configs: whether prefix-sharing call sites open warm sessions
-/// (`--incremental`), and the shared counters they report into (served by
-/// `stats` and the `preinfer_solver_incremental_*` metrics family).
-/// Observation + speed only — served ψ is byte-identical either way.
-#[derive(Debug, Clone)]
-pub struct IncrementalPolicy {
-    pub enabled: bool,
-    pub stats: Arc<IncrementalCounters>,
-}
-
-impl Default for IncrementalPolicy {
-    fn default() -> Self {
-        IncrementalPolicy { enabled: true, stats: Arc::new(IncrementalCounters::default()) }
-    }
-}
-
 /// Daemon-wide interprocedural policy: whether `infer` requests apply
 /// callee ψ-summaries at call sites (`--interproc summary`) or inline
 /// callee bodies (the default), the daemon-lifetime [`SummaryTable`]
@@ -99,15 +82,17 @@ pub struct ServiceError {
 /// running (the clock starts at admission, so queue wait counts against
 /// the request's budget). `trace` is an observation-only sink (the daemon
 /// passes its shared aggregate sink; it never changes any answer), and
-/// `tiers` accumulates which solver tier answered each executed query —
-/// the daemon shares one set across workers and serves it under `stats`.
+/// `tiers` and `incremental` accumulate which solver tier answered each
+/// executed query and what the warm solver sessions did — the daemon
+/// shares one set of each across workers and serves them under `stats`
+/// and the metrics registry.
 pub fn run_infer(
     req: &InferRequest,
     cache: &Arc<SolverCache>,
     deadline: &Deadline,
     trace: &Option<Arc<obs::TraceSink>>,
     tiers: &Arc<TierCounters>,
-    incremental: &IncrementalPolicy,
+    incremental: &Arc<IncrementalCounters>,
     summaries: &SummaryPolicy,
 ) -> Result<InferOutcome, ServiceError> {
     let start = Instant::now();
@@ -142,8 +127,7 @@ pub fn run_infer(
     tg.solver.deadline = deadline.clone();
     tg.solver.trace = trace.clone();
     tg.solver.tiers = tiers.clone();
-    tg.solver.incremental = incremental.enabled;
-    tg.solver.incremental_stats = incremental.stats.clone();
+    tg.solver.incremental_stats = incremental.clone();
     tg.trace = trace.clone();
 
     let mut cfg = PreInferConfig::default();
@@ -151,8 +135,7 @@ pub fn run_infer(
     cfg.prune.solver.deadline = deadline.clone();
     cfg.prune.solver.trace = trace.clone();
     cfg.prune.solver.tiers = tiers.clone();
-    cfg.prune.solver.incremental = incremental.enabled;
-    cfg.prune.solver.incremental_stats = incremental.stats.clone();
+    cfg.prune.solver.incremental_stats = incremental.clone();
     cfg.prune.trace = trace.clone();
     cfg.prune.jobs = req.jobs;
 
@@ -282,7 +265,7 @@ mod tests {
     fn infers_the_guarded_div_shape() {
         let cache = Arc::new(SolverCache::new());
         let tiers = Arc::new(TierCounters::default());
-        let inc = IncrementalPolicy::default();
+        let inc = Arc::new(IncrementalCounters::default());
         let out = run_infer(
             &req("fn f(x int) -> int { return 10 / x; }"),
             &cache,
@@ -299,7 +282,7 @@ mod tests {
         assert_eq!(out.acls[0].psi, "x != 0");
         assert!(cache.stats().misses > 0, "inference went through the shared cache");
         assert!(tiers.snapshot().total() > 0, "tier attribution flowed through the service");
-        let snap = inc.stats.snapshot();
+        let snap = inc.snapshot();
         assert!(snap.sessions > 0, "incremental sessions flowed through the service");
         assert!(snap.queries > 0, "session queries were counted");
     }
@@ -314,7 +297,7 @@ mod tests {
             &Deadline::none(),
             &None,
             &tiers,
-            &IncrementalPolicy::default(),
+            &Arc::default(),
             &SummaryPolicy::default(),
         )
         .unwrap_err();
@@ -328,7 +311,7 @@ mod tests {
             &Deadline::none(),
             &None,
             &tiers,
-            &IncrementalPolicy::default(),
+            &Arc::default(),
             &SummaryPolicy::default(),
         )
         .unwrap_err();
@@ -346,7 +329,7 @@ mod tests {
             &deadline,
             &None,
             &Arc::new(TierCounters::default()),
-            &IncrementalPolicy::default(),
+            &Arc::default(),
             &SummaryPolicy::default(),
         )
         .unwrap();
@@ -362,7 +345,7 @@ mod tests {
             &Deadline::none(),
             &None,
             &Arc::new(TierCounters::default()),
-            &IncrementalPolicy::default(),
+            &Arc::default(),
             &SummaryPolicy::default(),
         )
         .unwrap();

@@ -3,9 +3,7 @@
 //! server's own strict JSON parser, and the `stats` verb exposes the
 //! per-stage latency histograms fed by the daemon's aggregate sink.
 
-use server::{
-    json, run_infer, Client, IncrementalPolicy, InferRequest, Server, ServerConfig, SummaryPolicy,
-};
+use server::{json, run_infer, Client, InferRequest, Server, ServerConfig, SummaryPolicy};
 use solver::{Deadline, SolverCache, TierCounters};
 use std::sync::Arc;
 
@@ -32,7 +30,7 @@ fn run_infer_trace_lines_parse_with_the_servers_own_parser() {
         &Deadline::default(),
         &trace,
         &Arc::new(TierCounters::default()),
-        &IncrementalPolicy::default(),
+        &Arc::default(),
         &SummaryPolicy::default(),
     )
     .expect("inference succeeds");

@@ -18,9 +18,12 @@
 //!
 //! The builder supports push/pop reuse (see [`crate::incremental`]): a
 //! *trailed* builder logs every map mutation so [`Builder::undo_to`] can
-//! restore any earlier [`BuilderMark`] exactly. Because an incremental
-//! session feeds predicates in *path order* while the scratch path feeds
-//! them in *canonical (sorted) order*, the solve itself must not observe
+//! restore any earlier [`BuilderMark`] exactly. Pruning and test generation
+//! always solve through such a warm builder; the untrailed builder of
+//! [`solve_fresh`] is the scratch reference the solver tests compare
+//! sessions against. Because an incremental session feeds predicates in
+//! *path order* while the scratch reference feeds them in *canonical
+//! (sorted) order*, the solve itself must not observe
 //! insertion order. [`Builder::solve_current`] therefore normalizes before
 //! searching: hard rows and choice atoms are sorted, and column indices are
 //! assigned by the sorted monomial order rather than first-registration
@@ -30,6 +33,7 @@
 //! of the same conjunction run the identical search and return byte-identical
 //! verdicts and models.
 
+use crate::canon::CanonQuery;
 use crate::intsolve::{solve_int, Budget, IntProblem, IntResult};
 use crate::model::build_model;
 use crate::theory::{FuncSig, SolveResult, SolverConfig};
@@ -37,17 +41,18 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use symbolic::linform::{lin_of_term, CPred, CanonPred, LinExpr, Monomial};
 use symbolic::term::{Place, PlaceNode, SymVar, SymVarNode, Term};
 
-/// Solves an already-canonical conjunction through the full simplex +
-/// branch-and-bound stack. The reference semantics every cheaper tier
-/// must agree with.
-pub(crate) fn solve_via_simplex(preds: &[CPred], sig: &FuncSig, cfg: &SolverConfig) -> SolveResult {
+/// The scratch bottom tier: a fresh untrailed builder over the sorted
+/// canonical list, solved through the full simplex + branch-and-bound
+/// stack. The reference semantics every cheaper tier — and every warm
+/// session builder — must agree with.
+pub(crate) fn solve_fresh(q: &CanonQuery, cfg: &SolverConfig) -> SolveResult {
     let mut builder = Builder::new(false);
-    for p in preds {
+    for p in q.canon_preds() {
         if builder.add_canon(*p).is_err() {
             return SolveResult::Unsat;
         }
     }
-    builder.solve_current(sig, cfg)
+    builder.solve_current(q.canon_sig(), cfg)
 }
 
 /// Marker for early unsatisfiability during constraint building.

@@ -20,8 +20,8 @@
 //! [`solve_preds`]: crate::theory::solve_preds
 
 use crate::backend::Tier;
-use crate::canon::{CacheKey, CanonQuery};
-use crate::theory::{SolveResult, SolverConfig};
+use crate::canon::CacheKey;
+use crate::theory::SolveResult;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -150,26 +150,10 @@ impl SolverCache {
         &self.shards[(h.finish() >> 57) as usize % SHARDS]
     }
 
-    /// Looks up the canonical query, solving and inserting on a miss.
-    /// Returns the **canonical** verdict (placeholder-named model), whether
-    /// the lookup hit, and the tier that answered (stored with the entry,
-    /// so hits report the tier of the original solve).
-    pub fn solve(&self, q: &CanonQuery, cfg: &SolverConfig) -> (SolveResult, CacheLookup, Tier) {
-        if let Some((result, tier)) = self.lookup(q.key()) {
-            return (result, CacheLookup::Hit, tier);
-        }
-        // Solve outside the lock: queries can be slow, and two threads
-        // racing on the same key compute the same value anyway.
-        let (result, tier, store_ok) = q.solve_gated(cfg);
-        if store_ok {
-            self.store(q.key(), &result, tier);
-        }
-        (result, CacheLookup::Miss, tier)
-    }
-
-    /// Bare lookup half of [`SolverCache::solve`], for callers (the
-    /// incremental session) that produce the verdict themselves on a miss.
-    /// Counts a hit or a miss; a miss is expected to be followed by
+    /// Looks up a canonical key, returning the **canonical** verdict
+    /// (placeholder-named model) and the tier that answered it (stored with
+    /// the entry, so hits report the tier of the original solve). Counts a
+    /// hit or a miss; the solve pipeline follows a miss with
     /// [`SolverCache::store`] unless the verdict is not memoizable.
     pub(crate) fn lookup(&self, key: &CacheKey) -> Option<(SolveResult, Tier)> {
         let shard = self.shard(key);
@@ -182,10 +166,8 @@ impl SolverCache {
         None
     }
 
-    /// Bare insert half of [`SolverCache::solve`]: evicts the cold half of
-    /// a full shard, then inserts. The value must be the pure canonical
-    /// verdict of `key` — the same one [`SolverCache::solve`] would have
-    /// computed and stored.
+    /// Evicts the cold half of a full shard, then inserts. The value must
+    /// be the pure canonical verdict of `key` and the tier that produced it.
     pub(crate) fn store(&self, key: &CacheKey, result: &SolveResult, tier: Tier) {
         let shard = self.shard(key);
         let mut guard = shard.lock().expect("cache shard");
@@ -269,7 +251,7 @@ impl std::fmt::Debug for SolverCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::theory::FuncSig;
+    use crate::theory::{solve_preds_with, FuncSig, SolverConfig};
     use minilang::Ty;
     use symbolic::pred::{CmpOp, Pred};
     use symbolic::term::Term;
@@ -278,21 +260,32 @@ mod tests {
         FuncSig::from_pairs([("a", Ty::Int), ("b", Ty::Int)])
     }
 
-    fn gt0(name: &str) -> Pred {
-        Pred::cmp(CmpOp::Gt, Term::var(name), Term::int(0))
+    fn gt(name: &str, k: i64) -> Pred {
+        Pred::cmp(CmpOp::Gt, Term::var(name), Term::int(k))
+    }
+
+    fn solve(cache: &SolverCache, p: Pred, cfg: &SolverConfig) -> (SolveResult, CacheLookup) {
+        solve_preds_with(&[p], &sig_ab(), cfg, Some(cache))
     }
 
     #[test]
     fn cache_hits_and_counts() {
-        let cfg = SolverConfig::default();
+        let sink = std::sync::Arc::new(obs::TraceSink::recording());
+        let cfg = SolverConfig { trace: Some(sink.clone()), ..SolverConfig::default() };
         let cache = SolverCache::new();
-        let q = CanonQuery::build(&[gt0("a")], &sig_ab(), &cfg);
-        let (r1, l1, t1) = cache.solve(&q, &cfg);
-        let (r2, l2, t2) = cache.solve(&q, &cfg);
+        let (r1, l1) = solve(&cache, gt("a", 0), &cfg);
+        let (r2, l2) = solve(&cache, gt("a", 0), &cfg);
         assert_eq!(l1, CacheLookup::Miss);
         assert_eq!(l2, CacheLookup::Hit);
         assert_eq!(r1, r2);
-        assert_eq!(t1, t2, "a hit replays the tier of the original solve");
+        let tiers: Vec<String> = sink
+            .lines()
+            .iter()
+            .map(|l| obs::analyze::parse_flat_line(l).expect("trace line parses"))
+            .filter_map(|f| f.get("tier").and_then(|t| t.as_str()).map(str::to_string))
+            .collect();
+        assert_eq!(tiers.len(), 2);
+        assert_eq!(tiers[0], tiers[1], "a hit replays the tier of the original solve");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert!(s.hit_rate() > 0.49 && s.hit_rate() < 0.51);
@@ -302,11 +295,10 @@ mod tests {
     fn hits_do_not_recount_tiers() {
         let cfg = SolverConfig::default();
         let cache = SolverCache::new();
-        let q = CanonQuery::build(&[gt0("a")], &sig_ab(), &cfg);
-        cache.solve(&q, &cfg);
+        solve(&cache, gt("a", 0), &cfg);
         let after_miss = cfg.tiers.snapshot();
         assert_eq!(after_miss.total(), 1, "the miss executed exactly one solve");
-        cache.solve(&q, &cfg);
+        solve(&cache, gt("a", 0), &cfg);
         assert_eq!(cfg.tiers.snapshot(), after_miss, "hits replay tiers without counting");
     }
 
@@ -316,9 +308,7 @@ mod tests {
         // Tiny capacity: every shard holds two entries.
         let cache = SolverCache::with_capacity(SHARDS * 2);
         for k in 0..64 {
-            let p = Pred::cmp(CmpOp::Gt, Term::var("a"), Term::int(k));
-            let q = CanonQuery::build(&[p], &sig_ab(), &cfg);
-            cache.solve(&q, &cfg);
+            solve(&cache, gt("a", k), &cfg);
         }
         let s = cache.stats();
         assert!(s.evictions > 0, "64 distinct keys into {} slots must evict", SHARDS * 2);
@@ -338,14 +328,11 @@ mod tests {
         // churn. The second-chance scan must keep it resident throughout.
         let cfg = SolverConfig::default();
         let cache = SolverCache::with_capacity(SHARDS * 2);
-        let hot = CanonQuery::build(&[gt0("a")], &sig_ab(), &cfg);
-        cache.solve(&hot, &cfg);
+        solve(&cache, gt("a", 0), &cfg);
         for k in 1..=96 {
-            let p = Pred::cmp(CmpOp::Gt, Term::var("a"), Term::int(k));
-            let q = CanonQuery::build(&[p], &sig_ab(), &cfg);
-            cache.solve(&q, &cfg);
+            solve(&cache, gt("a", k), &cfg);
             // Touch the hot entry every round, as daemon traffic would.
-            let (_, lookup, _) = cache.solve(&hot, &cfg);
+            let (_, lookup) = solve(&cache, gt("a", 0), &cfg);
             assert_eq!(lookup, CacheLookup::Hit, "hot entry evicted after {k} cold inserts");
         }
         assert!(cache.stats().evictions > 0, "cold churn must have triggered evictions");

@@ -3,18 +3,23 @@
 //!
 //! Algorithm 1 of the paper (and the branch-flipping test generator) issue
 //! solver calls over *prefixes of the same path condition*: `prefix ∧ ¬φ_j`
-//! for one `j` after another. The scratch path re-canonicalizes and
-//! re-builds the whole prefix for every call — Θ(n²) predicate
+//! for one `j` after another. Solving each call from scratch would
+//! re-canonicalize and re-build the whole prefix — Θ(n²) predicate
 //! canonicalizations per path. An [`IncrementalSession`] instead keeps the
 //! stack alive between calls: predicates are *pushed* once (canonicalized
 //! once, applied to a warm [`Builder`] once) and *popped* back to any
 //! prefix mark by rewinding a mutation trail, so each query pays only for
-//! the predicates that changed.
+//! the predicates that changed. Pruning and test generation always solve
+//! through sessions.
 //!
 //! # Equivalence contract
 //!
-//! A session must be observationally identical to the scratch path — same
-//! verdicts, same models, same cache entries, same tier attribution:
+//! A session runs the same solve pipeline as the scratch reference
+//! [`crate::solve_preds_with`] (see [`crate::theory`]); only the canonical
+//! form's upkeep and the bottom tier's builder differ. It must be
+//! observationally identical to that reference — same verdicts, same
+//! models, same cache entries, same tier attribution — which the solver
+//! tests and the corpus replay test check:
 //!
 //! - **Order independence.** The warm builder receives predicates in push
 //!   order while the scratch builder receives them in canonical (sorted)
@@ -25,7 +30,7 @@
 //!   the push that takes its refcount to one), matching the scratch path's
 //!   sort + dedup. The sorted, duplicate-free view is also what the
 //!   interval tier scans and what the cache key is assembled from — the
-//!   same [`CacheKey`] the scratch path computes.
+//!   same [`crate::CacheKey`] the scratch path computes.
 //! - **Cache interplay.** Hits bypass the warm builder entirely; misses
 //!   solve warm and store the same pure canonical verdict the scratch path
 //!   would have stored.
@@ -39,17 +44,13 @@
 //!   which is exactly what the scratch build would conclude. Popping the
 //!   frame clears the poison.
 
-use crate::backend::{BackendAnswer, BackendKind, TheoryBackend, Tier};
 use crate::builder::{Builder, BuilderMark};
 use crate::cache::{CacheLookup, SolverCache};
-use crate::canon::{cache_key, uncanonicalize_with, Renaming};
-use crate::interval::IntervalBackend;
-use crate::theory::{simplex_starved, FuncSig, SolveResult, SolverConfig};
+use crate::canon::{CanonQuery, Renaming};
+use crate::theory::{solve_query, FuncSig, SolveResult, SolverConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use symbolic::eval::{eval_pred, Env};
 use symbolic::linform::{CPred, CanonPred};
 use symbolic::pred::Pred;
 
@@ -133,11 +134,8 @@ impl IncrementalSnapshot {
     }
 }
 
-/// One pushed predicate and what it contributed.
+/// One pushed predicate's canonical contribution.
 struct Frame {
-    /// The caller's predicate, retained for model re-validation and for
-    /// longest-common-prefix diffing in [`IncrementalSession::solve_preds`].
-    orig: Pred,
     /// Its canonical form under the session's α-renaming (interned).
     canon: CPred,
     /// Whether it participates in the multiset (everything except the
@@ -146,6 +144,55 @@ struct Frame {
     /// Whether this push took the conjunct's refcount to one — only such
     /// frames are applied to the warm builder (deduplication).
     inserted: bool,
+}
+
+/// A warm simplex-tier builder, lazily fed the session's frames.
+struct WarmBuilder {
+    builder: Builder,
+    /// How many frames have been applied to `builder`.
+    applied: usize,
+    /// `marks[i]` is the builder state just before frame `i` was applied
+    /// (maintained for `i < applied`).
+    marks: Vec<BuilderMark>,
+    /// Index of a frame whose application was immediately UNSAT; set with
+    /// `applied` parked just below it, cleared when the frame is popped.
+    poisoned_at: Option<usize>,
+}
+
+impl WarmBuilder {
+    /// Rewinds past every applied frame at or above `mark`.
+    fn pop_to(&mut self, mark: usize) {
+        if self.applied > mark {
+            self.builder.undo_to(&self.marks[mark]);
+            self.marks.truncate(mark);
+            self.applied = mark;
+        }
+        if self.poisoned_at.is_some_and(|p| p >= mark) {
+            self.poisoned_at = None;
+        }
+    }
+
+    /// The session's bottom tier: advances the builder to the top of
+    /// `frames` and solves. An immediately-UNSAT frame rewinds its partial
+    /// mutations and poisons the session at that depth; while a poisoned
+    /// frame is on the stack every query is UNSAT.
+    fn solve(&mut self, frames: &[Frame], sig: &FuncSig, cfg: &SolverConfig) -> SolveResult {
+        if self.poisoned_at.is_some_and(|i| i < frames.len()) {
+            return SolveResult::Unsat;
+        }
+        while self.applied < frames.len() {
+            let i = self.applied;
+            let mark = self.builder.mark();
+            if frames[i].inserted && self.builder.add_canon(frames[i].canon).is_err() {
+                self.builder.undo_to(&mark);
+                self.poisoned_at = Some(i);
+                return SolveResult::Unsat;
+            }
+            self.marks.push(mark);
+            self.applied += 1;
+        }
+        self.builder.solve_current(sig, cfg)
+    }
 }
 
 /// A warm, reusable solver stack for queries sharing a prefix.
@@ -158,31 +205,27 @@ struct Frame {
 /// [`crate::solve_preds_with`] on the same predicates, configuration, and
 /// cache — see the module docs for why.
 pub struct IncrementalSession {
-    renaming: Renaming,
     /// Canonical form of every predicate this session has pushed: a
     /// predicate pushed again (a flip or pruning sweep re-pushing a prefix
     /// it popped) skips renaming and canonicalization.
     canon_memo: HashMap<Pred, CPred>,
     cfg: SolverConfig,
     cache: Option<Arc<SolverCache>>,
+    /// The caller's predicates in push order, retained for model
+    /// re-validation and for longest-common-prefix diffing in
+    /// [`IncrementalSession::solve_preds`].
+    preds: Vec<Pred>,
+    /// What each of `preds` contributed (parallel to `preds`).
     frames: Vec<Frame>,
-    /// Sorted, duplicate-free multiset view of the stacked canonical
-    /// conjuncts — the canonical conjunction the scratch path would build.
-    /// Scanned by the interval tier and cloned into cache keys.
-    sorted: Vec<CPred>,
-    /// `refcounts[i]` is how many stacked frames contribute `sorted[i]`
-    /// (parallel to `sorted`).
+    /// The canonical query the scratch path would build for `preds`: its
+    /// sorted, duplicate-free conjunct list is maintained as a multiset
+    /// view of the stacked frames, scanned by the interval tier and cloned
+    /// into cache keys.
+    query: CanonQuery,
+    /// `refcounts[i]` is how many stacked frames contribute
+    /// `query.preds[i]` (parallel to it).
     refcounts: Vec<usize>,
-    /// Warm simplex-tier builder, lazily fed `frames[..applied]`.
-    builder: Builder,
-    /// How many frames have been applied to `builder`.
-    applied: usize,
-    /// `marks[i]` is the builder state just before frame `i` was applied
-    /// (maintained for `i < applied`).
-    marks: Vec<BuilderMark>,
-    /// Index of a frame whose application was immediately UNSAT; set with
-    /// `applied` parked just below it, cleared when the frame is popped.
-    poisoned_at: Option<usize>,
+    warm: WarmBuilder,
     /// Frames that have survived since the previous `solve` (the reuse the
     /// `reused_depth` metric reports).
     stable_depth: usize,
@@ -200,17 +243,19 @@ impl IncrementalSession {
         let counters = cfg.incremental_stats.clone();
         counters.count_session();
         IncrementalSession {
-            renaming: Renaming::of(sig),
             canon_memo: HashMap::new(),
             cfg: cfg.clone(),
             cache,
+            preds: Vec::new(),
             frames: Vec::new(),
-            sorted: Vec::new(),
+            query: CanonQuery { preds: Vec::new(), renaming: Renaming::of(sig) },
             refcounts: Vec::new(),
-            builder: Builder::new(true),
-            applied: 0,
-            marks: Vec::new(),
-            poisoned_at: None,
+            warm: WarmBuilder {
+                builder: Builder::new(true),
+                applied: 0,
+                marks: Vec::new(),
+                poisoned_at: None,
+            },
             stable_depth: 0,
             counters,
         }
@@ -235,7 +280,7 @@ impl IncrementalSession {
         let canon = match self.canon_memo.get(pred) {
             Some(&canon) => canon,
             None => {
-                let canon = self.renaming.canon_one(pred);
+                let canon = self.query.renaming.canon_one(pred);
                 self.canon_memo.insert(pred.clone(), canon);
                 canon
             }
@@ -243,16 +288,18 @@ impl IncrementalSession {
         let counted = *canon.node() != CanonPred::Const(true);
         let mut inserted = false;
         if counted {
-            match self.sorted.binary_search(&canon) {
+            let sorted = &mut self.query.preds;
+            match sorted.binary_search(&canon) {
                 Ok(pos) => self.refcounts[pos] += 1,
                 Err(pos) => {
-                    self.sorted.insert(pos, canon);
+                    sorted.insert(pos, canon);
                     self.refcounts.insert(pos, 1);
                     inserted = true;
                 }
             }
         }
-        self.frames.push(Frame { orig: pred.clone(), canon, counted, inserted });
+        self.preds.push(pred.clone());
+        self.frames.push(Frame { canon, counted, inserted });
     }
 
     /// Pops back to a prefix `mark`, rewinding the warm builder's trail
@@ -267,22 +314,15 @@ impl IncrementalSession {
             return;
         }
         self.counters.count_pop();
-        if self.applied > mark {
-            self.builder.undo_to(&self.marks[mark]);
-            self.marks.truncate(mark);
-            self.applied = mark;
-        }
-        if let Some(p) = self.poisoned_at {
-            if p >= mark {
-                self.poisoned_at = None;
-            }
-        }
+        self.warm.pop_to(mark);
+        self.preds.truncate(mark);
+        let sorted = &mut self.query.preds;
         for f in self.frames.drain(mark..).rev() {
             if f.counted {
-                let pos = self.sorted.binary_search(&f.canon).expect("conjunct in sorted view");
+                let pos = sorted.binary_search(&f.canon).expect("conjunct in sorted view");
                 self.refcounts[pos] -= 1;
                 if self.refcounts[pos] == 0 {
-                    self.sorted.remove(pos);
+                    sorted.remove(pos);
                     self.refcounts.remove(pos);
                 }
             }
@@ -295,10 +335,7 @@ impl IncrementalSession {
     /// difference, and solves. This is the whole-list convenience the
     /// pruning and test-generation loops call.
     pub fn solve_preds(&mut self, preds: &[Pred]) -> (SolveResult, CacheLookup) {
-        let mut lcp = 0;
-        while lcp < preds.len() && lcp < self.frames.len() && self.frames[lcp].orig == preds[lcp] {
-            lcp += 1;
-        }
+        let lcp = self.preds.iter().zip(preds).take_while(|(a, b)| a == b).count();
         self.pop_to(lcp);
         for p in &preds[lcp..] {
             self.push(p);
@@ -306,122 +343,22 @@ impl IncrementalSession {
         self.solve()
     }
 
-    /// Solves the conjunction currently on the stack.
-    ///
-    /// Mirrors [`crate::solve_preds_with`] stage for stage: deadline gate,
-    /// cache lookup on the canonical key, tier dispatch (interval first
-    /// under the tiered backend, then the *warm* simplex builder), store of
-    /// the pure canonical verdict, un-renaming, and model re-validation
-    /// against the original predicates.
+    /// Solves the conjunction currently on the stack through the shared
+    /// solve pipeline ([`crate::theory`]), with the warm builder as the
+    /// bottom tier.
     pub fn solve(&mut self) -> (SolveResult, CacheLookup) {
         let reused = self.stable_depth.min(self.frames.len()) as u64;
         self.counters.count_query(reused);
         self.stable_depth = self.frames.len();
-        if self.cfg.deadline.expired() {
-            if let Some(sink) = self.cfg.trace.as_ref() {
-                sink.solver_call_reused(
-                    self.frames.len(),
-                    "deadline",
-                    CacheLookup::Bypass.label(),
-                    "none",
-                    reused,
-                    Duration::ZERO,
-                );
-            }
-            return (SolveResult::Unknown, CacheLookup::Bypass);
-        }
-        let start = self.cfg.trace.as_ref().map(|_| Instant::now());
-        let (canonical, lookup, tier) = match self.cache.clone() {
-            Some(cache) => {
-                let key = cache_key(self.sorted.clone(), self.renaming.tys.clone(), &self.cfg);
-                match cache.lookup(&key) {
-                    // Hits bypass the session: the warm builder is not
-                    // advanced, exactly as the scratch path solves nothing.
-                    Some((result, tier)) => (result, CacheLookup::Hit, tier),
-                    None => {
-                        let (result, tier, store_ok) = self.solve_canonical_warm();
-                        if store_ok {
-                            cache.store(&key, &result, tier);
-                        }
-                        (result, CacheLookup::Miss, tier)
-                    }
-                }
-            }
-            None => {
-                let (result, tier, _store_ok) = self.solve_canonical_warm();
-                (result, CacheLookup::Bypass, tier)
-            }
-        };
-        let mut result = uncanonicalize_with(&self.renaming.back, canonical);
-        // Soundness net, identical to the scratch path: re-validate any
-        // model against the original predicates.
-        if let SolveResult::Sat(state) = &result {
-            let env = Env::new(state);
-            if self.frames.iter().any(|f| eval_pred(&f.orig, &env) != Ok(true)) {
-                result = SolveResult::Unknown;
-            }
-        }
-        if let (Some(sink), Some(start)) = (self.cfg.trace.as_ref(), start) {
-            sink.solver_call_reused(
-                self.frames.len(),
-                result.label(),
-                lookup.label(),
-                tier.label(),
-                reused,
-                start.elapsed(),
-            );
-        }
-        (result, lookup)
-    }
-
-    /// [`crate::theory::solve_canonical`] with the warm builder as the
-    /// bottom tier. Same tier counting, same deadline-reserve gating, same
-    /// memoizability flag.
-    fn solve_canonical_warm(&mut self) -> (SolveResult, Tier, bool) {
-        if self.cfg.backend == BackendKind::Tiered {
-            match IntervalBackend.solve(&self.sorted, &self.renaming.canon_sig, &self.cfg) {
-                BackendAnswer::Decided { result, tier } => {
-                    self.cfg.tiers.count(tier);
-                    return (result, tier, true);
-                }
-                BackendAnswer::Escalate => self.cfg.tiers.count_escalation(),
-            }
-        }
-        if simplex_starved(&self.cfg) {
-            return (SolveResult::Unknown, Tier::Simplex, false);
-        }
-        let result = self.simplex_warm();
-        self.cfg.tiers.count(Tier::Simplex);
-        (result, Tier::Simplex, true)
-    }
-
-    /// Advances the warm builder to the top of the stack and solves. An
-    /// immediately-UNSAT frame rewinds its partial mutations and poisons
-    /// the session at that depth.
-    fn simplex_warm(&mut self) -> SolveResult {
-        if self.poisoned() {
-            return SolveResult::Unsat;
-        }
-        while self.applied < self.frames.len() {
-            let i = self.applied;
-            let mark = self.builder.mark();
-            if self.frames[i].inserted {
-                let canon = self.frames[i].canon;
-                if self.builder.add_canon(canon).is_err() {
-                    self.builder.undo_to(&mark);
-                    self.poisoned_at = Some(i);
-                    return SolveResult::Unsat;
-                }
-            }
-            self.marks.push(mark);
-            self.applied += 1;
-        }
-        self.builder.solve_current(&self.renaming.canon_sig, &self.cfg)
-    }
-
-    /// Whether a poisoned (conflicting) frame is still on the stack.
-    fn poisoned(&self) -> bool {
-        self.poisoned_at.is_some_and(|i| i < self.frames.len())
+        let (warm, frames, cfg) = (&mut self.warm, &self.frames, &self.cfg);
+        solve_query(
+            cfg,
+            self.cache.as_deref(),
+            &self.preds,
+            Some(reused),
+            || &self.query,
+            |q| warm.solve(frames, q.canon_sig(), cfg),
+        )
     }
 }
 

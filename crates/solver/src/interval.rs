@@ -29,7 +29,7 @@
 //! and each refuted DFS leaf costs exactly one budget tick — that is what
 //! makes the leaf-count guard exact.
 
-use crate::backend::{BackendAnswer, TheoryBackend, Tier};
+use crate::backend::Tier;
 use crate::model::build_model;
 use crate::theory::{FuncSig, SolveResult, SolverConfig};
 use std::collections::{BTreeMap, HashMap};
@@ -40,24 +40,14 @@ use symbolic::term::{Place, PlaceNode, SymVar, SymVarNode};
 /// `i64` values, so `i128` arithmetic around it cannot wrap.
 const INF: i128 = i128::MAX / 2;
 
-/// The Tier-0/Tier-1 backend. Stateless; all inputs arrive per call.
-pub struct IntervalBackend;
-
-impl TheoryBackend for IntervalBackend {
-    fn name(&self) -> &'static str {
-        "interval"
-    }
-
-    fn solve(&self, preds: &[CPred], sig: &FuncSig, cfg: &SolverConfig) -> BackendAnswer {
-        solve_interval(preds, sig, cfg)
-    }
-}
-
-fn decided(result: SolveResult, tier: Tier) -> BackendAnswer {
-    BackendAnswer::Decided { result, tier }
-}
-
-fn solve_interval(preds: &[CPred], sig: &FuncSig, cfg: &SolverConfig) -> BackendAnswer {
+/// Decides `preds` at tier 0 or 1, or escalates (`None`) to the simplex
+/// tier. A decision always matches what the simplex tier would return for
+/// the same query under the same config — verdict *and* model.
+pub(crate) fn solve_interval(
+    preds: &[CPred],
+    sig: &FuncSig,
+    cfg: &SolverConfig,
+) -> Option<(SolveResult, Tier)> {
     // ---- Tier 0: syntactic contradictions -------------------------------
     // Interned conjuncts make both scans id comparisons: `contains` is a
     // u32 sweep, and the complementary-pair check matches `p.negated()`
@@ -66,7 +56,7 @@ fn solve_interval(preds: &[CPred], sig: &FuncSig, cfg: &SolverConfig) -> Backend
         // The simplex builder errors out while *adding* this conjunct —
         // before any signature or budget consideration — so Unsat is safe
         // unconditionally.
-        return decided(SolveResult::Unsat, Tier::Syntactic);
+        return Some((SolveResult::Unsat, Tier::Syntactic));
     }
     let mut saw_arith_pair = false;
     for p in preds {
@@ -78,7 +68,7 @@ fn solve_interval(preds: &[CPred], sig: &FuncSig, cfg: &SolverConfig) -> Backend
             // conflicts during building, again before signature/budget
             // checks: unconditionally safe.
             CanonPred::Bool { .. } | CanonPred::Null { .. } => {
-                return decided(SolveResult::Unsat, Tier::Syntactic)
+                return Some((SolveResult::Unsat, Tier::Syntactic))
             }
             // Arithmetic pairs are refuted leaf by leaf; safety depends on
             // the escalation guards below.
@@ -86,11 +76,7 @@ fn solve_interval(preds: &[CPred], sig: &FuncSig, cfg: &SolverConfig) -> Backend
         }
     }
     if saw_arith_pair {
-        return if unsat_decidable(preds, sig, cfg) {
-            decided(SolveResult::Unsat, Tier::Syntactic)
-        } else {
-            BackendAnswer::Escalate
-        };
+        return unsat_decidable(preds, sig, cfg).then_some((SolveResult::Unsat, Tier::Syntactic));
     }
 
     // ---- Tier 1: bounds propagation -------------------------------------
@@ -162,16 +148,12 @@ fn solve_interval(preds: &[CPred], sig: &FuncSig, cfg: &SolverConfig) -> Backend
     }
 
     if bounds.values().any(|&(lo, hi)| lo > hi) {
-        return if unsat_decidable(preds, sig, cfg) {
-            decided(SolveResult::Unsat, Tier::Interval)
-        } else {
-            BackendAnswer::Escalate
-        };
+        return unsat_decidable(preds, sig, cfg).then_some((SolveResult::Unsat, Tier::Interval));
     }
     if !boxy || cfg.budget_nodes == 0 {
         // A box Sat still costs the simplex tier one branch-and-bound node;
         // with a zero budget it would answer Unknown, so mirror that.
-        return BackendAnswer::Escalate;
+        return None;
     }
 
     // ---- Tier 1 Sat: pure box — replicate the L1-minimal model ----------
@@ -185,14 +167,12 @@ fn solve_interval(preds: &[CPred], sig: &FuncSig, cfg: &SolverConfig) -> Backend
             0
         };
         let Ok(v64) = i64::try_from(v) else {
-            return BackendAnswer::Escalate;
+            return None;
         };
         assign.insert(m.clone(), v64);
     }
-    match build_model(sig, &assign, &nulls, &bools, cfg) {
-        Some(state) => decided(SolveResult::Sat(state), Tier::Interval),
-        None => BackendAnswer::Escalate,
-    }
+    build_model(sig, &assign, &nulls, &bools, cfg)
+        .map(|state| (SolveResult::Sat(state), Tier::Interval))
 }
 
 /// `k·m + c` for a single-monomial expression with a unit coefficient —

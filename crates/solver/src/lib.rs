@@ -13,14 +13,18 @@
 //! small-model objective ([`intsolve`]), the simplex-tier constraint
 //! builder (private `builder` module) that handles nullness,
 //! well-formedness, and disjunctive atoms, and the tiered front of the
-//! crate: a shared canonicalization front-end ([`canon`]) feeding
-//! pluggable, escalating backends ([`backend`], [`interval`]) dispatched
-//! by the theory layer ([`theory`]), which re-validates every model by
-//! concrete evaluation before returning it. The [`cache`] memoizes
-//! canonical verdicts together with the tier that answered them, and the
-//! [`incremental`] module keeps a warm, trail-backed builder alive across
-//! queries that share a prefix (one session per failing path / flip
-//! sequence) with answers byte-identical to the scratch path.
+//! crate: a shared canonicalization front-end ([`canon`]) feeding the
+//! interval tier ([`interval`]) and, on escalation, the simplex tier, with
+//! tier selection and attribution in [`backend`]. The theory layer
+//! ([`theory`]) owns the one solve pipeline — deadline gate, cache, tier
+//! dispatch, re-validation of every model by concrete evaluation, trace
+//! record. The [`cache`] memoizes canonical verdicts together with the tier
+//! that answered them. The [`incremental`] module keeps a warm,
+//! trail-backed builder alive across queries that share a prefix (one
+//! session per failing path / flip sequence); pruning and test generation
+//! always solve through sessions. The scratch path ([`solve_preds_with`]:
+//! a fresh builder per query) is the reference the tests hold sessions
+//! to, answer for answer.
 
 pub mod backend;
 pub mod cache;
@@ -36,14 +40,11 @@ pub mod theory;
 mod builder;
 mod model;
 
-pub use backend::{
-    BackendAnswer, BackendKind, SimplexBackend, TheoryBackend, Tier, TierCounters, TierSnapshot,
-};
+pub use backend::{BackendKind, Tier, TierCounters, TierSnapshot};
 pub use cache::{CacheLookup, CacheStats, SolverCache};
 pub use canon::{affinity_hash, CacheKey, CanonQuery};
 pub use deadline::Deadline;
 pub use incremental::{IncrementalCounters, IncrementalSession, IncrementalSnapshot};
-pub use interval::IntervalBackend;
 pub use intsolve::{satisfies, solve_int, Budget, IntProblem, IntResult};
 pub use rational::Rat;
 pub use simplex::{solve_lp, Lp, LpResult};

@@ -134,18 +134,18 @@ proptest! {
         flip in proptest::bool::ANY,
     ) {
         let cfg = SolverConfig::default();
-        let original = CanonQuery::build(&preds, &sig("x", "y", "s"), &cfg);
+        let original = CanonQuery::build(&preds, &sig("x", "y", "s"));
 
         let permuted = permute(&preds, k, flip);
-        let q = CanonQuery::build(&permuted, &sig("x", "y", "s"), &cfg);
-        prop_assert_eq!(original.key(), q.key(), "permutation changed the key");
+        let q = CanonQuery::build(&permuted, &sig("x", "y", "s"));
+        prop_assert_eq!(original.key(&cfg), q.key(&cfg), "permutation changed the key");
 
         let renamed: Vec<Pred> = permuted
             .iter()
             .map(|p| rename_pred(p, &["x", "y", "s"], &["alpha", "beta", "gamma"]))
             .collect();
-        let q = CanonQuery::build(&renamed, &sig("alpha", "beta", "gamma"), &cfg);
-        prop_assert_eq!(original.key(), q.key(), "renaming changed the key");
+        let q = CanonQuery::build(&renamed, &sig("alpha", "beta", "gamma"));
+        prop_assert_eq!(original.key(&cfg), q.key(&cfg), "renaming changed the key");
     }
 
     /// Re-spelling a parameter's name must NOT collide when the constraint
@@ -156,9 +156,9 @@ proptest! {
         let cfg = SolverConfig::default();
         let on_x = vec![Pred::cmp(CmpOp::Gt, Term::var("x"), Term::int(n))];
         let on_y_only = vec![Pred::cmp(CmpOp::Gt, Term::var("y"), Term::int(n + 1))];
-        let a = CanonQuery::build(&on_x, &sig("x", "y", "s"), &cfg);
-        let b = CanonQuery::build(&on_y_only, &sig("x", "y", "s"), &cfg);
-        prop_assert!(a.key() != b.key(), "distinct constraints collided: {:?}", a.key());
+        let a = CanonQuery::build(&on_x, &sig("x", "y", "s"));
+        let b = CanonQuery::build(&on_y_only, &sig("x", "y", "s"));
+        prop_assert!(a.key(&cfg) != b.key(&cfg), "distinct constraints collided: {:?}", a.key(&cfg));
     }
 
     /// A `Sat` answer served through the cache — on both the miss and the

@@ -8,7 +8,7 @@
 //! hashing and cloning is paid once, at construction, instead of on every
 //! cache probe.
 //!
-//! Thread safety: the dedup map is sharded behind mutexes keyed by the
+//! Thread safety: the dedup set is sharded behind mutexes keyed by the
 //! node's structural hash, and ids come from one atomic counter, so any
 //! number of threads may intern concurrently. Two threads racing to intern
 //! the same node serialize on the same shard and observe the same handle.
@@ -22,7 +22,8 @@
 //! concolic executor produces, and freeing would invalidate the `'static`
 //! handles embedded in caches, incremental sessions and worker threads.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
@@ -50,16 +51,41 @@ impl<T> Interned<T> {
     }
 }
 
+/// A dedup-set entry: the leaked allocation itself, hashed and compared by
+/// its node, so a lookup can borrow a plain `&T` and each node is stored
+/// once — in its arena allocation — rather than again as a map key.
+struct Slot<T: 'static>(&'static Interned<T>);
+
+impl<T: Hash> Hash for Slot<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.node.hash(state);
+    }
+}
+
+impl<T: PartialEq> PartialEq for Slot<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.node == other.0.node
+    }
+}
+
+impl<T: Eq> Eq for Slot<T> {}
+
+impl<T> Borrow<T> for Slot<T> {
+    fn borrow(&self) -> &T {
+        &self.0.node
+    }
+}
+
 /// An append-only hash-consing arena for nodes of type `T`.
 pub struct Interner<T: 'static> {
-    shards: [Mutex<HashMap<T, &'static Interned<T>>>; SHARDS],
+    shards: [Mutex<HashSet<Slot<T>>>; SHARDS],
     next_id: AtomicU32,
 }
 
-impl<T: Hash + Eq + Clone> Interner<T> {
+impl<T: Hash + Eq> Interner<T> {
     pub fn new() -> Self {
         Interner {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            shards: std::array::from_fn(|_| Mutex::new(HashSet::new())),
             next_id: AtomicU32::new(0),
         }
     }
@@ -70,13 +96,13 @@ impl<T: Hash + Eq + Clone> Interner<T> {
         node.hash(&mut h);
         let shard = (h.finish() >> 57) as usize % SHARDS;
         let mut guard = self.shards[shard].lock().expect("interner shard poisoned");
-        if let Some(&found) = guard.get(&node) {
-            return found;
+        if let Some(found) = guard.get(&node) {
+            return found.0;
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         assert!(id != u32::MAX, "interner id space exhausted");
-        let leaked: &'static Interned<T> = Box::leak(Box::new(Interned { id, node: node.clone() }));
-        guard.insert(node, leaked);
+        let leaked: &'static Interned<T> = Box::leak(Box::new(Interned { id, node }));
+        guard.insert(Slot(leaked));
         leaked
     }
 
@@ -90,7 +116,7 @@ impl<T: Hash + Eq + Clone> Interner<T> {
     }
 }
 
-impl<T: Hash + Eq + Clone> Default for Interner<T> {
+impl<T: Hash + Eq> Default for Interner<T> {
     fn default() -> Self {
         Self::new()
     }

@@ -24,9 +24,7 @@ use concolic::{run_concolic, ConcolicConfig};
 use minilang::{InputValue, MethodEntryState, Ty, TypedProgram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use solver::{
-    solve_preds_with, FuncSig, IncrementalSession, SolveResult, SolverCache, SolverConfig,
-};
+use solver::{FuncSig, IncrementalSession, SolveResult, SolverCache, SolverConfig};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use symbolic::{canon_pred, CanonPred, Pred};
@@ -162,14 +160,10 @@ pub fn generate_tests(program: &TypedProgram, func_name: &str, cfg: &TestGenConf
 
     let mut flips = 0usize;
     // Flip queries are prefixes of already-explored paths with one negated
-    // tail, so consecutive flips share long prefixes; under
-    // `cfg.solver.incremental` they all run through one warm session (the
-    // longest-common-prefix diff in `solve_preds` does the sharing).
-    // Verdicts and models are byte-identical to per-call scratch solves.
-    let mut session = cfg
-        .solver
-        .incremental
-        .then(|| IncrementalSession::new(&sig, &cfg.solver, cfg.solver_cache.clone()));
+    // tail, so consecutive flips share long prefixes; they all run through
+    // one warm session (the longest-common-prefix diff in `solve_preds`
+    // does the sharing).
+    let mut session = IncrementalSession::new(&sig, &cfg.solver, cfg.solver_cache.clone());
     while let Some((run_idx, j)) = queue.pop_front() {
         if ex.suite.len() >= cfg.max_runs || flips >= cfg.max_flips {
             break;
@@ -200,10 +194,7 @@ pub fn generate_tests(program: &TypedProgram, func_name: &str, cfg: &TestGenConf
         let entries = &ex.suite.runs[run_idx].path.entries;
         let mut preds: Vec<Pred> = entries[..j].iter().map(|e| e.pred.clone()).collect();
         preds.push(negated);
-        let verdict = match &mut session {
-            Some(s) => s.solve_preds(&preds).0,
-            None => solve_preds_with(&preds, &sig, &cfg.solver, cfg.solver_cache.as_deref()).0,
-        };
+        let verdict = session.solve_preds(&preds).0;
         if let Some(sink) = obs::recording_sink(&cfg.trace) {
             let site = format!("{site:?}");
             sink.event(

@@ -81,7 +81,7 @@ EOF
 # Warm prefix-sharing sessions must pay for themselves: incremental
 # solving may never be slower than scratch on the corpus slice (it
 # should be meaningfully faster; equivalence of the *answers* is the
-# tests' job — tests/incremental_differential.rs).
+# tests' job — tests/session_replay.rs).
 python3 - <<'EOF'
 import json
 inc = json.load(open("BENCH_solver_incremental.json"))

@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! preinfer path/to/program.ml [--fn NAME] [--baselines] [--tests N]
-//!          [--jobs N] [--no-solver-cache] [--solver-backend tiered|simplex]
-//!          [--incremental on|off] [--interproc inline|summary]
+//!          [--jobs N] [--interproc inline|summary]
 //!          [--timeout-ms N] [--verbose] [--trace-out FILE]
 //! ```
 //!
@@ -13,7 +12,7 @@
 //! inferred precondition `ψ`, the failure condition `α`, pruning statistics
 //! and suite-based quality. Inference for the locations runs on `--jobs`
 //! worker threads (default: all cores) sharing a canonicalizing solver
-//! cache; both knobs only affect speed, never results. `--baselines`
+//! cache; the thread count only affects speed, never results. `--baselines`
 //! additionally prints FixIt's and DySy's inferences for comparison.
 
 use preinfer::prelude::*;
@@ -26,9 +25,6 @@ struct Options {
     baselines: bool,
     max_runs: Option<usize>,
     jobs: usize,
-    solver_cache: bool,
-    backend: BackendKind,
-    incremental: bool,
     interproc: InterprocMode,
     timeout_ms: Option<u64>,
     verbose: bool,
@@ -38,8 +34,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: preinfer <program.ml> [--fn NAME] [--baselines] [--tests N]\n\
-         \x20               [--jobs N] [--no-solver-cache] [--solver-backend B]\n\
-         \x20               [--incremental on|off] [--interproc inline|summary]\n\
+         \x20               [--jobs N] [--interproc inline|summary]\n\
          \x20               [--timeout-ms N] [--verbose] [--trace-out FILE]\n\
          \n\
          Infers preconditions for every assertion-containing location that\n\
@@ -47,18 +42,6 @@ fn usage() -> ! {
          \n\
          --jobs N           worker threads for per-ACL inference (default:\n\
          \x20                  all cores; results are identical for any N)\n\
-         --no-solver-cache  disable the canonicalizing solver query cache\n\
-         --solver-backend B solver backend stack: `tiered` (default — the\n\
-         \x20                  interval tier answers cheap queries, escalating\n\
-         \x20                  to simplex) or `simplex` (every query goes\n\
-         \x20                  straight to simplex); results are identical,\n\
-         \x20                  only speed and tier attribution differ\n\
-         --incremental B    `on` (default) solves prefix-sharing queries in\n\
-         \x20                  pruning and test generation through one warm\n\
-         \x20                  push/pop solver session per path; `off` builds\n\
-         \x20                  every query from scratch. Results are\n\
-         \x20                  byte-identical either way — this is a speed\n\
-         \x20                  knob, not a semantic one\n\
          --interproc M      `inline` (default) unrolls callee bodies into the\n\
          \x20                  caller's path condition; `summary` infers each\n\
          \x20                  non-recursive callee's ψ once bottom-up and\n\
@@ -88,9 +71,6 @@ fn parse_args() -> Options {
         baselines: false,
         max_runs: None,
         jobs: default_jobs(),
-        solver_cache: true,
-        backend: BackendKind::default(),
-        incremental: true,
         interproc: InterprocMode::default(),
         timeout_ms: None,
         verbose: false,
@@ -101,18 +81,6 @@ fn parse_args() -> Options {
             "--fn" => opts.func = args.next().or_else(|| usage()),
             "--baselines" => opts.baselines = true,
             "--verbose" => opts.verbose = true,
-            "--no-solver-cache" => opts.solver_cache = false,
-            "--solver-backend" => {
-                opts.backend =
-                    args.next().and_then(|v| BackendKind::parse(&v)).unwrap_or_else(|| usage())
-            }
-            "--incremental" => {
-                opts.incremental = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage(),
-                }
-            }
             "--interproc" => {
                 opts.interproc = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
             }
@@ -172,28 +140,34 @@ fn main() -> ExitCode {
         None => program.program().funcs[0].name.clone(),
     };
 
-    let cache = opts.solver_cache.then(|| Arc::new(SolverCache::new()));
+    let cache = Arc::new(SolverCache::new());
     let deadline = opts.timeout_ms.map(Deadline::after_ms).unwrap_or_default();
     // Recording sink when a trace file is requested: buffers every span and
     // event as a JSON line. Observation-only — ψ is identical either way.
     let sink = opts.trace_out.as_ref().map(|_| Arc::new(preinfer::obs::TraceSink::recording()));
     let run_start = std::time::Instant::now();
+    // One set of tier and session counters across test generation and
+    // pruning, so the footer reports the whole run.
+    let tiers = Arc::new(TierCounters::default());
+    let inc_stats = Arc::new(IncrementalCounters::default());
     let mut tg = TestGenConfig::default();
     if let Some(n) = opts.max_runs {
         tg.max_runs = n;
     }
-    // One set of tier counters across test generation and pruning, so the
-    // footer reports the whole run's attribution.
-    let tiers = Arc::new(TierCounters::default());
-    let inc_stats = Arc::new(IncrementalCounters::default());
-    tg.solver_cache = cache.clone();
+    tg.solver_cache = Some(cache.clone());
     tg.solver.deadline = deadline.clone();
     tg.solver.trace = sink.clone();
-    tg.solver.backend = opts.backend;
     tg.solver.tiers = tiers.clone();
-    tg.solver.incremental = opts.incremental;
     tg.solver.incremental_stats = inc_stats.clone();
     tg.trace = sink.clone();
+    let mut cfg = PreInferConfig::default();
+    cfg.prune.solver_cache = Some(cache.clone());
+    cfg.prune.jobs = opts.jobs;
+    cfg.prune.solver.deadline = deadline.clone();
+    cfg.prune.solver.trace = sink.clone();
+    cfg.prune.solver.tiers = tiers.clone();
+    cfg.prune.solver.incremental_stats = inc_stats.clone();
+    cfg.prune.trace = sink.clone();
     // Summary mode: infer every non-recursive reachable callee's ψ first
     // (bottom-up), then point the executors at the resolved summaries.
     let mut summary_build = None;
@@ -201,15 +175,7 @@ fn main() -> ExitCode {
         let table = SummaryTable::new();
         let build_cfg = SummaryBuildConfig {
             testgen: tg.clone(),
-            prune: {
-                let mut p = PreInferConfig::default().prune;
-                p.solver_cache = cache.clone();
-                p.solver.deadline = deadline.clone();
-                p.solver.backend = opts.backend;
-                p.solver.tiers = tiers.clone();
-                p.solver.incremental = opts.incremental;
-                p
-            },
+            prune: cfg.prune.clone(),
             jobs: opts.jobs,
             stats: Default::default(),
         };
@@ -217,6 +183,7 @@ fn main() -> ExitCode {
         let build = build_summaries(&program, &func_name, &table, &build_cfg);
         if !build.resolved.is_empty() {
             tg.concolic.summaries = Some(build.resolved.clone());
+            cfg.prune.concolic.summaries = Some(build.resolved.clone());
         }
         summary_build = Some(build);
     }
@@ -235,21 +202,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let mut cfg = PreInferConfig::default();
-    cfg.prune.solver_cache = cache.clone();
-    cfg.prune.jobs = opts.jobs;
-    cfg.prune.solver.deadline = deadline.clone();
-    cfg.prune.solver.trace = sink.clone();
-    cfg.prune.solver.backend = opts.backend;
-    cfg.prune.solver.tiers = tiers.clone();
-    cfg.prune.solver.incremental = opts.incremental;
-    cfg.prune.solver.incremental_stats = inc_stats.clone();
-    cfg.prune.trace = sink.clone();
-    if let Some(build) = &summary_build {
-        if !build.resolved.is_empty() {
-            cfg.prune.concolic.summaries = Some(build.resolved.clone());
-        }
-    }
     let start = std::time::Instant::now();
     let inferred = infer_all_preconditions(&program, &func_name, &suite, &cfg, opts.jobs);
     let elapsed = start.elapsed();
@@ -318,46 +270,36 @@ fn main() -> ExitCode {
             opts.timeout_ms.unwrap()
         );
     }
-    match &cache {
-        Some(c) => {
-            let s = c.stats();
-            println!(
-                "; solver cache: {} hits / {} misses ({:.0}% hit rate), {} entries, {} evicted in {} sweep(s)",
-                s.hits,
-                s.misses,
-                100.0 * s.hit_rate(),
-                s.entries,
-                s.evicted_entries,
-                s.evictions
-            );
-        }
-        None => println!("; solver cache disabled"),
-    }
+    let c = cache.stats();
+    println!(
+        "; solver cache: {} hits / {} misses ({:.0}% hit rate), {} entries, {} evicted in {} sweep(s)",
+        c.hits,
+        c.misses,
+        100.0 * c.hit_rate(),
+        c.entries,
+        c.evicted_entries,
+        c.evictions
+    );
     let t = tiers.snapshot();
     println!(
-        "solver backend `{}`: {} syntactic / {} interval / {} simplex answer(s), \
+        "solver tiers: {} syntactic / {} interval / {} simplex answer(s), \
          {} escalation(s) ({:.0}% answered above simplex)",
-        opts.backend.label(),
         t.answered_by_syntactic,
         t.answered_by_interval,
         t.answered_by_simplex,
         t.escalations,
         100.0 * t.tier1_rate(),
     );
-    if opts.incremental {
-        let i = inc_stats.snapshot();
-        println!(
-            "incremental solving: {} session(s), {} queries, {} push(es) / {} pop(s), \
-             mean reused depth {:.1}",
-            i.sessions,
-            i.queries,
-            i.pushes,
-            i.pops,
-            i.avg_reused_depth(),
-        );
-    } else {
-        println!("incremental solving disabled (--incremental off)");
-    }
+    let i = inc_stats.snapshot();
+    println!(
+        "incremental solving: {} session(s), {} queries, {} push(es) / {} pop(s), \
+         mean reused depth {:.1}",
+        i.sessions,
+        i.queries,
+        i.pushes,
+        i.pops,
+        i.avg_reused_depth(),
+    );
     if let Some(build) = &summary_build {
         let stats = &build.resolved.stats;
         print!(

@@ -9,9 +9,6 @@
 //! ids, so a match shows the new dedupe keys attempt exactly the same
 //! flips, in the same order, with the same verdicts.
 //!
-//! Both solver paths the flip loop can take are pinned: the warm
-//! incremental session (the default) and per-flip scratch solves.
-//!
 //! Regenerate (only for changes that intentionally alter test generation)
 //! with `UPDATE_TESTGEN_GOLDENS=1 cargo test --test testgen_differential`.
 
@@ -31,17 +28,17 @@ fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
     h
 }
 
-/// One line per configuration: the `testgen_done` counts and the digest
-/// of the `flip` events, in emission order.
-fn testgen_summary(m: &subjects::SubjectMethod, incremental: bool) -> String {
+/// One line per method: the `testgen_done` counts and the digest of the
+/// `flip` events, in emission order. The `incremental` label names the
+/// warm-session solver path the flip loop runs on.
+fn testgen_summary(m: &subjects::SubjectMethod) -> String {
     let tp = m.compile();
     let sink = Arc::new(obs::TraceSink::recording());
-    let mut tg = TestGenConfig {
+    let tg = TestGenConfig {
         solver_cache: Some(Arc::new(SolverCache::new())),
         trace: Some(sink.clone()),
         ..TestGenConfig::default()
     };
-    tg.solver.incremental = incremental;
     generate_tests(&tp, m.name, &tg);
     let mut digest = 0xcbf2_9ce4_8422_2325;
     let mut done = None;
@@ -68,8 +65,7 @@ fn testgen_summary(m: &subjects::SubjectMethod, incremental: bool) -> String {
         }
     }
     let (runs, flips) = done.expect("generation emitted testgen_done");
-    let mode = if incremental { "incremental" } else { "scratch" };
-    format!("{} {mode} runs={runs} flips={flips} flip_digest={digest:016x}", m.name)
+    format!("{} incremental runs={runs} flips={flips} flip_digest={digest:016x}", m.name)
 }
 
 /// Renders the whole corpus (plus the motivating example) to one
@@ -80,8 +76,7 @@ fn corpus_render() -> String {
     let mut lines = Vec::new();
     for m in &methods {
         lines.push(format!("# {}::{}", m.namespace, m.name));
-        lines.push(testgen_summary(m, true));
-        lines.push(testgen_summary(m, false));
+        lines.push(testgen_summary(m));
     }
     let mut out = lines.join("\n");
     out.push('\n');
