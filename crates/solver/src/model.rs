@@ -1,7 +1,7 @@
 //! Model construction: concretizing an integer assignment plus nullness
 //! and boolean decisions into a [`MethodEntryState`].
 //!
-//! Shared by every backend that answers `Sat` — the interval tier and the
+//! Shared by every tier that answers `Sat` — the interval tier and the
 //! simplex tier build models through the *same* code over the same maps,
 //! which is half of the byte-identical-model guarantee the backend
 //! differential tests rely on (the other half is that both tiers compute
