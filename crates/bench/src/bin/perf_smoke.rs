@@ -441,12 +441,7 @@ fn run_interproc_case() -> InterprocResult {
                 tp,
                 m.name,
                 &table,
-                &SummaryBuildConfig {
-                    testgen: TestGenConfig::default(),
-                    prune: PreInferConfig::default().prune,
-                    jobs: 1,
-                    stats: apply_stats.clone(),
-                },
+                &SummaryBuildConfig { stats: apply_stats.clone(), ..Default::default() },
             );
             (!build.resolved.is_empty()).then_some(build.resolved)
         })
@@ -476,12 +471,7 @@ fn run_interproc_case() -> InterprocResult {
             tp,
             m.name,
             &table,
-            &SummaryBuildConfig {
-                testgen: TestGenConfig::default(),
-                prune: PreInferConfig::default().prune,
-                jobs: 1,
-                stats: apply_stats.clone(),
-            },
+            &SummaryBuildConfig { stats: apply_stats.clone(), ..Default::default() },
         );
         std::hint::black_box(build);
     }

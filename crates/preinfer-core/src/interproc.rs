@@ -14,8 +14,7 @@
 //! summarized: calls to them inline as before, with a typed
 //! [`FallbackReason`] surfaced in the build report.
 
-use crate::pipeline::{infer_all_preconditions, PreInferConfig};
-use crate::pruning::PruneConfig;
+use crate::pipeline::SummaryBuildConfig;
 use concolic::ResolvedSummaries;
 use minilang::{canonical_func_string, check_sites, CallGraph, CheckId, TypedProgram};
 use std::collections::HashMap;
@@ -23,7 +22,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use symbolic::{rename_formula, Formula};
-use testgen::{generate_tests, TestGenConfig};
 
 /// Why a reachable callee was left to inline instead of being summarized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,21 +127,6 @@ impl SummaryTable {
     pub fn inserts(&self) -> u64 {
         self.inserts.load(Ordering::Relaxed)
     }
-}
-
-/// Budgets for the bottom-up builder. The testgen config carries the
-/// concolic, solver, cache, and trace plumbing exactly as in the
-/// intraprocedural pipeline.
-#[derive(Debug, Clone, Default)]
-pub struct SummaryBuildConfig {
-    pub testgen: TestGenConfig,
-    pub prune: PruneConfig,
-    /// Worker threads for the per-ACL inference fan-out within one callee.
-    pub jobs: usize,
-    /// Apply/fallback counters installed into the resolved view — pass a
-    /// shared handle to aggregate across builds (the daemon does, for its
-    /// lifetime `summaries` stats); the default is a fresh per-build one.
-    pub stats: Arc<concolic::SummaryApplyStats>,
 }
 
 /// The outcome of one bottom-up build: the per-program resolved view plus
@@ -287,15 +270,7 @@ fn infer_func_summary(
     // deeper functions (bottom-up composition).
     let nested =
         Arc::new(ResolvedSummaries { by_func: built_so_far.clone(), stats: Default::default() });
-    let mut tg = cfg.testgen.clone();
-    let mut prune = cfg.prune.clone();
-    if !nested.is_empty() {
-        tg.concolic.summaries = Some(nested.clone());
-        prune.concolic.summaries = Some(nested);
-    }
-    let suite = generate_tests(program, name, &tg);
-    let precfg = PreInferConfig { prune, ..Default::default() };
-    let inferences = infer_all_preconditions(program, name, &suite, &precfg, cfg.jobs.max(1));
+    let (_, inferences) = cfg.infer(program, name, Some(nested));
 
     let sites = closure_sites(program, cg, name);
     let renames: Vec<(String, String)> =

@@ -13,7 +13,8 @@
 //! 3. assembles the precondition `ψ = ¬α` ([`precondition`]).
 //!
 //! Quality metrics (sufficient / necessary / correct / relative complexity,
-//! Section V-B) live in [`metrics`]; the end-to-end driver in [`pipeline`].
+//! Section V-B) live in [`metrics`]; the end-to-end driver, including the
+//! one per-method run every front end uses, in [`pipeline`].
 
 pub mod generalize;
 pub mod interproc;
@@ -29,10 +30,13 @@ pub use generalize::{
 };
 pub use interproc::{
     build_summaries, closure_key, closure_sites, FallbackReason, StoredFuncSummary, SummaryBuild,
-    SummaryBuildConfig, SummaryTable,
+    SummaryTable,
 };
 pub use metrics::{evaluate_precondition, random_probe, validates, PrecondQuality, ProbeConfig};
 pub use par::map_parallel;
-pub use pipeline::{infer_all_preconditions, infer_precondition, Inference, PreInferConfig};
+pub use pipeline::{
+    infer_all_preconditions, infer_precondition, Inference, MethodRun, PreInferConfig,
+    SummaryBuildConfig,
+};
 pub use precondition::{assemble, InferredPrecondition};
 pub use pruning::{prune_failing_paths, PruneConfig, PruneStats, ReducedPath};

@@ -1,11 +1,18 @@
 //! The end-to-end PreInfer pipeline (Section IV): collect path conditions
-//! from the shared test suite, prune, generalize, assemble.
+//! from the shared test suite, prune, generalize, assemble — and
+//! [`SummaryBuildConfig::run`], the one per-method run (callee summaries,
+//! test generation, then inference for every triggered ACL) that the CLI,
+//! the daemon, the table drivers and the summary builder all go through.
 
 use crate::generalize::{default_templates, generalize_path_traced, GeneralizedPath, Template};
+use crate::interproc::{build_summaries, SummaryBuild, SummaryTable};
 use crate::precondition::{assemble, InferredPrecondition};
 use crate::pruning::{prune_failing_paths, PruneConfig, PruneStats};
+use concolic::ResolvedSummaries;
 use minilang::{CheckId, MethodEntryState, TypedProgram};
-use testgen::Suite;
+use solver::{Deadline, IncrementalCounters, SolverCache, TierCounters};
+use std::sync::Arc;
+use testgen::{generate_tests, Suite, TestGenConfig};
 
 /// PreInfer configuration.
 pub struct PreInferConfig {
@@ -30,6 +37,7 @@ impl Default for PreInferConfig {
 }
 
 /// Inference outcome for one ACL.
+#[derive(Debug)]
 pub struct Inference {
     pub precondition: InferredPrecondition,
     pub prune_stats: PruneStats,
@@ -149,10 +157,104 @@ pub fn infer_all_preconditions(
     acls.into_iter().zip(results).filter_map(|(acl, inf)| inf.map(|inf| (acl, inf))).collect()
 }
 
+/// One inference run of one method: test generation, pruning and the
+/// fan-out widths. [`SummaryBuildConfig::new`] is the one place a run's
+/// shared plumbing is wired; [`SummaryBuildConfig::run`] executes it. The
+/// `Default` run has no cache, deadline or sink and runs serially.
+#[derive(Debug, Clone, Default)]
+pub struct SummaryBuildConfig {
+    pub testgen: TestGenConfig,
+    pub prune: PruneConfig,
+    /// Worker threads for the per-ACL inference fan-out.
+    pub jobs: usize,
+    /// Apply/fallback counters installed into the resolved view — pass a
+    /// shared handle to aggregate across builds (the daemon does, for its
+    /// lifetime `summaries` stats); the default is a fresh per-build one.
+    pub stats: Arc<concolic::SummaryApplyStats>,
+}
+
+/// What one run produced.
+#[derive(Debug)]
+pub struct MethodRun {
+    /// The generated test suite.
+    pub suite: Suite,
+    /// One inference per triggered ACL, sorted by ACL id.
+    pub inferences: Vec<(CheckId, Inference)>,
+    /// The callee-summary build, when the run was given a table.
+    pub summaries: Option<SummaryBuild>,
+}
+
+impl SummaryBuildConfig {
+    /// A run with `testgen`'s budgets and one solver cache, deadline, trace
+    /// sink and set of tier and session counters shared by test generation
+    /// and pruning. Pruning solves under test generation's
+    /// [`solver::SolverConfig`], and `jobs` bounds both the per-ACL and
+    /// the per-failing-path fan-out.
+    pub fn new(
+        mut testgen: TestGenConfig,
+        cache: Option<Arc<SolverCache>>,
+        deadline: Deadline,
+        trace: Option<Arc<obs::TraceSink>>,
+        tiers: Arc<TierCounters>,
+        sessions: Arc<IncrementalCounters>,
+        jobs: usize,
+    ) -> SummaryBuildConfig {
+        testgen.solver_cache = cache.clone();
+        testgen.solver.deadline = deadline;
+        testgen.solver.trace = trace.clone();
+        testgen.solver.tiers = tiers;
+        testgen.solver.incremental_stats = sessions;
+        testgen.trace = trace.clone();
+        let prune = PruneConfig {
+            solver: testgen.solver.clone(),
+            solver_cache: cache,
+            jobs,
+            trace,
+            ..PruneConfig::default()
+        };
+        SummaryBuildConfig { testgen, prune, jobs, stats: Default::default() }
+    }
+
+    /// Runs `func` end to end: with a `table`, first builds the callee
+    /// ψ-summaries bottom-up ([`build_summaries`]) and applies them at call
+    /// sites; then generates the suite and infers ψ for every ACL it
+    /// triggers.
+    pub fn run(
+        &self,
+        program: &TypedProgram,
+        func: &str,
+        table: Option<&SummaryTable>,
+    ) -> MethodRun {
+        let summaries = table.map(|table| build_summaries(program, func, table, self));
+        let (suite, inferences) =
+            self.infer(program, func, summaries.as_ref().map(|b| b.resolved.clone()));
+        MethodRun { suite, inferences, summaries }
+    }
+
+    /// Test generation then per-ACL inference, with `summaries` (when
+    /// non-empty) applied at call sites by both stages' executors.
+    pub(crate) fn infer(
+        &self,
+        program: &TypedProgram,
+        func: &str,
+        summaries: Option<Arc<ResolvedSummaries>>,
+    ) -> (Suite, Vec<(CheckId, Inference)>) {
+        let mut testgen = self.testgen.clone();
+        let mut prune = self.prune.clone();
+        if let Some(summaries) = summaries.filter(|s| !s.is_empty()) {
+            testgen.concolic.summaries = Some(summaries.clone());
+            prune.concolic.summaries = Some(summaries);
+        }
+        let suite = generate_tests(program, func, &testgen);
+        let cfg = PreInferConfig { prune, ..PreInferConfig::default() };
+        let inferences = infer_all_preconditions(program, func, &suite, &cfg, self.jobs);
+        (suite, inferences)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use testgen::{generate_tests, TestGenConfig};
 
     const FIG1: &str = "
         fn example(s [str], a int, b int, c int, d int) -> int {

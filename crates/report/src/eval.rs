@@ -6,8 +6,8 @@ use concolic::InterprocMode;
 use interp::{run, ExecResult, InterpConfig};
 use minilang::{program_check_sites, CheckId, LoopPos, MethodEntryState, TypedProgram};
 use preinfer_core::{
-    build_summaries, evaluate_precondition, infer_precondition, map_parallel, random_probe,
-    PreInferConfig, PrecondQuality, ProbeConfig, SummaryBuildConfig, SummaryTable,
+    evaluate_precondition, map_parallel, random_probe, MethodRun, PrecondQuality, ProbeConfig,
+    SummaryBuildConfig, SummaryTable,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,7 +15,7 @@ use solver::{BackendKind, Deadline, SolverCache, TierCounters, TierSnapshot};
 use std::sync::Arc;
 use subjects::SubjectMethod;
 use symbolic::Formula;
-use testgen::{generate_tests, TestGenConfig};
+use testgen::TestGenConfig;
 
 /// The three approaches, in the tables' column order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,52 +233,29 @@ fn render_psi(psi: &Formula) -> String {
 pub fn evaluate_method(m: &SubjectMethod, cfg: &EvalConfig) -> MethodResult {
     let tp = m.compile();
     let func = m.func(&tp).clone();
-    // Per-method cache: test generation, pruning and the baselines all hit
-    // the same predicate families, so hit rates are high within a method.
+    // Per-method cache, deadline, aggregate sink (per-stage histograms
+    // only, no per-event buffering) and tier counters, shared by test
+    // generation and pruning.
     let cache = cfg.solver_cache.then(|| Arc::new(SolverCache::new()));
     let deadline = cfg.timeout_ms.map(Deadline::after_ms).unwrap_or_default();
-    // Aggregate sink: per-stage histograms only, no per-event buffering.
     let sink = cfg.trace.then(|| Arc::new(obs::TraceSink::aggregate()));
-    // One tier-counter set per method, shared by generation and pruning.
     let tiers = Arc::new(TierCounters::default());
-    let mut testgen_cfg = cfg.testgen.clone();
-    testgen_cfg.solver_cache = cache.clone();
-    testgen_cfg.solver.deadline = deadline.clone();
-    testgen_cfg.solver.trace = sink.clone();
-    testgen_cfg.solver.backend = cfg.solver_backend;
-    testgen_cfg.solver.tiers = tiers.clone();
-    testgen_cfg.trace = sink.clone();
-    let mut infer_cfg = PreInferConfig::default();
-    infer_cfg.prune.solver_cache = cache.clone();
-    infer_cfg.prune.solver.deadline = deadline.clone();
-    infer_cfg.prune.solver.trace = sink.clone();
-    infer_cfg.prune.solver.backend = cfg.solver_backend;
-    infer_cfg.prune.solver.tiers = tiers.clone();
-    infer_cfg.prune.trace = sink.clone();
-    // Summary mode: infer each reachable callee's ψ once, bottom-up, then
-    // point both the generation and the pruning executors at the resolved
-    // summaries so call sites apply ψ(actuals) instead of unrolling.
-    let mut summarized_callees = 0usize;
-    let mut summary_table_hits = 0u64;
-    let mut summary_stats = None;
-    if cfg.interproc == InterprocMode::Summary {
-        let table = cfg.summary_table.clone().unwrap_or_default();
-        let build_cfg = SummaryBuildConfig {
-            testgen: testgen_cfg.clone(),
-            prune: infer_cfg.prune.clone(),
-            jobs: 1,
-            stats: Default::default(),
-        };
-        let build = build_summaries(&tp, m.name, &table, &build_cfg);
-        summarized_callees = build.summarized.len();
-        summary_table_hits = build.table_hits;
-        summary_stats = Some(build.resolved.stats.clone());
-        if !build.resolved.is_empty() {
-            testgen_cfg.concolic.summaries = Some(build.resolved.clone());
-            infer_cfg.prune.concolic.summaries = Some(build.resolved);
-        }
-    }
-    let suite = generate_tests(&tp, m.name, &testgen_cfg);
+    let mut testgen = cfg.testgen.clone();
+    testgen.solver.backend = cfg.solver_backend;
+    let run = SummaryBuildConfig::new(
+        testgen,
+        cache.clone(),
+        deadline.clone(),
+        sink.clone(),
+        tiers.clone(),
+        Default::default(),
+        1,
+    );
+    // Summary mode: infer each reachable callee's ψ once, bottom-up, and
+    // apply ψ(actuals) at call sites instead of unrolling.
+    let table = (cfg.interproc == InterprocMode::Summary)
+        .then(|| cfg.summary_table.clone().unwrap_or_default());
+    let MethodRun { suite, inferences, summaries } = run.run(&tp, m.name, table.as_deref());
     let coverage = suite.coverage_percent(&func);
     // Program-wide: a triggered ACL may live inside a callee (reached
     // through inlining or reported through a summary application).
@@ -323,8 +300,10 @@ pub fn evaluate_method(m: &SubjectMethod, cfg: &EvalConfig) -> MethodResult {
             }
         };
 
-        let preinfer = infer_precondition(&tp, m.name, acl, &suite, &infer_cfg)
-            .map(|inf| score(&inf.precondition.psi, inf.precondition.quantified))
+        let preinfer = inferences
+            .iter()
+            .find(|(id, _)| *id == acl)
+            .map(|(_, inf)| score(&inf.precondition.psi, inf.precondition.quantified))
             .unwrap_or_else(|| score(&Formula::t(), false));
         let fixit = infer_fixit(acl, &suite)
             .map(|p| score(&p.psi, p.psi.is_quantified()))
@@ -376,10 +355,10 @@ pub fn evaluate_method(m: &SubjectMethod, cfg: &EvalConfig) -> MethodResult {
         stage_timings,
         solver_tiers: tiers.snapshot(),
         interproc: cfg.interproc.label(),
-        summarized_callees,
-        summary_table_hits,
-        summary_applies: summary_stats.as_ref().map(|s| s.applies()).unwrap_or(0),
-        summary_fallbacks: summary_stats.as_ref().map(|s| s.fallbacks()).unwrap_or(0),
+        summarized_callees: summaries.as_ref().map_or(0, |b| b.summarized.len()),
+        summary_table_hits: summaries.as_ref().map_or(0, |b| b.table_hits),
+        summary_applies: summaries.as_ref().map_or(0, |b| b.resolved.stats.applies()),
+        summary_fallbacks: summaries.as_ref().map_or(0, |b| b.resolved.stats.fallbacks()),
         acls,
     }
 }

@@ -21,7 +21,7 @@
 //!   pipeline locally and exits non-zero unless every served ψ is
 //!   byte-identical — the scriptable form of the differential test.
 
-use server::{served_psis, Client, InferRequest};
+use server::{offline_psis, served_psis, Client, InferRequest};
 use std::process::ExitCode;
 
 fn usage() -> ! {
@@ -269,7 +269,7 @@ fn cmd_corpus(c: &Common) -> ExitCode {
             return ExitCode::FAILURE;
         };
         if check_offline {
-            let offline = offline_psis(m);
+            let offline = offline_psis(&m.compile(), m.name);
             if served == offline {
                 println!("{}: OK ({} precondition(s) match offline)", m.name, served.len());
             } else {
@@ -288,16 +288,4 @@ fn cmd_corpus(c: &Common) -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// The offline pipeline's rendered ψ strings for one subject, in ACL order
-/// (mirrors `service::run_infer` exactly, minus the daemon).
-fn offline_psis(m: &subjects::SubjectMethod) -> Vec<String> {
-    let tp = m.compile();
-    let suite = testgen::generate_tests(&tp, m.name, &testgen::TestGenConfig::default());
-    let cfg = preinfer_core::PreInferConfig::default();
-    preinfer_core::infer_all_preconditions(&tp, m.name, &suite, &cfg, 1)
-        .iter()
-        .map(|(_, inf)| inf.precondition.psi.to_string())
-        .collect()
 }

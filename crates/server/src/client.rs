@@ -104,3 +104,12 @@ pub fn served_psis(resp: &Json) -> Option<Vec<String>> {
         None
     }
 }
+
+/// The ψ strings an offline run computes for `func`, in ACL order: the
+/// ground truth a served answer must match byte for byte. Default
+/// configuration, inline calls, one job and no solver cache, so nothing
+/// it returns can depend on what a daemon's warm cache has seen.
+pub fn offline_psis(program: &minilang::TypedProgram, func: &str) -> Vec<String> {
+    let run = preinfer_core::SummaryBuildConfig::default().run(program, func, None);
+    run.inferences.iter().map(|(_, inf)| inf.precondition.psi.to_string()).collect()
+}

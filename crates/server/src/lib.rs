@@ -43,7 +43,7 @@ pub mod server;
 pub mod service;
 pub mod trace;
 
-pub use client::{served_psis, Client, ClientError};
+pub use client::{offline_psis, served_psis, Client, ClientError};
 pub use netcore::{wait_for_signal, ShutdownHandle};
 pub use obs::Histogram;
 pub use protocol::{ErrorCode, InferRequest, Request, TraceContext, TraceSelect, MAX_FRAME_LEN};

@@ -1,21 +1,23 @@
 //! Request execution: one `infer` request against the shared warm cache.
 //!
-//! This is the bridge between the wire protocol and the offline pipeline.
-//! The invariant the differential tests lock in: an `infer` response's ψ
-//! strings are byte-identical to what the offline
-//! [`preinfer_core::infer_all_preconditions`] run produces for the same
-//! program, because the shared [`SolverCache`] only memoizes values that
-//! are pure functions of their canonical keys (PR 1's contract) — serving
-//! from a warm cache amortizes cost without ever changing an answer.
+//! This is the bridge between the wire protocol and the offline pipeline:
+//! a request runs the same [`SummaryBuildConfig::run`] the `preinfer` CLI
+//! does. The invariant the differential tests lock in: an `infer`
+//! response's ψ strings are byte-identical to an offline cold run of the
+//! same program ([`crate::offline_psis`]), because the shared
+//! [`SolverCache`] only memoizes values that are pure functions of their
+//! canonical keys — serving from a warm cache amortizes cost without ever
+//! changing an answer.
 
 use crate::json::ObjBuilder;
 use crate::protocol::{ErrorCode, InferRequest};
 use concolic::{InterprocMode, SummaryApplyStats};
-use preinfer_core::{build_summaries, PreInferConfig, SummaryBuildConfig, SummaryTable};
+use minilang::CheckId;
+use preinfer_core::{Inference, MethodRun, SummaryBuildConfig, SummaryTable};
 use solver::{Deadline, IncrementalCounters, SolverCache, TierCounters};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-use testgen::{generate_tests, TestGenConfig};
+use testgen::TestGenConfig;
 
 /// Daemon-wide interprocedural policy: whether `infer` requests apply
 /// callee ψ-summaries at call sites (`--interproc summary`) or inline
@@ -40,31 +42,14 @@ impl Default for SummaryPolicy {
     }
 }
 
-/// One inferred ACL in an `infer` response.
-#[derive(Debug)]
-pub struct AclOutcome {
-    /// Debug-rendered check id (stable across offline/served runs).
-    pub acl: String,
-    /// The check kind label (e.g. `DivideByZero`).
-    pub kind: String,
-    /// Rendered inferred precondition.
-    pub psi: String,
-    /// Rendered failure condition.
-    pub alpha: String,
-    pub quantified: bool,
-    /// Pruning counters: examined / removed / dynamic runs.
-    pub examined: usize,
-    pub removed: usize,
-    pub dynamic_runs: usize,
-}
-
 /// A completed `infer` request.
 #[derive(Debug)]
 pub struct InferOutcome {
     pub func: String,
     pub tests: usize,
     pub coverage_percent: f64,
-    pub acls: Vec<AclOutcome>,
+    /// One inference per triggered ACL, in ACL order.
+    pub inferences: Vec<(CheckId, Inference)>,
     /// Whether the per-request deadline expired mid-run (partial result).
     pub timed_out: bool,
     /// Inference wall-clock, milliseconds.
@@ -76,6 +61,16 @@ pub struct InferOutcome {
 pub struct ServiceError {
     pub code: ErrorCode,
     pub message: String,
+}
+
+/// A request's `jobs`, clamped to the host's available parallelism. The
+/// run uses it for both the per-ACL and the per-failing-path fan-out, so
+/// an unclamped request could start `jobs²` threads behind one admission
+/// slot, around `--workers` and admission control.
+fn clamp_jobs(requested: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    requested.clamp(1, *cores)
 }
 
 /// Runs one `infer` request to completion. `deadline` must already be
@@ -123,68 +118,28 @@ pub fn run_infer(
     if let Some(n) = req.tests {
         tg.max_runs = n;
     }
-    tg.solver_cache = Some(cache.clone());
-    tg.solver.deadline = deadline.clone();
-    tg.solver.trace = trace.clone();
-    tg.solver.tiers = tiers.clone();
-    tg.solver.incremental_stats = incremental.clone();
-    tg.trace = trace.clone();
-
-    let mut cfg = PreInferConfig::default();
-    cfg.prune.solver_cache = Some(cache.clone());
-    cfg.prune.solver.deadline = deadline.clone();
-    cfg.prune.solver.trace = trace.clone();
-    cfg.prune.solver.tiers = tiers.clone();
-    cfg.prune.solver.incremental_stats = incremental.clone();
-    cfg.prune.trace = trace.clone();
-    cfg.prune.jobs = req.jobs;
-
-    if summaries.mode == InterprocMode::Summary {
-        // Build (or re-resolve from the shared table) the callee summaries
-        // for this program, then run the entry inference in summary mode.
-        let build = build_summaries(
-            &program,
-            &func_name,
-            &summaries.table,
-            &SummaryBuildConfig {
-                testgen: tg.clone(),
-                prune: cfg.prune.clone(),
-                jobs: req.jobs,
-                stats: summaries.stats.clone(),
-            },
-        );
-        if !build.resolved.is_empty() {
-            tg.concolic.summaries = Some(build.resolved.clone());
-            cfg.prune.concolic.summaries = Some(build.resolved);
-        }
-    }
-
-    let suite = generate_tests(&program, &func_name, &tg);
+    let run = SummaryBuildConfig {
+        stats: summaries.stats.clone(),
+        ..SummaryBuildConfig::new(
+            tg,
+            Some(cache.clone()),
+            deadline.clone(),
+            trace.clone(),
+            tiers.clone(),
+            incremental.clone(),
+            clamp_jobs(req.jobs),
+        )
+    };
+    // Summary mode builds (or re-resolves from the shared table) the
+    // callee summaries for this program before the entry inference.
+    let table = (summaries.mode == InterprocMode::Summary).then_some(&*summaries.table);
+    let MethodRun { suite, inferences, .. } = run.run(&program, &func_name, table);
     let func = program.func(&func_name).expect("checked above");
-    let coverage = suite.coverage_percent(func);
-
-    let inferred =
-        preinfer_core::infer_all_preconditions(&program, &func_name, &suite, &cfg, req.jobs);
-
-    let acls = inferred
-        .iter()
-        .map(|(acl, inf)| AclOutcome {
-            acl: format!("{acl:?}"),
-            kind: acl.kind.to_string(),
-            psi: inf.precondition.psi.to_string(),
-            alpha: inf.precondition.alpha.to_string(),
-            quantified: inf.precondition.quantified,
-            examined: inf.prune_stats.examined,
-            removed: inf.prune_stats.removed,
-            dynamic_runs: inf.prune_stats.dynamic_runs,
-        })
-        .collect();
-
     Ok(InferOutcome {
+        coverage_percent: suite.coverage_percent(func),
         func: func_name,
         tests: suite.len(),
-        coverage_percent: coverage,
-        acls,
+        inferences,
         timed_out: deadline.expired(),
         elapsed_ms: start.elapsed().as_secs_f64() * 1e3,
     })
@@ -201,21 +156,22 @@ pub fn render_infer_response(
     cache: &SolverCache,
 ) -> String {
     let acls: Vec<String> = out
-        .acls
+        .inferences
         .iter()
-        .map(|a| {
+        .map(|(acl, inf)| {
+            let (p, s) = (&inf.precondition, &inf.prune_stats);
             ObjBuilder::new()
-                .str("acl", &a.acl)
-                .str("kind", &a.kind)
-                .str("psi", &a.psi)
-                .str("alpha", &a.alpha)
-                .bool("quantified", a.quantified)
+                .str("acl", &format!("{acl:?}"))
+                .str("kind", &acl.kind.to_string())
+                .str("psi", &p.psi.to_string())
+                .str("alpha", &p.alpha.to_string())
+                .bool("quantified", p.quantified)
                 .raw(
                     "prune",
                     ObjBuilder::new()
-                        .u64("examined", a.examined as u64)
-                        .u64("removed", a.removed as u64)
-                        .u64("dynamic_runs", a.dynamic_runs as u64)
+                        .u64("examined", s.examined as u64)
+                        .u64("removed", s.removed as u64)
+                        .u64("dynamic_runs", s.dynamic_runs as u64)
                         .build(),
                 )
                 .build()
@@ -278,13 +234,22 @@ mod tests {
         .unwrap();
         assert_eq!(out.func, "f");
         assert!(!out.timed_out);
-        assert_eq!(out.acls.len(), 1);
-        assert_eq!(out.acls[0].psi, "x != 0");
+        assert_eq!(out.inferences.len(), 1);
+        assert_eq!(out.inferences[0].1.precondition.psi.to_string(), "x != 0");
         assert!(cache.stats().misses > 0, "inference went through the shared cache");
         assert!(tiers.snapshot().total() > 0, "tier attribution flowed through the service");
         let snap = inc.snapshot();
         assert!(snap.sessions > 0, "incremental sessions flowed through the service");
         assert!(snap.queries > 0, "session queries were counted");
+    }
+
+    #[test]
+    fn jobs_are_clamped_to_the_hosts_parallelism() {
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert_eq!(clamp_jobs(1), 1);
+        assert_eq!(clamp_jobs(cores), cores);
+        assert_eq!(clamp_jobs(usize::MAX), cores);
+        assert_eq!(clamp_jobs(0), 1);
     }
 
     #[test]

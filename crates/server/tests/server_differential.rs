@@ -4,20 +4,7 @@
 //! warm cache makes a second submission strictly cheaper, observable
 //! through the `stats` verb.
 
-use server::{served_psis, Client, Server, ServerConfig};
-
-/// The offline pipeline's rendered ψ strings for one subject, in ACL
-/// order. This mirrors what `service::run_infer` does on the daemon side,
-/// but with a cold private cache — the ground truth the server must match.
-fn offline_psis(m: &subjects::SubjectMethod) -> Vec<String> {
-    let tp = m.compile();
-    let suite = testgen::generate_tests(&tp, m.name, &testgen::TestGenConfig::default());
-    let cfg = preinfer_core::PreInferConfig::default();
-    preinfer_core::infer_all_preconditions(&tp, m.name, &suite, &cfg, 1)
-        .iter()
-        .map(|(_, inf)| inf.precondition.psi.to_string())
-        .collect()
-}
+use server::{offline_psis, served_psis, Client, Server, ServerConfig};
 
 fn cumulative_hit_rate(cl: &mut Client) -> f64 {
     let stats = cl.stats().expect("stats round-trip");
@@ -36,7 +23,8 @@ fn served_psis_match_offline_for_the_whole_corpus() {
 
     let corpus = subjects::all_subjects();
     assert!(!corpus.is_empty());
-    let ground_truth: Vec<Vec<String>> = corpus.iter().map(offline_psis).collect();
+    let ground_truth: Vec<Vec<String>> =
+        corpus.iter().map(|m| offline_psis(&m.compile(), m.name)).collect();
 
     // Pass 1: cold daemon cache. Every served ψ must equal the offline one.
     for (m, truth) in corpus.iter().zip(&ground_truth) {

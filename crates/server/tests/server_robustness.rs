@@ -11,8 +11,8 @@
 
 use proptest::prelude::*;
 use server::{
-    protocol, served_psis, Client, InferRequest, Router, RouterConfig, Server, ServerConfig,
-    MAX_FRAME_LEN,
+    offline_psis, protocol, served_psis, Client, InferRequest, Router, RouterConfig, Server,
+    ServerConfig, MAX_FRAME_LEN,
 };
 use std::collections::HashSet;
 use std::io::Write;
@@ -247,18 +247,7 @@ fn wide_pipelined_fan_in_answers_every_request_once() {
         .into_iter()
         .find(|m| m.name == "guarded_div")
         .expect("corpus has guarded_div");
-    let tp = subject.compile();
-    let suite = testgen::generate_tests(&tp, subject.name, &testgen::TestGenConfig::default());
-    let offline: Vec<String> = preinfer_core::infer_all_preconditions(
-        &tp,
-        subject.name,
-        &suite,
-        &preinfer_core::PreInferConfig::default(),
-        1,
-    )
-    .iter()
-    .map(|(_, inf)| inf.precondition.psi.to_string())
-    .collect();
+    let offline = offline_psis(&subject.compile(), subject.name);
     let req = InferRequest {
         program: subject.source.to_string(),
         func: Some(subject.name.to_string()),

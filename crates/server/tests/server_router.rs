@@ -7,7 +7,9 @@
 //! a second corpus pass.
 
 use server::protocol;
-use server::{served_psis, Client, InferRequest, Router, RouterConfig, Server, ServerConfig};
+use server::{
+    offline_psis, served_psis, Client, InferRequest, Router, RouterConfig, Server, ServerConfig,
+};
 use std::collections::HashMap;
 
 fn start_shard() -> Server {
@@ -44,18 +46,6 @@ fn infer_req(m: &subjects::SubjectMethod) -> InferRequest {
     }
 }
 
-/// The offline pipeline's rendered ψ strings for one subject, in ACL
-/// order — the ground truth every serving topology must match.
-fn offline_psis(m: &subjects::SubjectMethod) -> Vec<String> {
-    let tp = m.compile();
-    let suite = testgen::generate_tests(&tp, m.name, &testgen::TestGenConfig::default());
-    let cfg = preinfer_core::PreInferConfig::default();
-    preinfer_core::infer_all_preconditions(&tp, m.name, &suite, &cfg, 1)
-        .iter()
-        .map(|(_, inf)| inf.precondition.psi.to_string())
-        .collect()
-}
-
 fn solver_hit_rate(cl: &mut Client) -> f64 {
     let stats = cl.stats().expect("stats round-trip");
     stats
@@ -88,7 +78,7 @@ fn routed_psis_match_direct_and_offline_for_the_whole_corpus() {
 
     // Pass 1: routed ψ == direct ψ == offline ψ, byte for byte.
     for m in &corpus {
-        let truth = offline_psis(m);
+        let truth = offline_psis(&m.compile(), m.name);
         let routed = via_router.infer(&infer_req(m)).expect("infer via router");
         let directly = via_direct.infer(&infer_req(m)).expect("infer via direct daemon");
         let routed_psis = served_psis(&routed)
@@ -319,7 +309,7 @@ fn tracing_is_psi_neutral_and_stitches_across_processes() {
     let corpus = subjects::all_subjects();
     let mut last_tid = String::new();
     for (i, m) in corpus.iter().step_by(5).enumerate() {
-        let truth = offline_psis(m);
+        let truth = offline_psis(&m.compile(), m.name);
         let off = served_psis(&via_plain.infer(&infer_req(m)).expect("infer untraced"))
             .unwrap_or_else(|| panic!("{}: untraced router returned an error", m.name));
         let minted = served_psis(&via_traced.infer(&infer_req(m)).expect("infer router-minted"))

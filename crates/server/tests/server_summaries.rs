@@ -9,7 +9,7 @@
 //! its own ψ, in both interprocedural modes.
 
 use concolic::InterprocMode;
-use server::{served_psis, Client, InferRequest, Server, ServerConfig};
+use server::{offline_psis, served_psis, Client, InferRequest, Server, ServerConfig};
 
 const CHAIN: &str = "
 fn leaf(d int) -> int { return 10 / d; }
@@ -123,24 +123,14 @@ fn inline_mode_serves_an_idle_summaries_block() {
     server.join();
 }
 
-/// The offline (inline, cold-cache) pipeline's rendered ψ strings.
-fn offline_psis(source: &str, func: &str) -> Vec<String> {
-    let tp = minilang::compile(source).expect("test program compiles");
-    let suite = testgen::generate_tests(&tp, func, &testgen::TestGenConfig::default());
-    let cfg = preinfer_core::PreInferConfig::default();
-    preinfer_core::infer_all_preconditions(&tp, func, &suite, &cfg, 1)
-        .iter()
-        .map(|(_, inf)| inf.precondition.psi.to_string())
-        .collect()
-}
-
 #[test]
 fn same_entry_function_with_different_callees_gets_its_own_psi() {
     let programs = [(LIFT_GUARD_GT0, "(x - 3) > 0"), (LIFT_GUARD_GT10, "(x - 3) > 10")];
     let expected: Vec<Vec<String>> = programs
         .iter()
         .map(|&(source, psi)| {
-            let offline = offline_psis(source, "lift_guard");
+            let tp = minilang::compile(source).expect("test program compiles");
+            let offline = offline_psis(&tp, "lift_guard");
             assert_eq!(offline, vec![psi.to_string()], "offline ψ of {source}");
             offline
         })

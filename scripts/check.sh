@@ -1,6 +1,14 @@
 #!/usr/bin/env bash
-# Repository gate: formatting, lints, the full test suite, and the
-# solver-cache perf smoke (writes BENCH_solver_cache.json in the repo root).
+# Repository gate. In order: cargo fmt --check; clippy -D warnings; the
+# workspace tests, plus symbolic/solver/testgen in release; perf_smoke
+# (writes the BENCH_solver_*.json and BENCH_interproc.json files in the
+# repo root) and its gates on solver-cache speedup, disabled-tracing
+# overhead, tiered vs simplex-only, incremental vs scratch and summary vs
+# inline; the benchmark's ψ smoke (preinfer_bench --smoke, all four
+# workloads) and the serving gate on its serve and routed runs; the
+# preinfer --trace-out and preinfer-trace smokes; and the preinferd,
+# summary-mode preinferd, router and stitched-trace smokes, each checking
+# served ψ against the offline run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -146,49 +146,32 @@ fn main() -> ExitCode {
     // event as a JSON line. Observation-only — ψ is identical either way.
     let sink = opts.trace_out.as_ref().map(|_| Arc::new(preinfer::obs::TraceSink::recording()));
     let run_start = std::time::Instant::now();
-    // One set of tier and session counters across test generation and
-    // pruning, so the footer reports the whole run.
     let tiers = Arc::new(TierCounters::default());
     let inc_stats = Arc::new(IncrementalCounters::default());
     let mut tg = TestGenConfig::default();
     if let Some(n) = opts.max_runs {
         tg.max_runs = n;
     }
-    tg.solver_cache = Some(cache.clone());
-    tg.solver.deadline = deadline.clone();
-    tg.solver.trace = sink.clone();
-    tg.solver.tiers = tiers.clone();
-    tg.solver.incremental_stats = inc_stats.clone();
-    tg.trace = sink.clone();
-    let mut cfg = PreInferConfig::default();
-    cfg.prune.solver_cache = Some(cache.clone());
-    cfg.prune.jobs = opts.jobs;
-    cfg.prune.solver.deadline = deadline.clone();
-    cfg.prune.solver.trace = sink.clone();
-    cfg.prune.solver.tiers = tiers.clone();
-    cfg.prune.solver.incremental_stats = inc_stats.clone();
-    cfg.prune.trace = sink.clone();
+    let run = SummaryBuildConfig::new(
+        tg,
+        Some(cache.clone()),
+        deadline.clone(),
+        sink.clone(),
+        tiers.clone(),
+        inc_stats.clone(),
+        opts.jobs,
+    );
     // Summary mode: infer every non-recursive reachable callee's ψ first
-    // (bottom-up), then point the executors at the resolved summaries.
-    let mut summary_build = None;
-    if opts.interproc == InterprocMode::Summary {
-        let table = SummaryTable::new();
-        let build_cfg = SummaryBuildConfig {
-            testgen: tg.clone(),
-            prune: cfg.prune.clone(),
-            jobs: opts.jobs,
-            stats: Default::default(),
-        };
+    // (bottom-up), then apply the summaries at call sites.
+    let table = SummaryTable::new();
+    let table = (opts.interproc == InterprocMode::Summary).then_some(&table);
+    if table.is_some() {
         println!("building callee ψ-summaries for `{func_name}` …");
-        let build = build_summaries(&program, &func_name, &table, &build_cfg);
-        if !build.resolved.is_empty() {
-            tg.concolic.summaries = Some(build.resolved.clone());
-            cfg.prune.concolic.summaries = Some(build.resolved.clone());
-        }
-        summary_build = Some(build);
     }
     println!("generating tests for `{func_name}` …");
-    let suite = generate_tests(&program, &func_name, &tg);
+    let MethodRun { suite, inferences: inferred, summaries: summary_build } =
+        run.run(&program, &func_name, table);
+    let elapsed = run_start.elapsed();
     let func = program.func(&func_name).expect("checked above");
     println!(
         "{} tests, {:.1}% block coverage, {} exception-throwing location(s)\n",
@@ -201,10 +184,6 @@ fn main() -> ExitCode {
         finish_trace(&opts, &sink, &func_name, run_start, 0);
         return ExitCode::SUCCESS;
     }
-
-    let start = std::time::Instant::now();
-    let inferred = infer_all_preconditions(&program, &func_name, &suite, &cfg, opts.jobs);
-    let elapsed = start.elapsed();
 
     for (acl, inf) in &inferred {
         let acl = *acl;
@@ -259,7 +238,7 @@ fn main() -> ExitCode {
     }
 
     print!(
-        "inferred {} precondition(s) in {:.2}s on {} thread(s)",
+        "inferred {} precondition(s) in {:.2}s (tests and inference) on {} thread(s)",
         inferred.len(),
         elapsed.as_secs_f64(),
         opts.jobs

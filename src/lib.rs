@@ -58,7 +58,7 @@ pub mod prelude {
     pub use minilang::{compile, InputValue, MethodEntryState};
     pub use preinfer_core::{
         build_summaries, evaluate_precondition, infer_all_preconditions, infer_precondition,
-        PreInferConfig, ProbeConfig, SummaryBuildConfig, SummaryTable,
+        MethodRun, PreInferConfig, ProbeConfig, SummaryBuildConfig, SummaryTable,
     };
     pub use solver::{
         solve_preds, solve_preds_cached, BackendKind, CacheStats, Deadline, FuncSig,

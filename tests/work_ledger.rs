@@ -1,10 +1,11 @@
 //! The work ledger: how much work one default, single-threaded pass over
 //! the corpus does, counted exactly.
 //!
-//! For every corpus subject plus the motivating example, test generation
-//! and inference run with the default configuration, one job and a fresh
-//! [`SolverCache`] shared by both stages (as the `preinfer` CLI runs one
-//! method). The golden under `tests/goldens/` records one line per method:
+//! For every corpus subject plus the motivating example, one
+//! [`SummaryBuildConfig::run`] — the driver the `preinfer` CLI and the
+//! daemon run — executes with the default configuration, one job and a
+//! fresh [`SolverCache`] shared by both stages. The golden under
+//! `tests/goldens/` records one line per method:
 //!
 //! - `lookups`/`hits`: solver-cache lookups and hits;
 //! - `syn`/`int`/`smp`/`esc`: answers by the syntactic, interval and
@@ -48,20 +49,16 @@ fn ledger_line(m: &subjects::SubjectMethod) -> String {
     let tiers = Arc::new(TierCounters::default());
     let sessions = Arc::new(IncrementalCounters::default());
     let sink = Arc::new(obs::TraceSink::recording());
-    let mut tg = TestGenConfig {
-        solver_cache: Some(cache.clone()),
-        trace: Some(sink.clone()),
-        ..TestGenConfig::default()
-    };
-    tg.solver.tiers = tiers.clone();
-    tg.solver.incremental_stats = sessions.clone();
-    let suite = generate_tests(&tp, m.name, &tg);
-    let mut cfg = PreInferConfig::default();
-    cfg.prune.solver_cache = Some(cache.clone());
-    cfg.prune.jobs = 1;
-    cfg.prune.solver.tiers = tiers.clone();
-    cfg.prune.solver.incremental_stats = sessions.clone();
-    let inferred = infer_all_preconditions(&tp, m.name, &suite, &cfg, 1);
+    let MethodRun { suite, inferences: inferred, .. } = SummaryBuildConfig::new(
+        TestGenConfig::default(),
+        Some(cache.clone()),
+        Deadline::none(),
+        Some(sink.clone()),
+        tiers.clone(),
+        sessions.clone(),
+        1,
+    )
+    .run(&tp, m.name, None);
     let (runs, examined, removed) = inferred.iter().fold((0, 0, 0), |(r, e, d), (_, inf)| {
         let s = &inf.prune_stats;
         (r + s.dynamic_runs, e + s.examined, d + s.removed)
