@@ -240,7 +240,7 @@ fn run_tables_case(jobs: usize) -> CaseResult {
         parallel: stats.parallel,
         speedup_cache: stats.speedup_cache,
         speedup_cache_parallel: stats.speedup_parallel,
-        stats: CacheStats { hits, misses, evictions: 0, evicted_entries: 0, entries: 0 },
+        stats: CacheStats { hits, misses, ..CacheStats::default() },
     }
 }
 

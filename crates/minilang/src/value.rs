@@ -8,7 +8,6 @@
 //! (`char_at` observes them as `int`s).
 
 use crate::ast::{Func, Ty};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A deep, immutable input value for one parameter.
@@ -108,9 +107,16 @@ impl fmt::Display for InputValue {
 }
 
 /// A concrete-value assignment over a method's parameters (Definition 1).
+///
+/// Stored as a vector of `(name, value)` pairs sorted by name, one pair
+/// per name: a state binds a handful of parameters, and one small vector
+/// costs far less than a `BTreeMap` leaf. The vector holds exactly the
+/// sequence a name-keyed map would iterate, so the derived `Eq`, `Ord`
+/// and `Hash` and the `Display` rendering are those of the map
+/// (DESIGN.md §5e).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct MethodEntryState {
-    values: BTreeMap<String, InputValue>,
+    values: Vec<(String, InputValue)>,
 }
 
 impl MethodEntryState {
@@ -121,9 +127,10 @@ impl MethodEntryState {
 
     /// Creates a state assigning each parameter name its value, in order.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (impl Into<String>, InputValue)>) -> Self {
-        let mut s = Self::new();
+        let pairs = pairs.into_iter();
+        let mut s = MethodEntryState { values: Vec::with_capacity(pairs.size_hint().0) };
         for (k, v) in pairs {
-            s.values.insert(k.into(), v);
+            s.set(k, v);
         }
         s
     }
@@ -137,12 +144,16 @@ impl MethodEntryState {
 
     /// Sets (or replaces) one assignment.
     pub fn set(&mut self, name: impl Into<String>, value: InputValue) {
-        self.values.insert(name.into(), value);
+        let name = name.into();
+        match self.position(&name) {
+            Ok(i) => self.values[i].1 = value,
+            Err(i) => self.values.insert(i, (name, value)),
+        }
     }
 
     /// Looks up one assignment.
     pub fn get(&self, name: &str) -> Option<&InputValue> {
-        self.values.get(name)
+        self.position(name).ok().map(|i| &self.values[i].1)
     }
 
     /// Iterates assignments in parameter-name order.
@@ -168,6 +179,11 @@ impl MethodEntryState {
                 .params
                 .iter()
                 .all(|p| self.get(&p.name).map(|v| v.ty() == p.ty).unwrap_or(false))
+    }
+
+    /// Where `name` is bound (`Ok`), or where it would be inserted (`Err`).
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.values.binary_search_by(|(k, _)| k.as_str().cmp(name))
     }
 }
 

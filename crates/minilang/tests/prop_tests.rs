@@ -1,11 +1,14 @@
 //! Property-based tests for MiniLang: pretty-print/re-parse round trips on
-//! generated expression trees, and lexer totality on printable input.
+//! generated expression trees, lexer totality on printable input, and the
+//! sorted-vector `MethodEntryState` against a `BTreeMap` reference.
 
 use minilang::ast::{BinOp, Block, Expr, ExprKind, Func, Param, Program, Stmt, StmtKind, Ty, UnOp};
 use minilang::pretty::program_to_string;
 use minilang::span::{NodeId, Span};
-use minilang::{ast_eq, expr_to_string, parse_expr, parse_program};
+use minilang::{ast_eq, expr_to_string, parse_expr, parse_program, InputValue, MethodEntryState};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 fn mk(kind: ExprKind) -> Expr {
     Expr { kind, id: NodeId(0), span: Span::new(1, 1) }
@@ -152,6 +155,93 @@ proptest! {
                 "round trip changed function {}:\n{printed}",
                 a.name
             );
+        }
+    }
+}
+
+/// Parameter names that collide often and sort unlike their numbers
+/// (`%10` before `%2`).
+fn state_name() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0usize..12).prop_map(|i| format!("%{i}")),
+        prop_oneof![Just("a"), Just("b"), Just("key")].prop_map(str::to_string),
+    ]
+}
+
+fn chars() -> impl Strategy<Value = Option<Vec<i64>>> {
+    proptest::option::of(proptest::collection::vec(97i64..100, 0..3))
+}
+
+fn input_value() -> impl Strategy<Value = InputValue> {
+    prop_oneof![
+        (-2i64..=2).prop_map(InputValue::Int),
+        proptest::bool::ANY.prop_map(InputValue::Bool),
+        chars().prop_map(InputValue::Str),
+        proptest::option::of(proptest::collection::vec(-2i64..=2, 0..3))
+            .prop_map(InputValue::ArrayInt),
+        proptest::option::of(proptest::collection::vec(chars(), 0..3))
+            .prop_map(InputValue::ArrayStr),
+    ]
+}
+
+fn set_sequence() -> impl Strategy<Value = Vec<(String, InputValue)>> {
+    proptest::collection::vec((state_name(), input_value()), 0..8)
+}
+
+/// The name-keyed map `MethodEntryState` used to be, with its rendering.
+fn reference_display(map: &BTreeMap<String, InputValue>) -> String {
+    let body: Vec<String> = map.iter().map(|(k, v)| format!("{k}: {v}")).collect();
+    format!("({})", body.join(", "))
+}
+
+fn hash_of(x: &impl Hash) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    x.hash(&mut h);
+    h.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The sorted-vector `MethodEntryState` is observationally the
+    /// `BTreeMap` it replaced: after the same `set` sequence (repeated
+    /// names replace), it iterates, looks up, counts, renders, orders and
+    /// hashes as the map does.
+    #[test]
+    fn entry_state_matches_btreemap_reference(
+        seqs in proptest::collection::vec(set_sequence(), 3),
+    ) {
+        let mut states = Vec::new();
+        let mut maps = Vec::new();
+        for seq in &seqs {
+            let mut state = MethodEntryState::new();
+            let mut map = BTreeMap::new();
+            for (name, value) in seq {
+                state.set(name.clone(), value.clone());
+                map.insert(name.clone(), value.clone());
+            }
+            let got: Vec<_> = state.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+            let want: Vec<_> = map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(state.len(), map.len());
+            prop_assert_eq!(state.is_empty(), map.is_empty());
+            for name in (0..12).map(|i| format!("%{i}")).chain(["a", "b", "key", "z"].map(String::from)) {
+                prop_assert_eq!(state.get(&name), map.get(&name), "{}", name);
+            }
+            prop_assert_eq!(state.to_string(), reference_display(&map));
+            prop_assert_eq!(&MethodEntryState::from_pairs(seq.clone()), &state);
+            prop_assert_eq!(hash_of(&state), hash_of(&map), "same hash stream as the map");
+            states.push(state);
+            maps.push(map);
+        }
+        for (x, rx) in states.iter().zip(&maps) {
+            for (y, ry) in states.iter().zip(&maps) {
+                prop_assert_eq!(x.cmp(y), rx.cmp(ry), "{} vs {}", x, y);
+                prop_assert_eq!(x == y, rx == ry);
+                if x == y {
+                    prop_assert_eq!(hash_of(x), hash_of(y));
+                }
+            }
         }
     }
 }

@@ -426,6 +426,7 @@ pub(crate) fn render_stats_response(id: Option<&str>, shared: &Shared) -> String
             }
             ObjBuilder::new()
                 .u64("resident_bytes", resident_bytes())
+                .u64("cache_bytes", cache.bytes)
                 .raw("arena_nodes", arenas.build())
                 .build()
         })
@@ -671,6 +672,10 @@ fn register_metrics(
     let ca = Arc::clone(cache);
     reg.gauge("preinfer_cache_entries", "Entries resident in the solver cache.", &[], move || {
         ca.stats().entries as f64
+    });
+    let ca = Arc::clone(cache);
+    reg.gauge("preinfer_cache_bytes", "Bytes owned by solver cache entries.", &[], move || {
+        ca.stats().bytes as f64
     });
     let ca = Arc::clone(cache);
     reg.counter("preinfer_cache_eviction_sweeps_total", "Cache eviction sweeps.", &[], move || {

@@ -120,8 +120,8 @@ fn expired_deadline_returns_timed_out_partial_result_and_worker_survives() {
     server.join();
 }
 
-/// `stats` reports resident bytes and the arena node counts, and
-/// `metrics` serves the same numbers as gauges.
+/// `stats` reports resident bytes, the solver cache's bytes and the arena
+/// node counts, and `metrics` serves the same numbers as gauges.
 #[test]
 fn stats_and_metrics_report_memory() {
     let server = Server::start(ServerConfig::default()).expect("bind loopback");
@@ -137,10 +137,15 @@ fn stats_and_metrics_report_memory() {
     }
     // The inference above interned terms and canonical predicates.
     assert!(arenas.u64_field("terms") > Some(0) && arenas.u64_field("cpreds") > Some(0));
+    // ... and left its canonical verdicts in the cache.
+    let cache_bytes = memory.u64_field("cache_bytes").expect("cache_bytes");
+    assert!(cache_bytes > 0, "{memory:?}");
 
     let metrics = cl.metrics().expect("metrics");
     let text = metrics.str_field("text").expect("exposition text");
     assert!(text.lines().any(|l| l.starts_with("preinfer_resident_bytes ")), "{text}");
+    let gauge = text.lines().find_map(|l| l.strip_prefix("preinfer_cache_bytes "));
+    assert_eq!(gauge.and_then(|v| v.parse::<f64>().ok()), Some(cache_bytes as f64), "{text}");
     for arena in ["places", "symvars", "terms", "cpreds"] {
         let series = format!("preinfer_arena_nodes{{arena=\"{arena}\"}} ");
         assert!(text.lines().any(|l| l.starts_with(&series)), "no {series}in:\n{text}");

@@ -455,7 +455,7 @@ impl Builder {
                 let idx = norm.rank[m];
                 row[idx] += c;
             }
-            p.le(row, -e.constant_part());
+            p.le(row, e.constant_part().wrapping_neg());
         };
         for e in &norm.hard {
             add_expr(&mut problem, e);

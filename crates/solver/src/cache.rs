@@ -6,8 +6,9 @@
 //! `max_model_len`, the backend stack) are part of the key.
 //!
 //! The cached value is the solver's verdict **on the canonical query
-//! itself** — models bind the placeholder names, and callers rename them
-//! back — plus the [`Tier`] that answered, so hits replay the original
+//! itself**, held by position — a model is one value per signature
+//! position, and a hit binds them straight to the caller's parameter
+//! names — plus the [`Tier`] that answered, so hits replay the original
 //! attribution in trace events. This makes every cache entry a pure
 //! function of its key: which thread (or which α-equivalent call site)
 //! inserted it first can never be observed, which is what makes the
@@ -20,10 +21,11 @@
 //! [`solve_preds`]: crate::theory::solve_preds
 
 use crate::backend::Tier;
-use crate::canon::CacheKey;
-use crate::theory::SolveResult;
+use crate::canon::{CacheKey, Verdict};
+use minilang::InputValue;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::mem::{size_of, size_of_val};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -64,6 +66,10 @@ pub struct CacheStats {
     /// Total entries dropped across all eviction events.
     pub evicted_entries: u64,
     pub entries: u64,
+    /// Bytes the resident entries own: each key and verdict with their
+    /// heap parts, plus the entry's map and queue slots (not the tables'
+    /// spare capacity).
+    pub bytes: u64,
 }
 
 impl CacheStats {
@@ -83,11 +89,43 @@ impl CacheStats {
 /// backend stack is part of the key), so hits replaying it stay
 /// deterministic.
 struct Entry {
-    result: SolveResult,
+    verdict: Verdict,
     tier: Tier,
     /// Set on every hit, cleared when an eviction scan passes over the
     /// entry — a hot entry survives the scan, a cold one is dropped.
     referenced: bool,
+}
+
+/// Bytes one resident entry owns: the shared key allocation (with its
+/// `Arc` counts) and the key's slices, the map slot, the queue slot, and
+/// the verdict's values.
+fn entry_bytes(key: &CacheKey, verdict: &Verdict) -> u64 {
+    let key_bytes = 2 * size_of::<usize>() + size_of::<CacheKey>() + key.heap_bytes();
+    let slots = size_of::<(Arc<CacheKey>, Entry)>() + size_of::<Arc<CacheKey>>();
+    let values = match verdict {
+        Verdict::Sat(values) => {
+            size_of_val(&**values) + values.iter().map(value_heap_bytes).sum::<usize>()
+        }
+        Verdict::Unsat | Verdict::Unknown => 0,
+    };
+    (key_bytes + slots + values) as u64
+}
+
+/// Heap bytes one input value owns (its inline part is counted by its
+/// container).
+fn value_heap_bytes(v: &InputValue) -> usize {
+    fn chars(s: &Option<Vec<i64>>) -> usize {
+        s.as_ref().map_or(0, |cs| cs.capacity() * size_of::<i64>())
+    }
+    match v {
+        InputValue::Int(_) | InputValue::Bool(_) => 0,
+        InputValue::Str(s) | InputValue::ArrayInt(s) => chars(s),
+        InputValue::ArrayStr(None) => 0,
+        InputValue::ArrayStr(Some(items)) => {
+            items.capacity() * size_of::<Option<Vec<i64>>>()
+                + items.iter().map(chars).sum::<usize>()
+        }
+    }
 }
 
 /// One independently locked shard: the memo map plus an insertion-order
@@ -117,6 +155,11 @@ pub struct SolverCache {
     /// Eviction events (scans), not entries; see `evicted_entries`.
     evictions: AtomicU64,
     evicted_entries: AtomicU64,
+    /// Resident entries and the bytes they own, summed over the shards.
+    /// Changed only under the changed shard's lock, so [`SolverCache::stats`]
+    /// reads them without taking any.
+    entries: AtomicU64,
+    bytes: AtomicU64,
 }
 
 impl Default for SolverCache {
@@ -140,6 +183,8 @@ impl SolverCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             evicted_entries: AtomicU64::new(0),
+            entries: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
         }
     }
 
@@ -150,37 +195,42 @@ impl SolverCache {
         &self.shards[(h.finish() >> 57) as usize % SHARDS]
     }
 
-    /// Looks up a canonical key, returning the **canonical** verdict
-    /// (placeholder-named model) and the tier that answered it (stored with
-    /// the entry, so hits report the tier of the original solve). Counts a
-    /// hit or a miss; the solve pipeline follows a miss with
-    /// [`SolverCache::store`] unless the verdict is not memoizable.
-    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<(SolveResult, Tier)> {
+    /// Looks up a canonical key, returning the **canonical** verdict (held
+    /// by position) and the tier that answered it (stored with the entry,
+    /// so hits report the tier of the original solve). Counts a hit or a
+    /// miss; the solve pipeline follows a miss with [`SolverCache::store`]
+    /// unless the verdict is not memoizable.
+    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<(Verdict, Tier)> {
         let shard = self.shard(key);
         if let Some(e) = shard.lock().expect("cache shard").map.get_mut(key) {
             e.referenced = true;
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some((e.result.clone(), e.tier));
+            return Some((e.verdict.clone(), e.tier));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
 
     /// Evicts the cold half of a full shard, then inserts. The value must
-    /// be the pure canonical verdict of `key` and the tier that produced it.
-    pub(crate) fn store(&self, key: &CacheKey, result: &SolveResult, tier: Tier) {
-        let shard = self.shard(key);
+    /// be the pure canonical verdict of `key` and the tier that produced
+    /// it, so a key already present (a thread racing on the same query
+    /// stored first) holds the same value and is left as it is.
+    pub(crate) fn store(&self, key: CacheKey, verdict: Verdict, tier: Tier) {
+        let shard = self.shard(&key);
         let mut guard = shard.lock().expect("cache shard");
-        if guard.map.len() >= self.per_shard_capacity && !guard.map.contains_key(key) {
+        if guard.map.contains_key(&key) {
+            return;
+        }
+        if guard.map.len() >= self.per_shard_capacity {
             self.evict_cold_half(&mut guard);
         }
-        let entry = Entry { result: result.clone(), tier, referenced: false };
-        // One (cheap, interned-handle) clone of the key, shared by map and
-        // eviction queue through the same allocation.
-        let key = Arc::new(key.clone());
-        if guard.map.insert(Arc::clone(&key), entry).is_none() {
-            guard.order.push_back(key);
-        }
+        let bytes = entry_bytes(&key, &verdict);
+        // Map and eviction queue share the key through one allocation.
+        let key = Arc::new(key);
+        guard.map.insert(Arc::clone(&key), Entry { verdict, tier, referenced: false });
+        guard.order.push_back(key);
+        self.entries.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Second-chance eviction: walk the shard's insertion queue, re-queuing
@@ -189,7 +239,7 @@ impl SolverCache {
     /// *event*; the dropped entries are counted separately.
     fn evict_cold_half(&self, shard: &mut Shard) {
         let target = self.per_shard_capacity / 2;
-        let mut dropped = 0u64;
+        let (mut dropped, mut dropped_bytes) = (0u64, 0u64);
         while shard.map.len() > target {
             let Some(key) = shard.order.pop_front() else { break };
             match shard.map.get_mut(key.as_ref()) {
@@ -197,29 +247,29 @@ impl SolverCache {
                     e.referenced = false;
                     shard.order.push_back(key);
                 }
-                Some(_) => {
+                Some(e) => {
+                    dropped_bytes += entry_bytes(&key, &e.verdict);
                     shard.map.remove(key.as_ref());
                     dropped += 1;
                 }
                 None => {}
             }
         }
+        self.entries.fetch_sub(dropped, Ordering::Relaxed);
+        self.bytes.fetch_sub(dropped_bytes, Ordering::Relaxed);
         self.evictions.fetch_add(1, Ordering::Relaxed);
         self.evicted_entries.fetch_add(dropped, Ordering::Relaxed);
     }
 
-    /// A snapshot of the counters and current size.
+    /// A snapshot of the counters and current size. Takes no lock.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             evicted_entries: self.evicted_entries.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("cache shard").map.len() as u64)
-                .sum(),
+            entries: self.entries.load(Ordering::Relaxed),
+            bytes: self.bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -235,6 +285,9 @@ impl SolverCache {
     pub fn clear(&self) {
         for s in &self.shards {
             let mut shard = s.lock().expect("cache shard");
+            let bytes: u64 = shard.map.iter().map(|(k, e)| entry_bytes(k, &e.verdict)).sum();
+            self.entries.fetch_sub(shard.map.len() as u64, Ordering::Relaxed);
+            self.bytes.fetch_sub(bytes, Ordering::Relaxed);
             shard.map.clear();
             shard.order.clear();
         }
@@ -251,7 +304,8 @@ impl std::fmt::Debug for SolverCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::theory::{solve_preds_with, FuncSig, SolverConfig};
+    use crate::canon::CanonQuery;
+    use crate::theory::{solve_preds_with, FuncSig, SolveResult, SolverConfig};
     use minilang::Ty;
     use symbolic::pred::{CmpOp, Pred};
     use symbolic::term::Term;
@@ -319,6 +373,82 @@ mod tests {
             s.misses,
             "every miss either stays resident or was counted as evicted"
         );
+    }
+
+    /// Every resident key with the bytes its entry owns, read shard by
+    /// shard under the locks.
+    fn resident(cache: &SolverCache) -> HashMap<CacheKey, u64> {
+        let mut all = HashMap::new();
+        for s in &cache.shards {
+            let shard = s.lock().unwrap();
+            for (k, e) in &shard.map {
+                all.insert(CacheKey::clone(k), entry_bytes(k, &e.verdict));
+            }
+        }
+        all
+    }
+
+    fn recount(cache: &SolverCache) -> (u64, u64) {
+        let all = resident(cache);
+        (all.len() as u64, all.values().sum())
+    }
+
+    #[test]
+    fn counts_return_to_zero_after_clear() {
+        let cfg = SolverConfig::default();
+        let cache = SolverCache::new();
+        for k in 0..20 {
+            solve(&cache, gt("a", k), &cfg);
+        }
+        let s = cache.stats();
+        assert_eq!((s.entries, s.bytes), recount(&cache));
+        assert_eq!(s.entries, 20);
+        assert!(s.bytes > 20 * size_of::<CacheKey>() as u64, "every entry owns its key");
+        cache.clear();
+        let s = cache.stats();
+        assert_eq!((s.entries, s.bytes), (0, 0));
+    }
+
+    #[test]
+    fn eviction_lowers_counts_by_exactly_the_evicted_entries() {
+        let cfg = SolverConfig::default();
+        let cache = SolverCache::with_capacity(SHARDS * 2);
+        let mut sweeps = 0;
+        for k in 0..64 {
+            let (before, resident_before) = (cache.stats(), resident(&cache));
+            let (_, lookup) = solve(&cache, gt("a", k), &cfg);
+            assert_eq!(lookup, CacheLookup::Miss);
+            let (after, resident_after) = (cache.stats(), resident(&cache));
+            let gone: Vec<u64> = resident_before
+                .iter()
+                .filter(|(key, _)| !resident_after.contains_key(key))
+                .map(|(_, &bytes)| bytes)
+                .collect();
+            let added = resident_after[&CanonQuery::build(&[gt("a", k)], &sig_ab()).key(&cfg)];
+            assert_eq!(gone.len() as u64, after.evicted_entries - before.evicted_entries);
+            assert_eq!(after.entries, before.entries + 1 - gone.len() as u64);
+            assert_eq!(after.bytes, before.bytes + added - gone.iter().sum::<u64>());
+            assert_eq!((after.entries, after.bytes), recount(&cache));
+            sweeps += usize::from(!gone.is_empty());
+        }
+        assert!(sweeps > 0, "64 distinct keys into {} slots must evict", SHARDS * 2);
+    }
+
+    #[test]
+    fn restoring_a_key_does_not_count_it_twice() {
+        let cfg = SolverConfig::default();
+        let cache = SolverCache::new();
+        let (_, lookup) = solve(&cache, gt("a", 0), &cfg);
+        assert_eq!(lookup, CacheLookup::Miss);
+        let once = cache.stats();
+        assert_eq!(once.entries, 1);
+        // Two threads racing on a key both store its (equal) verdict.
+        let q = CanonQuery::build(&[gt("a", 0)], &sig_ab());
+        let (verdict, tier) = cache.lookup(&q.key(&cfg)).expect("resident");
+        cache.store(q.key(&cfg), verdict, tier);
+        let twice = cache.stats();
+        assert_eq!((twice.entries, twice.bytes), (once.entries, once.bytes));
+        assert_eq!((twice.entries, twice.bytes), recount(&cache));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::backend::BackendKind;
 use crate::theory::{FuncSig, SolveResult, SolverConfig};
-use minilang::{MethodEntryState, Ty};
+use minilang::{InputValue, MethodEntryState, Ty};
 use std::collections::HashMap;
 use symbolic::linform::{canon_cpred, CPred, CanonPred};
 use symbolic::pred::Pred;
@@ -25,16 +25,17 @@ use symbolic::term::{Place, PlaceNode, SymVar, SymVarNode, Term, TermNode};
 
 /// The canonical form of one solver query: the cache key.
 ///
-/// Cloning is near-free (a `Vec` of `Copy` interned handles plus a few
+/// Cloning is near-free (a slice of `Copy` interned handles plus a few
 /// scalars), comparison is id-wise, and hashing replays one precomputed
 /// 64-bit digest — the deep-tree costs the pre-interning representation
-/// paid on every cache probe are all gone.
+/// paid on every cache probe are all gone. The slices are boxed, not
+/// `Vec`s: a key never grows, and the cache holds one per entry.
 #[derive(Debug, Clone)]
 pub struct CacheKey {
     /// Renamed, canonicalized, sorted, de-duplicated conjuncts (interned).
-    preds: Vec<CPred>,
+    preds: Box<[CPred]>,
     /// Parameter types in signature order (names are positional).
-    tys: Vec<Ty>,
+    tys: Box<[Ty]>,
     /// Solver budget — a bigger budget can turn `Unknown` into a verdict.
     budget_nodes: u64,
     /// Model-size ceiling — can turn `Sat` into `Unknown`.
@@ -65,6 +66,24 @@ impl std::hash::Hash for CacheKey {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash);
     }
+}
+
+impl CacheKey {
+    /// Bytes the key's boxed slices own on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.preds) + std::mem::size_of_val(&*self.tys)
+    }
+}
+
+/// A canonical verdict held by position: `Sat` carries one value per
+/// signature position, so placeholder `%i` is index `i`. This is what the
+/// [`crate::SolverCache`] stores — no placeholder names, no map — and what
+/// [`CanonQuery::named`] turns into the caller's entry state.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Verdict {
+    Sat(Box<[InputValue]>),
+    Unsat,
+    Unknown,
 }
 
 /// A solver query in canonical form, together with the renaming needed to
@@ -138,8 +157,8 @@ impl CanonQuery {
         cfg.max_model_len.hash(&mut h);
         cfg.backend.hash(&mut h);
         CacheKey {
-            preds: self.preds.clone(),
-            tys: self.renaming.tys.clone(),
+            preds: self.preds.as_slice().into(),
+            tys: self.renaming.tys.as_slice().into(),
             budget_nodes: cfg.budget_nodes,
             max_model_len: cfg.max_model_len,
             backend: cfg.backend,
@@ -157,22 +176,35 @@ impl CanonQuery {
         &self.renaming.canon_sig
     }
 
-    /// Translates a canonical verdict back to the caller's parameter names.
-    /// Returns `Unknown` if the canonical model is missing a placeholder
-    /// (defensive — `build_model` always assigns every parameter).
-    pub fn uncanonicalize(&self, canonical: SolveResult) -> SolveResult {
+    /// Holds a verdict on the canonical query by position: a model's value
+    /// for placeholder `%i` goes to index `i`. A model missing a
+    /// placeholder becomes `Unknown` (defensive — `build_model` always
+    /// assigns every parameter).
+    pub(crate) fn positional(&self, canonical: SolveResult) -> Verdict {
         match canonical {
             SolveResult::Sat(canon_state) => {
-                let mut state = MethodEntryState::new();
-                for (caller, placeholder) in &self.renaming.back {
-                    match canon_state.get(placeholder) {
-                        Some(v) => state.set(caller.clone(), v.clone()),
-                        None => return SolveResult::Unknown,
-                    }
-                }
-                SolveResult::Sat(state)
+                let values: Option<Box<[InputValue]>> = self
+                    .renaming
+                    .back
+                    .iter()
+                    .map(|(_, placeholder)| canon_state.get(placeholder).cloned())
+                    .collect();
+                values.map_or(Verdict::Unknown, Verdict::Sat)
             }
-            other => other,
+            SolveResult::Unsat => Verdict::Unsat,
+            SolveResult::Unknown => Verdict::Unknown,
+        }
+    }
+
+    /// The caller's verdict: a positional model's value `i` is bound to the
+    /// caller's `i`-th parameter name.
+    pub(crate) fn named(&self, verdict: Verdict) -> SolveResult {
+        match verdict {
+            Verdict::Sat(values) => SolveResult::Sat(MethodEntryState::from_pairs(
+                self.renaming.back.iter().map(|(caller, _)| caller.as_str()).zip(values.into_vec()),
+            )),
+            Verdict::Unsat => SolveResult::Unsat,
+            Verdict::Unknown => SolveResult::Unknown,
         }
     }
 }
@@ -332,9 +364,25 @@ mod tests {
         let canonical = crate::builder::solve_fresh(&q, &cfg);
         let model = canonical.model().expect("a > 0 is satisfiable").clone();
         assert!(model.get("%0").is_some(), "canonical model binds placeholders");
-        let back = q.uncanonicalize(SolveResult::Sat(model));
+        let verdict = q.positional(SolveResult::Sat(model.clone()));
+        let Verdict::Sat(values) = &verdict else { panic!("still Sat: {verdict:?}") };
+        assert_eq!(values.len(), 2, "one value per signature position");
+        assert_eq!(Some(&values[0]), model.get("%0"));
+        assert_eq!(Some(&values[1]), model.get("%1"));
+        let back = q.named(verdict);
         let state = back.model().expect("still Sat");
-        assert!(state.get("a").is_some() && state.get("b").is_some());
-        assert!(state.get("%0").is_none());
+        assert_eq!(state.get("a"), model.get("%0"));
+        assert_eq!(state.get("b"), model.get("%1"));
+        assert!(state.get("%0").is_none() && state.get("%1").is_none());
+        assert_eq!(state.len(), 2);
+        for plain in [SolveResult::Unsat, SolveResult::Unknown] {
+            assert_eq!(q.named(q.positional(plain.clone())), plain);
+        }
+        let partial = MethodEntryState::from_pairs([("%0", InputValue::Int(1))]);
+        assert_eq!(
+            q.positional(SolveResult::Sat(partial)),
+            Verdict::Unknown,
+            "a model missing a placeholder is not held"
+        );
     }
 }

@@ -34,11 +34,12 @@ impl IntProblem {
         self.rows.push((a, b));
     }
 
-    /// Adds `a · x == b` (as two inequalities).
+    /// Adds `a · x == b` (as two inequalities). Negation wraps, so an
+    /// `i64::MIN` entry stays `i64::MIN` in debug and release alike.
     pub fn eq(&mut self, a: Vec<i64>, b: i64) {
-        let neg: Vec<i64> = a.iter().map(|&c| -c).collect();
+        let neg: Vec<i64> = a.iter().map(|&c| c.wrapping_neg()).collect();
         self.le(a, b);
-        self.le(neg, -b);
+        self.le(neg, b.wrapping_neg());
     }
 }
 
@@ -128,7 +129,7 @@ fn build_lp(p: &IntProblem, extra: &[(Vec<i64>, i64)]) -> Lp {
         let mut coefs = vec![Rat::ZERO; n];
         for (i, &c) in a.iter().enumerate() {
             coefs[2 * i] = Rat::from_int(c);
-            coefs[2 * i + 1] = Rat::from_int(-c);
+            coefs[2 * i + 1] = Rat::from_int(c.wrapping_neg());
         }
         rows.push((coefs, Rat::from_int(*b)));
     }

@@ -13,10 +13,10 @@
 //! (`solve_canonical`: under [`BackendKind::Tiered`] the interval tier
 //! runs first and escalates out-of-fragment queries to the simplex tier;
 //! under [`BackendKind::Simplex`] every query goes straight to the bottom
-//! tier), un-renaming, model re-validation and the `solver_call` trace
-//! record. Escalation is verdict-preserving (see [`crate::backend`]), so
-//! both backend stacks return byte-identical results — the tiered stack is
-//! purely a fast path.
+//! tier), binding the positional verdict to the caller's names, model
+//! re-validation and the `solver_call` trace record. Escalation is
+//! verdict-preserving (see [`crate::backend`]), so both backend stacks
+//! return byte-identical results — the tiered stack is purely a fast path.
 //!
 //! Every model is *re-validated* by concretely evaluating the original
 //! predicates before being returned; a model that fails re-validation is
@@ -220,29 +220,32 @@ pub(crate) fn solve_query<Q: Borrow<CanonQuery>>(
     let start = cfg.trace.as_ref().map(|_| Instant::now());
     let q = canonicalize();
     let q = q.borrow();
-    let (canonical, lookup, tier) = match cache {
+    let (verdict, lookup, tier) = match cache {
         Some(cache) => {
             let key = q.key(cfg);
             match cache.lookup(&key) {
                 // Hits solve nothing: no tier counts, no builder work.
-                Some((result, tier)) => (result, CacheLookup::Hit, tier),
+                Some((verdict, tier)) => (verdict, CacheLookup::Hit, tier),
                 // Solve outside the shard lock: queries can be slow, and two
                 // threads racing on the same key compute the same value.
                 None => {
                     let (result, tier, store_ok) = solve_canonical(q, cfg, bottom);
+                    let verdict = q.positional(result);
                     if store_ok {
-                        cache.store(&key, &result, tier);
+                        cache.store(key, verdict.clone(), tier);
                     }
-                    (result, CacheLookup::Miss, tier)
+                    (verdict, CacheLookup::Miss, tier)
                 }
             }
         }
         None => {
             let (result, tier, _store_ok) = solve_canonical(q, cfg, bottom);
-            (result, CacheLookup::Bypass, tier)
+            (q.positional(result), CacheLookup::Bypass, tier)
         }
     };
-    let mut result = q.uncanonicalize(canonical);
+    // Hit, miss and bypass alike bind the positional verdict to the
+    // caller's parameter names.
+    let mut result = q.named(verdict);
     // Soundness net: re-validate any model against the original predicates.
     // This runs on the caller side (not inside the cache) so cached entries
     // stay pure functions of their canonical keys.

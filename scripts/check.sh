@@ -5,10 +5,10 @@
 # repo root) and its gates on solver-cache speedup, disabled-tracing
 # overhead, tiered vs simplex-only, incremental vs scratch and summary vs
 # inline; the benchmark's ψ smoke (preinfer_bench --smoke, all four
-# workloads) and the serving gate on its serve and routed runs; the
-# preinfer --trace-out and preinfer-trace smokes; and the preinferd,
-# summary-mode preinferd, router and stitched-trace smokes, each checking
-# served ψ against the offline run.
+# workloads) and the serving gates (throughput, peak RSS) on its serve
+# and routed runs; the preinfer --trace-out and preinfer-trace smokes;
+# and the preinferd, summary-mode preinferd, router and stitched-trace
+# smokes, each checking served ψ against the offline run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -159,6 +159,25 @@ for name, floor in FLOORS.items():
     assert rps >= floor, f"{name}: {rps:.0f} req/s below the {floor:.0f} req/s floor"
     print(f"serving gate: {name} {rps:.0f} req/s (floor {floor:.0f}), "
           f"p50 {p50:.2f} / p90 {p90:.2f} / p99 {p99:.2f} ms, {r['attempted']} requests")
+EOF
+# The same runs' serving processes must stay within a peak-RSS ceiling
+# (VmHWM summed over the daemon, or the router and both shards). Each
+# ceiling is q3 + 3*IQR (linearly interpolated quartiles) of peak_rss_mb
+# over 10 smoke runs, seeds 1-10, on a 2-core x86_64 Linux host, rounded
+# up to the next 0.01 MB; the runs read (MB)
+#   serve_uniform  4.96 5.01 5.04 5.04 5.05 5.05 5.06 5.06 5.07 5.14
+#   serve_zipf     5.03 5.05 5.07 5.07 5.07 5.07 5.08 5.09 5.12 5.15
+#   routed_uniform 11.00 11.05 11.15 11.15 11.15 11.19 11.24 11.27 11.30 11.33
+# The 5.14 serve_uniform run is above its own ceiling; 20 further runs,
+# seeds 11-30, all read below every ceiling.
+python3 - <<'EOF'
+import json
+CEILINGS = {"serve_uniform": 5.13, "serve_zipf": 5.17, "routed_uniform": 11.61}
+runs = {r["workload"]: r for r in json.load(open(".bench_build/release/preinfer_bench.json"))}
+for name, ceiling in CEILINGS.items():
+    rss = runs[name]["end_to_end"]["peak_rss_mb"]["value"]
+    assert rss <= ceiling, f"{name}: peak RSS {rss:.2f} MB above the {ceiling:.2f} MB ceiling"
+    print(f"serving memory gate: {name} peak RSS {rss:.2f} MB (ceiling {ceiling:.2f})")
 EOF
 
 echo "== trace smoke (preinfer --trace-out)"
