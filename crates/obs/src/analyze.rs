@@ -16,11 +16,10 @@
 //! * **folded stacks** (`stage;stage;stage exclusive_us`) consumable by
 //!   standard flamegraph tooling.
 //!
-//! The trace format is the flat JSON-object-per-line stream the sink
-//! itself writes (every value is a string, integer, boolean or null — no
-//! nesting), so the parser here is a small flat-object reader rather than
-//! a full JSON implementation; it is shared by `preinfer --trace-out`'s
-//! stage breakdown and the `preinfer-trace` binary.
+//! The trace format is the JSON-object-per-line stream the sink itself
+//! writes, read with the workspace's one JSON parser ([`crate::json`]);
+//! the analysis is shared by `preinfer --trace-out`'s stage breakdown and
+//! the `preinfer-trace` binary.
 //!
 //! ## Multi-process merges
 //!
@@ -42,184 +41,8 @@
 //! arithmetic ever mixes `t_us` timestamps from different sections —
 //! they are process-relative, so cross-host clock skew is moot.
 
+use crate::json::{self, Json};
 use std::collections::BTreeMap;
-
-/// One field value of a flat trace line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Field {
-    U(u64),
-    I(i64),
-    F(f64),
-    S(String),
-    B(bool),
-    Null,
-}
-
-impl Field {
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Field::U(v) => Some(*v),
-            Field::I(v) if *v >= 0 => Some(*v as u64),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Field::S(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object line (`{"k":v,...}`, no nested arrays or
-/// objects). `None` on anything malformed — callers skip such lines.
-pub fn parse_flat_line(line: &str) -> Option<BTreeMap<String, Field>> {
-    let bytes = line.trim().as_bytes();
-    let mut p = Flat { bytes, pos: 0 };
-    p.expect(b'{')?;
-    let mut map = BTreeMap::new();
-    p.ws();
-    if p.peek() == Some(b'}') {
-        return Some(map);
-    }
-    loop {
-        p.ws();
-        let key = p.string()?;
-        p.ws();
-        p.expect(b':')?;
-        p.ws();
-        let value = p.value()?;
-        map.insert(key, value);
-        p.ws();
-        match p.next_byte()? {
-            b',' => continue,
-            b'}' => break,
-            _ => return None,
-        }
-    }
-    p.ws();
-    if p.pos == p.bytes.len() {
-        Some(map)
-    } else {
-        None
-    }
-}
-
-struct Flat<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Flat<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next_byte(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn expect(&mut self, b: u8) -> Option<()> {
-        (self.next_byte()? == b).then_some(())
-    }
-
-    fn ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t')) {
-            self.pos += 1;
-        }
-    }
-
-    fn value(&mut self) -> Option<Field> {
-        match self.peek()? {
-            b'"' => Some(Field::S(self.string()?)),
-            b't' => self.literal("true", Field::B(true)),
-            b'f' => self.literal("false", Field::B(false)),
-            b'n' => self.literal("null", Field::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            _ => None,
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Field) -> Option<Field> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn number(&mut self) -> Option<Field> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut fractional = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    fractional = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-        if !fractional {
-            if let Ok(v) = s.parse::<u64>() {
-                return Some(Field::U(v));
-            }
-            if let Ok(v) = s.parse::<i64>() {
-                return Some(Field::I(v));
-            }
-        }
-        s.parse::<f64>().ok().filter(|v| v.is_finite()).map(Field::F)
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next_byte()? {
-                b'"' => return Some(out),
-                b'\\' => match self.next_byte()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let end = self.pos.checked_add(4)?;
-                        let hex = self.bytes.get(self.pos..end)?;
-                        let cp = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.push(char::from_u32(cp)?);
-                        self.pos = end;
-                    }
-                    _ => return None,
-                },
-                c if c < 0x80 => out.push(c as char),
-                c => {
-                    // Multi-byte UTF-8 scalar: copy its continuation bytes.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..end]).ok()?);
-                    self.pos = end;
-                    let _ = c;
-                }
-            }
-        }
-    }
-}
 
 /// One reconstructed span.
 #[derive(Debug, Clone)]
@@ -294,7 +117,8 @@ pub struct TraceAnalysis {
     /// The primary section's `run` summary (a shard section's `run`
     /// becomes a synthesized span instead — see the module docs).
     pub run: Option<RunInfo>,
-    /// Total lines seen / lines that failed to parse as flat objects.
+    /// Total lines seen / lines skipped: not a JSON object, or carrying a
+    /// span id that overflows when offset into the merged numbering.
     pub lines: usize,
     pub skipped: usize,
     /// The shared 128-bit trace id, from the first `trace_meta` line.
@@ -343,14 +167,16 @@ impl TraceAnalysis {
                 continue;
             }
             a.lines += 1;
-            let Some(fields) = parse_flat_line(line) else {
-                a.skipped += 1;
-                continue;
+            let fields = match json::parse(line) {
+                Ok(v @ Json::Obj(_)) => v,
+                _ => {
+                    a.skipped += 1;
+                    continue;
+                }
             };
-            let get_u = |k: &str| fields.get(k).and_then(Field::as_u64);
-            let get_s =
-                |k: &str| fields.get(k).and_then(Field::as_str).unwrap_or_default().to_string();
-            if fields.get("ev").and_then(Field::as_str) == Some("trace_meta") {
+            let get_u = |k: &str| fields.u64_field(k);
+            let get_s = |k: &str| fields.str_field(k).unwrap_or_default().to_string();
+            if fields.str_field("ev") == Some("trace_meta") {
                 if a.trace_id.is_none() {
                     let tid = get_s("trace_id");
                     if !tid.is_empty() {
@@ -368,13 +194,21 @@ impl TraceAnalysis {
                 continue;
             }
             let sec = sections.last_mut().expect("sections is never empty");
-            match fields.get("ev").and_then(Field::as_str) {
+            // Span ids are section-local: offset them into the merged
+            // numbering. An id whose offset overflows has no place in the
+            // tree, so its line is skipped.
+            let offset =
+                |k: &str| get_u(k).map(|raw| raw.checked_add(sec.base).ok_or(())).transpose();
+            let (Ok(id), Ok(parent), Ok(span)) = (offset("id"), offset("parent"), offset("span"))
+            else {
+                a.skipped += 1;
+                continue;
+            };
+            match fields.str_field("ev") {
                 Some("span_start") => {
-                    let Some(raw) = get_u("id") else { continue };
+                    let Some(id) = id else { continue };
                     sec.populated = true;
-                    let id = raw + sec.base;
                     next_id = next_id.max(id);
-                    let parent = get_u("parent").map(|p| p + sec.base);
                     if let Some(p) = parent.and_then(|p| a.spans.get_mut(&p)) {
                         p.children.push(id);
                     }
@@ -397,16 +231,14 @@ impl TraceAnalysis {
                 }
                 Some("span_end") => {
                     sec.populated = true;
-                    if let Some(span) =
-                        get_u("id").map(|id| id + sec.base).and_then(|id| a.spans.get_mut(&id))
-                    {
+                    if let Some(span) = id.and_then(|id| a.spans.get_mut(&id)) {
                         span.dur_us = get_u("dur_us").unwrap_or(0);
                     }
                 }
                 Some("solver_call") => {
                     sec.populated = true;
                     let call = SolverCall {
-                        span: get_u("span").map(|s| s + sec.base),
+                        span,
                         preds: get_u("preds").unwrap_or(0),
                         verdict: get_s("verdict"),
                         lookup: get_s("lookup"),
@@ -453,15 +285,18 @@ impl TraceAnalysis {
             let run = sec.run.take();
             let roots = std::mem::take(&mut sec.roots);
             let process = sec.process.clone();
-            let parent =
-                sec.parent_span.map(|p| p + primary_base).filter(|p| a.spans.contains_key(p));
+            let parent = sec
+                .parent_span
+                .and_then(|p| p.checked_add(primary_base))
+                .filter(|p| a.spans.contains_key(p));
             if !process.is_empty() {
                 a.processes.push(process.clone());
             }
-            match run {
-                Some(run) => {
-                    next_id += 1;
-                    let id = next_id;
+            // The synthesized `run` span takes the next free id; with none
+            // left, the section's roots graft directly.
+            match run.zip(next_id.checked_add(1)) {
+                Some((run, id)) => {
+                    next_id = id;
                     for r in &roots {
                         if let Some(sp) = a.spans.get_mut(r) {
                             sp.parent = Some(id);
@@ -663,25 +498,6 @@ mod tests {
     use crate::{Stage, TraceSink, Val};
     use std::time::Duration;
 
-    #[test]
-    fn flat_parser_reads_sink_lines() {
-        let m = parse_flat_line(
-            r#"{"ev":"solver_call","seq":3,"span":2,"preds":4,"verdict":"unsat","lookup":"miss","tier":"interval","dur_us":17}"#,
-        )
-        .unwrap();
-        assert_eq!(m["ev"], Field::S("solver_call".into()));
-        assert_eq!(m["span"].as_u64(), Some(2));
-        assert_eq!(m["dur_us"].as_u64(), Some(17));
-        assert_eq!(m["verdict"].as_str(), Some("unsat"));
-        let esc =
-            parse_flat_line(r#"{"pred":"s[\"x\"] != null\\p\n","ok":true,"p":null}"#).unwrap();
-        assert_eq!(esc["pred"].as_str(), Some("s[\"x\"] != null\\p\n"));
-        assert_eq!(esc["ok"], Field::B(true));
-        assert_eq!(esc["p"], Field::Null);
-        assert!(parse_flat_line("not json").is_none());
-        assert!(parse_flat_line(r#"{"a":[1]}"#).is_none(), "nested values are not flat");
-    }
-
     /// Builds a real recorded trace through the sink, then checks the
     /// reconstruction subtracts children and solver calls correctly.
     #[test]
@@ -778,6 +594,36 @@ mod tests {
     }
 
     const TID: &str = "00112233445566778899aabbccddeeff";
+
+    /// Section-local span ids are offset by a per-section base; an id
+    /// whose offset would overflow `u64` cannot be placed in the merged
+    /// tree, so its line is skipped instead of panicking (debug) or
+    /// wrapping onto another section's ids (release).
+    #[test]
+    fn overflowing_section_ids_are_skipped() {
+        let max = u64::MAX;
+        let lines = [
+            format!(r#"{{"ev":"trace_meta","trace_id":"{TID}","process":"preinfer-router"}}"#),
+            r#"{"ev":"span_start","id":1,"parent":null,"stage":"route"}"#.to_string(),
+            r#"{"ev":"span_start","id":2,"parent":1,"stage":"upstream_rtt"}"#.to_string(),
+            r#"{"ev":"span_end","id":2,"dur_us":50}"#.to_string(),
+            r#"{"ev":"span_end","id":1,"dur_us":60}"#.to_string(),
+            format!(
+                r#"{{"ev":"trace_meta","trace_id":"{TID}","process":"preinferd","parent_span":2}}"#
+            ),
+            format!(r#"{{"ev":"span_start","id":{max},"parent":null,"stage":"testgen"}}"#),
+            format!(r#"{{"ev":"span_start","id":1,"parent":{max},"stage":"prune"}}"#),
+            format!(r#"{{"ev":"span_end","id":{max},"dur_us":7}}"#),
+            format!(r#"{{"ev":"solver_call","span":{max},"preds":1,"dur_us":3}}"#),
+            r#"{"ev":"run","func":"f","dur_us":40}"#.to_string(),
+        ];
+        let a = TraceAnalysis::from_lines(lines.iter().map(String::as_str)).unwrap();
+        assert_eq!(a.skipped, 4, "every line with an overflowing id is skipped");
+        assert!(a.solver_calls.is_empty());
+        assert_eq!(a.spans[&1].dur_us, 60, "no shard line lands on a router span");
+        assert_eq!(a.spans[&2].dur_us, 50, "no shard line lands on a router span");
+        assert_eq!(a.spans.len(), 3, "route, upstream_rtt and the shard's synthesized run");
+    }
 
     /// A router section (flat spans) followed by a shard section whose
     /// `trace_meta` names the router's `upstream_rtt` span: builds real

@@ -1,12 +1,17 @@
-//! A minimal JSON reader/writer for the wire protocol.
+//! The one JSON reader and writer of the workspace.
 //!
-//! The offline build environment has no `serde`, so the daemon parses
-//! request payloads with this hand-rolled recursive-descent parser and
-//! renders responses with the escaping helpers below. The parser accepts
-//! RFC 8259 JSON with two defensive limits — a nesting-depth cap and the
-//! frame-level length cap enforced before parsing — so hostile payloads
-//! from the network fail with a typed error instead of exhausting the
-//! stack (see the protocol robustness property tests).
+//! The build has no `serde`, so everything that reads or writes JSON goes
+//! through this module: the serving protocol's request and response
+//! frames, the trace sink's JSON-lines events and [`TraceAnalysis`]'s
+//! reading of them, the registry's `stats` rendering, and `tables --json`.
+//! The parser is a hand-rolled recursive descent over RFC 8259 JSON with
+//! two defensive limits — a nesting-depth cap and the frame-level length
+//! cap the protocol enforces before parsing — so hostile payloads from the
+//! network fail with a typed error instead of exhausting the stack (see
+//! the protocol robustness property tests). Numbers are read as `f64`, so
+//! integers above 2^53 read approximately.
+//!
+//! [`TraceAnalysis`]: crate::TraceAnalysis
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -332,6 +337,13 @@ impl<'a> Parser<'a> {
 /// Escapes a string per RFC 8259 (including the surrounding quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` escaped per RFC 8259, with its surrounding quotes, to
+/// `out` (the allocation-free form the trace sink writes events with).
+pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -347,7 +359,6 @@ pub fn escape(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Renders an `f64` as a JSON number (`null` for non-finite values).
@@ -456,6 +467,14 @@ mod tests {
     fn rejects_excessive_nesting() {
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn escaping_covers_quotes_and_control_chars() {
+        assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
+        assert_eq!(num(75.0), "75");
+        assert_eq!(num(f64::NAN), "null");
     }
 
     #[test]

@@ -24,6 +24,7 @@
 
 pub mod analyze;
 pub mod histogram;
+pub mod json;
 pub mod registry;
 pub mod sink;
 

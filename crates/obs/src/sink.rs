@@ -25,6 +25,7 @@
 //! carries the parent links needed to subtract.
 
 use crate::histogram::Histogram;
+use crate::json;
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -165,9 +166,9 @@ impl TraceSink {
         *sink.trace_id.lock().expect("sink trace id") = Some(trace_id.to_string());
         let mut body = String::with_capacity(64);
         body.push_str("\"trace_id\":");
-        push_json_str(&mut body, trace_id);
+        json::escape_into(&mut body, trace_id);
         body.push_str(",\"process\":");
-        push_json_str(&mut body, process);
+        json::escape_into(&mut body, process);
         match parent_span {
             Some(p) => {
                 let _ = write!(body, ",\"parent_span\":{p}");
@@ -235,7 +236,7 @@ impl TraceSink {
                 None => body.push_str("\"parent\":null,"),
             }
             body.push_str("\"stage\":");
-            push_json_str(&mut body, stage);
+            json::escape_into(&mut body, stage);
             self.push_line("span_start", &body);
         }
         id
@@ -248,7 +249,7 @@ impl TraceSink {
     pub fn end_span(&self, id: u64, stage: &str, dur: Duration) {
         if self.record {
             let mut body = format!("\"id\":{id},\"stage\":");
-            push_json_str(&mut body, stage);
+            json::escape_into(&mut body, stage);
             let _ = write!(body, ",\"dur_us\":{}", dur.as_micros().min(u64::MAX as u128) as u64);
             self.push_line("span_end", &body);
         }
@@ -272,7 +273,7 @@ impl TraceSink {
         }
         for (name, val) in fields {
             body.push(',');
-            push_json_str(&mut body, name);
+            json::escape_into(&mut body, name);
             body.push(':');
             match val {
                 Val::U(v) => {
@@ -281,7 +282,7 @@ impl TraceSink {
                 Val::B(v) => {
                     let _ = write!(body, "{v}");
                 }
-                Val::S(v) => push_json_str(&mut body, v),
+                Val::S(v) => json::escape_into(&mut body, v),
             }
         }
         self.push_line(ev, &body);
@@ -402,7 +403,7 @@ impl TraceSink {
         let seq = lines.len();
         let mut line = String::with_capacity(body.len() + ev.len() + 40);
         let _ = write!(line, "{{\"ev\":");
-        push_json_str(&mut line, ev);
+        json::escape_into(&mut line, ev);
         let _ = write!(line, ",\"seq\":{seq},\"t_us\":{t_us},");
         line.push_str(body);
         line.push('}');
@@ -459,24 +460,6 @@ pub fn recording_sink(sink: &Option<Arc<TraceSink>>) -> Option<&TraceSink> {
         Some(s) if s.is_recording() => Some(s),
         _ => None,
     }
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
 //! Hand-rolled JSON rendering for evaluation results.
 //!
 //! The offline build environment has no `serde`, so the per-ACL results are
-//! serialized by hand. The shape matches what `#[derive(Serialize)]` used
+//! serialized by hand, with the workspace's one escaper (`obs::json`). The shape matches what `#[derive(Serialize)]` used
 //! to produce for `Vec<MethodResult>`, keeping downstream consumers of
 //! `tables --json` working.
 
 use crate::eval::{AclResult, ApproachResult, MethodResult, StageTiming};
+use obs::json::{escape, num};
 use std::fmt::Write;
 
 /// Serializes the full evaluation output as pretty-printed JSON.
@@ -23,15 +24,15 @@ fn write_method(out: &mut String, m: &MethodResult, level: usize) {
     let pad = Indent(level);
     let inner = Indent(level + 1);
     let _ = writeln!(out, "{pad}{{");
-    let _ = writeln!(out, "{inner}\"namespace\": {},", json_str(&m.namespace));
-    let _ = writeln!(out, "{inner}\"subject\": {},", json_str(&m.subject));
-    let _ = writeln!(out, "{inner}\"method\": {},", json_str(&m.method));
-    let _ = writeln!(out, "{inner}\"coverage_percent\": {},", json_f64(m.coverage_percent));
+    let _ = writeln!(out, "{inner}\"namespace\": {},", escape(&m.namespace));
+    let _ = writeln!(out, "{inner}\"subject\": {},", escape(&m.subject));
+    let _ = writeln!(out, "{inner}\"method\": {},", escape(&m.method));
+    let _ = writeln!(out, "{inner}\"coverage_percent\": {},", num(m.coverage_percent));
     let _ = writeln!(out, "{inner}\"tests\": {},", m.tests);
     let _ = writeln!(out, "{inner}\"solver_cache_hits\": {},", m.solver_cache_hits);
     let _ = writeln!(out, "{inner}\"solver_cache_misses\": {},", m.solver_cache_misses);
     let _ = writeln!(out, "{inner}\"timed_out\": {},", m.timed_out);
-    let _ = writeln!(out, "{inner}\"interproc\": {},", json_str(m.interproc));
+    let _ = writeln!(out, "{inner}\"interproc\": {},", escape(m.interproc));
     let _ = writeln!(out, "{inner}\"summarized_callees\": {},", m.summarized_callees);
     let _ = writeln!(out, "{inner}\"summary_table_hits\": {},", m.summary_table_hits);
     let _ = writeln!(out, "{inner}\"summary_applies\": {},", m.summary_applies);
@@ -74,7 +75,7 @@ fn write_stage_timing(out: &mut String, t: &StageTiming) {
         out,
         "{{\"stage\": {}, \"count\": {}, \"total_us\": {}, \"mean_us\": {}, \
          \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}}}",
-        json_str(t.stage),
+        escape(t.stage),
         t.count,
         t.total_us,
         t.mean_us,
@@ -88,11 +89,11 @@ fn write_acl(out: &mut String, a: &AclResult, level: usize) {
     let pad = Indent(level);
     let inner = Indent(level + 1);
     let _ = writeln!(out, "{pad}{{");
-    let _ = writeln!(out, "{inner}\"namespace\": {},", json_str(&a.namespace));
-    let _ = writeln!(out, "{inner}\"subject\": {},", json_str(&a.subject));
-    let _ = writeln!(out, "{inner}\"method\": {},", json_str(&a.method));
-    let _ = writeln!(out, "{inner}\"kind\": {},", json_str(&a.kind));
-    let _ = writeln!(out, "{inner}\"loop_pos_label\": {},", json_str(&a.loop_pos_label));
+    let _ = writeln!(out, "{inner}\"namespace\": {},", escape(&a.namespace));
+    let _ = writeln!(out, "{inner}\"subject\": {},", escape(&a.subject));
+    let _ = writeln!(out, "{inner}\"method\": {},", escape(&a.method));
+    let _ = writeln!(out, "{inner}\"kind\": {},", escape(&a.kind));
+    let _ = writeln!(out, "{inner}\"loop_pos_label\": {},", escape(&a.loop_pos_label));
     let _ = writeln!(out, "{inner}\"quantified_target\": {},", json_opt_bool(a.quantified_target));
     let _ = write!(out, "{inner}\"preinfer\": ");
     write_approach(out, &a.preinfer, level + 1);
@@ -115,12 +116,12 @@ fn write_approach(out: &mut String, r: &ApproachResult, level: usize) {
     let _ = writeln!(out, "{inner}\"correct\": {},", json_opt_bool(r.correct));
     let _ = writeln!(out, "{inner}\"complexity\": {},", r.complexity);
     let rel = match r.relative_complexity {
-        Some(v) => json_f64(v),
+        Some(v) => num(v),
         None => "null".to_string(),
     };
     let _ = writeln!(out, "{inner}\"relative_complexity\": {rel},");
     let _ = writeln!(out, "{inner}\"quantified\": {},", r.quantified);
-    let _ = writeln!(out, "{inner}\"psi\": {}", json_str(&r.psi));
+    let _ = writeln!(out, "{inner}\"psi\": {}", escape(&r.psi));
     let _ = write!(out, "{pad}}}");
 }
 
@@ -135,37 +136,6 @@ impl std::fmt::Display for Indent {
     }
 }
 
-/// Escapes a string per RFC 8259.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // `{v}` prints integral floats without a fraction ("75" not
-        // "75.0"), which JSON still parses as a number.
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn json_opt_bool(v: Option<bool>) -> String {
     match v {
         Some(b) => b.to_string(),
@@ -176,12 +146,6 @@ fn json_opt_bool(v: Option<bool>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escaping_covers_quotes_and_control_chars() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
 
     #[test]
     fn empty_results_render_as_empty_array() {

@@ -33,7 +33,6 @@
 
 pub mod client;
 pub mod eio;
-pub mod json;
 pub mod netcore;
 pub mod protocol;
 pub mod queue;
@@ -45,6 +44,7 @@ pub mod trace;
 
 pub use client::{offline_psis, served_psis, Client, ClientError};
 pub use netcore::{wait_for_signal, ShutdownHandle};
+pub use obs::json;
 pub use obs::Histogram;
 pub use protocol::{ErrorCode, InferRequest, Request, TraceContext, TraceSelect, MAX_FRAME_LEN};
 pub use queue::BoundedQueue;

@@ -335,7 +335,7 @@ mod tests {
         let tiers: Vec<String> = sink
             .lines()
             .iter()
-            .map(|l| obs::analyze::parse_flat_line(l).expect("trace line parses"))
+            .map(|l| obs::json::parse(l).expect("trace line parses"))
             .filter_map(|f| f.get("tier").and_then(|t| t.as_str()).map(str::to_string))
             .collect();
         assert_eq!(tiers.len(), 2);

@@ -13,7 +13,7 @@
 //! with `UPDATE_TESTGEN_GOLDENS=1 cargo test --test testgen_differential`.
 
 use preinfer::obs;
-use preinfer::obs::analyze::parse_flat_line;
+use preinfer::obs::json;
 use preinfer::prelude::*;
 use std::sync::Arc;
 
@@ -43,7 +43,7 @@ fn testgen_summary(m: &subjects::SubjectMethod) -> String {
     let mut digest = 0xcbf2_9ce4_8422_2325;
     let mut done = None;
     for line in sink.lines() {
-        let fields = parse_flat_line(&line).expect("trace line parses");
+        let fields = json::parse(&line).expect("trace line parses");
         let field = |name: &str| fields.get(name).unwrap_or_else(|| panic!("no {name}: {line}"));
         match fields.get("ev").and_then(|f| f.as_str()) {
             Some("flip") => {

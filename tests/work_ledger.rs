@@ -23,7 +23,7 @@
 //! Regenerate with `UPDATE_WORK_LEDGER=1 cargo test --test work_ledger`.
 
 use preinfer::obs;
-use preinfer::obs::analyze::parse_flat_line;
+use preinfer::obs::json;
 use preinfer::prelude::*;
 use std::sync::Arc;
 
@@ -34,7 +34,7 @@ fn flips(sink: &obs::TraceSink) -> u64 {
     sink.lines()
         .iter()
         .filter_map(|line| {
-            let fields = parse_flat_line(line).expect("trace line parses");
+            let fields = json::parse(line).expect("trace line parses");
             (fields.get("ev").and_then(|f| f.as_str()) == Some("testgen_done"))
                 .then(|| fields.get("flips").and_then(|f| f.as_u64()).expect("flips"))
         })
