@@ -83,6 +83,24 @@ fn bucket_bound(k: usize) -> u64 {
     (1u64 << h) + (sub + 1) * (1u64 << (h - 3)) - 1
 }
 
+/// The `q`-quantile of `(bound, count)` buckets holding `total` samples:
+/// the inclusive upper bound of the bucket containing that rank (0 with no
+/// samples).
+fn quantile(total: u64, buckets: impl Iterator<Item = (u64, u64)>, q: f64) -> u64 {
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+    let mut seen = 0u64;
+    for (bound, count) in buckets {
+        seen += count;
+        if seen >= rank {
+            return bound;
+        }
+    }
+    bucket_bound(BUCKETS - 1)
+}
+
 /// Exemplar slot for a value, if it is high enough to carry one.
 fn exemplar_slot(us: u64) -> Option<usize> {
     if us < (1u64 << EXEMPLAR_MIN_OCTAVE) {
@@ -138,19 +156,12 @@ impl Histogram {
     /// the bucket containing that rank, in µs — so the reported quantile
     /// never exceeds every recorded sample. Returns 0 with no samples.
     pub fn quantile_us(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (k, c) in self.counts.iter().enumerate() {
-            seen += c.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_bound(k);
-            }
-        }
-        bucket_bound(BUCKETS - 1)
+        let buckets = self
+            .counts
+            .iter()
+            .enumerate()
+            .map(|(k, c)| (bucket_bound(k), c.load(Ordering::Relaxed)));
+        quantile(self.count(), buckets, q)
     }
 
     /// `(p50, p90, p99)` in µs.
@@ -212,7 +223,7 @@ pub struct Exemplar {
 }
 
 /// A scrape-time copy of a [`Histogram`], consumed by the metrics
-/// registry's Prometheus renderer.
+/// registry: rendered as buckets in `metrics` and summarized in `stats`.
 #[derive(Debug, Clone)]
 pub struct HistogramSnapshot {
     /// `(inclusive upper bound µs, count)` per bucket, in bucket order.
@@ -221,6 +232,24 @@ pub struct HistogramSnapshot {
     pub sum_us: u64,
     /// Current exemplars, at most one per high octave, bucket-ordered.
     pub exemplars: Vec<Exemplar>,
+}
+
+impl HistogramSnapshot {
+    /// Number of samples (the bucket counts' sum, so the summary is
+    /// self-consistent even when the copy raced a `record`).
+    pub fn count(&self) -> u64 {
+        self.buckets_us.iter().map(|&(_, c)| c).sum()
+    }
+
+    /// Mean sample in µs (0 with no samples).
+    pub fn mean_us(&self) -> u64 {
+        self.sum_us.checked_div(self.count()).unwrap_or(0)
+    }
+
+    /// The `q`-quantile in µs, as [`Histogram::quantile_us`] computes it.
+    pub fn quantile_us(&self, q: f64) -> u64 {
+        quantile(self.count(), self.buckets_us.iter().copied(), q)
+    }
 }
 
 #[cfg(test)]
@@ -368,5 +397,21 @@ mod tests {
         assert_eq!(h.mean_us(), 0);
         assert_eq!(h.sum_us(), 0);
         assert!(h.snapshot().exemplars.is_empty());
+        assert_eq!(h.snapshot().quantile_us(0.5), 0);
+        assert_eq!(h.snapshot().mean_us(), 0);
+    }
+
+    #[test]
+    fn snapshots_summarize_like_the_live_histogram() {
+        let h = Histogram::new();
+        for us in [3, 100, 100, 2_000, 50_000, 1 << 30] {
+            h.record(Duration::from_micros(us));
+        }
+        let snap = h.snapshot();
+        assert_eq!(snap.count(), h.count());
+        assert_eq!(snap.mean_us(), h.mean_us());
+        for q in [0.01, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(snap.quantile_us(q), h.quantile_us(q), "q = {q}");
+        }
     }
 }

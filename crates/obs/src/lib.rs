@@ -6,10 +6,11 @@
 //! [`Histogram`] shared by the CLI trace footer and `preinferd`'s `stats`
 //! verb.
 //!
-//! Two offline companions complete the layer: the unified
-//! [`MetricsRegistry`] (named counters/gauges/histograms with static
-//! labels, scraped as Prometheus text-format exposition — `preinferd`'s
-//! `metrics` verb), and [`TraceAnalysis`] (span-tree reconstruction of a
+//! Three companions complete the layer: the unified [`MetricsRegistry`]
+//! (every served counter, gauge and histogram declared once, rendered
+//! both as Prometheus text-format exposition — the `metrics` verb — and
+//! as the nested JSON of the `stats` verb), the workspace's one JSON
+//! reader and writer ([`json`]), and [`TraceAnalysis`] (span-tree reconstruction of a
 //! recorded JSON-lines trace: exclusive self-time, critical path, top-k
 //! solver calls, folded stacks — shared by `preinfer --trace-out`'s
 //! breakdown and the `preinfer-trace` binary).
@@ -30,5 +31,5 @@ pub mod sink;
 
 pub use analyze::TraceAnalysis;
 pub use histogram::{Exemplar, Histogram, HistogramSnapshot};
-pub use registry::{MetricKind, MetricsRegistry};
+pub use registry::{reader, Entry, MetricsRegistry};
 pub use sink::{maybe_span, recording_sink, SpanGuard, Stage, StageSnapshot, TraceSink, Val};

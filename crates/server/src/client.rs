@@ -1,8 +1,8 @@
 //! A minimal blocking client for the `preinferd` protocol, shared by the
 //! `preinfer-client` binary and the integration tests.
 
-use crate::json::{self, Json};
 use crate::protocol::{self, FrameError, InferRequest};
+use obs::json::{self, Json};
 use std::io;
 use std::net::TcpStream;
 use std::time::Duration;

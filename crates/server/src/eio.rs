@@ -33,6 +33,7 @@
 use crate::netcore::{self, ClientConn, Clients, Reactor, SWEEP_MS, TOKEN_LISTENER, TOKEN_WAKER};
 use crate::protocol::{self, render_error, ErrorCode, Request};
 use crate::server::{self, InferDisposition, ReplyTo, Shared};
+use obs::json::ObjBuilder;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -144,7 +145,7 @@ fn dispatch(
     let started = Instant::now();
     match protocol::parse_request(&payload) {
         Ok(Request::Ping { id }) => {
-            let resp = crate::json::ObjBuilder::new()
+            let resp = ObjBuilder::new()
                 .bool("ok", true)
                 .opt_str("id", id.as_deref())
                 .str("verb", "ping")
@@ -153,7 +154,11 @@ fn dispatch(
             shared.latency.ping.record(started.elapsed());
         }
         Ok(Request::Stats { id }) => {
-            conn.io.queue(&server::render_stats_response(id.as_deref(), shared));
+            let head = ObjBuilder::new()
+                .bool("ok", true)
+                .opt_str("id", id.as_deref())
+                .str("verb", "stats");
+            conn.io.queue(&shared.registry.render_stats(head).build());
             shared.latency.stats.record(started.elapsed());
         }
         Ok(Request::Metrics { id }) => {

@@ -11,9 +11,9 @@
 //! Observability rides on `obs`: every admitted request gets a monotonic
 //! id, deterministic head sampling and slow-request tail capture retain
 //! per-request traces in a bounded ring ([`TraceRing`], the `trace` verb),
-//! and every counter/histogram registers in a unified
-//! [`obs::MetricsRegistry`] scraped by the `metrics` verb as Prometheus
-//! text exposition.
+//! and every served counter, gauge and histogram is declared once in a
+//! unified [`obs::MetricsRegistry`], which renders both the `stats` verb's
+//! JSON and the `metrics` verb's Prometheus text exposition.
 //!
 //! Tracing is distributed across the router tier: `preinfer-router` mints
 //! a 128-bit trace context ([`protocol::TraceContext`]), records its own
@@ -28,7 +28,7 @@
 //! Both processes share one serving shell: the client-connection
 //! lifecycle and its counters ([`netcore::ConnCounters`]), the trace-ring
 //! surface ([`TraceRing::select`], [`StoredTrace::render`], the retention
-//! metric families), one [`ShutdownHandle`] and one SIGTERM/SIGINT wait
+//! values both verbs serve), one [`ShutdownHandle`] and one SIGTERM/SIGINT wait
 //! ([`wait_for_signal`]).
 
 pub mod client;

@@ -11,9 +11,8 @@
 //! both processes hand out.
 
 use super::{ConnError, FramedConn, Interest, Poller, Waker, WRITE_BACKPRESSURE_BYTES};
-use crate::json::ObjBuilder;
 use crate::protocol::{render_error, ErrorCode, MAX_FRAME_LEN};
-use obs::MetricsRegistry;
+use obs::{reader, Entry, MetricsRegistry};
 use std::collections::HashMap;
 use std::io;
 use std::net::TcpListener;
@@ -92,8 +91,8 @@ impl ShutdownHandle {
     }
 }
 
-/// Client-connection lifecycle counters, kept by [`Clients`] for the
-/// `stats` verb and the metrics registry of whichever process owns it.
+/// Client-connection lifecycle counters, kept by [`Clients`] and served
+/// through the registry of whichever process owns it.
 #[derive(Debug, Default)]
 pub struct ConnCounters {
     /// Accepted connections.
@@ -118,44 +117,59 @@ impl ConnCounters {
             .saturating_sub(self.conns_closed.load(Ordering::Relaxed))
     }
 
-    /// Appends the lifecycle fields to a `stats` counters block.
-    pub(crate) fn stats_fields(&self, b: ObjBuilder) -> ObjBuilder {
-        b.u64("connections", self.connections.load(Ordering::Relaxed))
-            .u64("conns_closed", self.conns_closed.load(Ordering::Relaxed))
-            .u64("idle_closed", self.idle_closed.load(Ordering::Relaxed))
-            .u64("open_connections", self.open_connections())
-            .u64("requests", self.requests.load(Ordering::Relaxed))
-            .u64("bad_requests", self.bad_requests.load(Ordering::Relaxed))
-    }
-
-    /// Registers the process-lifecycle families every serving process
-    /// exports: uptime, open connections, and connection events.
-    pub(crate) fn register(self: &Arc<Self>, reg: &MetricsRegistry, started: Instant) {
-        reg.gauge(
-            "preinfer_uptime_seconds",
-            "Seconds since the process started.",
-            &[],
-            move || started.elapsed().as_secs_f64(),
+    /// Declares the lifecycle values every serving process serves:
+    /// uptime, open connections, connection events and request frames
+    /// (parsed and malformed). `block` prefixes their `stats` keys (the
+    /// daemon's `"counters."`; `""` for the router, whose registry renders
+    /// its `router` block); `requests` names the process's request-frame
+    /// counter series and its help.
+    pub(crate) fn declare(
+        self: &Arc<Self>,
+        reg: &MetricsRegistry,
+        started: Instant,
+        block: &str,
+        requests: (&'static str, &'static str),
+    ) {
+        let key = |k: &str| format!("{block}{k}");
+        reg.add(
+            Entry::uptime(started)
+                .series("preinfer_uptime_seconds", "Seconds since the process started.", &[])
+                .stats(key("uptime_s")),
         );
-        let c = Arc::clone(self);
-        reg.gauge("preinfer_server_connections", "Currently open connections.", &[], move || {
-            c.open_connections() as f64
-        });
+        reg.add(
+            Entry::gauge(reader(self, ConnCounters::open_connections))
+                .series("preinfer_server_connections", "Currently open connections.", &[])
+                .stats(key("open_connections")),
+        );
         type Select = fn(&ConnCounters) -> &AtomicU64;
-        let events: [(&str, Select); 3] = [
-            ("accepted", |c| &c.connections),
-            ("closed", |c| &c.conns_closed),
-            ("idle_closed", |c| &c.idle_closed),
+        let events: [(&str, &str, Select); 3] = [
+            ("accepted", "connections", |c| &c.connections),
+            ("closed", "conns_closed", |c| &c.conns_closed),
+            ("idle_closed", "idle_closed", |c| &c.idle_closed),
         ];
-        for (event, sel) in events {
+        for (event, field, sel) in events {
             let c = Arc::clone(self);
-            reg.counter(
-                "preinfer_connection_events_total",
-                "Connection lifecycle events.",
-                &[("event", event)],
-                move || sel(&c).load(Ordering::Relaxed),
+            reg.add(
+                Entry::counter(move || sel(&c).load(Ordering::Relaxed))
+                    .series(
+                        "preinfer_connection_events_total",
+                        "Connection lifecycle events.",
+                        &[("event", event)],
+                    )
+                    .stats(key(field)),
             );
         }
+        let (name, help) = requests;
+        reg.add(
+            Entry::counter(reader(self, |c| c.requests.load(Ordering::Relaxed)))
+                .series(name, help, &[])
+                .stats(key("requests")),
+        );
+        reg.add(
+            Entry::counter(reader(self, |c| c.bad_requests.load(Ordering::Relaxed)))
+                .series("preinfer_bad_requests_total", "Malformed or unparseable requests.", &[])
+                .stats(key("bad_requests")),
+        );
     }
 }
 

@@ -7,7 +7,7 @@
 //! longer be resynchronized. The full request/response shapes are
 //! documented in `PROTOCOL.md` at the repository root.
 
-use crate::json::{self, Json, ObjBuilder};
+use obs::json::{self, Json, ObjBuilder};
 use std::io::{self, Read, Write};
 
 /// Hard ceiling on one frame's payload (16 MiB). Large enough for any

@@ -39,7 +39,6 @@
 //!   connection once more on the fresh one (every forwarded verb is
 //!   pure), and parks new requests for the shard until it lands.
 
-use crate::json::{self, ObjBuilder};
 use crate::netcore::{
     Clients, ConnCounters, FramedConn, Interest, Poller, Reactor, ShutdownHandle, Waker, SWEEP_MS,
     TOKEN_LISTENER, TOKEN_WAKER,
@@ -47,7 +46,8 @@ use crate::netcore::{
 use crate::protocol::{self, render_error, ErrorCode, Request, TraceContext, TraceSelect};
 use crate::routing;
 use crate::trace::{mint_trace_id, RetainReason, SamplingPolicy, StoredTrace, TraceRing};
-use obs::{MetricsRegistry, TraceSink};
+use obs::json::{self, ObjBuilder};
+use obs::{reader, Entry, MetricsRegistry, TraceSink};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io;
@@ -188,7 +188,7 @@ impl Router {
             ring: Arc::new(TraceRing::new(cfg.trace_buffer)),
             cfg,
         });
-        register_router_metrics(&shared);
+        declare_observables(&shared);
         let connector = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || connector_loop(&shared))
@@ -222,51 +222,71 @@ impl Router {
     }
 }
 
-fn register_router_metrics(shared: &Arc<RouterShared>) {
+/// Declares every value the router serves, once: the merged `stats`
+/// response's `router` block and the router's own `metrics` series are
+/// both renderings of these entries.
+fn declare_observables(shared: &Arc<RouterShared>) {
     let reg = &shared.registry;
-    shared.conns.register(reg, shared.started);
-    let c = Arc::clone(&shared.conns);
-    reg.counter("preinfer_router_requests_total", "Downstream request frames.", &[], move || {
-        c.requests.load(Ordering::Relaxed)
-    });
-    let c = Arc::clone(&shared.counters);
-    reg.counter(
-        "preinfer_router_forwarded_total",
-        "Requests forwarded to a shard.",
-        &[],
-        move || c.forwarded.load(Ordering::Relaxed),
+    shared.conns.declare(
+        reg,
+        shared.started,
+        "",
+        ("preinfer_router_requests_total", "Downstream request frames."),
     );
-    let c = Arc::clone(&shared.counters);
-    reg.counter(
-        "preinfer_router_fanouts_total",
-        "Fan-out verbs (stats/metrics/trace) dispatched to all shards.",
-        &[],
-        move || c.fanouts.load(Ordering::Relaxed),
+    type Count = fn(&RouterCounters) -> &AtomicU64;
+    let counts: [(&str, &'static str, &'static str, Count); 5] = [
+        ("forwarded", "preinfer_router_forwarded_total", "Requests forwarded to a shard.", |c| {
+            &c.forwarded
+        }),
+        (
+            "fanouts",
+            "preinfer_router_fanouts_total",
+            "Fan-out verbs (stats/metrics/trace) dispatched to all shards.",
+            |c| &c.fanouts,
+        ),
+        (
+            "unavailable",
+            "preinfer_router_unavailable_total",
+            "Requests answered with upstream_unavailable.",
+            |c| &c.unavailable,
+        ),
+        (
+            "reconnects",
+            "preinfer_router_reconnects_total",
+            "Upstream connections lost and re-dialed.",
+            |c| &c.reconnects,
+        ),
+        (
+            "unmatched",
+            "preinfer_router_unmatched_total",
+            "Upstream frames matching no in-flight request.",
+            |c| &c.unmatched,
+        ),
+    ];
+    for (key, name, help, sel) in counts {
+        let c = Arc::clone(&shared.counters);
+        reg.add(
+            Entry::counter(move || sel(&c).load(Ordering::Relaxed))
+                .series(name, help, &[])
+                .stats(key),
+        );
+    }
+    reg.add(
+        Entry::gauge(reader(shared, |s| s.live_upstreams.load(Ordering::Relaxed)))
+            .series(
+                "preinfer_router_upstream_connections",
+                "Live pooled upstream connections.",
+                &[],
+            )
+            .stats("live_upstreams"),
     );
-    let c = Arc::clone(&shared.counters);
-    reg.counter(
-        "preinfer_router_unavailable_total",
-        "Requests answered with upstream_unavailable.",
-        &[],
-        move || c.unavailable.load(Ordering::Relaxed),
+    let n = shared.cfg.shards.len() as u64;
+    reg.add(
+        Entry::gauge(move || n)
+            .series("preinfer_router_shards", "Configured shard count.", &[])
+            .stats("shards"),
     );
-    let c = Arc::clone(&shared.counters);
-    reg.counter(
-        "preinfer_router_reconnects_total",
-        "Upstream connections lost and re-dialed.",
-        &[],
-        move || c.reconnects.load(Ordering::Relaxed),
-    );
-    let s = Arc::clone(shared);
-    reg.gauge(
-        "preinfer_router_upstream_connections",
-        "Live pooled upstream connections.",
-        &[],
-        move || s.live_upstreams.load(Ordering::Relaxed) as f64,
-    );
-    let n = shared.cfg.shards.len() as f64;
-    reg.gauge("preinfer_router_shards", "Configured shard count.", &[], move || n);
-    shared.ring.register(reg);
+    shared.ring.declare(reg);
 }
 
 // ---- connector thread -------------------------------------------------------
@@ -1113,24 +1133,6 @@ fn is_idle_notice(raw: &str) -> bool {
     raw.contains(&format!("\"error\":\"{}\"", ErrorCode::IdleTimeout.as_str()))
 }
 
-/// Renders the router block common to merged responses.
-fn router_block(shared: &Arc<RouterShared>) -> String {
-    let c = &shared.counters;
-    let b = ObjBuilder::new()
-        .u64("shards", shared.cfg.shards.len() as u64)
-        .u64("live_upstreams", shared.live_upstreams.load(Ordering::SeqCst));
-    shared
-        .conns
-        .stats_fields(b)
-        .u64("forwarded", c.forwarded.load(Ordering::Relaxed))
-        .u64("fanouts", c.fanouts.load(Ordering::Relaxed))
-        .u64("unavailable", c.unavailable.load(Ordering::Relaxed))
-        .u64("reconnects", c.reconnects.load(Ordering::Relaxed))
-        .u64("unmatched", c.unmatched.load(Ordering::Relaxed))
-        .u64("uptime_s", shared.started.elapsed().as_secs())
-        .build()
-}
-
 /// Merged `stats`: the router's own counters plus each shard's full
 /// stats response nested verbatim under its shard index.
 fn merge_stats(f: &FanState, shared: &Arc<RouterShared>) -> String {
@@ -1149,7 +1151,7 @@ fn merge_stats(f: &FanState, shared: &Arc<RouterShared>) -> String {
         .bool("ok", true)
         .opt_str("id", f.orig_id.as_deref())
         .str("verb", "stats")
-        .raw("router", router_block(shared))
+        .raw("router", shared.registry.render_stats(ObjBuilder::new()).build())
         .u64("shards_unavailable", f.unavailable as u64)
         .arr("shards", shards)
         .build()

@@ -37,7 +37,8 @@ use crate::service;
 use crate::service::SummaryPolicy;
 use crate::trace::{SamplingPolicy, StoredTrace, TraceRing};
 use concolic::InterprocMode;
-use obs::{Histogram, MetricsRegistry};
+use obs::json::ObjBuilder;
+use obs::{reader, Entry, Histogram, MetricsRegistry};
 use solver::{Deadline, IncrementalCounters, SolverCache, TierCounters};
 use std::io;
 use std::net::SocketAddr;
@@ -90,8 +91,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// The daemon's `infer` outcome counters for the `stats` verb (the
-/// connection lifecycle is counted by [`ConnCounters`]).
+/// The daemon's `infer` outcome counters (the connection lifecycle is
+/// counted by [`ConnCounters`]).
 #[derive(Debug, Default)]
 pub struct Counters {
     pub infers_ok: AtomicU64,
@@ -134,8 +135,8 @@ pub(crate) struct Job {
 
 /// State shared by every thread. The observable pieces (`queue`,
 /// `counters`, `latency`, `trace`, `tiers`, `ring`) are individually
-/// `Arc`'d so the metrics registry's scrape closures can capture them
-/// without holding the whole `Shared` (which owns the registry — a cycle).
+/// `Arc`'d so the registry's readers can capture them without holding
+/// the whole `Shared` (which owns the registry — a cycle).
 pub(crate) struct Shared {
     pub(crate) shutdown: ShutdownHandle,
     /// Closed by the connection core once every connection has closed, so
@@ -146,31 +147,31 @@ pub(crate) struct Shared {
     pub(crate) conns: Arc<ConnCounters>,
     pub(crate) counters: Arc<Counters>,
     pub(crate) latency: Arc<ServerLatency>,
-    /// Aggregate pipeline-stage histograms shared by every worker. Served
-    /// by the `stats` verb. Sampled requests run on their own recording
+    /// Aggregate pipeline-stage histograms shared by every worker, served
+    /// through the registry. Sampled requests run on their own recording
     /// sink which is absorbed here on completion, so these lifetime
     /// histograms stay complete regardless of sampling.
     pub(crate) trace: Arc<obs::TraceSink>,
     /// Which solver tier answered each executed query, summed across all
-    /// workers for the daemon's lifetime. Served by the `stats` verb.
+    /// workers for the daemon's lifetime, served through the registry.
     pub(crate) tiers: Arc<TierCounters>,
     /// Retained per-request traces, served by the `trace` verb.
     pub(crate) ring: Arc<TraceRing>,
-    /// Incremental-session counters shared by every worker. Served by
-    /// the `stats` verb and the metrics registry.
+    /// Incremental-session counters shared by every worker, served
+    /// through the registry.
     pub(crate) incremental: Arc<IncrementalCounters>,
     /// Interprocedural policy: mode, the daemon-lifetime summary table,
-    /// and apply counters. Served by `stats` and the metrics registry.
+    /// and apply counters, served through the registry.
     pub(crate) summaries: SummaryPolicy,
     /// Deterministic per-request sampling policy (fixed at startup).
     pub(crate) sampling: SamplingPolicy,
-    /// Unified metrics, served by the `metrics` verb.
+    /// Every served value, declared once: rendered by the `stats` and
+    /// `metrics` verbs.
     pub(crate) registry: Arc<MetricsRegistry>,
     /// Idle-close deadline for silent connections; `None` when disabled.
     pub(crate) idle_timeout: Option<Duration>,
     /// Admission counter: ids are 1-based, assigned in [`start_infer`].
     pub(crate) next_request_id: AtomicU64,
-    pub(crate) started: Instant,
     pub(crate) default_deadline_ms: Option<u64>,
 }
 
@@ -198,8 +199,9 @@ impl Server {
         let ring = Arc::new(TraceRing::new(cfg.trace_buffer));
         let incremental = Arc::new(IncrementalCounters::default());
         let summaries = SummaryPolicy { mode: cfg.interproc, ..SummaryPolicy::default() };
+        let sampling = SamplingPolicy::new(cfg.trace_sample, cfg.slow_trace_ms);
         let registry = Arc::new(MetricsRegistry::new());
-        register_metrics(
+        declare_observables(
             &registry,
             &cache,
             &tiers,
@@ -211,6 +213,7 @@ impl Server {
             &ring,
             &incremental,
             &summaries,
+            &sampling,
             started,
         );
         let shared = Arc::new(Shared {
@@ -225,12 +228,11 @@ impl Server {
             ring,
             incremental,
             summaries,
-            sampling: SamplingPolicy::new(cfg.trace_sample, cfg.slow_trace_ms),
+            sampling,
             registry,
             idle_timeout: (cfg.idle_timeout_ms > 0)
                 .then(|| Duration::from_millis(cfg.idle_timeout_ms)),
             next_request_id: AtomicU64::new(0),
-            started,
             default_deadline_ms: cfg.default_deadline_ms,
         });
         let workers = (0..cfg.workers.max(1))
@@ -314,140 +316,10 @@ pub(crate) fn start_infer(
     InferDisposition::Queued
 }
 
-pub(crate) fn render_stats_response(id: Option<&str>, shared: &Shared) -> String {
-    use crate::json::ObjBuilder;
-    let cache = shared.cache.stats();
-    let c = &shared.counters;
-    let verb = |h: &Histogram| {
-        let (p50, p90, p99) = h.percentiles_us();
-        ObjBuilder::new()
-            .u64("count", h.count())
-            .u64("mean_us", h.mean_us())
-            .u64("p50_us", p50)
-            .u64("p90_us", p90)
-            .u64("p99_us", p99)
-            .build()
-    };
-    ObjBuilder::new()
-        .bool("ok", true)
-        .opt_str("id", id)
-        .str("verb", "stats")
-        .raw(
-            "cache",
-            ObjBuilder::new()
-                .u64("hits", cache.hits)
-                .u64("misses", cache.misses)
-                .u64("entries", cache.entries)
-                .u64("evictions", cache.evictions)
-                .u64("evicted_entries", cache.evicted_entries)
-                .f64("hit_rate", cache.hit_rate())
-                .build(),
-        )
-        .raw("solver_tiers", {
-            let t = shared.tiers.snapshot();
-            ObjBuilder::new()
-                .u64("answered_by_syntactic", t.answered_by_syntactic)
-                .u64("answered_by_interval", t.answered_by_interval)
-                .u64("answered_by_simplex", t.answered_by_simplex)
-                .u64("escalations", t.escalations)
-                .f64("tier1_rate", t.tier1_rate())
-                .build()
-        })
-        .raw("solver_incremental", {
-            let i = shared.incremental.snapshot();
-            ObjBuilder::new()
-                .u64("sessions", i.sessions)
-                .u64("queries", i.queries)
-                .u64("pushes", i.pushes)
-                .u64("pops", i.pops)
-                .u64("reused_depth_sum", i.reused_depth_sum)
-                .f64("avg_reused_depth", i.avg_reused_depth())
-                .build()
-        })
-        .raw("summaries", {
-            let t = &shared.summaries.table;
-            let s = &shared.summaries.stats;
-            ObjBuilder::new()
-                .str("mode", shared.summaries.mode.label())
-                .u64("hits", t.hits())
-                .u64("misses", t.misses())
-                .u64("inserts", t.inserts())
-                .u64("entries", t.len() as u64)
-                .u64("applies", s.applies())
-                .u64("fallbacks", s.fallbacks())
-                .build()
-        })
-        .raw("stages", {
-            let mut b = ObjBuilder::new();
-            for (stage, snap) in shared.trace.stages() {
-                b = b.raw(
-                    stage.label(),
-                    ObjBuilder::new()
-                        .u64("count", snap.count)
-                        .u64("total_us", snap.total_us)
-                        .u64("mean_us", snap.mean_us)
-                        .u64("p50_us", snap.p50_us)
-                        .u64("p90_us", snap.p90_us)
-                        .u64("p99_us", snap.p99_us)
-                        .build(),
-                );
-            }
-            b.build()
-        })
-        .raw(
-            "counters",
-            shared
-                .conns
-                .stats_fields(ObjBuilder::new())
-                .u64("infers_ok", c.infers_ok.load(Ordering::Relaxed))
-                .u64("infer_errors", c.infer_errors.load(Ordering::Relaxed))
-                .u64("overloaded", c.overloaded.load(Ordering::Relaxed))
-                .u64("timed_out", c.timed_out.load(Ordering::Relaxed))
-                .u64("queue_depth", shared.queue.len() as u64)
-                .u64("queue_capacity", shared.queue.capacity() as u64)
-                .u64("uptime_s", shared.started.elapsed().as_secs())
-                .build(),
-        )
-        .raw(
-            "latency",
-            ObjBuilder::new()
-                .raw("infer", verb(&shared.latency.infer))
-                .raw("stats", verb(&shared.latency.stats))
-                .raw("ping", verb(&shared.latency.ping))
-                .raw("metrics", verb(&shared.latency.metrics))
-                .raw("trace", verb(&shared.latency.trace))
-                .raw("queue_wait", verb(&shared.latency.queue_wait))
-                .build(),
-        )
-        .raw("memory", {
-            let mut arenas = ObjBuilder::new();
-            for (arena, nodes) in symbolic::arena_sizes() {
-                arenas = arenas.u64(arena, nodes as u64);
-            }
-            ObjBuilder::new()
-                .u64("resident_bytes", resident_bytes())
-                .u64("cache_bytes", cache.bytes)
-                .raw("arena_nodes", arenas.build())
-                .build()
-        })
-        .raw("traces", {
-            let (head, slow, context, evicted) = shared.ring.counters();
-            ObjBuilder::new()
-                .u64("sample", shared.sampling.sample)
-                .u64("buffered", shared.ring.len() as u64)
-                .u64("retained_head", head)
-                .u64("retained_slow", slow)
-                .u64("retained_context", context)
-                .u64("evicted", evicted)
-                .build()
-        })
-        .build()
-}
-
 /// Renders the `metrics` verb: the registry's Prometheus text exposition,
 /// carried as a JSON string field so the frame stays a JSON object.
 pub(crate) fn render_metrics_response(id: Option<&str>, shared: &Shared) -> String {
-    crate::json::ObjBuilder::new()
+    ObjBuilder::new()
         .bool("ok", true)
         .opt_str("id", id)
         .str("verb", "metrics")
@@ -463,7 +335,6 @@ pub(crate) fn render_trace_response(
     select: &TraceSelect,
     shared: &Shared,
 ) -> String {
-    use crate::json::ObjBuilder;
     let rendered = shared.ring.select(select).iter().map(StoredTrace::render).collect();
     ObjBuilder::new()
         .bool("ok", true)
@@ -598,11 +469,12 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Registers every observable the daemon owns into the unified registry.
-/// Closures capture individual `Arc`s (never `Shared`, which owns the
-/// registry) and read their atomics at scrape time — zero hot-path cost.
+/// Declares every value the daemon serves, once: the `stats` verb and
+/// the `metrics` verb are both renderings of these entries. Readers
+/// capture individual `Arc`s (never `Shared`, which owns the registry)
+/// and read their atomics at render time — zero hot-path cost.
 #[allow(clippy::too_many_arguments)]
-fn register_metrics(
+fn declare_observables(
     reg: &MetricsRegistry,
     cache: &Arc<SolverCache>,
     tiers: &Arc<TierCounters>,
@@ -614,185 +486,211 @@ fn register_metrics(
     ring: &Arc<TraceRing>,
     incremental: &Arc<IncrementalCounters>,
     summaries: &SummaryPolicy,
+    sampling: &SamplingPolicy,
     started: Instant,
 ) {
-    conns.register(reg, started);
-    let q = Arc::clone(queue);
-    reg.gauge("preinfer_queue_depth", "Requests waiting for a worker.", &[], move || {
-        q.len() as f64
-    });
-    let q = Arc::clone(queue);
-    reg.gauge("preinfer_queue_capacity", "Admission queue capacity.", &[], move || {
-        q.capacity() as f64
-    });
-    let c = Arc::clone(conns);
-    reg.counter("preinfer_requests_total", "Parsed request frames.", &[], move || {
-        c.requests.load(Ordering::Relaxed)
-    });
-    let c = Arc::clone(conns);
-    reg.counter(
-        "preinfer_bad_requests_total",
-        "Malformed or unparseable requests.",
-        &[],
-        move || c.bad_requests.load(Ordering::Relaxed),
+    conns.declare(reg, started, "counters.", ("preinfer_requests_total", "Parsed request frames."));
+    reg.add(
+        Entry::gauge(reader(queue, |q| q.len() as u64))
+            .series("preinfer_queue_depth", "Requests waiting for a worker.", &[])
+            .stats("counters.queue_depth"),
     );
-    const INFER_HELP: &str = "Completed infer requests by result.";
-    let c = Arc::clone(counters);
-    reg.counter("preinfer_infer_results_total", INFER_HELP, &[("result", "ok")], move || {
-        c.infers_ok.load(Ordering::Relaxed)
-    });
-    let c = Arc::clone(counters);
-    reg.counter("preinfer_infer_results_total", INFER_HELP, &[("result", "error")], move || {
-        c.infer_errors.load(Ordering::Relaxed)
-    });
-    let c = Arc::clone(counters);
-    reg.counter(
-        "preinfer_infer_results_total",
-        INFER_HELP,
-        &[("result", "overloaded")],
-        move || c.overloaded.load(Ordering::Relaxed),
+    reg.add(
+        Entry::gauge(reader(queue, |q| q.capacity() as u64))
+            .series("preinfer_queue_capacity", "Admission queue capacity.", &[])
+            .stats("counters.queue_capacity"),
     );
-    let c = Arc::clone(counters);
-    reg.counter(
-        "preinfer_infer_results_total",
-        INFER_HELP,
-        &[("result", "timed_out")],
-        move || c.timed_out.load(Ordering::Relaxed),
-    );
+    type Outcome = fn(&Counters) -> &AtomicU64;
+    let outcomes: [(&str, &str, Outcome); 4] = [
+        ("ok", "infers_ok", |c| &c.infers_ok),
+        ("error", "infer_errors", |c| &c.infer_errors),
+        ("overloaded", "overloaded", |c| &c.overloaded),
+        ("timed_out", "timed_out", |c| &c.timed_out),
+    ];
+    for (result, key, sel) in outcomes {
+        let c = Arc::clone(counters);
+        reg.add(
+            Entry::counter(move || sel(&c).load(Ordering::Relaxed))
+                .series(
+                    "preinfer_infer_results_total",
+                    "Completed infer requests by result.",
+                    &[("result", result)],
+                )
+                .stats(format!("counters.{key}")),
+        );
+    }
 
+    const LOOKUPS: &str = "preinfer_cache_lookups_total";
     const LOOKUP_HELP: &str = "Solver cache lookups by result.";
-    let ca = Arc::clone(cache);
-    reg.counter("preinfer_cache_lookups_total", LOOKUP_HELP, &[("result", "hit")], move || {
-        ca.stats().hits
-    });
-    let ca = Arc::clone(cache);
-    reg.counter("preinfer_cache_lookups_total", LOOKUP_HELP, &[("result", "miss")], move || {
-        ca.stats().misses
-    });
-    let ca = Arc::clone(cache);
-    reg.gauge("preinfer_cache_entries", "Entries resident in the solver cache.", &[], move || {
-        ca.stats().entries as f64
-    });
-    let ca = Arc::clone(cache);
-    reg.gauge("preinfer_cache_bytes", "Bytes owned by solver cache entries.", &[], move || {
-        ca.stats().bytes as f64
-    });
-    let ca = Arc::clone(cache);
-    reg.counter("preinfer_cache_eviction_sweeps_total", "Cache eviction sweeps.", &[], move || {
-        ca.stats().evictions
-    });
-    let ca = Arc::clone(cache);
-    reg.counter("preinfer_cache_evicted_entries_total", "Entries evicted.", &[], move || {
-        ca.stats().evicted_entries
-    });
+    reg.add(
+        Entry::counter(reader(cache, |c| c.stats().hits))
+            .series(LOOKUPS, LOOKUP_HELP, &[("result", "hit")])
+            .stats("cache.hits"),
+    );
+    reg.add(
+        Entry::counter(reader(cache, |c| c.stats().misses))
+            .series(LOOKUPS, LOOKUP_HELP, &[("result", "miss")])
+            .stats("cache.misses"),
+    );
+    reg.add(
+        Entry::gauge(reader(cache, |c| c.stats().entries))
+            .series("preinfer_cache_entries", "Entries resident in the solver cache.", &[])
+            .stats("cache.entries"),
+    );
+    reg.add(
+        Entry::gauge(reader(cache, |c| c.stats().bytes))
+            .series("preinfer_cache_bytes", "Bytes owned by solver cache entries.", &[])
+            .stats("memory.cache_bytes"),
+    );
+    reg.add(
+        Entry::counter(reader(cache, |c| c.stats().evictions))
+            .series("preinfer_cache_eviction_sweeps_total", "Cache eviction sweeps.", &[])
+            .stats("cache.evictions"),
+    );
+    reg.add(
+        Entry::counter(reader(cache, |c| c.stats().evicted_entries))
+            .series("preinfer_cache_evicted_entries_total", "Entries evicted.", &[])
+            .stats("cache.evicted_entries"),
+    );
+    reg.add(Entry::real(reader(cache, |c| c.stats().hit_rate())).stats("cache.hit_rate"));
 
+    const TIERS: &str = "preinfer_solver_tier_answers_total";
     const TIER_HELP: &str = "Solver queries answered, by deciding tier.";
-    let t = Arc::clone(tiers);
-    reg.counter(
-        "preinfer_solver_tier_answers_total",
-        TIER_HELP,
-        &[("tier", "syntactic")],
-        move || t.snapshot().answered_by_syntactic,
+    reg.add(
+        Entry::counter(reader(tiers, |t| t.snapshot().answered_by_syntactic))
+            .series(TIERS, TIER_HELP, &[("tier", "syntactic")])
+            .stats("solver_tiers.answered_by_syntactic"),
     );
-    let t = Arc::clone(tiers);
-    reg.counter(
-        "preinfer_solver_tier_answers_total",
-        TIER_HELP,
-        &[("tier", "interval")],
-        move || t.snapshot().answered_by_interval,
+    reg.add(
+        Entry::counter(reader(tiers, |t| t.snapshot().answered_by_interval))
+            .series(TIERS, TIER_HELP, &[("tier", "interval")])
+            .stats("solver_tiers.answered_by_interval"),
     );
-    let t = Arc::clone(tiers);
-    reg.counter(
-        "preinfer_solver_tier_answers_total",
-        TIER_HELP,
-        &[("tier", "simplex")],
-        move || t.snapshot().answered_by_simplex,
+    reg.add(
+        Entry::counter(reader(tiers, |t| t.snapshot().answered_by_simplex))
+            .series(TIERS, TIER_HELP, &[("tier", "simplex")])
+            .stats("solver_tiers.answered_by_simplex"),
     );
-    let t = Arc::clone(tiers);
-    reg.counter("preinfer_solver_escalations_total", "Tier escalations.", &[], move || {
-        t.snapshot().escalations
-    });
-
-    let i = Arc::clone(incremental);
-    reg.counter(
-        "preinfer_solver_incremental_sessions_total",
-        "Warm incremental solver sessions opened.",
-        &[],
-        move || i.snapshot().sessions,
+    reg.add(
+        Entry::counter(reader(tiers, |t| t.snapshot().escalations))
+            .series("preinfer_solver_escalations_total", "Tier escalations.", &[])
+            .stats("solver_tiers.escalations"),
     );
-    let i = Arc::clone(incremental);
-    reg.counter(
-        "preinfer_solver_incremental_queries_total",
-        "Solver queries answered through an incremental session.",
-        &[],
-        move || i.snapshot().queries,
-    );
-    let i = Arc::clone(incremental);
-    reg.counter(
-        "preinfer_solver_incremental_pushes_total",
-        "Predicates pushed onto incremental session stacks.",
-        &[],
-        move || i.snapshot().pushes,
-    );
-    let i = Arc::clone(incremental);
-    reg.counter(
-        "preinfer_solver_incremental_pops_total",
-        "Incremental session stack rewinds.",
-        &[],
-        move || i.snapshot().pops,
-    );
-    let i = Arc::clone(incremental);
-    reg.counter(
-        "preinfer_solver_incremental_reused_depth_total",
-        "Stacked predicates reused across incremental queries (sum).",
-        &[],
-        move || i.snapshot().reused_depth_sum,
+    reg.add(
+        Entry::real(reader(tiers, |t| t.snapshot().tier1_rate())).stats("solver_tiers.tier1_rate"),
     );
 
+    reg.add(
+        Entry::counter(reader(incremental, |i| i.snapshot().sessions))
+            .series(
+                "preinfer_solver_incremental_sessions_total",
+                "Warm incremental solver sessions opened.",
+                &[],
+            )
+            .stats("solver_incremental.sessions"),
+    );
+    reg.add(
+        Entry::counter(reader(incremental, |i| i.snapshot().queries))
+            .series(
+                "preinfer_solver_incremental_queries_total",
+                "Solver queries answered through an incremental session.",
+                &[],
+            )
+            .stats("solver_incremental.queries"),
+    );
+    reg.add(
+        Entry::counter(reader(incremental, |i| i.snapshot().pushes))
+            .series(
+                "preinfer_solver_incremental_pushes_total",
+                "Predicates pushed onto incremental session stacks.",
+                &[],
+            )
+            .stats("solver_incremental.pushes"),
+    );
+    reg.add(
+        Entry::counter(reader(incremental, |i| i.snapshot().pops))
+            .series(
+                "preinfer_solver_incremental_pops_total",
+                "Incremental session stack rewinds.",
+                &[],
+            )
+            .stats("solver_incremental.pops"),
+    );
+    reg.add(
+        Entry::counter(reader(incremental, |i| i.snapshot().reused_depth_sum))
+            .series(
+                "preinfer_solver_incremental_reused_depth_total",
+                "Stacked predicates reused across incremental queries (sum).",
+                &[],
+            )
+            .stats("solver_incremental.reused_depth_sum"),
+    );
+    reg.add(
+        Entry::real(reader(incremental, |i| i.snapshot().avg_reused_depth()))
+            .stats("solver_incremental.avg_reused_depth"),
+    );
+
+    let mode = summaries.mode.label();
+    reg.add(Entry::text(move || mode.to_string()).stats("summaries.mode"));
+    const SUMMARY_LOOKUPS: &str = "preinfer_summary_table_lookups_total";
     const SUMMARY_LOOKUP_HELP: &str = "Summary-table lookups by result.";
-    let t = Arc::clone(&summaries.table);
-    reg.counter(
-        "preinfer_summary_table_lookups_total",
-        SUMMARY_LOOKUP_HELP,
-        &[("result", "hit")],
-        move || t.hits(),
+    reg.add(
+        Entry::counter(reader(&summaries.table, |t| t.hits()))
+            .series(SUMMARY_LOOKUPS, SUMMARY_LOOKUP_HELP, &[("result", "hit")])
+            .stats("summaries.hits"),
     );
-    let t = Arc::clone(&summaries.table);
-    reg.counter(
-        "preinfer_summary_table_lookups_total",
-        SUMMARY_LOOKUP_HELP,
-        &[("result", "miss")],
-        move || t.misses(),
+    reg.add(
+        Entry::counter(reader(&summaries.table, |t| t.misses()))
+            .series(SUMMARY_LOOKUPS, SUMMARY_LOOKUP_HELP, &[("result", "miss")])
+            .stats("summaries.misses"),
     );
-    let t = Arc::clone(&summaries.table);
-    reg.gauge(
-        "preinfer_summary_table_entries",
-        "Callee closures resident in the summary table.",
-        &[],
-        move || t.len() as f64,
+    reg.add(
+        Entry::counter(reader(&summaries.table, |t| t.inserts()))
+            .series(
+                "preinfer_summary_table_inserts_total",
+                "Callee closures inserted into the summary table.",
+                &[],
+            )
+            .stats("summaries.inserts"),
     );
-    let s = Arc::clone(&summaries.stats);
-    reg.counter(
-        "preinfer_summary_applies_total",
-        "Checks summarized at call sites (psi(actuals) recorded).",
-        &[],
-        move || s.applies(),
+    reg.add(
+        Entry::gauge(reader(&summaries.table, |t| t.len() as u64))
+            .series(
+                "preinfer_summary_table_entries",
+                "Callee closures resident in the summary table.",
+                &[],
+            )
+            .stats("summaries.entries"),
     );
-    let s = Arc::clone(&summaries.stats);
-    reg.counter(
-        "preinfer_summary_fallbacks_total",
-        "Call-site fallbacks to inline recording.",
-        &[],
-        move || s.fallbacks(),
+    reg.add(
+        Entry::counter(reader(&summaries.stats, |s| s.applies()))
+            .series(
+                "preinfer_summary_applies_total",
+                "Checks summarized at call sites (psi(actuals) recorded).",
+                &[],
+            )
+            .stats("summaries.applies"),
+    );
+    reg.add(
+        Entry::counter(reader(&summaries.stats, |s| s.fallbacks()))
+            .series(
+                "preinfer_summary_fallbacks_total",
+                "Call-site fallbacks to inline recording.",
+                &[],
+            )
+            .stats("summaries.fallbacks"),
     );
 
     for stage in obs::Stage::ALL {
         let tr = Arc::clone(trace);
-        reg.histogram(
-            "preinfer_stage_duration_us",
-            "Pipeline stage wall-clock, microseconds.",
-            &[("stage", stage.label())],
-            move || tr.stage_histogram(stage).snapshot(),
+        reg.add(
+            Entry::histogram_with_total(move || tr.stage_histogram(stage).snapshot())
+                .series(
+                    "preinfer_stage_duration_us",
+                    "Pipeline stage wall-clock, microseconds.",
+                    &[("stage", stage.label())],
+                )
+                .stats(format!("stages.{}", stage.label())),
         );
     }
     type VerbSelector = fn(&ServerLatency) -> &Histogram;
@@ -805,34 +703,39 @@ fn register_metrics(
     ];
     for (verb, sel) in verbs {
         let l = Arc::clone(latency);
-        reg.histogram(
-            "preinfer_request_duration_us",
-            "Request service latency by verb, microseconds.",
-            &[("verb", verb)],
-            move || sel(&l).snapshot(),
+        reg.add(
+            Entry::histogram(move || sel(&l).snapshot())
+                .series(
+                    "preinfer_request_duration_us",
+                    "Request service latency by verb, microseconds.",
+                    &[("verb", verb)],
+                )
+                .stats(format!("latency.{verb}")),
         );
     }
-    let l = Arc::clone(latency);
-    reg.histogram(
-        "preinfer_queue_wait_us",
-        "Admission-to-dequeue wait, microseconds.",
-        &[],
-        move || l.queue_wait.snapshot(),
+    reg.add(
+        Entry::histogram(reader(latency, |l| l.queue_wait.snapshot()))
+            .series("preinfer_queue_wait_us", "Admission-to-dequeue wait, microseconds.", &[])
+            .stats("latency.queue_wait"),
     );
-    ring.register(reg);
+    ring.declare(reg);
+    let sample = sampling.sample;
+    reg.add(Entry::gauge(move || sample).stats("traces.sample"));
 
-    reg.gauge(
-        "preinfer_resident_bytes",
-        "Resident set size (/proc/self/statm), bytes.",
-        &[],
-        || resident_bytes() as f64,
+    reg.add(
+        Entry::gauge(resident_bytes)
+            .series("preinfer_resident_bytes", "Resident set size (/proc/self/statm), bytes.", &[])
+            .stats("memory.resident_bytes"),
     );
     for (i, (arena, _)) in symbolic::arena_sizes().into_iter().enumerate() {
-        reg.gauge(
-            "preinfer_arena_nodes",
-            "Distinct nodes in the process-wide hash-consing arenas (never freed).",
-            &[("arena", arena)],
-            move || symbolic::arena_sizes()[i].1 as f64,
+        reg.add(
+            Entry::gauge(move || symbolic::arena_sizes()[i].1 as u64)
+                .series(
+                    "preinfer_arena_nodes",
+                    "Distinct nodes in the process-wide hash-consing arenas (never freed).",
+                    &[("arena", arena)],
+                )
+                .stats(format!("memory.arena_nodes.{arena}")),
         );
     }
 }

@@ -9,10 +9,10 @@
 //! canonical keys — serving from a warm cache amortizes cost without ever
 //! changing an answer.
 
-use crate::json::ObjBuilder;
 use crate::protocol::{ErrorCode, InferRequest};
 use concolic::{InterprocMode, SummaryApplyStats};
 use minilang::CheckId;
+use obs::json::ObjBuilder;
 use preinfer_core::{Inference, MethodRun, SummaryBuildConfig, SummaryTable};
 use solver::{Deadline, IncrementalCounters, SolverCache, TierCounters};
 use std::sync::{Arc, OnceLock};
@@ -79,8 +79,8 @@ fn clamp_jobs(requested: usize) -> usize {
 /// passes its shared aggregate sink; it never changes any answer), and
 /// `tiers` and `incremental` accumulate which solver tier answered each
 /// executed query and what the warm solver sessions did — the daemon
-/// shares one set of each across workers and serves them under `stats`
-/// and the metrics registry.
+/// shares one set of each across workers and serves them through its
+/// registry (`stats` and `metrics`).
 pub fn run_infer(
     req: &InferRequest,
     cache: &Arc<SolverCache>,
@@ -315,7 +315,7 @@ mod tests {
         )
         .unwrap();
         let rendered = render_infer_response(Some("id-1"), 42, &out, 0.5, &cache);
-        let v = crate::json::parse(&rendered).unwrap();
+        let v = obs::json::parse(&rendered).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(v.str_field("verb"), Some("infer"));
         assert_eq!(v.u64_field("request_id"), Some(42));

@@ -21,9 +21,9 @@
 //! observation-only: the trace-neutrality differential proves served ψ
 //! byte-identical with sampling on or off.
 
-use crate::json::ObjBuilder;
 use crate::protocol::TraceSelect;
-use obs::MetricsRegistry;
+use obs::json::ObjBuilder;
+use obs::{reader, Entry, MetricsRegistry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -249,19 +249,9 @@ impl TraceRing {
         self.len() == 0
     }
 
-    /// `(head-sampled, slow-captured, context-sampled, evicted)` lifetime
-    /// counters.
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.retained_head.load(Ordering::Relaxed),
-            self.retained_slow.load(Ordering::Relaxed),
-            self.retained_context.load(Ordering::Relaxed),
-            self.evicted.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Registers the retention and eviction series.
-    pub(crate) fn register(self: &Arc<Self>, reg: &MetricsRegistry) {
+    /// Declares the ring's served values, under `stats` key `traces`:
+    /// traces buffered now, lifetime retentions by reason, and evictions.
+    pub(crate) fn declare(self: &Arc<Self>, reg: &MetricsRegistry) {
         type Select = fn(&TraceRing) -> &AtomicU64;
         let reasons: [(&str, Select); 3] = [
             ("head", |r| &r.retained_head),
@@ -270,24 +260,26 @@ impl TraceRing {
         ];
         for (reason, sel) in reasons {
             let r = Arc::clone(self);
-            reg.counter(
-                "preinfer_traces_retained_total",
-                "Per-request traces retained, by reason.",
-                &[("reason", reason)],
-                move || sel(&r).load(Ordering::Relaxed),
+            reg.add(
+                Entry::counter(move || sel(&r).load(Ordering::Relaxed))
+                    .series(
+                        "preinfer_traces_retained_total",
+                        "Per-request traces retained, by reason.",
+                        &[("reason", reason)],
+                    )
+                    .stats(format!("traces.retained_{reason}")),
             );
         }
-        let r = Arc::clone(self);
-        reg.counter(
-            "preinfer_traces_evicted_total",
-            "Traces evicted from the ring.",
-            &[],
-            move || r.evicted.load(Ordering::Relaxed),
+        reg.add(
+            Entry::counter(reader(self, |r| r.evicted.load(Ordering::Relaxed)))
+                .series("preinfer_traces_evicted_total", "Traces evicted from the ring.", &[])
+                .stats("traces.evicted"),
         );
-        let r = Arc::clone(self);
-        reg.gauge("preinfer_trace_buffer_entries", "Traces currently retained.", &[], move || {
-            r.len() as f64
-        });
+        reg.add(
+            Entry::gauge(reader(self, |r| r.len() as u64))
+                .series("preinfer_trace_buffer_entries", "Traces currently retained.", &[])
+                .stats("traces.buffered"),
+        );
     }
 }
 
@@ -306,6 +298,18 @@ mod tests {
             service_us: 2,
             lines: vec![format!("{{\"ev\":\"run\",\"request_id\":{id}}}")],
         }
+    }
+
+    /// `(head-sampled, slow-captured, context-sampled, evicted)` lifetime
+    /// counters.
+    fn counters(ring: &TraceRing) -> (u64, u64, u64, u64) {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        (
+            load(&ring.retained_head),
+            load(&ring.retained_slow),
+            load(&ring.retained_context),
+            load(&ring.evicted),
+        )
     }
 
     #[test]
@@ -343,7 +347,7 @@ mod tests {
         assert_eq!(last.iter().map(|t| t.request_id).collect::<Vec<_>>(), vec![3, 2]);
         assert!(ring.by_request_id(1).is_none(), "oldest entry was evicted");
         assert_eq!(ring.by_request_id(3).unwrap().reason, RetainReason::Slow);
-        assert_eq!(ring.counters(), (2, 1, 0, 1));
+        assert_eq!(counters(&ring), (2, 1, 0, 1));
     }
 
     #[test]
@@ -354,7 +358,7 @@ mod tests {
         let found = ring.by_trace_id(&format!("{:032x}", 2)).expect("trace retained");
         assert_eq!(found.request_id, 2);
         assert!(ring.by_trace_id("ffffffffffffffffffffffffffffffff").is_none());
-        assert_eq!(ring.counters(), (0, 0, 2, 0));
+        assert_eq!(counters(&ring), (0, 0, 2, 0));
         assert_eq!(RetainReason::Context.label(), "context");
     }
 

@@ -8,8 +8,9 @@
 //! This is the executable form of the equivalence contract in the
 //! `incremental` module docs: the trail-backed builder normalizes at
 //! solve time, so reusing mutations across queries is unobservable
-//! through the solving API — `--incremental` is a speed knob, not a
-//! semantic one.
+//! through the solving API. That is what lets warm sessions be the only
+//! solving path the pipeline runs: they change how fast a query is
+//! answered, never the answer.
 
 use minilang::{InputValue, MethodEntryState, Ty};
 use proptest::prelude::*;

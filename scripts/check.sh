@@ -8,7 +8,8 @@
 # workloads) and the serving gates (throughput, peak RSS) on its serve
 # and routed runs; the preinfer --trace-out and preinfer-trace smokes;
 # and the preinferd, summary-mode preinferd, router and stitched-trace
-# smokes, each checking served ψ against the offline run.
+# smokes, each checking served ψ against the offline run; the preinferd
+# and router smokes also cross-check `stats` against `metrics`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -227,7 +228,7 @@ echo "== server smoke (preinferd + preinfer-client)"
 cargo build --release -p server --quiet
 ./target/release/preinferd --addr 127.0.0.1:0 --trace-sample 2 >server_smoke.out 2>&1 &
 SERVER_PID=$!
-trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -f server_smoke.out server_metrics.txt server_trace.jsonl' EXIT
+trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -f server_smoke.out server_metrics.txt server_stats.json server_trace.jsonl' EXIT
 ADDR="$(wait_for_addr server_smoke.out)"
 # A corpus slice, each served ψ checked byte-for-byte against the offline
 # pipeline (the client exits non-zero on any divergence).
@@ -247,6 +248,11 @@ for needle in ("preinfer_infer_results_total{result=\"ok\"} 3",
                "preinfer_traces_retained_total{reason=\"head\"} 2"):
     assert any(l == needle for l in lines), f"exposition lacks `{needle}`"
 EOF
+# `stats` and `metrics` render one registry: every value both serve must
+# be equal once the slice is done (values that move between two scrapes,
+# such as uptime and request counts, are left out; see the script).
+./target/release/preinfer-client --addr "$ADDR" stats > server_stats.json
+python3 scripts/check_observables.py server_stats.json server_metrics.txt
 # A head-sampled trace must round-trip through the analyzer. (Analyze to
 # a file, not a pipe: `grep -q` exiting at first match would SIGPIPE the
 # analyzer mid-write, which `pipefail` turns into a spurious failure.)
@@ -259,7 +265,7 @@ rm -f server_trace_report.txt
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || { echo "preinferd exited non-zero after SIGTERM"; exit 1; }
 trap - EXIT
-rm -f server_smoke.out server_metrics.txt server_trace.jsonl
+rm -f server_smoke.out server_metrics.txt server_stats.json server_trace.jsonl
 
 echo "== interproc summary smoke (preinferd --interproc summary)"
 # A summary-mode daemon over two passes of the multi-function slice: every
@@ -314,7 +320,7 @@ SHARD1="$(wait_for_addr shard1.out)"
 ./target/release/preinfer-router --addr 127.0.0.1:0 --shard "$SHARD0" --shard "$SHARD1" \
     --trace-sample 1 >router_smoke.out 2>&1 &
 ROUTER_PID=$!
-trap 'kill "$ROUTER_PID" "$SHARD0_PID" "$SHARD1_PID" 2>/dev/null || true; rm -f shard0.out shard1.out router_smoke.out router_trace_hdr.txt router_trace.jsonl router_trace_report.txt router_metrics.txt' EXIT
+trap 'kill "$ROUTER_PID" "$SHARD0_PID" "$SHARD1_PID" 2>/dev/null || true; rm -f shard0.out shard1.out router_smoke.out router_trace_hdr.txt router_trace.jsonl router_trace_report.txt router_metrics.txt router_stats.json' EXIT
 RADDR="$(wait_for_addr router_smoke.out)"
 for SUBJECT in guarded_div reverse_words binary_search; do
     ./target/release/preinfer-client --addr "$RADDR" corpus "$SUBJECT" --check-offline
@@ -382,7 +388,11 @@ assert any("preinfer_traces_retained_total{shard=\"0\",reason=\"context\"}" in l
 exemplars = sum(" # {trace_id=\"" in l for l in lines)
 print(f"router metrics smoke: {len(lines)} lines, {exemplars} exemplars")
 EOF
-rm -f router_trace_hdr.txt router_trace.jsonl router_trace_report.txt router_metrics.txt
+# The router's own block and each nested shard report must equal the
+# merged exposition's router series and `shard="i"` series.
+./target/release/preinfer-client --addr "$RADDR" stats > router_stats.json
+python3 scripts/check_observables.py router_stats.json router_metrics.txt
+rm -f router_trace_hdr.txt router_trace.jsonl router_trace_report.txt router_metrics.txt router_stats.json
 # SIGTERM must drain the router and both shards, all exiting 0.
 kill -TERM "$ROUTER_PID"
 wait "$ROUTER_PID" || { echo "preinfer-router exited non-zero after SIGTERM"; exit 1; }
