@@ -135,8 +135,10 @@ struct RouterShared {
     connect_results: Mutex<Vec<(usize, usize, TcpStream)>>,
     conns: Arc<ConnCounters>,
     counters: Arc<RouterCounters>,
-    /// Live upstream connections across all shards.
-    live_upstreams: AtomicU64,
+    /// Live upstream connections across all shards. Its own `Arc`, so the
+    /// registry's reader does not hold `RouterShared`, which owns the
+    /// registry (a cycle would keep a stopped router's state alive).
+    live_upstreams: Arc<AtomicU64>,
     /// Shards with at least one live upstream connection.
     live_shards: AtomicU64,
     registry: Arc<MetricsRegistry>,
@@ -180,7 +182,7 @@ impl Router {
             connect_results: Mutex::new(Vec::new()),
             conns: Arc::new(ConnCounters::default()),
             counters: Arc::new(RouterCounters::default()),
-            live_upstreams: AtomicU64::new(0),
+            live_upstreams: Arc::new(AtomicU64::new(0)),
             live_shards: AtomicU64::new(0),
             registry,
             started,
@@ -272,7 +274,7 @@ fn declare_observables(shared: &Arc<RouterShared>) {
         );
     }
     reg.add(
-        Entry::gauge(reader(shared, |s| s.live_upstreams.load(Ordering::Relaxed)))
+        Entry::gauge(reader(&shared.live_upstreams, |n| n.load(Ordering::Relaxed)))
             .series(
                 "preinfer_router_upstream_connections",
                 "Live pooled upstream connections.",
@@ -1266,6 +1268,21 @@ fn merge_traces(f: &FanState) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_stopped_router_frees_its_shared_state() {
+        let shard = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a stand-in shard");
+        let router = Router::start(RouterConfig {
+            shards: vec![shard.local_addr().expect("shard addr").to_string()],
+            wait_ready_ms: 0,
+            ..RouterConfig::default()
+        })
+        .expect("start router");
+        let shared = Arc::downgrade(&router.shared);
+        router.handle().shutdown();
+        router.join();
+        assert!(shared.upgrade().is_none(), "the registry's readers keep the router alive");
+    }
 
     #[test]
     fn idle_notices_are_told_apart_from_other_uncorrelated_frames() {
