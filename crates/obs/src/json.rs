@@ -8,8 +8,9 @@
 //! two defensive limits — a nesting-depth cap and the frame-level length
 //! cap the protocol enforces before parsing — so hostile payloads from the
 //! network fail with a typed error instead of exhausting the stack (see
-//! the protocol robustness property tests). Numbers are read as `f64`, so
-//! integers above 2^53 read approximately.
+//! the protocol robustness property tests). Integer literals are read
+//! exactly ([`Json::Int`]); numbers with a fraction or an exponent, and
+//! integers beyond `i128`, are read as `f64` ([`Json::Num`]).
 //!
 //! [`TraceAnalysis`]: crate::TraceAnalysis
 
@@ -19,12 +20,19 @@ use std::fmt::Write as _;
 /// Maximum nesting depth accepted by [`parse`].
 const MAX_DEPTH: usize = 128;
 
+/// 2^53: below it, a whole `f64` cannot be the rounding of another
+/// integer literal.
+const EXACT_F64_LIMIT: f64 = 9_007_199_254_740_992.0;
+
 /// A parsed JSON value. Object keys are sorted (`BTreeMap`), which also
 /// makes rendered output deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
     Bool(bool),
+    /// An integer literal (no fraction, no exponent), exact.
+    Int(i128),
+    /// Any other number.
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
@@ -49,15 +57,19 @@ impl Json {
 
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(i) => Some(*i as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// Numeric field as a non-negative integer (rejects fractions).
+    /// The value as a `u64`, if it is one exactly: an integer literal in
+    /// range, or a whole float below 2^53 (from there on a float may have
+    /// been rounded to what it reads).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Json::Int(i) => u64::try_from(*i).ok(),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_F64_LIMIT => {
                 Some(*n as u64)
             }
             _ => None,
@@ -308,6 +320,7 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.pos += 1;
         }
+        let integer = !matches!(self.peek(), Some(b'.' | b'e' | b'E'));
         if self.peek() == Some(b'.') {
             self.pos += 1;
             while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
@@ -324,6 +337,9 @@ impl<'a> Parser<'a> {
             }
         }
         let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        if let Some(i) = s.parse::<i128>().ok().filter(|_| integer) {
+            return Ok(Json::Int(i));
+        }
         s.parse::<f64>()
             .ok()
             .filter(|v| v.is_finite())
@@ -376,6 +392,7 @@ pub fn render(v: &Json) -> String {
     match v {
         Json::Null => "null".to_string(),
         Json::Bool(b) => b.to_string(),
+        Json::Int(i) => i.to_string(),
         Json::Num(n) => num(*n),
         Json::Str(s) => escape(s),
         Json::Arr(items) => {
@@ -475,6 +492,26 @@ mod tests {
         assert_eq!(escape("\u{1}"), "\"\\u0001\"");
         assert_eq!(num(75.0), "75");
         assert_eq!(num(f64::NAN), "null");
+    }
+
+    #[test]
+    fn integers_read_exactly() {
+        let u = |s: &str| parse(s).unwrap().as_u64();
+        assert_eq!(u("9007199254740991"), Some((1 << 53) - 1));
+        assert_eq!(u("9007199254740992"), Some(1 << 53));
+        assert_eq!(u("9007199254740993"), Some((1 << 53) + 1));
+        assert_eq!(u("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(u("18446744073709551616"), None, "2^64 is out of range");
+        assert_eq!(u("-1"), None);
+        assert_eq!(u("1e3"), Some(1000));
+        assert_eq!(u("9007199254740993.0"), None, "a float above 2^53 may be rounded");
+        assert_eq!(u("1.5"), None);
+        let big = "1".repeat(50);
+        assert_eq!(parse(&big).unwrap().as_f64(), big.parse().ok(), "beyond i128: a float");
+        assert_eq!(
+            render(&parse("[9007199254740993,-7,2.5]").unwrap()),
+            "[9007199254740993,-7,2.5]"
+        );
     }
 
     #[test]

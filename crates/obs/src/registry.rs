@@ -688,7 +688,7 @@ mod stats_tests {
         let started = Instant::now() - Duration::from_millis(2_500);
         reg.add(Entry::uptime(started).series("up_seconds", "Up.", &[]).stats("uptime_s"));
         let v = parse(&stats(&reg)).unwrap();
-        assert_eq!(v.get("uptime_s"), Some(&Json::Num(2.0)));
+        assert_eq!(v.get("uptime_s"), Some(&Json::Int(2)));
         let text = reg.render_prometheus();
         let up: f64 = text.lines().last().unwrap().rsplit(' ').next().unwrap().parse().unwrap();
         assert!(up >= 2.5, "{text}");

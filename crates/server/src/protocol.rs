@@ -387,6 +387,7 @@ pub fn render_error(id: Option<&str>, code: ErrorCode, message: &str) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Cursor;
 
     #[test]
@@ -552,6 +553,43 @@ mod tests {
             "not json",
         ] {
             assert!(parse_request(bad).is_err(), "should reject {bad}");
+        }
+    }
+
+    /// The `deadline_ms` an infer frame carrying the JSON number `n` parses to.
+    fn deadline_of(n: &str) -> Result<Option<u64>, String> {
+        let frame = format!("{{\"verb\":\"infer\",\"program\":\"fn\",\"deadline_ms\":{n}}}");
+        match parse_request(&frame)? {
+            Request::Infer { infer, .. } => Ok(infer.deadline_ms),
+            other => panic!("not an infer: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn integer_fields_are_exact_and_out_of_range_is_rejected() {
+        for (n, want) in [
+            ("9007199254740991", (1u64 << 53) - 1),
+            ("9007199254740992", 1 << 53),
+            ("9007199254740993", (1 << 53) + 1),
+            ("18446744073709551615", u64::MAX),
+        ] {
+            assert_eq!(deadline_of(n), Ok(Some(want)), "deadline_ms {n}");
+        }
+        assert!(deadline_of("18446744073709551616").is_err(), "2^64 must be a bad_request");
+        let span = "{\"verb\":\"infer\",\"program\":\"fn\",\"trace\":{\"trace_id\":\"\
+                    0123456789abcdef0123456789abcdef\",\"parent_span_id\":18446744073709551616}}";
+        assert!(parse_request(span).is_err(), "2^64 parent_span_id must be a bad_request");
+        let trace = "{\"verb\":\"trace\",\"request_id\":18446744073709551616}";
+        assert!(parse_request(trace).is_err(), "2^64 request_id must be a bad_request");
+    }
+
+    proptest! {
+        #[test]
+        fn every_u64_reads_exactly_and_every_larger_integer_is_rejected(
+            n in proptest::num::u64::ANY,
+        ) {
+            prop_assert_eq!(deadline_of(&n.to_string()), Ok(Some(n)));
+            prop_assert!(deadline_of(&(u128::from(n) + (1 << 64)).to_string()).is_err());
         }
     }
 }

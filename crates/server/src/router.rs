@@ -1249,7 +1249,7 @@ fn merge_traces(f: &FanState) -> String {
             for t in items {
                 let mut with_shard = t.clone();
                 if let json::Json::Obj(m) = &mut with_shard {
-                    m.insert("shard".to_string(), json::Json::Num(*shard as f64));
+                    m.insert("shard".to_string(), json::Json::Int(*shard as i128));
                 }
                 traces.push(json::render(&with_shard));
             }

@@ -56,7 +56,7 @@ fn json_type(v: &Json) -> &'static str {
     match v {
         Json::Null => "null",
         Json::Bool(_) => "bool",
-        Json::Num(_) => "number",
+        Json::Int(_) | Json::Num(_) => "number",
         Json::Str(_) => "string",
         Json::Arr(_) => "array",
         Json::Obj(_) => "object",

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Repository gate. In order: cargo fmt --check; clippy -D warnings; the
 # workspace tests, plus symbolic/solver/testgen in release; perf_smoke
-# (writes the BENCH_solver_*.json and BENCH_interproc.json files in the
-# repo root) and its gates on solver-cache speedup, disabled-tracing
-# overhead, tiered vs simplex-only, incremental vs scratch and summary vs
-# inline; the benchmark's ψ smoke (preinfer_bench --smoke, all four
-# workloads) and the serving gates (throughput, peak RSS) on its serve
-# and routed runs; the preinfer --trace-out and preinfer-trace smokes;
-# and the preinferd, summary-mode preinferd, router and stitched-trace
-# smokes, each checking served ψ against the offline run; the preinferd
-# and router smokes also cross-check `stats` against `metrics`.
+# (paired A/B timings written to target/perf_smoke/) and its gates on the
+# solver cache, disabled-tracing noise, tiered vs simplex-only, incremental
+# vs scratch and summary vs inline; the benchmark's ψ smoke
+# (preinfer_bench --smoke, all four workloads) and the serving gates
+# (throughput, peak RSS) on its serve and routed runs; the preinfer
+# --trace-out and preinfer-trace smokes; and the preinferd, summary-mode
+# preinferd, router and stitched-trace smokes, each checking served ψ
+# against the offline run; the preinferd and router smokes also
+# cross-check `stats` against `metrics`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,81 +43,12 @@ echo "== cargo test --release (symbolic, solver, testgen)"
 cargo test --release -q -p symbolic -p solver -p testgen
 
 echo "== perf smoke (BENCH_solver_cache.json, BENCH_solver_tiers.json, BENCH_solver_incremental.json, BENCH_interproc.json)"
+# perf_smoke writes its four BENCH files under target/, so a gate run
+# leaves the committed ones in the repository root untouched; the gates
+# (each mechanism pays for itself) are in scripts/check_perf_smoke.py.
 cargo build --release -p bench --quiet
-./target/release/perf_smoke
-# The solver cache must pay for itself: with hash-consed terms the key is
-# a Vec of interned ids with a precomputed digest, so on every case where
-# the cache sees any hits at all the cached run may not be slower than the
-# uncached one. Cases with a zero hit rate (all-miss workloads) only
-# measure store overhead and are exempt.
-python3 - <<'EOF'
-import json
-bench = json.load(open("BENCH_solver_cache.json"))
-for case in bench["cases"]:
-    if case["cache_hit_rate"] > 0:
-        s = case["speedup_cache"]
-        assert s >= 1.0, (
-            f"{case['case']}: cached solve is slower than uncached "
-            f"(speedup {s:.3f}x < 1.0 at hit rate {case['cache_hit_rate']:.1%})")
-        print(f"solver cache gate: {case['case']} {s:.3f}x "
-              f"(hit rate {case['cache_hit_rate']:.1%}, floor 1.0)")
-EOF
-# Disabled tracing must cost nothing: the gap between the two untraced
-# samples in the trace_overhead footer is pure run-to-run noise and must
-# stay within ±2%.
-python3 - <<'EOF'
-import json
-overhead = json.load(open("BENCH_solver_cache.json"))["trace_overhead"]
-pct = overhead["disabled_overhead_percent"]
-assert abs(pct) <= 2.0, f"disabled-tracing overhead {pct:+.2f}% exceeds 2%"
-print(f"trace overhead gate: disabled {pct:+.2f}% (limit ±2%)")
-EOF
-# The tiered backend must carry its weight: never more than 2% slower
-# than simplex-only on the corpus slice (it should be faster), and the
-# cheap tiers must answer at least 25% of executed queries.
-python3 - <<'EOF'
-import json
-t = json.load(open("BENCH_solver_tiers.json"))
-ratio = t["tiered_ms"] / t["simplex_only_ms"]
-assert ratio <= 1.02, (
-    f"tiered backend {t['tiered_ms']:.2f} ms is {100 * (ratio - 1):.1f}% slower "
-    f"than simplex-only {t['simplex_only_ms']:.2f} ms (limit +2%)")
-rate = t["tier1_answer_rate"]
-assert rate >= 0.25, f"tier-1 answer rate {rate:.1%} below the 25% floor"
-print(f"solver tiers gate: tiered/simplex {ratio:.3f}x (limit 1.02), "
-      f"tier-1 rate {rate:.1%} (floor 25%)")
-EOF
-# Warm prefix-sharing sessions must pay for themselves: incremental
-# solving may never be slower than scratch on the corpus slice (it
-# should be meaningfully faster; equivalence of the *answers* is the
-# tests' job — tests/session_replay.rs).
-python3 - <<'EOF'
-import json
-inc = json.load(open("BENCH_solver_incremental.json"))
-ratio = inc["incremental_vs_scratch_ratio"]
-assert ratio <= 1.0, (
-    f"incremental solving {inc['incremental_ms']:.2f} ms is slower than "
-    f"scratch {inc['scratch_ms']:.2f} ms ({ratio:.3f}x, limit 1.0)")
-print(f"solver incremental gate: incremental/scratch {ratio:.3f}x (limit 1.0)")
-EOF
-# Summary application must beat inlining on the multi-function slice: the
-# steady-state (warm-table) request path collapses callee path spaces to
-# ψ atoms, so generation + inference must come in at no more than 0.85x
-# the inline-mode wall clock. Equivalence of the inferred ψ is the tests'
-# job — tests/interproc_differential.rs.
-python3 - <<'EOF'
-import json
-ip = json.load(open("BENCH_interproc.json"))
-ratio = ip["summary_vs_inline_ratio"]
-assert ratio <= 0.85, (
-    f"summary-mode inference {ip['summary_ms']:.2f} ms is {ratio:.3f}x inline "
-    f"{ip['inline_ms']:.2f} ms over {ip['methods']} methods (limit 0.85)")
-assert ip["table_hits"] >= ip["table_entries"] > 0, (
-    f"summary table was not warm: {ip['table_hits']} hits over "
-    f"{ip['table_entries']} entries")
-print(f"interproc gate: summary/inline {ratio:.3f}x (limit 0.85) over "
-      f"{ip['methods']} methods, {ip['summary_applies']} summary applies")
-EOF
+./target/release/perf_smoke target/perf_smoke
+python3 scripts/check_perf_smoke.py target/perf_smoke
 
 echo "== benchmark ψ smoke (preinfer_bench --smoke, all four workloads)"
 # The repository benchmark checks each of its 82 pinned methods against
