@@ -262,9 +262,9 @@ fn trace_overhead() -> Comparison {
 /// traffic).
 fn run_solver_tiers_case() -> Vec<(&'static str, String)> {
     let methods = tables_slice();
-    let eval = |solver_backend: BackendKind| {
-        let cfg =
-            EvalConfig { jobs: 1, solver_cache: false, solver_backend, ..EvalConfig::default() };
+    let eval = |backend: BackendKind| {
+        let mut cfg = EvalConfig { jobs: 1, solver_cache: false, ..EvalConfig::default() };
+        cfg.testgen.solver.backend = backend;
         evaluate_corpus(&methods, &cfg)
     };
     let tiered =

@@ -13,6 +13,7 @@
 
 use crate::cval::{materialize, ArrIntObj, ArrStrObj, CStr, CVal};
 use crate::summary::ResolvedSummaries;
+use interp::{FUEL, MAX_ARRAY_CELLS, MAX_CALL_DEPTH};
 use minilang::ast::*;
 use minilang::{CheckId, CheckKind, InputValue, MethodEntryState, NodeId, Span, TypedProgram};
 use std::cell::RefCell;
@@ -25,32 +26,18 @@ use symbolic::{
     Place, Pred, Term,
 };
 
+/// Path-condition entries one run may record before it ends as
+/// `OutOfFuel` (guards pathological loops). The step, call-depth and
+/// allocation budgets are the interpreter's ([`interp::FUEL`],
+/// [`interp::MAX_CALL_DEPTH`], [`interp::MAX_ARRAY_CELLS`]).
+pub const MAX_ENTRIES: usize = 4_096;
+
 /// Executor configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ConcolicConfig {
-    /// Maximum number of statements executed before `OutOfFuel`.
-    pub fuel: u64,
-    /// Maximum call depth.
-    pub max_call_depth: u32,
-    /// Maximum number of path-condition entries (guards pathological loops).
-    pub max_entries: usize,
     /// Callee ψ-summaries to apply at call sites (`None` = inline every
     /// call, the original behaviour).
     pub summaries: Option<Arc<ResolvedSummaries>>,
-    /// Trace sink for `summary_apply` events.
-    pub trace: Option<Arc<obs::TraceSink>>,
-}
-
-impl Default for ConcolicConfig {
-    fn default() -> Self {
-        ConcolicConfig {
-            fuel: 100_000,
-            max_call_depth: 64,
-            max_entries: 4_096,
-            summaries: None,
-            trace: None,
-        }
-    }
 }
 
 /// Result of a concolic run.
@@ -84,8 +71,7 @@ pub fn run_concolic(
 ) -> ConcolicOutcome {
     let func = program.func(func_name).unwrap_or_else(|| panic!("unknown function {func_name}"));
     assert!(state.conforms_to(func), "state {state} does not conform to {func_name}");
-    let mut m =
-        Exec { program, config, fuel: config.fuel, entries: Vec::new(), visited: HashSet::new() };
+    let mut m = Exec { program, config, fuel: FUEL, entries: Vec::new(), visited: HashSet::new() };
     let mut env: HashMap<String, CVal> = HashMap::new();
     for p in &func.params {
         let place = Place::param(p.name.clone());
@@ -136,7 +122,7 @@ struct Exec<'a> {
 
 impl<'a> Exec<'a> {
     fn tick(&mut self) -> R<()> {
-        if self.fuel == 0 || self.entries.len() > self.config.max_entries {
+        if self.fuel == 0 || self.entries.len() > MAX_ENTRIES {
             return Err(Stop::Fuel);
         }
         self.fuel -= 1;
@@ -472,7 +458,7 @@ impl<'a> Exec<'a> {
         args: Vec<CVal>,
         depth: u32,
     ) -> R<CVal> {
-        if depth + 1 > self.config.max_call_depth {
+        if depth + 1 > MAX_CALL_DEPTH {
             return Err(Stop::CallDepth);
         }
         self.tick()?;
@@ -550,7 +536,6 @@ impl<'a> Exec<'a> {
         // Passing region: every check traversed before the violation (or
         // all of them on a completed call), first traversal only.
         let pass_region = &scratch[..scratch.len() - usize::from(failed.is_some())];
-        let mut summarized = 0u64;
         let mut seen: Vec<CheckId> = Vec::new();
         for entry in pass_region {
             let Some(id) = entry.kind.check_id() else { continue };
@@ -562,7 +547,6 @@ impl<'a> Exec<'a> {
                 self.record_summary_decomposition(psi, bindings, &synth, id, site, span, true)
             });
             if decomposed {
-                summarized += 1;
                 res.stats.apply();
             } else {
                 res.stats.fallback();
@@ -589,24 +573,10 @@ impl<'a> Exec<'a> {
                 self.record_summary_decomposition(psi, bindings, &synth, id, site, span, false)
             });
             if decomposed {
-                summarized += 1;
                 res.stats.apply();
             } else {
                 res.stats.fallback();
                 self.entries.push(scratch.last().expect("violating entry").clone());
-            }
-        }
-
-        if summarized > 0 {
-            if let Some(trace) = &self.config.trace {
-                trace.event(
-                    "summary_apply",
-                    &[
-                        ("func", obs::Val::S(&callee.name)),
-                        ("checks", obs::Val::U(summarized)),
-                        ("failed", obs::Val::B(failed.is_some())),
-                    ],
-                );
             }
         }
 
@@ -885,6 +855,9 @@ impl<'a> Exec<'a> {
                     return Err(self.record_check_fail(pred, check, e.id, e.span));
                 }
                 self.record_check_pass(Pred::cmp(CmpOp::Ge, nt, Term::int(0)), check, e.id, e.span);
+                if nc > MAX_ARRAY_CELLS {
+                    return Err(Stop::Fuel);
+                }
                 if b == Builtin::NewIntArray {
                     let cells = vec![(0i64, Term::int(0)); nc as usize];
                     let obj = ArrIntObj { cells, len_term: nt, origin: None };

@@ -3,7 +3,7 @@
 //! must follow the same path.
 
 use concolic::{run_concolic, ConcolicConfig};
-use interp::{run, ExecResult, InterpConfig};
+use interp::{run, ExecResult};
 use minilang::{compile, CheckKind, InputValue, MethodEntryState, TypedProgram};
 use solver::{solve_preds, FuncSig, SolveResult, SolverConfig};
 use symbolic::{EntryKind, PathOutcome};
@@ -117,7 +117,7 @@ fn concolic_and_interp_agree_on_outcomes() {
     ];
     for state in states {
         let c = run_concolic(&tp, "example", &state, &ConcolicConfig::default());
-        let i = run(&tp, "example", &state, &InterpConfig::default());
+        let i = run(&tp, "example", &state);
         match (&c.path.outcome, &i.result) {
             (PathOutcome::Completed, ExecResult::Completed(_)) => {}
             (PathOutcome::Failed(a), ExecResult::Failed(e)) => assert_eq!(*a, e.check),

@@ -8,7 +8,7 @@
 //!   entry state (taken-form soundness).
 
 use concolic::{run_concolic, ConcolicConfig};
-use interp::{run, ExecResult, InterpConfig};
+use interp::{run, ExecResult};
 use minilang::{InputValue, MethodEntryState, Ty};
 use proptest::prelude::*;
 use symbolic::eval::{eval_pred, Env};
@@ -82,7 +82,7 @@ proptest! {
             .map(|t| t.current())
             .unwrap_or_else(|_| MethodEntryState::seed_for(m.func(&tp)));
         let c = run_concolic(&tp, m.name, &state, &ConcolicConfig::default());
-        let i = run(&tp, m.name, &state, &InterpConfig::default());
+        let i = run(&tp, m.name, &state);
         match (&c.path.outcome, &i.result) {
             (PathOutcome::Completed, ExecResult::Completed(_)) => {}
             (PathOutcome::Failed(a), ExecResult::Failed(e)) => prop_assert_eq!(*a, e.check),

@@ -62,20 +62,19 @@ pub struct ExecOutcome {
     pub steps: u64,
 }
 
-/// Interpreter configuration.
-#[derive(Debug, Clone)]
-pub struct InterpConfig {
-    /// Maximum number of statements executed before `OutOfFuel`.
-    pub fuel: u64,
-    /// Maximum call depth.
-    pub max_call_depth: u32,
-}
+/// Statements one run may execute before it ends as `OutOfFuel`. The
+/// concolic executor reads the same budget, so both executors agree on
+/// where a runaway loop stops.
+pub const FUEL: u64 = 100_000;
 
-impl Default for InterpConfig {
-    fn default() -> Self {
-        InterpConfig { fuel: 100_000, max_call_depth: 64 }
-    }
-}
+/// Deepest call nesting one run may reach before it ends as
+/// `CallDepthExceeded` (both executors).
+pub const MAX_CALL_DEPTH: u32 = 64;
+
+/// Largest array `new_int_array` / `new_str_array` may allocate, in cells.
+/// A larger size ends the run as `OutOfFuel` (both executors) instead of
+/// allocating it: like the step budget, it bounds what one run can cost.
+pub const MAX_ARRAY_CELLS: i64 = 1 << 20;
 
 /// Runs `func_name` on `state`.
 ///
@@ -84,15 +83,10 @@ impl Default for InterpConfig {
 /// Panics if the function does not exist or the state does not conform to
 /// its signature — callers are expected to validate first (the type checker
 /// and [`MethodEntryState::conforms_to`] make this cheap).
-pub fn run(
-    program: &TypedProgram,
-    func_name: &str,
-    state: &MethodEntryState,
-    config: &InterpConfig,
-) -> ExecOutcome {
+pub fn run(program: &TypedProgram, func_name: &str, state: &MethodEntryState) -> ExecOutcome {
     let func = program.func(func_name).unwrap_or_else(|| panic!("unknown function {func_name}"));
     assert!(state.conforms_to(func), "state {state} does not conform to {func_name}");
-    let mut m = Machine { program, config, fuel: config.fuel, visited: HashSet::new() };
+    let mut m = Machine { program, fuel: FUEL, visited: HashSet::new() };
     let mut env: HashMap<String, Value> = HashMap::new();
     for p in &func.params {
         env.insert(
@@ -107,7 +101,7 @@ pub fn run(
         Err(Stop::Fuel) => ExecResult::OutOfFuel,
         Err(Stop::CallDepth) => ExecResult::CallDepthExceeded,
     };
-    ExecOutcome { result, visited_blocks: m.visited, steps: config.fuel - m.fuel }
+    ExecOutcome { result, visited_blocks: m.visited, steps: FUEL - m.fuel }
 }
 
 /// Structured control flow inside a function body.
@@ -134,7 +128,6 @@ struct Frame {
 
 struct Machine<'a> {
     program: &'a TypedProgram,
-    config: &'a InterpConfig,
     fuel: u64,
     visited: HashSet<NodeId>,
 }
@@ -346,7 +339,7 @@ impl<'a> Machine<'a> {
     }
 
     fn call(&mut self, name: &str, args: Vec<Value>, depth: u32) -> Exec<Value> {
-        if depth + 1 > self.config.max_call_depth {
+        if depth + 1 > MAX_CALL_DEPTH {
             return Err(Stop::CallDepth);
         }
         self.tick()?;
@@ -540,6 +533,8 @@ impl<'a> Machine<'a> {
                         e.span,
                         format!("negative size {n}"),
                     ))
+                } else if n > MAX_ARRAY_CELLS {
+                    Err(Stop::Fuel)
                 } else {
                     Ok(Value::ArrayInt(Some(Rc::new(std::cell::RefCell::new(vec![0; n as usize])))))
                 }
@@ -553,6 +548,8 @@ impl<'a> Machine<'a> {
                         e.span,
                         format!("negative size {n}"),
                     ))
+                } else if n > MAX_ARRAY_CELLS {
+                    Err(Stop::Fuel)
                 } else {
                     Ok(Value::ArrayStr(Some(Rc::new(std::cell::RefCell::new(vec![
                         None;
@@ -575,7 +572,7 @@ mod tests {
 
     fn run_src(src: &str, func: &str, state: MethodEntryState) -> ExecOutcome {
         let tp = compile(src).expect("compile");
-        run(&tp, func, &state, &InterpConfig::default())
+        run(&tp, func, &state)
     }
 
     #[test]
@@ -782,12 +779,7 @@ mod tests {
         let tp = compile(src).unwrap();
         let blocks = minilang::block_ids(tp.func("f").unwrap());
         assert_eq!(blocks.len(), 3);
-        let out = run(
-            &tp,
-            "f",
-            &MethodEntryState::from_pairs([("x", InputValue::Int(1))]),
-            &InterpConfig::default(),
-        );
+        let out = run(&tp, "f", &MethodEntryState::from_pairs([("x", InputValue::Int(1))]));
         let cov = minilang::coverage_percent(&blocks, &out.visited_blocks);
         assert!((cov - 2.0 / 3.0 * 100.0).abs() < 1e-9);
     }

@@ -1,13 +1,13 @@
 //! Semantics corner cases for the interpreter: control flow, scoping,
 //! short-circuit order, aliasing, and arithmetic edges.
 
-use interp::{run, ExecResult, InterpConfig, Value};
+use interp::{run, ExecResult, Value};
 use minilang::{compile, CheckKind, InputValue, MethodEntryState};
 
 fn exec(src: &str, pairs: Vec<(&str, InputValue)>) -> ExecResult {
     let tp = compile(src).expect("compiles");
     let state = MethodEntryState::from_pairs(pairs);
-    run(&tp, "f", &state, &InterpConfig::default()).result
+    run(&tp, "f", &state).result
 }
 
 fn expect_int(r: ExecResult) -> i64 {

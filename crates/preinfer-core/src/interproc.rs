@@ -63,13 +63,14 @@ impl StoredFuncSummary {
 }
 
 /// A process-lifetime table of callee summaries, shared across methods,
-/// worker threads, and (in the daemon) requests. Keys are
-/// [`solver::affinity_hash`] values of the α-canonical closure rendering —
-/// see [`closure_key`] — so two programs whose callee closures differ only
-/// in identifier naming share entries.
+/// worker threads, and (in the daemon) requests. Keys are the α-canonical
+/// closure renderings themselves — see [`closure_key`] — so two programs
+/// whose callee closures differ only in identifier naming share entries,
+/// and two closures that differ never do (a hash of the rendering could
+/// collide and hand one callee another's ψ).
 #[derive(Debug, Default)]
 pub struct SummaryTable {
-    entries: Mutex<HashMap<u64, StoredFuncSummary>>,
+    entries: Mutex<HashMap<String, StoredFuncSummary>>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -81,8 +82,8 @@ impl SummaryTable {
     }
 
     /// Looks up a callee by closure key, counting a hit or miss.
-    pub fn lookup(&self, key: u64) -> Option<StoredFuncSummary> {
-        let found = self.entries.lock().unwrap().get(&key).cloned();
+    pub fn lookup(&self, key: &str) -> Option<StoredFuncSummary> {
+        let found = self.entries.lock().unwrap().get(key).cloned();
         match found {
             Some(s) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -98,7 +99,7 @@ impl SummaryTable {
     /// Stores a callee's summary (empty summaries are stored too — they
     /// cache the negative result so α-equivalent callees are not
     /// re-inferred).
-    pub fn insert(&self, key: u64, summary: StoredFuncSummary) {
+    pub fn insert(&self, key: String, summary: StoredFuncSummary) {
         self.inserts.fetch_add(1, Ordering::Relaxed);
         self.entries.lock().unwrap().insert(key, summary);
     }
@@ -146,10 +147,10 @@ pub struct SummaryBuild {
 
 /// The α-canonical closure key for `name`: the canonical rendering of the
 /// function followed by the canonical renderings of every function
-/// reachable from it, in lexicographic name order. Two callees collide
+/// reachable from it, in lexicographic name order. Two callees share a key
 /// exactly when their whole reachable closure is α-equivalent modulo
 /// parameter naming, which is what makes a stored summary safe to reuse.
-pub fn closure_key(program: &TypedProgram, cg: &CallGraph, name: &str) -> Option<u64> {
+pub fn closure_key(program: &TypedProgram, cg: &CallGraph, name: &str) -> Option<String> {
     let func = program.func(name)?;
     let mut rendering = canonical_func_string(func);
     let mut reachable = cg.bottom_up_from(name);
@@ -160,7 +161,7 @@ pub fn closure_key(program: &TypedProgram, cg: &CallGraph, name: &str) -> Option
         rendering.push('\n');
         rendering.push_str(&canonical_func_string(callee));
     }
-    Some(solver::affinity_hash(&rendering))
+    Some(rendering)
 }
 
 /// The check sites visible through `name`, in the same deterministic order
@@ -212,7 +213,7 @@ pub fn build_summaries(
             continue;
         }
         let Some(key) = closure_key(program, &cg, &name) else { continue };
-        let stored = match table.lookup(key) {
+        let stored = match table.lookup(&key) {
             Some(stored) => {
                 if let Some(sink) = obs::recording_sink(&cfg.testgen.trace) {
                     sink.event(
@@ -332,6 +333,19 @@ mod tests {
             a.resolved.by_func["half"].values().next().unwrap(),
             b.resolved.by_func["half"].values().next().unwrap()
         );
+    }
+
+    #[test]
+    fn distinct_renderings_never_share_an_entry() {
+        let table = SummaryTable::new();
+        let stored = |psi: Formula| StoredFuncSummary { checks: HashMap::from([(0, psi)]) };
+        let (a, b) = ("fn f(%0 int) -> int { return 1; }", "fn f(%0 int) -> int { return 2; }");
+        table.insert(a.to_string(), stored(Formula::t()));
+        assert!(table.lookup(b).is_none(), "a different rendering resolved to another's entry");
+        table.insert(b.to_string(), stored(Formula::f()));
+        assert_eq!(table.lookup(a).unwrap().checks[&0], Formula::t());
+        assert_eq!(table.lookup(b).unwrap().checks[&0], Formula::f());
+        assert_eq!((table.len(), table.hits(), table.misses()), (2, 2, 1));
     }
 
     #[test]

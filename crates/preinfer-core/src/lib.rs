@@ -32,7 +32,7 @@ pub use interproc::{
     build_summaries, closure_key, closure_sites, FallbackReason, StoredFuncSummary, SummaryBuild,
     SummaryTable,
 };
-pub use metrics::{evaluate_precondition, random_probe, validates, PrecondQuality, ProbeConfig};
+pub use metrics::{evaluate_precondition, random_probe, validates, PrecondQuality};
 pub use par::map_parallel;
 pub use pipeline::{
     infer_all_preconditions, infer_precondition, Inference, MethodRun, PreInferConfig,

@@ -43,18 +43,10 @@ pub fn validates(psi: &Formula, state: &MethodEntryState) -> bool {
     eval_on_state(psi, state) == Ok(true)
 }
 
-/// Configuration for the probe-based correctness check.
-#[derive(Debug, Clone)]
-pub struct ProbeConfig {
-    pub random_probes: usize,
-    pub rng_seed: u64,
-}
-
-impl Default for ProbeConfig {
-    fn default() -> Self {
-        ProbeConfig { random_probes: 300, rng_seed: 0xC0FFEE }
-    }
-}
+/// Random probe states the correctness check draws per evaluation.
+pub const RANDOM_PROBES: usize = 300;
+/// Seed of the probe-state generator (probes are the same for every ψ).
+pub const PROBE_SEED: u64 = 0xC0FFEE;
 
 /// Evaluates an inferred precondition `psi` for one ACL.
 ///
@@ -69,7 +61,6 @@ pub fn evaluate_precondition(
     passing: &[&MethodEntryState],
     failing: &[&MethodEntryState],
     ground_truth: Option<&Formula>,
-    probes: &ProbeConfig,
 ) -> PrecondQuality {
     let sufficient = failing.iter().all(|state| !validates(psi, state));
     let necessary = passing.iter().all(|state| validates(psi, state));
@@ -85,8 +76,8 @@ pub fn evaluate_precondition(
                 }
             }
             if agree {
-                let mut rng = StdRng::seed_from_u64(probes.rng_seed);
-                for _ in 0..probes.random_probes {
+                let mut rng = StdRng::seed_from_u64(PROBE_SEED);
+                for _ in 0..RANDOM_PROBES {
                     let state = random_probe(func, &mut rng);
                     if !formulas_agree(psi, truth, &state) {
                         agree = false;
@@ -176,39 +167,18 @@ mod tests {
         let pass_refs: Vec<&MethodEntryState> = passing.iter().collect();
         let fail_refs: Vec<&MethodEntryState> = failing.iter().collect();
         let truth = parse_spec("x != 3", &func).unwrap();
-        let q = evaluate_precondition(
-            &truth,
-            &func,
-            &pass_refs,
-            &fail_refs,
-            Some(&truth),
-            &ProbeConfig::default(),
-        );
+        let q = evaluate_precondition(&truth, &func, &pass_refs, &fail_refs, Some(&truth));
         assert!(q.sufficient && q.necessary);
         assert_eq!(q.correct, Some(true));
         assert_eq!(q.relative_complexity, Some(0.0));
         // A too-strong precondition: sufficient but not necessary.
         let strong = parse_spec("x > 10", &func).unwrap();
-        let q = evaluate_precondition(
-            &strong,
-            &func,
-            &pass_refs,
-            &fail_refs,
-            Some(&truth),
-            &ProbeConfig::default(),
-        );
+        let q = evaluate_precondition(&strong, &func, &pass_refs, &fail_refs, Some(&truth));
         assert!(q.sufficient && !q.necessary);
         assert_eq!(q.correct, Some(false));
         // A too-weak precondition: necessary but not sufficient.
         let weak = parse_spec("true", &func).unwrap();
-        let q = evaluate_precondition(
-            &weak,
-            &func,
-            &pass_refs,
-            &fail_refs,
-            Some(&truth),
-            &ProbeConfig::default(),
-        );
+        let q = evaluate_precondition(&weak, &func, &pass_refs, &fail_refs, Some(&truth));
         assert!(!q.sufficient && q.necessary);
     }
 
@@ -225,14 +195,7 @@ mod tests {
         let fail_refs: Vec<&MethodEntryState> = failing.iter().collect();
         let truth = parse_spec("x >= 0", &func).unwrap();
         let candidate = parse_spec("x != -1", &func).unwrap();
-        let q = evaluate_precondition(
-            &candidate,
-            &func,
-            &pass_refs,
-            &fail_refs,
-            Some(&truth),
-            &ProbeConfig::default(),
-        );
+        let q = evaluate_precondition(&candidate, &func, &pass_refs, &fail_refs, Some(&truth));
         assert!(q.both(), "agrees on the tiny suite");
         assert_eq!(q.correct, Some(false), "probes expose the difference");
     }
@@ -250,8 +213,7 @@ mod tests {
         let func = tp.func("f").unwrap().clone();
         let truth =
             parse_spec("s == null || !(exists i. i < len(s) && s[i] == null)", &func).unwrap();
-        let q =
-            evaluate_precondition(&truth, &func, &[], &[], Some(&truth), &ProbeConfig::default());
+        let q = evaluate_precondition(&truth, &func, &[], &[], Some(&truth));
         assert_eq!(q.correct, Some(true));
     }
 }

@@ -18,21 +18,11 @@ use testgen::{generate_tests, Suite, TestGenConfig};
 pub struct PreInferConfig {
     pub prune: PruneConfig,
     pub templates: Vec<Box<dyn Template>>,
-    /// §V-C mitigation: when the suite has *no passing tests* for the ACL,
-    /// `false` (the default) reproduces the paper's reported behaviour —
-    /// PreInfer "cannot infer anything" beyond the raw disjunction of the
-    /// failing path conditions; `true` skips the passing-path-dependent
-    /// steps and still prunes/generalizes using the dynamic machinery only.
-    pub skip_passing_steps: bool,
 }
 
 impl Default for PreInferConfig {
     fn default() -> Self {
-        PreInferConfig {
-            prune: PruneConfig::default(),
-            templates: default_templates(),
-            skip_passing_steps: false,
-        }
+        PreInferConfig { prune: PruneConfig::default(), templates: default_templates() }
     }
 }
 
@@ -74,9 +64,10 @@ pub fn infer_precondition(
     if failing.is_empty() {
         return None;
     }
-    if passing.is_empty() && !cfg.skip_passing_steps {
-        // The paper's reported weakness: with no passing paths, PreInfer
-        // falls back to the raw disjunction of the failing path conditions.
+    if passing.is_empty() {
+        // The paper's reported weakness (§V-C): with no passing paths,
+        // PreInfer "cannot infer anything" beyond the raw disjunction of the
+        // failing path conditions.
         let disjuncts: Vec<GeneralizedPath> = failing
             .iter()
             .map(|r| GeneralizedPath {
@@ -312,7 +303,6 @@ mod tests {
             &pass_states,
             &fail_states,
             Some(&truth_psi),
-            &crate::metrics::ProbeConfig::default(),
         );
         assert!(q.sufficient, "not sufficient: alpha = {}", inf.precondition.alpha);
         assert!(q.necessary, "not necessary: alpha = {}", inf.precondition.alpha);
@@ -350,17 +340,15 @@ mod tests {
             &pass_states,
             &fail_states,
             Some(&truth_alpha.negated()),
-            &crate::metrics::ProbeConfig::default(),
         );
         assert!(q.both(), "alpha = {}", inf.precondition.alpha);
         assert_eq!(q.correct, Some(true), "alpha = {}", inf.precondition.alpha);
     }
 
-    /// §V-C: with no passing paths, the default config returns the raw
-    /// disjunction; with `skip_passing_steps`, pruning still runs (using
-    /// the dynamic machinery) and produces something simpler.
+    /// §V-C: with no passing paths, inference returns the raw disjunction
+    /// of the failing path conditions without pruning.
     #[test]
-    fn no_passing_paths_fallback_and_mitigation() {
+    fn no_passing_paths_fallback() {
         let tp = minilang::compile("fn f(x int) { let zero = x - x; let y = 1 / zero; }").unwrap();
         let suite = generate_tests(&tp, "f", &TestGenConfig::default());
         let acl = suite.triggered_acls()[0];
@@ -368,14 +356,6 @@ mod tests {
         assert!(pass.is_empty(), "every input fails");
         let plain = infer_precondition(&tp, "f", acl, &suite, &PreInferConfig::default()).unwrap();
         assert_eq!(plain.prune_stats, crate::PruneStats::default(), "no pruning ran");
-        let cfg = PreInferConfig { skip_passing_steps: true, ..Default::default() };
-        let mitigated = infer_precondition(&tp, "f", acl, &suite, &cfg).unwrap();
-        assert!(
-            mitigated.precondition.psi.complexity() <= plain.precondition.psi.complexity(),
-            "mitigation should not be more complex: {} vs {}",
-            mitigated.precondition.psi,
-            plain.precondition.psi
-        );
     }
 
     /// The even-index step template (in the default registry) fires end to

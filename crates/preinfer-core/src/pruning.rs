@@ -23,28 +23,21 @@ use symbolic::eval::{eval_pred, Env};
 use symbolic::{canon_pred, EntryKind, PathCondition, PathEntry, Pred};
 use testgen::TestRun;
 
+/// Budget for manufactured witnesses per failing path: past it, pruning
+/// stops issuing implied-predicate checks and manufacturing deviation
+/// witnesses (solve `prefix ∧ ¬φ_j`, execute the model — the "dynamic" in
+/// dynamic predicate pruning). Per *path*, not per ACL: each path prunes
+/// against its own private witness extension, which is what makes per-path
+/// pruning order-independent and therefore parallelizable — see DESIGN.md,
+/// "Parallelism & caching".
+pub const MAX_DYNAMIC_RUNS: usize = 64;
+
 /// Pruning configuration.
 #[derive(Debug, Clone)]
 pub struct PruneConfig {
-    /// Manufacture deviation witnesses with the solver + one execution when
-    /// the suite has none (the "dynamic" in dynamic predicate pruning).
-    pub dynamic_witnesses: bool,
-    /// Budget for manufactured witnesses per failing path. (Per *path*, not
-    /// per ACL: each path prunes against its own private witness extension,
-    /// which is what makes per-path pruning order-independent and therefore
-    /// parallelizable — see DESIGN.md, "Parallelism & caching".)
-    pub max_dynamic_runs: usize,
-    /// Enforce the §III-A guard (reject removals admitting a passing state).
-    pub passing_guard: bool,
-    /// Verify each removal dynamically: solve `candidate ∧ ¬φ_j` and
-    /// execute the model; if that input does *not* fail at the ACL, the
-    /// reduced path would capture passing behaviour, so the removal is
-    /// rejected. (An `Unsat` answer proves the removal lossless; `Unknown`
-    /// conservatively keeps the predicate.)
-    pub verify_removals: bool,
     /// Solver budget for witness generation.
     pub solver: SolverConfig,
-    /// Executor budget for witness runs.
+    /// Callee summaries for witness runs.
     pub concolic: ConcolicConfig,
     /// Shared canonicalizing memo table fronting every solver call. Cached
     /// verdicts are pure functions of the canonical query, so sharing the
@@ -62,10 +55,6 @@ pub struct PruneConfig {
 impl Default for PruneConfig {
     fn default() -> Self {
         PruneConfig {
-            dynamic_witnesses: true,
-            max_dynamic_runs: 64,
-            passing_guard: true,
-            verify_removals: true,
             solver: SolverConfig::default(),
             concolic: ConcolicConfig::default(),
             solver_cache: None,
@@ -256,7 +245,7 @@ fn prune_one(
         // --- implied predicates: if `prefix ∧ ¬φ_j` is unsatisfiable, φ_j
         // is entailed by the preceding predicates and dropping it loses
         // nothing (the deviation the relations would probe does not exist).
-        if cfg.dynamic_witnesses && stats.dynamic_runs < cfg.max_dynamic_runs {
+        if stats.dynamic_runs < MAX_DYNAMIC_RUNS {
             let mut preds: Vec<Pred> = path.entries[..j].iter().map(|e| e.pred.clone()).collect();
             preds.push(path.entries[j].pred.negated());
             if session_solve(&mut session, &preds, stats) == SolveResult::Unsat {
@@ -268,15 +257,12 @@ fn prune_one(
         }
         // Concretization pins are not branch decisions: the relations have
         // no deviating paths to probe, so pins go straight to the removal
-        // guard/verification below (and fall back to "keep" without it).
+        // guard and verification below.
         if !is_pin {
             // --- c-depend: does some deviation at j still reach the ACL? ------
             let mut reaches_witness =
                 find_deviation(base_pool, &local_pool, path, j, |q| q.reaches_check(acl));
-            if !reaches_witness
-                && cfg.dynamic_witnesses
-                && stats.dynamic_runs < cfg.max_dynamic_runs
-            {
+            if !reaches_witness && stats.dynamic_runs < MAX_DYNAMIC_RUNS {
                 if let Some(newly) =
                     manufacture(program, func_name, acl, path, j, cfg, &mut session, stats)
                 {
@@ -319,73 +305,70 @@ fn prune_one(
                 decision("d_impact", j);
                 continue;
             }
-        } else if !cfg.verify_removals && !cfg.passing_guard {
-            // Without the dynamic machinery pins stay (soundness default).
-            continue;
         }
         // --- §III-A guard: removal must not admit a passing state. ---------
         kept[j] = false;
-        if cfg.passing_guard {
-            let admits = {
-                let _guard_span = obs::maybe_span(&cfg.trace, obs::Stage::PassingGuard);
-                passing_states.iter().any(|state| satisfied_by(&path.entries, &kept, state))
-            };
-            if admits {
-                kept[j] = true;
-                stats.kept_guard += 1;
-                decision("guard", j);
-                continue;
-            }
+        let admits = {
+            let _guard_span = obs::maybe_span(&cfg.trace, obs::Stage::PassingGuard);
+            passing_states.iter().any(|state| satisfied_by(&path.entries, &kept, state))
+        };
+        if admits {
+            kept[j] = true;
+            stats.kept_guard += 1;
+            decision("guard", j);
+            continue;
         }
         // --- removal verification: would `candidate ∧ ¬φ_j` pass at e? -----
-        if cfg.verify_removals {
-            let mut preds: Vec<Pred> = path
-                .entries
-                .iter()
-                .enumerate()
-                .filter(|(k, _)| kept[*k])
-                .map(|(_, e)| e.pred.clone())
-                .collect();
-            preds.push(path.entries[j].pred.negated());
-            let verdict = match session_solve(&mut session, &preds, stats) {
-                SolveResult::Unsat => Removal::Lossless,
-                SolveResult::Unknown => Removal::Rejected,
-                SolveResult::Sat(model) => {
-                    stats.dynamic_runs += 1;
-                    let out = run_concolic(program, func_name, &model, &cfg.concolic);
-                    let fails_here = out.path.outcome.failed_check() == Some(acl);
-                    local_pool.push(out.path);
-                    if fails_here {
-                        Removal::Accepted
-                    } else {
-                        Removal::Rejected
-                    }
+        // Solve `candidate ∧ ¬φ_j` and execute the model; if that input does
+        // *not* fail at the ACL, the reduced path would capture passing
+        // behaviour, so the removal is rejected. (An `Unsat` answer proves
+        // the removal lossless; `Unknown` conservatively keeps φ_j.)
+        let mut preds: Vec<Pred> = path
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(k, _)| kept[*k])
+            .map(|(_, e)| e.pred.clone())
+            .collect();
+        preds.push(path.entries[j].pred.negated());
+        let verdict = match session_solve(&mut session, &preds, stats) {
+            SolveResult::Unsat => Removal::Lossless,
+            SolveResult::Unknown => Removal::Rejected,
+            SolveResult::Sat(model) => {
+                stats.dynamic_runs += 1;
+                let out = run_concolic(program, func_name, &model, &cfg.concolic);
+                let fails_here = out.path.outcome.failed_check() == Some(acl);
+                local_pool.push(out.path);
+                if fails_here {
+                    Removal::Accepted
+                } else {
+                    Removal::Rejected
                 }
+            }
+        };
+        if let Some(sink) = obs::recording_sink(&cfg.trace) {
+            let label = match verdict {
+                Removal::Lossless => "lossless",
+                Removal::Accepted => "accepted",
+                Removal::Rejected => "rejected",
             };
-            if let Some(sink) = obs::recording_sink(&cfg.trace) {
-                let label = match verdict {
-                    Removal::Lossless => "lossless",
-                    Removal::Accepted => "accepted",
-                    Removal::Rejected => "rejected",
-                };
-                sink.event(
-                    "verify",
-                    &[("idx", obs::Val::U(j as u64)), ("verdict", obs::Val::S(label))],
-                );
-            }
-            if verdict == Removal::Rejected {
-                kept[j] = true;
-                stats.kept_guard += 1;
-                decision("guard", j);
-                continue;
-            }
+            sink.event(
+                "verify",
+                &[("idx", obs::Val::U(j as u64)), ("verdict", obs::Val::S(label))],
+            );
+        }
+        if verdict == Removal::Rejected {
+            kept[j] = true;
+            stats.kept_guard += 1;
+            decision("guard", j);
+            continue;
         }
         stats.removed += 1;
         decision("removed", j);
     }
 
-    // Pins that survive the loop are load-bearing: the removal
-    // verification (or, without it, conservatism) decided they must stay —
+    // Pins that survive the loop are load-bearing: the passing guard or the
+    // removal verification decided they must stay —
     // other removals may lean on them as logical support, so no post-hoc
     // relevance filtering is applied.
     path.entries.iter().enumerate().filter(|(j, _)| kept[*j]).map(|(_, e)| e.clone()).collect()
@@ -576,20 +559,5 @@ mod tests {
             let last = r.entries.last().expect("non-empty reduction");
             assert_eq!(last.pred.to_string(), "y == 3");
         }
-    }
-
-    #[test]
-    fn guard_can_be_disabled() {
-        // Without the guard (and without witnesses) behaviour should still
-        // terminate and keep the last branch.
-        let tp = minilang::compile("fn f(x int) { assert(x != 1); }").unwrap();
-        let suite = generate_tests(&tp, "f", &TestGenConfig::default());
-        let acl = suite.triggered_acls()[0];
-        let (pass, fail) = suite.partition(acl);
-        let cfg =
-            PruneConfig { passing_guard: false, dynamic_witnesses: false, ..Default::default() };
-        let (reduced, _) = prune_failing_paths(&tp, "f", acl, &pass, &fail, &cfg);
-        assert!(!reduced.is_empty());
-        assert_eq!(reduced[0].entries.last().unwrap().pred.to_string(), "x == 1");
     }
 }

@@ -3,15 +3,16 @@
 
 use baselines::{infer_dysy, infer_fixit};
 use concolic::InterprocMode;
-use interp::{run, ExecResult, InterpConfig};
+use interp::{run, ExecResult};
 use minilang::{program_check_sites, CheckId, LoopPos, MethodEntryState, TypedProgram};
+use preinfer_core::metrics::PROBE_SEED;
 use preinfer_core::{
-    evaluate_precondition, map_parallel, random_probe, MethodRun, PrecondQuality, ProbeConfig,
+    evaluate_precondition, map_parallel, random_probe, MethodRun, PrecondQuality,
     SummaryBuildConfig, SummaryTable,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use solver::{BackendKind, Deadline, SolverCache, TierCounters, TierSnapshot};
+use solver::{Deadline, SolverCache, TierCounters, TierSnapshot};
 use std::sync::Arc;
 use subjects::SubjectMethod;
 use symbolic::Formula;
@@ -149,21 +150,11 @@ pub struct MethodResult {
 #[derive(Debug, Clone)]
 pub struct EvalConfig {
     pub testgen: TestGenConfig,
-    pub probes: ProbeConfig,
-    /// Extra execution-classified probe states for the Suff/Nece check —
-    /// the counterpart of the paper's "re-run Pex against the inserted
-    /// precondition" validation: each probe state is executed and labelled
-    /// passing/failing per ACL by what actually happens.
-    pub check_probes: usize,
     /// Worker threads for [`evaluate_corpus`] (methods are independent, so
     /// any value produces identical results). `0`/`1` is serial.
     pub jobs: usize,
     /// Front every solver call with a per-method canonicalizing cache.
     pub solver_cache: bool,
-    /// Solver backend stack ([`BackendKind::Tiered`] by default). Verdicts
-    /// — and therefore every scored field — are identical for either
-    /// value; only speed and tier attribution differ.
-    pub solver_backend: BackendKind,
     /// Per-method wall-clock deadline in milliseconds; `None` is unbounded.
     /// Checked between solver calls, so no single method can hang its
     /// worker; expiry is surfaced as [`MethodResult::timed_out`].
@@ -186,11 +177,8 @@ impl Default for EvalConfig {
     fn default() -> Self {
         EvalConfig {
             testgen: TestGenConfig::default(),
-            probes: ProbeConfig::default(),
-            check_probes: 150,
             jobs: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             solver_cache: true,
-            solver_backend: BackendKind::default(),
             timeout_ms: None,
             trace: true,
             interproc: InterprocMode::default(),
@@ -199,18 +187,23 @@ impl Default for EvalConfig {
     }
 }
 
-/// Executes `check_probes` random states, returning each with the check it
-/// failed at (if any). Out-of-fuel runs are dropped.
+/// Extra execution-classified probe states per method for the Suff/Nece
+/// check — the counterpart of the paper's "re-run Pex against the inserted
+/// precondition" validation: each probe state is executed and labelled
+/// passing/failing per ACL by what actually happens.
+const CHECK_PROBES: usize = 150;
+
+/// Executes [`CHECK_PROBES`] random states, returning each with the check
+/// it failed at (if any). Out-of-fuel runs are dropped.
 fn classified_probes(
     tp: &TypedProgram,
     func: &minilang::Func,
-    cfg: &EvalConfig,
 ) -> Vec<(MethodEntryState, Option<CheckId>)> {
-    let mut rng = StdRng::seed_from_u64(cfg.probes.rng_seed ^ 0x9E37);
-    let mut out = Vec::with_capacity(cfg.check_probes);
-    for _ in 0..cfg.check_probes {
+    let mut rng = StdRng::seed_from_u64(PROBE_SEED ^ 0x9E37);
+    let mut out = Vec::with_capacity(CHECK_PROBES);
+    for _ in 0..CHECK_PROBES {
         let state = random_probe(func, &mut rng);
-        let result = run(tp, &func.name, &state, &InterpConfig::default());
+        let result = run(tp, &func.name, &state);
         match result.result {
             ExecResult::OutOfFuel | ExecResult::CallDepthExceeded => {}
             ExecResult::Completed(_) => out.push((state, None)),
@@ -240,10 +233,8 @@ pub fn evaluate_method(m: &SubjectMethod, cfg: &EvalConfig) -> MethodResult {
     let deadline = cfg.timeout_ms.map(Deadline::after_ms).unwrap_or_default();
     let sink = cfg.trace.then(|| Arc::new(obs::TraceSink::aggregate()));
     let tiers = Arc::new(TierCounters::default());
-    let mut testgen = cfg.testgen.clone();
-    testgen.solver.backend = cfg.solver_backend;
     let run = SummaryBuildConfig::new(
-        testgen,
+        cfg.testgen.clone(),
         cache.clone(),
         deadline.clone(),
         sink.clone(),
@@ -260,7 +251,7 @@ pub fn evaluate_method(m: &SubjectMethod, cfg: &EvalConfig) -> MethodResult {
     // Program-wide: a triggered ACL may live inside a callee (reached
     // through inlining or reported through a summary application).
     let sites = program_check_sites(tp.program());
-    let probes = classified_probes(&tp, &func, cfg);
+    let probes = classified_probes(&tp, &func);
     let mut acls = Vec::new();
     for acl in suite.triggered_acls() {
         let Some(site) = sites.iter().find(|s| s.id == acl) else { continue };
@@ -281,14 +272,8 @@ pub fn evaluate_method(m: &SubjectMethod, cfg: &EvalConfig) -> MethodResult {
         }
 
         let score = |psi: &Formula, quantified: bool| -> ApproachResult {
-            let q: PrecondQuality = evaluate_precondition(
-                psi,
-                &func,
-                &pass_states,
-                &fail_states,
-                truth_psi.as_ref(),
-                &cfg.probes,
-            );
+            let q: PrecondQuality =
+                evaluate_precondition(psi, &func, &pass_states, &fail_states, truth_psi.as_ref());
             ApproachResult {
                 sufficient: q.sufficient,
                 necessary: q.necessary,

@@ -72,12 +72,6 @@ pub struct RouterConfig {
     pub conns_per_shard: usize,
     /// Idle deadline for downstream client connections (0 disables).
     pub idle_timeout_ms: u64,
-    /// Reconnect backoff floor / ceiling, milliseconds.
-    pub reconnect_min_ms: u64,
-    pub reconnect_max_ms: u64,
-    /// How long `Router::start` waits for every shard to have at least
-    /// one live upstream connection before returning (0 = don't wait).
-    pub wait_ready_ms: u64,
     /// Head-sample every N-th routed `infer` request into a distributed
     /// trace (0 disables). The router mints the trace context and injects
     /// it into the forwarded frame, so the shard records under the same
@@ -100,9 +94,6 @@ impl Default for RouterConfig {
             shards: Vec::new(),
             conns_per_shard: 2,
             idle_timeout_ms: 60_000,
-            reconnect_min_ms: 50,
-            reconnect_max_ms: 1_000,
-            wait_ready_ms: 2_000,
             trace_sample: 0,
             slow_trace_ms: None,
             trace_buffer: 64,
@@ -162,7 +153,7 @@ pub struct Router {
 
 impl Router {
     /// Binds, starts the event loop and the connector thread, and waits
-    /// up to `wait_ready_ms` for every shard to come live.
+    /// up to `WAIT_READY` for every shard to come live.
     pub fn start(cfg: RouterConfig) -> io::Result<Router> {
         if cfg.shards.is_empty() {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "no shards configured"));
@@ -199,7 +190,7 @@ impl Router {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || event_loop(reactor, &shared))
         };
-        let deadline = Instant::now() + Duration::from_millis(shared.cfg.wait_ready_ms);
+        let deadline = Instant::now() + WAIT_READY;
         while shared.live_shards.load(Ordering::SeqCst) < shared.cfg.shards.len() as u64
             && Instant::now() < deadline
         {
@@ -296,6 +287,15 @@ fn declare_observables(shared: &Arc<RouterShared>) {
 /// How long one upstream dial may block the connector thread.
 const DIAL_TIMEOUT: Duration = Duration::from_millis(500);
 
+/// Reconnect backoff floor and ceiling: a shard's first re-dial waits the
+/// floor, and each failure doubles the wait up to the ceiling.
+const RECONNECT_MIN: Duration = Duration::from_millis(50);
+const RECONNECT_MAX: Duration = Duration::from_millis(1_000);
+
+/// How long [`Router::start`] waits for every shard to have at least one
+/// live upstream connection before returning.
+const WAIT_READY: Duration = Duration::from_millis(2_000);
+
 /// How long requests for a shard stay parked after it idle-closed a pooled
 /// connection: two dial timeouts, time for a re-dial to a live shard to
 /// land. Past it they fail over to `upstream_unavailable`.
@@ -311,12 +311,10 @@ fn connector_loop(shared: &Arc<RouterShared>) {
         not_before: Instant,
         backoff: Duration,
     }
-    let min = Duration::from_millis(shared.cfg.reconnect_min_ms.max(1));
-    let max = Duration::from_millis(shared.cfg.reconnect_max_ms.max(shared.cfg.reconnect_min_ms));
     let mut queue: Vec<Attempt> = Vec::new();
     while !shared.shutdown.requested() {
         for (shard, slot) in shared.connect_requests.lock().expect("connect requests").drain(..) {
-            queue.push(Attempt { shard, slot, not_before: Instant::now(), backoff: min });
+            queue.push(Attempt { shard, slot, not_before: Instant::now(), backoff: RECONNECT_MIN });
         }
         let now = Instant::now();
         let mut still_waiting = Vec::new();
@@ -342,7 +340,7 @@ fn connector_loop(shared: &Arc<RouterShared>) {
                 }
                 None => {
                     a.not_before = now + a.backoff;
-                    a.backoff = (a.backoff * 2).min(max);
+                    a.backoff = (a.backoff * 2).min(RECONNECT_MAX);
                     still_waiting.push(a);
                 }
             }
@@ -1274,7 +1272,6 @@ mod tests {
         let shard = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a stand-in shard");
         let router = Router::start(RouterConfig {
             shards: vec![shard.local_addr().expect("shard addr").to_string()],
-            wait_ready_ms: 0,
             ..RouterConfig::default()
         })
         .expect("start router");

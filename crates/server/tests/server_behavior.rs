@@ -1,10 +1,11 @@
 //! Daemon behavior under pressure: bounded admission (queue saturation →
 //! typed `overloaded`), per-request deadlines (`timed_out` partial results
 //! that never kill a worker), and graceful shutdown (in-flight requests
-//! drain, late arrivals get `shutting_down`), and the memory gauges an
-//! operator reads from `stats` and `metrics`.
+//! drain, late arrivals get `shutting_down`), the allocation budget (a
+//! request that would allocate past it is answered and the worker lives
+//! on), and the memory gauges an operator reads from `stats` and `metrics`.
 
-use server::{served_psis, Client, InferRequest, Server, ServerConfig};
+use server::{offline_psis, served_psis, Client, InferRequest, Server, ServerConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
@@ -214,4 +215,47 @@ fn graceful_shutdown_drains_in_flight_requests() {
 
     // The listener is gone: new connections are refused.
     assert!(Client::connect(&addr).is_err(), "daemon must stop accepting after shutdown");
+}
+
+/// Test generation on this program finds `n = 2^60 + 1`, an allocation past
+/// `interp::MAX_ARRAY_CELLS`: the executors end that run out of fuel, so
+/// the lone worker answers, serves the next request and drains.
+#[test]
+fn oversized_allocation_is_answered_and_the_worker_serves_on() {
+    const HUGE_ALLOC: &str = "fn f(n int) -> int {
+        if (n > 1152921504606846976) { let a = new_int_array(n); return len(a); }
+        return 0;
+    }";
+    let server = Server::start(ServerConfig { workers: 1, ..ServerConfig::default() })
+        .expect("bind loopback");
+    let mut cl = Client::connect(&server.local_addr().to_string()).expect("connect");
+    // A lost worker never answers: fail within a minute instead of hanging.
+    cl.stream_mut().set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+    let req = |program: &str, func: &str| InferRequest {
+        program: program.to_string(),
+        func: Some(func.to_string()),
+        deadline_ms: None,
+        tests: None,
+        jobs: 1,
+        trace: None,
+    };
+
+    let resp = cl.infer(&req(HUGE_ALLOC, "f")).expect("oversized-allocation round-trip");
+    assert_eq!(resp.get("ok").and_then(|v| v.as_bool()), Some(true), "{resp:?}");
+
+    let m = subjects::all_subjects()
+        .into_iter()
+        .find(|m| m.name == "guarded_div")
+        .expect("guarded_div subject");
+    let resp = cl.infer(&req(m.source, m.name)).expect("follow-up round-trip");
+    assert_eq!(served_psis(&resp), Some(offline_psis(&m.compile(), m.name)), "{resp:?}");
+
+    server.handle().shutdown();
+    let (tx, rx) = mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        server.join();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(60)).expect("drain wedged: join() did not return");
+    joiner.join().unwrap();
 }

@@ -29,23 +29,24 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use symbolic::{canon_pred, CanonPred, Pred};
 
+/// Maximum branch-flip attempts (solver calls) per method.
+pub const MAX_FLIPS: usize = 600;
+/// Maximum flips attempted per branch site (bounds loop unrolling, like
+/// Pex's per-branch fairness bounds).
+pub const MAX_FLIPS_PER_SITE: usize = 8;
+/// Deepest path position considered for flipping.
+pub const MAX_FLIP_DEPTH: usize = 48;
+/// Extra random fuzz seeds beside the defaults seed.
+pub const RANDOM_SEEDS: usize = 6;
+/// Seed of the fuzz-seed generator (the whole pipeline is deterministic).
+const RNG_SEED: u64 = 0x5EED;
+
 /// Test-generation configuration.
 #[derive(Debug, Clone)]
 pub struct TestGenConfig {
     /// Maximum number of executed tests per method.
     pub max_runs: usize,
-    /// Maximum branch-flip attempts (solver calls).
-    pub max_flips: usize,
-    /// Maximum flips attempted per branch site (bounds loop unrolling, like
-    /// Pex's per-branch fairness bounds).
-    pub max_flips_per_site: usize,
-    /// Deepest path position considered for flipping.
-    pub max_flip_depth: usize,
-    /// Extra random fuzz seeds beside the defaults seed.
-    pub random_seeds: usize,
-    /// RNG seed (the whole pipeline is deterministic given this).
-    pub rng_seed: u64,
-    /// Concolic executor budget.
+    /// Callee summaries for the concolic executor.
     pub concolic: ConcolicConfig,
     /// Solver budget.
     pub solver: SolverConfig,
@@ -63,11 +64,6 @@ impl Default for TestGenConfig {
     fn default() -> Self {
         TestGenConfig {
             max_runs: 140,
-            max_flips: 600,
-            max_flips_per_site: 8,
-            max_flip_depth: 48,
-            random_seeds: 6,
-            rng_seed: 0x5EED,
             concolic: ConcolicConfig::default(),
             solver: SolverConfig::default(),
             solver_cache: None,
@@ -135,7 +131,7 @@ pub fn generate_tests(program: &TypedProgram, func_name: &str, cfg: &TestGenConf
     let func = program.func(func_name).unwrap_or_else(|| panic!("unknown function {func_name}"));
     let _span = obs::maybe_span(&cfg.trace, obs::Stage::TestGen);
     let sig = FuncSig::of(func);
-    let mut rng = StdRng::seed_from_u64(cfg.rng_seed);
+    let mut rng = StdRng::seed_from_u64(RNG_SEED);
 
     let mut ex = Explored::default();
     let mut site_flips: HashMap<minilang::NodeId, usize> = HashMap::new();
@@ -144,7 +140,7 @@ pub fn generate_tests(program: &TypedProgram, func_name: &str, cfg: &TestGenConf
 
     // Seeds: all-defaults plus random fuzz.
     let mut seeds = vec![MethodEntryState::seed_for(func)];
-    for _ in 0..cfg.random_seeds {
+    for _ in 0..RANDOM_SEEDS {
         seeds.push(random_state(func, &mut rng));
     }
     for seed in seeds {
@@ -165,7 +161,7 @@ pub fn generate_tests(program: &TypedProgram, func_name: &str, cfg: &TestGenConf
     // does the sharing).
     let mut session = IncrementalSession::new(&sig, &cfg.solver, cfg.solver_cache.clone());
     while let Some((run_idx, j)) = queue.pop_front() {
-        if ex.suite.len() >= cfg.max_runs || flips >= cfg.max_flips {
+        if ex.suite.len() >= cfg.max_runs || flips >= MAX_FLIPS {
             break;
         }
         if cfg.solver.deadline.expired() {
@@ -173,7 +169,7 @@ pub fn generate_tests(program: &TypedProgram, func_name: &str, cfg: &TestGenConf
             // smaller) suite — stop exploring instead of burning the queue.
             break;
         }
-        if j >= cfg.max_flip_depth {
+        if j >= MAX_FLIP_DEPTH {
             continue;
         }
         let Some(entry) = ex.suite.runs[run_idx].path.entries.get(j) else { continue };
@@ -182,7 +178,7 @@ pub fn generate_tests(program: &TypedProgram, func_name: &str, cfg: &TestGenConf
         }
         let (site, negated) = (entry.site, entry.pred.negated());
         let site_count = site_flips.entry(site).or_insert(0);
-        if *site_count >= cfg.max_flips_per_site {
+        if *site_count >= MAX_FLIPS_PER_SITE {
             continue;
         }
         *site_count += 1;

@@ -54,7 +54,6 @@ fn main() {
             &pass_states,
             &fail_states,
             Some(&truth_psi),
-            &ProbeConfig::default(),
         );
         println!("  ground-truth ψ*: {truth_psi}");
         println!(

@@ -23,7 +23,7 @@ fn main() {
     // A few illustrative concrete runs.
     for (label, text) in [("two words", "ab cd"), ("all spaces", "   "), ("empty", "")] {
         let state = MethodEntryState::from_pairs([("value", InputValue::str_from(text))]);
-        let out = run(&tp, subject.name, &state, &InterpConfig::default());
+        let out = run(&tp, subject.name, &state);
         println!("  value = {label:10} → {:?}", out.result);
     }
     println!();
@@ -54,7 +54,6 @@ fn main() {
             &pass_states,
             &fail_states,
             Some(&truth_psi),
-            &ProbeConfig::default(),
         );
         println!(
             "  sufficient: {} | necessary: {} | matches ground truth: {:?}\n",

@@ -10,7 +10,8 @@ the same code (the sign alternates by round, so linear drift cancels).
 Each mechanism must pay for itself:
 
 - solver cache: cached / uncached <= 1.0 on every case where the cache
-  sees any hits (all-miss cases only measure store overhead);
+  sees any hits (all-miss cases only measure store overhead), except
+  paper_tables::5_method_slice (see PAPER_TABLES_CEILING);
 - disabled tracing: the two disabled runs of the trace_overhead record may
   differ by no more than 2% either way;
 - solver tiers: tiered / simplex-only <= 1.02 (the tiers should be faster),
@@ -31,9 +32,18 @@ cache, tiers, inc, ip = (
     json.load(open(os.path.join(out, f"BENCH_{name}.json")))
     for name in ("solver_cache", "solver_tiers", "solver_incremental", "interproc"))
 
+# The cache saves only about 1.5% of the Section V protocol on the paper
+# tables slice, so a fixed 1.0 limit there failed about one run in ten.
+# Its ceiling is q3 + 3*IQR (linearly interpolated quartiles) of its
+# cached/uncached median over 10 perf_smoke runs on a 2-core x86_64 Linux
+# host, rounded up to the next 0.001; the runs read
+#   0.9861 0.9872 0.9854 0.9832 0.9899 0.9847 0.9874 0.9862 0.9815 0.9885
+PAPER_TABLES_CEILING = 0.995
+CACHE_LIMITS = {"paper_tables::5_method_slice": PAPER_TABLES_CEILING}
+
 # (gate, value, limit, holds, detail)
 GATES = [(f"solver cache {c['case']} cached/uncached", c["cached_vs_uncached"]["ratio"]["median"],
-          1.0, None, f"hit rate {c['cache_hit_rate']:.1%}")
+          CACHE_LIMITS.get(c["case"], 1.0), None, f"hit rate {c['cache_hit_rate']:.1%}")
          for c in cache["cases"] if c["cache_hit_rate"] > 0]
 GATES += [
     ("|disabled tracing base gap| %", abs(cache["trace_overhead"]["base_gap_pct"]), 2.0, None, ""),

@@ -54,11 +54,11 @@ pub use testgen;
 pub mod prelude {
     pub use baselines::{infer_dysy, infer_fixit};
     pub use concolic::{run_concolic, ConcolicConfig, InterprocMode};
-    pub use interp::{run, InterpConfig};
+    pub use interp::run;
     pub use minilang::{compile, InputValue, MethodEntryState};
     pub use preinfer_core::{
         build_summaries, evaluate_precondition, infer_all_preconditions, infer_precondition,
-        MethodRun, PreInferConfig, ProbeConfig, SummaryBuildConfig, SummaryTable,
+        MethodRun, PreInferConfig, SummaryBuildConfig, SummaryTable,
     };
     pub use solver::{
         solve_preds, solve_preds_cached, BackendKind, CacheStats, Deadline, FuncSig,

@@ -60,7 +60,7 @@ fn method_sweeps(m: &subjects::SubjectMethod) -> (FuncSig, Vec<Sweep>) {
         .iter()
         .flat_map(|r| {
             let entries = &r.path.entries;
-            (0..entries.len().min(tg.max_flip_depth))
+            (0..entries.len().min(testgen::generate::MAX_FLIP_DEPTH))
                 .filter(|&j| entries[j].kind.is_branch())
                 .map(|j| prefix_neg(entries, j))
         })
