@@ -317,6 +317,18 @@ impl Program {
         self.index.get(name).map(|&i| &self.funcs[i])
     }
 
+    /// The function a run targets: the one named, else the first. `Err`
+    /// says why there is none, calling the program `within` (the daemon
+    /// says "program", the CLI names its source file).
+    pub fn entry(&self, name: Option<&str>, within: &str) -> Result<&Func, String> {
+        match name {
+            Some(name) => {
+                self.func(name).ok_or_else(|| format!("no function `{name}` in {within}"))
+            }
+            None => self.funcs.first().ok_or_else(|| format!("{within} has no functions")),
+        }
+    }
+
     /// Number of AST node ids allocated while parsing this program.
     pub fn node_count(&self) -> u32 {
         self.node_count

@@ -626,9 +626,10 @@ mod tests {
     }
 
     /// A router section (flat spans) followed by a shard section whose
-    /// `trace_meta` names the router's `upstream_rtt` span: builds real
-    /// sinks, merges their lines, and checks the shard's work lands as a
-    /// synthesized `run` node under the rtt span.
+    /// `trace_meta` names the router's `upstream_rtt` span: a real router
+    /// sink's lines merged with a shard section written out with fixed
+    /// durations, checking the shard's work lands as a synthesized `run`
+    /// node under the rtt span.
     #[test]
     fn merged_sections_nest_shard_spans_under_router_rtt() {
         let router = TraceSink::recording_in_trace("preinfer-router", TID, None);
@@ -639,16 +640,18 @@ mod tests {
         router.end_span(rtt, "upstream_rtt", Duration::from_micros(5_000));
         router.end_span(route, "route", Duration::from_micros(5_200));
 
-        let shard = TraceSink::recording_in_trace("preinferd", TID, Some(rtt));
-        {
-            let _t = shard.span(Stage::TestGen);
-            std::thread::sleep(Duration::from_millis(1));
-            shard.solver_call(2, "unsat", "miss", "interval", Duration::from_micros(300));
-        }
-        shard.event("run", &[("func", Val::S("m")), ("dur_us", Val::U(4_000))]);
-
+        // The shard's section as its sink writes it: a 1 000 µs testgen
+        // span holding one 300 µs solver call, inside a 4 000 µs run.
         let mut lines = router.lines();
-        lines.extend(shard.lines());
+        lines.extend([
+            format!(
+                r#"{{"ev":"trace_meta","trace_id":"{TID}","process":"preinferd","parent_span":{rtt}}}"#
+            ),
+            r#"{"ev":"span_start","id":1,"parent":null,"stage":"testgen"}"#.to_string(),
+            r#"{"ev":"solver_call","span":1,"preds":2,"verdict":"unsat","lookup":"miss","tier":"interval","dur_us":300}"#.to_string(),
+            r#"{"ev":"span_end","id":1,"stage":"testgen","dur_us":1000}"#.to_string(),
+            r#"{"ev":"run","func":"m","dur_us":4000}"#.to_string(),
+        ]);
         let a = TraceAnalysis::from_lines(lines.iter().map(String::as_str)).unwrap();
 
         assert_eq!(a.trace_id.as_deref(), Some(TID));

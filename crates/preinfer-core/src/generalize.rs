@@ -16,7 +16,7 @@ use minilang::MethodEntryState;
 use symbolic::eval::{eval_on_state, eval_term, Env};
 use symbolic::linform::canon_pred;
 use symbolic::{
-    CanonPred, CmpOp, Formula, Place, PlaceNode, Pred, SymVar, SymVarNode, Term, TermNode,
+    CanonPred, CmpOp, Formula, Place, PlaceNode, Pred, Rewrite, SymVar, SymVarNode, Term, TermNode,
 };
 
 /// The bound-variable name used by all shipped templates.
@@ -230,92 +230,34 @@ pub fn index_occurrences(pred: &Pred) -> Vec<(Place, i64)> {
 /// d-impact comparison: `s[0] == null` and `s[2] == null` express the same
 /// violated property, while `d > 0` vs `d + 1 > 0` stay distinct.
 pub fn abstract_all_indices(pred: &Pred, var: &str) -> Pred {
-    map_pred(pred, &mut |_p: &Place, ix: &Term| {
-        if ix.as_const().is_some() {
-            Some(Term::var(var))
-        } else {
-            None
+    struct AllIndices<'a>(&'a str);
+    impl Rewrite for AllIndices<'_> {
+        fn elem_index(&mut self, _base: Place, ix: Term) -> Option<Term> {
+            ix.as_const().map(|_| Term::var(self.0))
         }
-    })
+    }
+    AllIndices(var).rewrite_pred(pred)
 }
 
 /// Rewrites every dereference of `place[k]` in `pred` to `place[var]`.
 /// Returns `None` when nothing was rewritten.
 pub fn abstract_index(pred: &Pred, place: &Place, k: i64, var: &str) -> Option<Pred> {
-    let mut changed = false;
-    let out = map_pred(pred, &mut |p: &Place, ix: &Term| {
-        if p == place && ix.as_const() == Some(k) {
-            changed = true;
-            Some(Term::var(var))
-        } else {
-            None
-        }
-    });
-    if changed {
-        Some(out)
-    } else {
-        None
+    struct OneIndex<'a> {
+        place: Place,
+        k: i64,
+        var: &'a str,
+        changed: bool,
     }
-}
-
-/// Structural map over a predicate, rewriting element indices. The callback
-/// receives `(collection place, index term)` and may return a replacement
-/// index.
-fn map_pred(pred: &Pred, f: &mut dyn FnMut(&Place, &Term) -> Option<Term>) -> Pred {
-    match pred {
-        Pred::Cmp(op, a, b) => Pred::Cmp(*op, map_term(a, f), map_term(b, f)),
-        Pred::Null { place, positive } => {
-            Pred::Null { place: map_place(place, f), positive: *positive }
-        }
-        Pred::IsSpace { arg, positive } => {
-            Pred::IsSpace { arg: map_term(arg, f), positive: *positive }
-        }
-        Pred::BoolVar { .. } | Pred::Const(_) => pred.clone(),
-    }
-}
-
-// The maps below rebuild through the raw `.intern()` node constructors, not
-// the folding builders: index abstraction must preserve the term's shape
-// exactly (a folded `s[0+0]` would no longer match its family members).
-fn map_term(t: &Term, f: &mut dyn FnMut(&Place, &Term) -> Option<Term>) -> Term {
-    match t.node() {
-        TermNode::Const(_) => *t,
-        TermNode::Var(v) => TermNode::Var(map_var(v, f)).intern(),
-        TermNode::Add(a, b) => TermNode::Add(map_term(a, f), map_term(b, f)).intern(),
-        TermNode::Sub(a, b) => TermNode::Sub(map_term(a, f), map_term(b, f)).intern(),
-        TermNode::Neg(a) => TermNode::Neg(map_term(a, f)).intern(),
-        TermNode::Mul(k, a) => TermNode::Mul(*k, map_term(a, f)).intern(),
-        TermNode::Div(a, k) => TermNode::Div(map_term(a, f), *k).intern(),
-        TermNode::Rem(a, k) => TermNode::Rem(map_term(a, f), *k).intern(),
-    }
-}
-
-fn map_var(v: &SymVar, f: &mut dyn FnMut(&Place, &Term) -> Option<Term>) -> SymVar {
-    match v.node() {
-        SymVarNode::Int(_) => *v,
-        SymVarNode::Len(p) => SymVarNode::Len(map_place(p, f)).intern(),
-        SymVarNode::IntElem(p, ix) => {
-            let p2 = map_place(p, f);
-            let ix2 = f(p, ix).unwrap_or_else(|| map_term(ix, f));
-            SymVarNode::IntElem(p2, ix2).intern()
-        }
-        SymVarNode::Char(p, ix) => {
-            let p2 = map_place(p, f);
-            let ix2 = f(p, ix).unwrap_or_else(|| map_term(ix, f));
-            SymVarNode::Char(p2, ix2).intern()
+    impl Rewrite for OneIndex<'_> {
+        fn elem_index(&mut self, base: Place, ix: Term) -> Option<Term> {
+            let hit = base == self.place && ix.as_const() == Some(self.k);
+            self.changed |= hit;
+            hit.then(|| Term::var(self.var))
         }
     }
-}
-
-fn map_place(p: &Place, f: &mut dyn FnMut(&Place, &Term) -> Option<Term>) -> Place {
-    match p.node() {
-        PlaceNode::Param(_) => *p,
-        PlaceNode::Elem(base, ix) => {
-            let base2 = map_place(base, f);
-            let ix2 = f(base, ix).unwrap_or_else(|| map_term(ix, f));
-            PlaceNode::Elem(base2, ix2).intern()
-        }
-    }
+    let mut hooks = OneIndex { place: *place, k, var, changed: false };
+    let out = hooks.rewrite_pred(pred);
+    hooks.changed.then_some(out)
 }
 
 // ---- shared matching machinery ----------------------------------------------

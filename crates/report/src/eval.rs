@@ -117,11 +117,6 @@ pub struct MethodResult {
     pub solver_cache_hits: u64,
     /// Solver-cache misses observed while evaluating this method.
     pub solver_cache_misses: u64,
-    /// Whether the per-method deadline ([`EvalConfig::timeout_ms`]) expired
-    /// while evaluating this method. A timed-out result is still sound —
-    /// test generation stops early and pruning keeps predicates — but may
-    /// be less reduced than an unbounded run.
-    pub timed_out: bool,
     /// Per-stage timing breakdown (stages with zero samples are omitted;
     /// empty when [`EvalConfig::trace`] is off). Diagnostics only — every
     /// other field is byte-identical with tracing on or off.
@@ -149,16 +144,15 @@ pub struct MethodResult {
 /// Evaluation configuration.
 #[derive(Debug, Clone)]
 pub struct EvalConfig {
+    /// Test-generation settings; pruning solves with the same
+    /// `SolverConfig`, so `testgen.solver.backend` picks the backend for
+    /// both (perf_smoke's simplex-only arm sets it).
     pub testgen: TestGenConfig,
     /// Worker threads for [`evaluate_corpus`] (methods are independent, so
     /// any value produces identical results). `0`/`1` is serial.
     pub jobs: usize,
     /// Front every solver call with a per-method canonicalizing cache.
     pub solver_cache: bool,
-    /// Per-method wall-clock deadline in milliseconds; `None` is unbounded.
-    /// Checked between solver calls, so no single method can hang its
-    /// worker; expiry is surfaced as [`MethodResult::timed_out`].
-    pub timeout_ms: Option<u64>,
     /// Collect per-stage timing aggregates into
     /// [`MethodResult::stage_timings`] (an aggregate sink: histograms only,
     /// no event buffering). Timings are diagnostics; every other result
@@ -179,7 +173,6 @@ impl Default for EvalConfig {
             testgen: TestGenConfig::default(),
             jobs: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             solver_cache: true,
-            timeout_ms: None,
             trace: true,
             interproc: InterprocMode::default(),
             summary_table: None,
@@ -226,17 +219,16 @@ fn render_psi(psi: &Formula) -> String {
 pub fn evaluate_method(m: &SubjectMethod, cfg: &EvalConfig) -> MethodResult {
     let tp = m.compile();
     let func = m.func(&tp).clone();
-    // Per-method cache, deadline, aggregate sink (per-stage histograms
-    // only, no per-event buffering) and tier counters, shared by test
-    // generation and pruning.
+    // Per-method cache, aggregate sink (per-stage histograms only, no
+    // per-event buffering) and tier counters, shared by test generation
+    // and pruning; no deadline.
     let cache = cfg.solver_cache.then(|| Arc::new(SolverCache::new()));
-    let deadline = cfg.timeout_ms.map(Deadline::after_ms).unwrap_or_default();
     let sink = cfg.trace.then(|| Arc::new(obs::TraceSink::aggregate()));
     let tiers = Arc::new(TierCounters::default());
     let run = SummaryBuildConfig::new(
         cfg.testgen.clone(),
         cache.clone(),
-        deadline.clone(),
+        Deadline::none(),
         sink.clone(),
         tiers.clone(),
         Default::default(),
@@ -336,7 +328,6 @@ pub fn evaluate_method(m: &SubjectMethod, cfg: &EvalConfig) -> MethodResult {
         tests: suite.len(),
         solver_cache_hits: cache_stats.hits,
         solver_cache_misses: cache_stats.misses,
-        timed_out: deadline.expired(),
         stage_timings,
         solver_tiers: tiers.snapshot(),
         interproc: cfg.interproc.label(),

@@ -31,7 +31,6 @@ fn write_method(out: &mut String, m: &MethodResult, level: usize) {
     let _ = writeln!(out, "{inner}\"tests\": {},", m.tests);
     let _ = writeln!(out, "{inner}\"solver_cache_hits\": {},", m.solver_cache_hits);
     let _ = writeln!(out, "{inner}\"solver_cache_misses\": {},", m.solver_cache_misses);
-    let _ = writeln!(out, "{inner}\"timed_out\": {},", m.timed_out);
     let _ = writeln!(out, "{inner}\"interproc\": {},", escape(m.interproc));
     let _ = writeln!(out, "{inner}\"summarized_callees\": {},", m.summarized_callees);
     let _ = writeln!(out, "{inner}\"summary_table_hits\": {},", m.summary_table_hits);

@@ -6,7 +6,7 @@
 //! preinfer-client --addr HOST:PORT metrics
 //! preinfer-client --addr HOST:PORT trace [--last K | --request-id N | --trace-id X]
 //! preinfer-client --addr HOST:PORT infer program.ml [--fn NAME]
-//!                 [--deadline-ms N] [--tests N] [--jobs N]
+//!                 [--deadline-ms N] [--tests N]
 //! preinfer-client --addr HOST:PORT corpus [NAME] [--check-offline]
 //! ```
 //!
@@ -37,7 +37,7 @@ fn usage() -> ! {
          \x20                                   as JSON lines on stdout);\n\
          \x20                                   --trace-id fetches a stitched\n\
          \x20                                   multi-process distributed trace\n\
-         \x20 infer FILE [--fn NAME] [--deadline-ms N] [--tests N] [--jobs N]\n\
+         \x20 infer FILE [--fn NAME] [--deadline-ms N] [--tests N]\n\
          \x20 corpus [NAME] [--check-offline]   submit corpus subject(s);\n\
          \x20                                   --check-offline diffs against the\n\
          \x20                                   local offline pipeline"
@@ -211,7 +211,6 @@ fn infer_request_from_flags(program: String, rest: &[String]) -> InferRequest {
         func: flag_value(rest, "--fn"),
         deadline_ms: parse_u64_flag(rest, "--deadline-ms"),
         tests: parse_u64_flag(rest, "--tests").map(|v| v as usize),
-        jobs: parse_u64_flag(rest, "--jobs").unwrap_or(1) as usize,
         trace: None,
     }
 }
@@ -254,7 +253,6 @@ fn cmd_corpus(c: &Common) -> ExitCode {
             func: Some(m.name.to_string()),
             deadline_ms: None,
             tests: None,
-            jobs: 1,
             trace: None,
         };
         let resp = match cl.infer(&req) {

@@ -163,8 +163,6 @@ pub struct InferRequest {
     pub deadline_ms: Option<u64>,
     /// `TestGenConfig::max_runs` override.
     pub tests: Option<usize>,
-    /// Worker threads for per-ACL inference inside this request.
-    pub jobs: usize,
     /// Distributed trace context minted upstream, if any.
     pub trace: Option<TraceContext>,
 }
@@ -273,14 +271,6 @@ pub fn parse_request(payload: &str) -> Result<Request, String> {
                         as usize,
                 ),
             };
-            let jobs = match v.get("jobs") {
-                None | Some(Json::Null) => 1,
-                Some(j) => j
-                    .as_u64()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "`jobs` must be a positive integer".to_string())?
-                    as usize,
-            };
             let trace = match v.get("trace") {
                 None | Some(Json::Null) => None,
                 Some(t) => {
@@ -306,7 +296,7 @@ pub fn parse_request(payload: &str) -> Result<Request, String> {
             };
             Ok(Request::Infer {
                 id,
-                infer: InferRequest { program, func, deadline_ms, tests, jobs, trace },
+                infer: InferRequest { program, func, deadline_ms, tests, trace },
             })
         }
         Some(other) => Err(format!("unknown verb `{other}`")),
@@ -354,11 +344,8 @@ pub fn render_trace_context(ctx: &TraceContext) -> String {
 
 /// Renders an `infer` request.
 pub fn render_infer(id: Option<&str>, req: &InferRequest) -> String {
-    let mut b = ObjBuilder::new()
-        .str("verb", "infer")
-        .opt_str("id", id)
-        .str("program", &req.program)
-        .u64("jobs", req.jobs as u64);
+    let mut b =
+        ObjBuilder::new().str("verb", "infer").opt_str("id", id).str("program", &req.program);
     if let Some(f) = &req.func {
         b = b.str("func", f);
     }
@@ -442,7 +429,6 @@ mod tests {
             func: Some("f".to_string()),
             deadline_ms: Some(250),
             tests: Some(40),
-            jobs: 2,
             trace: None,
         };
         let Request::Infer { id, infer } = parse_request(&render_infer(Some("r1"), &req)).unwrap()
@@ -454,8 +440,10 @@ mod tests {
         assert_eq!(infer.func, req.func);
         assert_eq!(infer.deadline_ms, Some(250));
         assert_eq!(infer.tests, Some(40));
-        assert_eq!(infer.jobs, 2);
         assert_eq!(infer.trace, None);
+        // Unknown fields are ignored, so an older client's `jobs` still parses.
+        let old = "{\"verb\":\"infer\",\"program\":\"fn\",\"jobs\":0}";
+        assert!(matches!(parse_request(old), Ok(Request::Infer { .. })));
         assert!(matches!(parse_request(&render_ping(None)).unwrap(), Request::Ping { id: None }));
         assert!(matches!(parse_request(&render_stats(None)).unwrap(), Request::Stats { .. }));
         assert!(matches!(parse_request(&render_metrics(None)).unwrap(), Request::Metrics { .. }));
@@ -473,7 +461,6 @@ mod tests {
             func: None,
             deadline_ms: None,
             tests: None,
-            jobs: 1,
             trace: Some(ctx.clone()),
         };
         let Request::Infer { infer, .. } = parse_request(&render_infer(None, &req)).unwrap() else {
@@ -548,7 +535,6 @@ mod tests {
             "{\"verb\":\"nope\"}",
             "{\"verb\":\"infer\"}",
             "{\"verb\":\"infer\",\"program\":7}",
-            "{\"verb\":\"infer\",\"program\":\"fn\",\"jobs\":0}",
             "{\"verb\":\"infer\",\"program\":\"fn\",\"deadline_ms\":-4}",
             "not json",
         ] {

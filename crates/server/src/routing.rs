@@ -16,7 +16,7 @@
 //! it forever), which is why it is FNV-1a in `solver::canon` rather than
 //! `DefaultHasher`.
 
-use minilang::{func_to_string, rename_idents};
+use minilang::canonical_func_string;
 
 /// A resolved canonical method.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,18 +34,8 @@ pub struct CanonicalMethod {
 /// function, empty program).
 pub fn canonical_method(program: &str, func: Option<&str>) -> Result<CanonicalMethod, String> {
     let typed = minilang::compile(program)?;
-    let f = match func {
-        Some(name) => typed
-            .program()
-            .funcs
-            .iter()
-            .find(|f| f.name == name)
-            .ok_or_else(|| format!("no function `{name}` in program"))?,
-        None => typed.program().funcs.first().ok_or("program has no functions")?,
-    };
-    let renames: Vec<(String, String)> =
-        f.params.iter().enumerate().map(|(i, p)| (p.name.clone(), format!("%{i}"))).collect();
-    Ok(CanonicalMethod { func: f.name.clone(), canon: rename_idents(&func_to_string(f), &renames) })
+    let f = typed.program().entry(func, "program")?;
+    Ok(CanonicalMethod { func: f.name.clone(), canon: canonical_func_string(f) })
 }
 
 /// The shard index an `infer` request routes to. Uncompilable programs

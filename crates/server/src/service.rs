@@ -15,7 +15,7 @@ use minilang::CheckId;
 use obs::json::ObjBuilder;
 use preinfer_core::{Inference, MethodRun, SummaryBuildConfig, SummaryTable};
 use solver::{Deadline, IncrementalCounters, SolverCache, TierCounters};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 use testgen::TestGenConfig;
 
@@ -63,16 +63,6 @@ pub struct ServiceError {
     pub message: String,
 }
 
-/// A request's `jobs`, clamped to the host's available parallelism. The
-/// run uses it for both the per-ACL and the per-failing-path fan-out, so
-/// an unclamped request could start `jobs²` threads behind one admission
-/// slot, around `--workers` and admission control.
-fn clamp_jobs(requested: usize) -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let cores = CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    requested.clamp(1, *cores)
-}
-
 /// Runs one `infer` request to completion. `deadline` must already be
 /// running (the clock starts at admission, so queue wait counts against
 /// the request's budget). `trace` is an observation-only sink (the daemon
@@ -93,26 +83,12 @@ pub fn run_infer(
     let start = Instant::now();
     let program = minilang::compile(&req.program)
         .map_err(|e| ServiceError { code: ErrorCode::CompileError, message: e.to_string() })?;
-    let func_name = match &req.func {
-        Some(name) => {
-            if program.func(name).is_none() {
-                return Err(ServiceError {
-                    code: ErrorCode::BadRequest,
-                    message: format!("no function `{name}` in program"),
-                });
-            }
-            name.clone()
-        }
-        None => match program.program().funcs.first() {
-            Some(f) => f.name.clone(),
-            None => {
-                return Err(ServiceError {
-                    code: ErrorCode::BadRequest,
-                    message: "program has no functions".to_string(),
-                })
-            }
-        },
-    };
+    let func_name = program
+        .program()
+        .entry(req.func.as_deref(), "program")
+        .map_err(|message| ServiceError { code: ErrorCode::BadRequest, message })?
+        .name
+        .clone();
 
     let mut tg = TestGenConfig::default();
     if let Some(n) = req.tests {
@@ -127,7 +103,7 @@ pub fn run_infer(
             trace.clone(),
             tiers.clone(),
             incremental.clone(),
-            clamp_jobs(req.jobs),
+            1,
         )
     };
     // Summary mode builds (or re-resolves from the shared table) the
@@ -212,7 +188,6 @@ mod tests {
             func: None,
             deadline_ms: None,
             tests: None,
-            jobs: 1,
             trace: None,
         }
     }
@@ -241,15 +216,6 @@ mod tests {
         let snap = inc.snapshot();
         assert!(snap.sessions > 0, "incremental sessions flowed through the service");
         assert!(snap.queries > 0, "session queries were counted");
-    }
-
-    #[test]
-    fn jobs_are_clamped_to_the_hosts_parallelism() {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        assert_eq!(clamp_jobs(1), 1);
-        assert_eq!(clamp_jobs(cores), cores);
-        assert_eq!(clamp_jobs(usize::MAX), cores);
-        assert_eq!(clamp_jobs(0), 1);
     }
 
     #[test]

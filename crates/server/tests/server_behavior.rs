@@ -18,7 +18,6 @@ fn infer_req(deadline_ms: Option<u64>) -> InferRequest {
         func: Some("f".to_string()),
         deadline_ms,
         tests: None,
-        jobs: 1,
         trace: None,
     }
 }
@@ -236,7 +235,6 @@ fn oversized_allocation_is_answered_and_the_worker_serves_on() {
         func: Some(func.to_string()),
         deadline_ms: None,
         tests: None,
-        jobs: 1,
         trace: None,
     };
 

@@ -33,7 +33,6 @@ fn served_psis_match_offline_for_the_whole_corpus() {
             func: Some(m.name.to_string()),
             deadline_ms: None,
             tests: None,
-            jobs: 1,
             trace: None,
         };
         let resp = cl.infer(&req).expect("infer round-trip");
@@ -51,7 +50,6 @@ fn served_psis_match_offline_for_the_whole_corpus() {
             func: Some(m.name.to_string()),
             deadline_ms: None,
             tests: None,
-            jobs: 1,
             trace: None,
         };
         let resp = cl.infer(&req).expect("infer round-trip (warm)");

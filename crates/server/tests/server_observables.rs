@@ -45,7 +45,6 @@ fn infer_guarded_div(cl: &mut Client) {
             func: Some(m.name.to_string()),
             deadline_ms: None,
             tests: None,
-            jobs: 1,
             trace: None,
         })
         .expect("infer round-trip");

@@ -253,7 +253,6 @@ fn wide_pipelined_fan_in_answers_every_request_once() {
         func: Some(subject.name.to_string()),
         deadline_ms: None,
         tests: None,
-        jobs: 1,
         trace: None,
     };
 

@@ -11,6 +11,8 @@ use server::{
     offline_psis, served_psis, Client, InferRequest, Router, RouterConfig, Server, ServerConfig,
 };
 use std::collections::HashMap;
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn start_shard() -> Server {
     Server::start(ServerConfig { workers: 1, ..ServerConfig::default() })
@@ -41,7 +43,6 @@ fn infer_req(m: &subjects::SubjectMethod) -> InferRequest {
         func: Some(m.name.to_string()),
         deadline_ms: None,
         tests: None,
-        jobs: 1,
         trace: None,
     }
 }
@@ -141,7 +142,7 @@ fn dead_shard_yields_typed_upstream_unavailable() {
     shard0.handle().shutdown();
     shard0.join();
     // Give the router a beat to observe the EOFs on its pooled conns.
-    std::thread::sleep(std::time::Duration::from_millis(300));
+    std::thread::sleep(Duration::from_millis(300));
 
     let resp = cl.infer(&infer_req(dead_subject)).expect("typed error round-trip");
     assert_eq!(resp.str_field("error"), Some("upstream_unavailable"));
@@ -186,7 +187,7 @@ fn requests_routed_just_after_a_shard_idle_close_succeed() {
         let t0 = std::time::Instant::now();
         while idle_closed() == before {
             assert!(t0.elapsed().as_secs() < 5, "round {round}: the shard never idle-closed");
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::sleep(Duration::from_millis(1));
         }
         let resp = cl.infer(&infer_req(subject)).expect("infer round-trip");
         assert!(served_psis(&resp).is_some(), "round {round}: {resp:?}");
@@ -459,4 +460,49 @@ fn pipelined_requests_are_answered_by_id() {
         s.handle().shutdown();
         s.join();
     }
+}
+
+/// The router half of the oversized-allocation regression: test generation
+/// finds `n = 2^60 + 1`, past `interp::MAX_ARRAY_CELLS`, so the executors
+/// end that run out of fuel; the one-worker shard behind the router
+/// answers it, serves the next request, and both processes drain.
+#[test]
+fn oversized_allocation_through_the_router_is_answered_and_the_shard_serves_on() {
+    const HUGE_ALLOC: &str = "fn f(n int) -> int {
+        if (n > 1152921504606846976) { let a = new_int_array(n); return len(a); }
+        return 0;
+    }";
+    let shard = start_shard();
+    let router = start_router(&[&shard]);
+    let mut cl = Client::connect(&router.local_addr().to_string()).expect("connect router");
+    // A lost worker never answers: fail within a minute instead of hanging.
+    cl.stream_mut().set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+
+    let huge = InferRequest {
+        program: HUGE_ALLOC.to_string(),
+        func: Some("f".to_string()),
+        deadline_ms: None,
+        tests: None,
+        trace: None,
+    };
+    let resp = cl.infer(&huge).expect("oversized-allocation round-trip");
+    assert_eq!(resp.get("ok").and_then(|v| v.as_bool()), Some(true), "{resp:?}");
+
+    let m = subjects::all_subjects()
+        .into_iter()
+        .find(|m| m.name == "guarded_div")
+        .expect("guarded_div subject");
+    let resp = cl.infer(&infer_req(&m)).expect("follow-up round-trip");
+    assert_eq!(served_psis(&resp), Some(offline_psis(&m.compile(), m.name)), "{resp:?}");
+
+    let (tx, rx) = mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        router.handle().shutdown();
+        router.join();
+        shard.handle().shutdown();
+        shard.join();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(60)).expect("drain wedged: join() did not return");
+    joiner.join().unwrap();
 }

@@ -14,7 +14,6 @@ fn infer_req(program: &str, func: &str) -> InferRequest {
         func: Some(func.to_string()),
         deadline_ms: None,
         tests: None,
-        jobs: 1,
         trace: None,
     }
 }

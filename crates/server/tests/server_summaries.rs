@@ -42,7 +42,6 @@ fn req_for(program: &str, func: &str) -> InferRequest {
         func: Some(func.to_string()),
         deadline_ms: None,
         tests: None,
-        jobs: 1,
         trace: None,
     }
 }

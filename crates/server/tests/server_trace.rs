@@ -14,7 +14,6 @@ fn motivating_request() -> InferRequest {
         func: Some(m.name.to_string()),
         deadline_ms: None,
         tests: None,
-        jobs: 1,
         trace: None,
     }
 }

@@ -18,10 +18,9 @@
 use crate::backend::BackendKind;
 use crate::theory::{FuncSig, SolveResult, SolverConfig};
 use minilang::{InputValue, MethodEntryState, Ty};
-use std::collections::HashMap;
 use symbolic::linform::{canon_cpred, CPred, CanonPred};
 use symbolic::pred::Pred;
-use symbolic::term::{Place, PlaceNode, SymVar, SymVarNode, Term, TermNode};
+use symbolic::{Renamer, Rewrite};
 
 /// The canonical form of one solver query: the cache key.
 ///
@@ -101,9 +100,8 @@ pub struct CanonQuery {
 /// The α-renaming of one signature to positional placeholders.
 #[derive(Debug, Clone)]
 pub(crate) struct Renaming {
-    /// Caller name → placeholder name.
-    pub(crate) map: HashMap<String, String>,
-    /// `(caller name, placeholder name)` pairs in signature order.
+    /// `(caller name, placeholder name)` pairs in signature order: the
+    /// renaming [`Renamer`] applies, read backwards for models.
     pub(crate) back: Vec<(String, String)>,
     /// Parameter types in signature order.
     pub(crate) tys: Vec<Ty>,
@@ -113,24 +111,21 @@ pub(crate) struct Renaming {
 
 impl Renaming {
     pub(crate) fn of(sig: &FuncSig) -> Renaming {
-        let mut map = HashMap::new();
         let mut back = Vec::new();
         let mut tys = Vec::new();
         for (i, (name, ty)) in sig.params().enumerate() {
-            let placeholder = format!("%{i}");
-            map.insert(name.to_string(), placeholder.clone());
-            back.push((name.to_string(), placeholder));
+            back.push((name.to_string(), format!("%{i}")));
             tys.push(ty);
         }
         let canon_sig =
             FuncSig::from_pairs(back.iter().map(|(_, ph)| ph.clone()).zip(tys.iter().copied()));
-        Renaming { map, back, tys, canon_sig }
+        Renaming { back, tys, canon_sig }
     }
 
     /// Canonicalizes one predicate under this renaming, straight to its
     /// interned handle.
     pub(crate) fn canon_one(&self, p: &Pred) -> CPred {
-        canon_cpred(&rename_pred(p, &self.map))
+        canon_cpred(&Renamer(&self.back).rewrite_pred(p))
     }
 }
 
@@ -209,65 +204,6 @@ impl CanonQuery {
     }
 }
 
-// ---- α-renaming -------------------------------------------------------------
-
-fn rename_str(name: &str, map: &HashMap<String, String>) -> String {
-    map.get(name).cloned().unwrap_or_else(|| name.to_string())
-}
-
-fn rename_place(p: &Place, map: &HashMap<String, String>) -> Place {
-    match p.node() {
-        PlaceNode::Param(name) => PlaceNode::Param(rename_str(name, map)).intern(),
-        PlaceNode::Elem(base, ix) => {
-            PlaceNode::Elem(rename_place(base, map), rename_term(ix, map)).intern()
-        }
-    }
-}
-
-fn rename_symvar(v: &SymVar, map: &HashMap<String, String>) -> SymVar {
-    match v.node() {
-        SymVarNode::Int(name) => SymVarNode::Int(rename_str(name, map)).intern(),
-        SymVarNode::Len(p) => SymVarNode::Len(rename_place(p, map)).intern(),
-        SymVarNode::IntElem(p, ix) => {
-            SymVarNode::IntElem(rename_place(p, map), rename_term(ix, map)).intern()
-        }
-        SymVarNode::Char(p, ix) => {
-            SymVarNode::Char(rename_place(p, map), rename_term(ix, map)).intern()
-        }
-    }
-}
-
-// Structure-preserving: renaming must not fold or normalize, so it rebuilds
-// through the raw node constructors rather than the folding builders.
-fn rename_term(t: &Term, map: &HashMap<String, String>) -> Term {
-    match t.node() {
-        TermNode::Const(_) => *t,
-        TermNode::Var(v) => TermNode::Var(rename_symvar(v, map)).intern(),
-        TermNode::Add(a, b) => TermNode::Add(rename_term(a, map), rename_term(b, map)).intern(),
-        TermNode::Sub(a, b) => TermNode::Sub(rename_term(a, map), rename_term(b, map)).intern(),
-        TermNode::Neg(a) => TermNode::Neg(rename_term(a, map)).intern(),
-        TermNode::Mul(k, a) => TermNode::Mul(*k, rename_term(a, map)).intern(),
-        TermNode::Div(a, k) => TermNode::Div(rename_term(a, map), *k).intern(),
-        TermNode::Rem(a, k) => TermNode::Rem(rename_term(a, map), *k).intern(),
-    }
-}
-
-fn rename_pred(p: &Pred, map: &HashMap<String, String>) -> Pred {
-    match p {
-        Pred::Cmp(op, a, b) => Pred::Cmp(*op, rename_term(a, map), rename_term(b, map)),
-        Pred::Null { place, positive } => {
-            Pred::Null { place: rename_place(place, map), positive: *positive }
-        }
-        Pred::BoolVar { name, positive } => {
-            Pred::BoolVar { name: rename_str(name, map), positive: *positive }
-        }
-        Pred::IsSpace { arg, positive } => {
-            Pred::IsSpace { arg: rename_term(arg, map), positive: *positive }
-        }
-        Pred::Const(b) => Pred::Const(*b),
-    }
-}
-
 /// Stable FNV-1a 64-bit hash of a canonical method rendering: the serving
 /// router's key-affinity function.
 ///
@@ -298,6 +234,7 @@ pub fn affinity_hash(canonical: &str) -> u64 {
 mod tests {
     use super::*;
     use symbolic::pred::CmpOp;
+    use symbolic::term::Term;
 
     fn sig_ab() -> FuncSig {
         FuncSig::from_pairs([("a", Ty::Int), ("b", Ty::Int)])

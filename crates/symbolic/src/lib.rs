@@ -30,6 +30,7 @@ pub mod linform;
 pub mod path;
 pub mod pred;
 pub mod rename;
+pub mod rewrite;
 pub mod spec;
 pub mod term;
 
@@ -41,7 +42,8 @@ pub use linform::{
 };
 pub use path::{EntryKind, PathCondition, PathEntry, PathOutcome};
 pub use pred::{CmpOp, Pred, SPACE_CODES};
-pub use rename::{apply_actuals, rename_formula, ActualBinding};
+pub use rename::{apply_actuals, rename_formula, ActualBinding, Renamer};
+pub use rewrite::Rewrite;
 pub use spec::{parse_spec, parse_spec_with_sig, SpecError};
 pub use term::{
     arena_sizes, Place, PlaceId, PlaceNode, SymVar, SymVarId, SymVarNode, Term, TermId, TermNode,

@@ -1,8 +1,7 @@
-//! Whole-formula structural rewrites for interprocedural summaries.
-//!
-//! Two operations, both structure-preserving (they rebuild interned nodes
-//! via the `intern()` seams, never through the folding builders, so a
-//! rewritten formula displays exactly like the original modulo names):
+//! Whole-formula rewrites for interprocedural summaries, and the
+//! α-renaming the solver's cache keys share. Both are [`Rewrite`] hook
+//! sets over the one structure-preserving traversal, so a rewritten
+//! formula displays exactly like the original modulo names:
 //!
 //! * [`rename_formula`] — α-renaming of parameter names, used when a
 //!   callee's inferred ψ (over its own parameter names) is stored in the
@@ -15,90 +14,39 @@
 
 use crate::formula::Formula;
 use crate::pred::Pred;
-use crate::term::{Place, PlaceNode, SymVar, SymVarNode, Term, TermNode};
+use crate::rewrite::Rewrite;
+use crate::term::{Place, Term};
+
+/// α-renaming by `(from, to)` pairs: integer variables, reference place
+/// roots and boolean variables named `from` become `to`.
+pub struct Renamer<'m>(pub &'m [(String, String)]);
+
+impl Renamer<'_> {
+    fn to(&self, name: &str) -> Option<&str> {
+        self.0.iter().find(|(from, _)| from == name).map(|(_, to)| to.as_str())
+    }
+}
+
+impl Rewrite for Renamer<'_> {
+    fn int_var(&mut self, name: &str) -> Option<Term> {
+        self.to(name).map(Term::var)
+    }
+
+    fn param_place(&mut self, name: &str) -> Option<Place> {
+        self.to(name).map(Place::param)
+    }
+
+    fn bool_var(&mut self, name: &str, positive: bool) -> Option<Pred> {
+        self.to(name).map(|to| Pred::BoolVar { name: to.to_string(), positive })
+    }
+}
 
 /// Renames parameter names throughout a formula: integer variables,
 /// reference place roots, and boolean variables whose name appears in
 /// `map` are rewritten to the mapped name. Quantifier-bound variables
 /// shadow map entries of the same name.
 pub fn rename_formula(f: &Formula, map: &[(String, String)]) -> Formula {
-    match f {
-        Formula::Pred(p) => Formula::Pred(rename_pred(p, map)),
-        Formula::Not(inner) => Formula::Not(Box::new(rename_formula(inner, map))),
-        Formula::And(parts) => Formula::And(parts.iter().map(|p| rename_formula(p, map)).collect()),
-        Formula::Or(parts) => Formula::Or(parts.iter().map(|p| rename_formula(p, map)).collect()),
-        Formula::Implies(a, b) => {
-            Formula::Implies(Box::new(rename_formula(a, map)), Box::new(rename_formula(b, map)))
-        }
-        Formula::Quant { q, var, body } => {
-            let shadowed: Vec<(String, String)> =
-                map.iter().filter(|(from, _)| from != var).cloned().collect();
-            Formula::Quant {
-                q: *q,
-                var: var.clone(),
-                body: Box::new(rename_formula(body, &shadowed)),
-            }
-        }
-    }
-}
-
-fn rename_pred(p: &Pred, map: &[(String, String)]) -> Pred {
-    let lookup = |name: &str| map.iter().find(|(from, _)| from == name).map(|(_, to)| to.clone());
-    match p {
-        Pred::Cmp(op, a, b) => Pred::Cmp(*op, rename_term(a, map), rename_term(b, map)),
-        Pred::Null { place, positive } => {
-            Pred::Null { place: rename_place(place, map), positive: *positive }
-        }
-        Pred::BoolVar { name, positive } => match lookup(name) {
-            Some(to) => Pred::BoolVar { name: to, positive: *positive },
-            None => p.clone(),
-        },
-        Pred::IsSpace { arg, positive } => {
-            Pred::IsSpace { arg: rename_term(arg, map), positive: *positive }
-        }
-        Pred::Const(_) => p.clone(),
-    }
-}
-
-fn rename_term(t: &Term, map: &[(String, String)]) -> Term {
-    match t.node() {
-        TermNode::Const(_) => *t,
-        TermNode::Var(v) => TermNode::Var(rename_symvar(v, map)).intern(),
-        TermNode::Add(a, b) => TermNode::Add(rename_term(a, map), rename_term(b, map)).intern(),
-        TermNode::Sub(a, b) => TermNode::Sub(rename_term(a, map), rename_term(b, map)).intern(),
-        TermNode::Neg(a) => TermNode::Neg(rename_term(a, map)).intern(),
-        TermNode::Mul(k, a) => TermNode::Mul(*k, rename_term(a, map)).intern(),
-        TermNode::Div(a, k) => TermNode::Div(rename_term(a, map), *k).intern(),
-        TermNode::Rem(a, k) => TermNode::Rem(rename_term(a, map), *k).intern(),
-    }
-}
-
-fn rename_symvar(v: &SymVar, map: &[(String, String)]) -> SymVar {
-    match v.node() {
-        SymVarNode::Int(name) => match map.iter().find(|(from, _)| from == name) {
-            Some((_, to)) => SymVarNode::Int(to.clone()).intern(),
-            None => *v,
-        },
-        SymVarNode::Len(place) => SymVarNode::Len(rename_place(place, map)).intern(),
-        SymVarNode::IntElem(place, ix) => {
-            SymVarNode::IntElem(rename_place(place, map), rename_term(ix, map)).intern()
-        }
-        SymVarNode::Char(place, ix) => {
-            SymVarNode::Char(rename_place(place, map), rename_term(ix, map)).intern()
-        }
-    }
-}
-
-fn rename_place(p: &Place, map: &[(String, String)]) -> Place {
-    match p.node() {
-        PlaceNode::Param(name) => match map.iter().find(|(from, _)| from == name) {
-            Some((_, to)) => PlaceNode::Param(to.clone()).intern(),
-            None => *p,
-        },
-        PlaceNode::Elem(base, ix) => {
-            PlaceNode::Elem(rename_place(base, map), rename_term(ix, map)).intern()
-        }
-    }
+    Renamer(map).rewrite_formula(f)
 }
 
 /// What a callee parameter is bound to at a call site, for
@@ -122,102 +70,40 @@ pub enum ActualBinding {
 /// `%0[k] == null` becomes `a[k] == null`); boolean parameters become the
 /// origin variable, or a constant truth when the actual carries no origin.
 pub fn apply_actuals(f: &Formula, actuals: &[ActualBinding]) -> Formula {
-    match f {
-        Formula::Pred(p) => Formula::Pred(apply_pred(p, actuals)),
-        Formula::Not(inner) => Formula::Not(Box::new(apply_actuals(inner, actuals))),
-        Formula::And(parts) => {
-            Formula::And(parts.iter().map(|p| apply_actuals(p, actuals)).collect())
-        }
-        Formula::Or(parts) => {
-            Formula::Or(parts.iter().map(|p| apply_actuals(p, actuals)).collect())
-        }
-        Formula::Implies(a, b) => Formula::Implies(
-            Box::new(apply_actuals(a, actuals)),
-            Box::new(apply_actuals(b, actuals)),
-        ),
-        // Canonical parameters are `%i`, which can never collide with a
-        // quantifier-bound variable (those are plain identifiers), so no
-        // shadowing filter is needed.
-        Formula::Quant { q, var, body } => {
-            Formula::Quant { q: *q, var: var.clone(), body: Box::new(apply_actuals(body, actuals)) }
-        }
+    Actuals(actuals).rewrite_formula(f)
+}
+
+/// The [`apply_actuals`] hook set: `%i` resolves to binding `i`.
+struct Actuals<'a>(&'a [ActualBinding]);
+
+impl Actuals<'_> {
+    fn binding(&self, name: &str) -> Option<&ActualBinding> {
+        name.strip_prefix('%').and_then(|d| d.parse().ok()).and_then(|i: usize| self.0.get(i))
     }
 }
 
-/// Parses `%i` placeholder names to their positional index.
-fn placeholder_index(name: &str) -> Option<usize> {
-    name.strip_prefix('%').and_then(|d| d.parse().ok())
-}
-
-fn apply_pred(p: &Pred, actuals: &[ActualBinding]) -> Pred {
-    match p {
-        Pred::Cmp(op, a, b) => Pred::Cmp(*op, apply_term(a, actuals), apply_term(b, actuals)),
-        Pred::Null { place, positive } => {
-            Pred::Null { place: apply_place(place, actuals), positive: *positive }
+impl Rewrite for Actuals<'_> {
+    fn int_var(&mut self, name: &str) -> Option<Term> {
+        match self.binding(name) {
+            Some(ActualBinding::Int(term)) => Some(*term),
+            _ => None,
         }
-        Pred::BoolVar { name, positive } => {
-            match placeholder_index(name).and_then(|i| actuals.get(i)) {
-                Some(ActualBinding::Bool { origin: Some(orig), .. }) => {
-                    Pred::BoolVar { name: orig.clone(), positive: *positive }
-                }
-                Some(ActualBinding::Bool { origin: None, value }) => {
-                    Pred::Const(*value == *positive)
-                }
-                _ => p.clone(),
+    }
+
+    fn param_place(&mut self, name: &str) -> Option<Place> {
+        match self.binding(name) {
+            Some(ActualBinding::Ref(origin)) => Some(*origin),
+            _ => None,
+        }
+    }
+
+    fn bool_var(&mut self, name: &str, positive: bool) -> Option<Pred> {
+        match self.binding(name)? {
+            ActualBinding::Bool { origin: Some(orig), .. } => {
+                Some(Pred::BoolVar { name: orig.clone(), positive })
             }
-        }
-        Pred::IsSpace { arg, positive } => {
-            Pred::IsSpace { arg: apply_term(arg, actuals), positive: *positive }
-        }
-        Pred::Const(_) => p.clone(),
-    }
-}
-
-fn apply_term(t: &Term, actuals: &[ActualBinding]) -> Term {
-    match t.node() {
-        TermNode::Const(_) => *t,
-        TermNode::Var(v) => apply_symvar(v, actuals),
-        TermNode::Add(a, b) => {
-            TermNode::Add(apply_term(a, actuals), apply_term(b, actuals)).intern()
-        }
-        TermNode::Sub(a, b) => {
-            TermNode::Sub(apply_term(a, actuals), apply_term(b, actuals)).intern()
-        }
-        TermNode::Neg(a) => TermNode::Neg(apply_term(a, actuals)).intern(),
-        TermNode::Mul(k, a) => TermNode::Mul(*k, apply_term(a, actuals)).intern(),
-        TermNode::Div(a, k) => TermNode::Div(apply_term(a, actuals), *k).intern(),
-        TermNode::Rem(a, k) => TermNode::Rem(apply_term(a, actuals), *k).intern(),
-    }
-}
-
-fn apply_symvar(v: &SymVar, actuals: &[ActualBinding]) -> Term {
-    match v.node() {
-        SymVarNode::Int(name) => match placeholder_index(name).and_then(|i| actuals.get(i)) {
-            Some(ActualBinding::Int(term)) => *term,
-            _ => TermNode::Var(*v).intern(),
-        },
-        SymVarNode::Len(place) => {
-            TermNode::Var(SymVarNode::Len(apply_place(place, actuals)).intern()).intern()
-        }
-        SymVarNode::IntElem(place, ix) => TermNode::Var(
-            SymVarNode::IntElem(apply_place(place, actuals), apply_term(ix, actuals)).intern(),
-        )
-        .intern(),
-        SymVarNode::Char(place, ix) => TermNode::Var(
-            SymVarNode::Char(apply_place(place, actuals), apply_term(ix, actuals)).intern(),
-        )
-        .intern(),
-    }
-}
-
-fn apply_place(p: &Place, actuals: &[ActualBinding]) -> Place {
-    match p.node() {
-        PlaceNode::Param(name) => match placeholder_index(name).and_then(|i| actuals.get(i)) {
-            Some(ActualBinding::Ref(origin)) => *origin,
-            _ => *p,
-        },
-        PlaceNode::Elem(base, ix) => {
-            PlaceNode::Elem(apply_place(base, actuals), apply_term(ix, actuals)).intern()
+            ActualBinding::Bool { origin: None, value } => Some(Pred::Const(*value == positive)),
+            _ => None,
         }
     }
 }

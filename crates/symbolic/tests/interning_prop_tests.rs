@@ -12,12 +12,20 @@
 //!    original handle or on an independently re-interned copy of the same
 //!    structure — interning is invisible to every consumer.
 //!
+//! A third claim rests on them: the structure-preserving [`Rewrite`]
+//! traversal never folds, so a rewrite that changes nothing, or a renaming
+//! undone by its inverse, returns the original handles. The strategies
+//! therefore also build unfolded shapes (`x + 0`, `-(-x)`, `1 * x`) that a
+//! folding rebuild would collapse.
+//!
 //! The rebuilders below deliberately go through the raw `.intern()` node
 //! constructors (no folding) so each property exercises the dedup map
 //! rather than the builder normalizations.
 
 use proptest::prelude::*;
-use symbolic::{canon_pred, CmpOp, Place, PlaceNode, Pred, SymVar, SymVarNode, Term, TermNode};
+use symbolic::{
+    canon_pred, CmpOp, Place, PlaceNode, Pred, Renamer, Rewrite, SymVar, SymVarNode, Term, TermNode,
+};
 
 fn rebuild_place(p: &Place) -> Place {
     match p.node() {
@@ -67,7 +75,8 @@ fn rebuild_pred(p: &Pred) -> Pred {
 }
 
 /// Small terms over x, y and one array `a` — same shape space as the
-/// symbolic layer's other property tests.
+/// symbolic layer's other property tests — built both through the folding
+/// builders and through the raw constructors.
 fn term_strategy() -> impl Strategy<Value = Term> {
     let leaf = prop_oneof![
         (-20i64..=20).prop_map(Term::int),
@@ -84,7 +93,15 @@ fn term_strategy() -> impl Strategy<Value = Term> {
             (inner.clone(), -4i64..=4).prop_map(|(a, k)| a.mul(k)),
             (inner.clone(), prop_oneof![Just(-3i64), Just(2), Just(5)]).prop_map(|(a, k)| a.div(k)),
             (inner.clone(), prop_oneof![Just(2i64), Just(7)]).prop_map(|(a, k)| a.rem(k)),
-            inner.prop_map(|a| a.neg()),
+            inner.clone().prop_map(|a| a.neg()),
+            inner.clone().prop_map(|i| Term::int_elem(Place::param("a"), i)),
+            // Unfolded shapes, one per node kind the builders fold.
+            inner.clone().prop_map(|a| TermNode::Add(a, Term::int(0)).intern()),
+            inner.clone().prop_map(|a| TermNode::Sub(a, Term::int(0)).intern()),
+            inner.clone().prop_map(|a| TermNode::Mul(1, a).intern()),
+            inner.prop_map(|a| TermNode::Neg(TermNode::Neg(a).intern()).intern()),
+            (-20i64..=20).prop_map(|c| TermNode::Div(Term::int(c), 2).intern()),
+            (-20i64..=20).prop_map(|c| TermNode::Rem(Term::int(c), 7).intern()),
         ]
     })
 }
@@ -101,9 +118,39 @@ fn pred_strategy() -> impl Strategy<Value = Pred> {
     prop_oneof![
         (cmp, term_strategy(), term_strategy()).prop_map(|(op, a, b)| Pred::cmp(op, a, b)),
         proptest::bool::ANY.prop_map(|p| Pred::Null { place: Place::param("a"), positive: p }),
+        (term_strategy(), proptest::bool::ANY).prop_map(|(i, p)| Pred::Null {
+            place: Place::elem_at(Place::param("a"), i),
+            positive: p
+        }),
+        (prop_oneof![Just("x"), Just("y")], proptest::bool::ANY)
+            .prop_map(|(n, p)| Pred::BoolVar { name: n.to_string(), positive: p }),
         (term_strategy(), proptest::bool::ANY)
             .prop_map(|(t, p)| Pred::IsSpace { arg: t, positive: p }),
     ]
+}
+
+/// The hook set whose every hook declines.
+struct Identity;
+
+impl Rewrite for Identity {}
+
+/// The strategies' names.
+const NAMES: [&str; 3] = ["x", "y", "a"];
+
+/// The `k`-th permutation (of six) of [`NAMES`], as `(from, to)` pairs.
+fn permutation(k: usize) -> Vec<(String, String)> {
+    const ORDERS: [[usize; 3]; 6] =
+        [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+    NAMES
+        .iter()
+        .zip(ORDERS[k])
+        .map(|(from, to)| (from.to_string(), NAMES[to].to_string()))
+        .collect()
+}
+
+/// The inverse of a renaming.
+fn inverse(map: &[(String, String)]) -> Vec<(String, String)> {
+    map.iter().map(|(from, to)| (to.clone(), from.clone())).collect()
 }
 
 proptest! {
@@ -157,5 +204,34 @@ proptest! {
         let c2 = canon_pred(&rebuild_pred(&p));
         prop_assert_eq!(&c1, &c2);
         prop_assert_eq!(c1.intern(), c2.intern());
+    }
+
+    /// The identity rewrite rebuilds every node to the same interned
+    /// handle, for terms and predicates alike.
+    #[test]
+    fn identity_rewrite_returns_the_same_handles(t in term_strategy(), p in pred_strategy()) {
+        let Pred::Cmp(_, r, _) = Identity.rewrite_pred(&Pred::Cmp(CmpOp::Eq, t, t)) else {
+            unreachable!("a comparison rewrites to a comparison")
+        };
+        prop_assert_eq!(r.id(), t.id());
+        prop_assert_eq!(Identity.rewrite_pred(&p), p);
+    }
+
+    /// α-renaming by a permutation of the names, then by its inverse,
+    /// returns the original handles.
+    #[test]
+    fn renaming_by_a_permutation_and_back_returns_the_same_handles(
+        t in term_strategy(),
+        p in pred_strategy(),
+        k in 0usize..6,
+    ) {
+        let there = permutation(k);
+        let back = inverse(&there);
+        let round_trip = |q: &Pred| Renamer(&back).rewrite_pred(&Renamer(&there).rewrite_pred(q));
+        let Pred::Cmp(_, r, _) = round_trip(&Pred::Cmp(CmpOp::Eq, t, t)) else {
+            unreachable!("a comparison rewrites to a comparison")
+        };
+        prop_assert_eq!(r.id(), t.id());
+        prop_assert_eq!(round_trip(&p), p);
     }
 }

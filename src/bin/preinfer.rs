@@ -129,15 +129,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let func_name = match &opts.func {
-        Some(name) => {
-            if program.func(name).is_none() {
-                eprintln!("preinfer: no function `{name}` in {}", opts.path);
-                return ExitCode::FAILURE;
-            }
-            name.clone()
+    let func_name = match program.program().entry(opts.func.as_deref(), &opts.path) {
+        Ok(f) => f.name.clone(),
+        Err(e) => {
+            eprintln!("preinfer: {e}");
+            return ExitCode::FAILURE;
         }
-        None => program.program().funcs[0].name.clone(),
     };
 
     let cache = Arc::new(SolverCache::new());
