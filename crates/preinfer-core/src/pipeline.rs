@@ -148,16 +148,16 @@ pub fn infer_all_preconditions(
     acls.into_iter().zip(results).filter_map(|(acl, inf)| inf.map(|inf| (acl, inf))).collect()
 }
 
-/// One inference run of one method: test generation, pruning and the
-/// fan-out widths. [`SummaryBuildConfig::new`] is the one place a run's
-/// shared plumbing is wired; [`SummaryBuildConfig::run`] executes it. The
-/// `Default` run has no cache, deadline or sink and runs serially.
+/// One inference run of one method: test generation and pruning.
+/// [`SummaryBuildConfig::new`] is the one place a run's shared plumbing is
+/// wired; [`SummaryBuildConfig::run`] executes it. The `Default` run has no
+/// cache, deadline or sink. Every front end runs one job per method;
+/// `prune.jobs` (1 unless a caller widens it) bounds both the per-ACL and
+/// the per-failing-path fan-out.
 #[derive(Debug, Clone, Default)]
 pub struct SummaryBuildConfig {
     pub testgen: TestGenConfig,
     pub prune: PruneConfig,
-    /// Worker threads for the per-ACL inference fan-out.
-    pub jobs: usize,
     /// Apply/fallback counters installed into the resolved view — pass a
     /// shared handle to aggregate across builds (the daemon does, for its
     /// lifetime `summaries` stats); the default is a fresh per-build one.
@@ -179,8 +179,7 @@ impl SummaryBuildConfig {
     /// A run with `testgen`'s budgets and one solver cache, deadline, trace
     /// sink and set of tier and session counters shared by test generation
     /// and pruning. Pruning solves under test generation's
-    /// [`solver::SolverConfig`], and `jobs` bounds both the per-ACL and
-    /// the per-failing-path fan-out.
+    /// [`solver::SolverConfig`] and runs one job.
     pub fn new(
         mut testgen: TestGenConfig,
         cache: Option<Arc<SolverCache>>,
@@ -188,7 +187,6 @@ impl SummaryBuildConfig {
         trace: Option<Arc<obs::TraceSink>>,
         tiers: Arc<TierCounters>,
         sessions: Arc<IncrementalCounters>,
-        jobs: usize,
     ) -> SummaryBuildConfig {
         testgen.solver_cache = cache.clone();
         testgen.solver.deadline = deadline;
@@ -199,11 +197,10 @@ impl SummaryBuildConfig {
         let prune = PruneConfig {
             solver: testgen.solver.clone(),
             solver_cache: cache,
-            jobs,
             trace,
             ..PruneConfig::default()
         };
-        SummaryBuildConfig { testgen, prune, jobs, stats: Default::default() }
+        SummaryBuildConfig { testgen, prune, stats: Default::default() }
     }
 
     /// Runs `func` end to end: with a `table`, first builds the callee
@@ -237,8 +234,9 @@ impl SummaryBuildConfig {
             prune.concolic.summaries = Some(summaries);
         }
         let suite = generate_tests(program, func, &testgen);
+        let jobs = prune.jobs;
         let cfg = PreInferConfig { prune, ..PreInferConfig::default() };
-        let inferences = infer_all_preconditions(program, func, &suite, &cfg, self.jobs);
+        let inferences = infer_all_preconditions(program, func, &suite, &cfg, jobs);
         (suite, inferences)
     }
 }

@@ -232,7 +232,6 @@ pub fn evaluate_method(m: &SubjectMethod, cfg: &EvalConfig) -> MethodResult {
         sink.clone(),
         tiers.clone(),
         Default::default(),
-        1,
     );
     // Summary mode: infer each reachable callee's ψ once, bottom-up, and
     // apply ψ(actuals) at call sites instead of unrolling.

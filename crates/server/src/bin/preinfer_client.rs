@@ -20,6 +20,10 @@
 //!   without a NAME); with `--check-offline` it also runs the offline
 //!   pipeline locally and exits non-zero unless every served ψ is
 //!   byte-identical — the scriptable form of the differential test.
+//!
+//! Exit status: 0 on success; 1 when the daemon answers `"ok":false`
+//! (the reply is still printed) or cannot be reached; 2 with the usage
+//! text on a flag the command does not take or a flag without its value.
 
 use server::{offline_psis, served_psis, Client, InferRequest};
 use std::process::ExitCode;
@@ -68,24 +72,64 @@ fn parse_common() -> Common {
     Common { addr, rest }
 }
 
-fn flag_value(rest: &[String], flag: &str) -> Option<String> {
-    rest.iter().position(|a| a == flag).and_then(|i| rest.get(i + 1).cloned())
+/// One command's arguments after the command word: at most `positional`
+/// plain arguments, the flags in `valued` each with a value, and the
+/// switches in `switches`. Anything else is a usage error.
+struct Args {
+    positional: Vec<String>,
+    flags: Vec<(String, Option<String>)>,
 }
 
-fn parse_u64_flag(rest: &[String], flag: &str) -> Option<u64> {
-    flag_value(rest, flag).map(|v| v.parse().unwrap_or_else(|_| usage()))
+impl Args {
+    fn parse(rest: &[String], positional: usize, valued: &[&str], switches: &[&str]) -> Args {
+        let mut args = Args { positional: Vec::new(), flags: Vec::new() };
+        let mut it = rest.iter();
+        while let Some(a) = it.next() {
+            if valued.contains(&a.as_str()) {
+                let value = it.next().filter(|v| !v.starts_with("--")).unwrap_or_else(|| usage());
+                args.flags.push((a.clone(), Some(value.clone())));
+            } else if switches.contains(&a.as_str()) {
+                args.flags.push((a.clone(), None));
+            } else if a.starts_with("--") || args.positional.len() == positional {
+                usage();
+            } else {
+                args.positional.push(a.clone());
+            }
+        }
+        args
+    }
+
+    fn value(&self, flag: &str) -> Option<String> {
+        self.flags.iter().rev().find(|(f, _)| f == flag).and_then(|(_, v)| v.clone())
+    }
+
+    fn u64(&self, flag: &str) -> Option<u64> {
+        self.value(flag).map(|v| v.parse().unwrap_or_else(|_| usage()))
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == flag)
+    }
 }
 
 fn main() -> ExitCode {
     let c = parse_common();
+    // What each command takes: positionals, flags with a value, switches.
+    let (positional, valued, switches): (usize, &[&str], &[&str]) = match c.rest[0].as_str() {
+        "ping" | "stats" | "metrics" => (0, &[], &[]),
+        "trace" => (0, &["--last", "--request-id", "--trace-id"], &[]),
+        "infer" => (1, &["--fn", "--deadline-ms", "--tests"], &[]),
+        "corpus" => (1, &[], &["--check-offline"]),
+        _ => usage(),
+    };
+    let args = Args::parse(&c.rest[1..], positional, valued, switches);
     match c.rest[0].as_str() {
         "ping" => simple(&c.addr, |cl| cl.ping()),
         "stats" => simple(&c.addr, |cl| cl.stats()),
-        "metrics" => cmd_metrics(&c),
-        "trace" => cmd_trace(&c),
-        "infer" => cmd_infer(&c),
-        "corpus" => cmd_corpus(&c),
-        _ => usage(),
+        "metrics" => cmd_metrics(&c.addr),
+        "trace" => cmd_trace(&c.addr, &args),
+        "infer" => cmd_infer(&c.addr, &args),
+        _ => cmd_corpus(&c.addr, &args),
     }
 }
 
@@ -103,7 +147,11 @@ fn simple(
     match f(&mut cl) {
         Ok(resp) => {
             println!("{}", render(&resp));
-            ExitCode::SUCCESS
+            if resp.get("ok").and_then(|v| v.as_bool()) == Some(true) {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            }
         }
         Err(e) => {
             eprintln!("preinfer-client: {e}");
@@ -116,8 +164,8 @@ use server::json::render;
 
 /// `metrics`: print the exposition text verbatim, not re-rendered JSON —
 /// the output is meant for Prometheus tooling.
-fn cmd_metrics(c: &Common) -> ExitCode {
-    let mut cl = match Client::connect(&c.addr) {
+fn cmd_metrics(addr: &str) -> ExitCode {
+    let mut cl = match Client::connect(addr) {
         Ok(cl) => cl,
         Err(e) => {
             eprintln!("preinfer-client: {e}");
@@ -144,13 +192,9 @@ fn cmd_metrics(c: &Common) -> ExitCode {
 
 /// `trace`: summary per trace on stderr, recorded events as JSON lines on
 /// stdout (pipeable straight into `preinfer-trace -`).
-fn cmd_trace(c: &Common) -> ExitCode {
+fn cmd_trace(addr: &str, args: &Args) -> ExitCode {
     use server::TraceSelect;
-    let select = match (
-        parse_u64_flag(&c.rest, "--request-id"),
-        parse_u64_flag(&c.rest, "--last"),
-        flag_value(&c.rest, "--trace-id"),
-    ) {
+    let select = match (args.u64("--request-id"), args.u64("--last"), args.value("--trace-id")) {
         (Some(rid), None, None) => TraceSelect::ById(rid),
         (None, k, None) => TraceSelect::Last(k.unwrap_or(1).max(1)),
         // Against a router this returns the stitched multi-process trace:
@@ -158,7 +202,7 @@ fn cmd_trace(c: &Common) -> ExitCode {
         (None, None, Some(tid)) => TraceSelect::ByTraceId(tid),
         _ => usage(),
     };
-    let mut cl = match Client::connect(&c.addr) {
+    let mut cl = match Client::connect(addr) {
         Ok(cl) => cl,
         Err(e) => {
             eprintln!("preinfer-client: {e}");
@@ -205,18 +249,8 @@ fn cmd_trace(c: &Common) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn infer_request_from_flags(program: String, rest: &[String]) -> InferRequest {
-    InferRequest {
-        program,
-        func: flag_value(rest, "--fn"),
-        deadline_ms: parse_u64_flag(rest, "--deadline-ms"),
-        tests: parse_u64_flag(rest, "--tests").map(|v| v as usize),
-        trace: None,
-    }
-}
-
-fn cmd_infer(c: &Common) -> ExitCode {
-    let Some(path) = c.rest.get(1).filter(|p| !p.starts_with("--")) else { usage() };
+fn cmd_infer(addr: &str, args: &Args) -> ExitCode {
+    let Some(path) = args.positional.first() else { usage() };
     let program = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
@@ -224,13 +258,19 @@ fn cmd_infer(c: &Common) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let req = infer_request_from_flags(program, &c.rest);
-    simple(&c.addr, move |cl| cl.infer(&req))
+    let req = InferRequest {
+        program,
+        func: args.value("--fn"),
+        deadline_ms: args.u64("--deadline-ms"),
+        tests: args.u64("--tests").map(|v| v as usize),
+        trace: None,
+    };
+    simple(addr, move |cl| cl.infer(&req))
 }
 
-fn cmd_corpus(c: &Common) -> ExitCode {
-    let check_offline = c.rest.iter().any(|a| a == "--check-offline");
-    let name = c.rest.get(1).filter(|a| !a.starts_with("--")).cloned();
+fn cmd_corpus(addr: &str, args: &Args) -> ExitCode {
+    let check_offline = args.has("--check-offline");
+    let name = args.positional.first().cloned();
     let subjects: Vec<subjects::SubjectMethod> = subjects::all_subjects()
         .into_iter()
         .filter(|m| name.as_deref().map(|n| m.name == n).unwrap_or(true))
@@ -239,7 +279,7 @@ fn cmd_corpus(c: &Common) -> ExitCode {
         eprintln!("preinfer-client: no corpus subject named {:?}", name.unwrap_or_default());
         return ExitCode::FAILURE;
     }
-    let mut cl = match Client::connect(&c.addr) {
+    let mut cl = match Client::connect(addr) {
         Ok(cl) => cl,
         Err(e) => {
             eprintln!("preinfer-client: {e}");

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! preinferd [--addr HOST:PORT] [--workers N] [--queue N]
-//!           [--default-deadline-ms N] [--idle-timeout-ms N]
+//!           [--idle-timeout-ms N]
 //!           [--interproc inline|summary]
 //!           [--trace-sample N] [--slow-trace-ms N] [--trace-buffer K]
 //! ```
@@ -22,7 +22,7 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage: preinferd [--addr HOST:PORT] [--workers N] [--queue N]\n\
-         \x20                [--default-deadline-ms N] [--idle-timeout-ms N]\n\
+         \x20                [--idle-timeout-ms N]\n\
          \x20                [--interproc inline|summary]\n\
          \x20                [--trace-sample N] [--slow-trace-ms N]\n\
          \x20                [--trace-buffer K]\n\
@@ -77,10 +77,6 @@ fn parse_args() -> ServerConfig {
                     .and_then(|v| v.parse().ok())
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage())
-            }
-            "--default-deadline-ms" => {
-                cfg.default_deadline_ms =
-                    Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
             }
             "--interproc" => {
                 cfg.interproc = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())

@@ -56,8 +56,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission-queue capacity (requests waiting for a worker).
     pub queue_capacity: usize,
-    /// Deadline applied to requests that do not carry their own.
-    pub default_deadline_ms: Option<u64>,
     /// Close connections with no in-flight work that have been silent this
     /// long (typed `idle_timeout` response; 0 disables).
     pub idle_timeout_ms: u64,
@@ -81,7 +79,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2),
             queue_capacity: 64,
-            default_deadline_ms: None,
             idle_timeout_ms: 60_000,
             trace_sample: 0,
             slow_trace_ms: None,
@@ -172,7 +169,6 @@ pub(crate) struct Shared {
     pub(crate) idle_timeout: Option<Duration>,
     /// Admission counter: ids are 1-based, assigned in [`start_infer`].
     pub(crate) next_request_id: AtomicU64,
-    pub(crate) default_deadline_ms: Option<u64>,
 }
 
 /// A running daemon.
@@ -233,7 +229,6 @@ impl Server {
             idle_timeout: (cfg.idle_timeout_ms > 0)
                 .then(|| Duration::from_millis(cfg.idle_timeout_ms)),
             next_request_id: AtomicU64::new(0),
-            default_deadline_ms: cfg.default_deadline_ms,
         });
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
@@ -301,8 +296,7 @@ pub(crate) fn start_infer(
     // The admission id is assigned before the push so the job carries it;
     // rejected (overloaded) requests consume ids too.
     let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
-    let deadline_ms = request.deadline_ms.or(shared.default_deadline_ms);
-    let deadline = deadline_ms.map(Deadline::after_ms).unwrap_or_default();
+    let deadline = request.deadline_ms.map(Deadline::after_ms).unwrap_or_default();
     let job =
         Job { request_id, id: id.clone(), request, deadline, admitted_at: Instant::now(), reply };
     if shared.queue.try_push(job).is_err() {
@@ -347,8 +341,9 @@ pub(crate) fn render_trace_response(
 
 // ---- workers ----------------------------------------------------------------
 
-/// The trace id to stamp on latency exemplars: present only when the
-/// request carries a sampled cross-process trace context.
+/// The exemplar for an `infer` answered at admission (overload, drain):
+/// present only when the request carries a sampled cross-process trace
+/// context. A worker stamps the id of the trace its ring keeps instead.
 pub(crate) fn sampled_trace_id(req: &InferRequest) -> Option<&str> {
     req.trace.as_ref().filter(|c| c.sampled).map(|c| c.trace_id.as_str())
 }
@@ -366,7 +361,6 @@ fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
         let dequeued = Instant::now();
         let queue_wait = dequeued.duration_since(job.admitted_at);
-        record_latency(&shared.latency.queue_wait, queue_wait, sampled_trace_id(&job.request));
         let queue_ms = queue_wait.as_secs_f64() * 1e3;
         // Sampled requests (and all requests under a slow threshold) run
         // on a private recording sink; everyone else shares the aggregate.
@@ -374,7 +368,9 @@ fn worker_loop(shared: &Arc<Shared>) {
         // served ψ identical either way. An upstream-minted trace context
         // overrides the local policy entirely: exactly one tier decides
         // sampling, and a context-recorded sink stamps the shared trace_id
-        // so the per-process traces stitch together afterwards.
+        // so the per-process traces stitch together afterwards. A request
+        // the daemon samples itself gets a trace id minted here, as the
+        // router mints one, so `trace --trace-id` finds it too.
         let ctx = job.request.trace.clone();
         let recording = match &ctx {
             Some(c) => c.sampled,
@@ -386,7 +382,11 @@ fn worker_loop(shared: &Arc<Shared>) {
                 &c.trace_id,
                 c.parent_span_id,
             )),
-            (None, true) => Arc::new(obs::TraceSink::recording()),
+            (None, true) => Arc::new(obs::TraceSink::recording_in_trace(
+                "preinferd",
+                &crate::trace::mint_trace_id(job.request_id),
+                None,
+            )),
             (_, false) => Arc::clone(&shared.trace),
         };
         let trace = Some(Arc::clone(&sink));
@@ -421,6 +421,9 @@ fn worker_loop(shared: &Arc<Shared>) {
                 (render_error(job.id.as_deref(), e.code, &e.message), func)
             }
         };
+        // The id of the trace the ring keeps, if any: the exemplar that
+        // links this request's latency samples to it.
+        let mut exemplar = None;
         if recording {
             let queue_us = queue_wait.as_micros().min(u64::MAX as u128) as u64;
             let service_us = service_time.as_micros().min(u64::MAX as u128) as u64;
@@ -446,6 +449,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             };
             if let Some(reason) = reason {
                 let trace_id = sink.trace_id();
+                exemplar = trace_id.clone();
                 shared.ring.push(StoredTrace {
                     process: None,
                     request_id: job.request_id,
@@ -459,12 +463,10 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         }
         // The worker is the last stop that knows the request, so it
-        // records admission→completion latency.
-        record_latency(
-            &shared.latency.infer,
-            job.admitted_at.elapsed(),
-            sampled_trace_id(&job.request),
-        );
+        // records admission→completion latency (and the queue wait, once
+        // retention has been decided).
+        record_latency(&shared.latency.queue_wait, queue_wait, exemplar.as_deref());
+        record_latency(&shared.latency.infer, job.admitted_at.elapsed(), exemplar.as_deref());
         job.reply.completions.push(job.reply.token, response);
     }
 }

@@ -103,7 +103,6 @@ pub fn run_infer(
             trace.clone(),
             tiers.clone(),
             incremental.clone(),
-            1,
         )
     };
     // Summary mode builds (or re-resolves from the shared table) the

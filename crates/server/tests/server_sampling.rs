@@ -267,6 +267,43 @@ fn metrics_verb_serves_prometheus_exposition() {
     server.join();
 }
 
+/// A request the daemon samples itself is recorded under a trace id it
+/// mints: the retained trace carries a 32-hex id, `trace --trace-id`
+/// serves it, and the request's `infer` latency sample links to it as an
+/// exemplar.
+#[test]
+fn self_sampled_traces_get_a_trace_id_and_an_exemplar() {
+    let server = Server::start(ServerConfig { trace_sample: 1, ..ServerConfig::default() })
+        .expect("bind loopback");
+    let mut cl = Client::connect(&server.local_addr().to_string()).expect("connect");
+    cl.infer(&motivating_req()).expect("infer round-trip");
+    let traces = |resp: server::json::Json| -> Vec<server::json::Json> {
+        resp.get("traces").and_then(|t| t.as_array()).expect("traces array").to_vec()
+    };
+    let last = traces(cl.trace(TraceSelect::Last(1)).expect("trace round-trip"));
+    assert_eq!(last.len(), 1, "the sampled request was not retained");
+    let tid = last[0].str_field("trace_id").expect("retained trace has a trace_id").to_string();
+    assert!(
+        tid.len() == 32 && tid.chars().all(|c| c.is_ascii_hexdigit()),
+        "trace id {tid:?} is not 32 hex digits"
+    );
+    let by_id = traces(cl.trace(TraceSelect::ByTraceId(tid.clone())).expect("trace round-trip"));
+    assert_eq!(by_id.len(), 1, "trace --trace-id {tid} found nothing");
+    assert_eq!(by_id[0].u64_field("request_id"), Some(1));
+    let resp = cl.metrics().expect("metrics round-trip");
+    let text = resp.str_field("text").expect("exposition text");
+    let exemplar = format!(" # {{trace_id=\"{tid}\"}} ");
+    assert!(
+        text.lines().any(|l| {
+            l.starts_with("preinfer_request_duration_us_bucket{verb=\"infer\",")
+                && l.contains(&exemplar)
+        }),
+        "infer latency lacks the sampled request's exemplar:\n{text}"
+    );
+    server.handle().shutdown();
+    server.join();
+}
+
 /// An `infer` answered inline — here a typed `overloaded` rejection,
 /// which never reaches a worker — still leaves its sampled trace_id as
 /// the exemplar on the infer latency histogram. Exemplars are kept only

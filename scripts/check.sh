@@ -120,9 +120,9 @@ fn lookup(table [int], key int) -> int {
     return table[key % 4];
 }
 EOF
-./target/release/preinfer trace_smoke.ml --jobs 1 --trace-out trace_smoke.jsonl
-# Every line must parse as JSON, and with --jobs 1 the pipeline runs
-# inline, so the top-level stage spans are disjoint: their durations must
+./target/release/preinfer trace_smoke.ml --trace-out trace_smoke.jsonl
+# Every line must parse as JSON, and the pipeline runs as one job, so
+# the top-level stage spans are disjoint: their durations must
 # sum to no more than the run event's wall clock.
 python3 - <<'EOF'
 import json

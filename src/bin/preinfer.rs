@@ -3,17 +3,17 @@
 //!
 //! ```text
 //! preinfer path/to/program.ml [--fn NAME] [--baselines] [--tests N]
-//!          [--jobs N] [--interproc inline|summary]
+//!          [--interproc inline|summary]
 //!          [--timeout-ms N] [--verbose] [--trace-out FILE]
 //! ```
 //!
 //! Generates a test suite for the function (default: the first one), then
 //! prints, for every assertion-containing location the suite triggers, the
 //! inferred precondition `ψ`, the failure condition `α`, pruning statistics
-//! and suite-based quality. Inference for the locations runs on `--jobs`
-//! worker threads (default: all cores) sharing a canonicalizing solver
-//! cache; the thread count only affects speed, never results. `--baselines`
-//! additionally prints FixIt's and DySy's inferences for comparison.
+//! and suite-based quality. The method runs as one job, with one
+//! canonicalizing solver cache shared by test generation and inference.
+//! `--baselines` additionally prints FixIt's and DySy's inferences for
+//! comparison.
 
 use preinfer::prelude::*;
 use std::process::ExitCode;
@@ -24,7 +24,6 @@ struct Options {
     func: Option<String>,
     baselines: bool,
     max_runs: Option<usize>,
-    jobs: usize,
     interproc: InterprocMode,
     timeout_ms: Option<u64>,
     verbose: bool,
@@ -34,14 +33,12 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: preinfer <program.ml> [--fn NAME] [--baselines] [--tests N]\n\
-         \x20               [--jobs N] [--interproc inline|summary]\n\
+         \x20               [--interproc inline|summary]\n\
          \x20               [--timeout-ms N] [--verbose] [--trace-out FILE]\n\
          \n\
          Infers preconditions for every assertion-containing location that\n\
          generated tests can make fail, per the PreInfer (DSN 2018) pipeline.\n\
          \n\
-         --jobs N           worker threads for per-ACL inference (default:\n\
-         \x20                  all cores; results are identical for any N)\n\
          --interproc M      `inline` (default) unrolls callee bodies into the\n\
          \x20                  caller's path condition; `summary` infers each\n\
          \x20                  non-recursive callee's ψ once bottom-up and\n\
@@ -59,10 +56,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     let mut opts = Options {
@@ -70,7 +63,6 @@ fn parse_args() -> Options {
         func: None,
         baselines: false,
         max_runs: None,
-        jobs: default_jobs(),
         interproc: InterprocMode::default(),
         timeout_ms: None,
         verbose: false,
@@ -87,13 +79,6 @@ fn parse_args() -> Options {
             "--tests" => {
                 opts.max_runs =
                     Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--jobs" => {
-                opts.jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage())
             }
             "--timeout-ms" => {
                 opts.timeout_ms =
@@ -156,7 +141,6 @@ fn main() -> ExitCode {
         sink.clone(),
         tiers.clone(),
         inc_stats.clone(),
-        opts.jobs,
     );
     // Summary mode: infer every non-recursive reachable callee's ψ first
     // (bottom-up), then apply the summaries at call sites.
@@ -235,10 +219,9 @@ fn main() -> ExitCode {
     }
 
     print!(
-        "inferred {} precondition(s) in {:.2}s (tests and inference) on {} thread(s)",
+        "inferred {} precondition(s) in {:.2}s (tests and inference)",
         inferred.len(),
         elapsed.as_secs_f64(),
-        opts.jobs
     );
     if deadline.expired() {
         print!(

@@ -40,11 +40,8 @@ fn preinfer_exits_normally_on_an_oversized_allocation() {
     std::fs::create_dir_all(&dir).unwrap();
     let program = dir.join("huge_alloc.ml");
     std::fs::write(&program, HUGE_ALLOC).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_preinfer"))
-        .arg(&program)
-        .args(["--jobs", "1"])
-        .output()
-        .expect("preinfer runs");
+    let out =
+        Command::new(env!("CARGO_BIN_EXE_preinfer")).arg(&program).output().expect("preinfer runs");
     std::fs::remove_dir_all(&dir).unwrap();
     assert!(out.status.success(), "preinfer failed: {}", String::from_utf8_lossy(&out.stderr));
 }

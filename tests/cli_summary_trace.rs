@@ -24,7 +24,7 @@ fn summary_mode_trace_records_the_callees_prune_spans() {
     std::fs::write(&program, PROGRAM).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_preinfer"))
         .arg(&program)
-        .args(["--fn", "lift_guard", "--interproc", "summary", "--jobs", "1", "--trace-out"])
+        .args(["--fn", "lift_guard", "--interproc", "summary", "--trace-out"])
         .arg(&trace)
         .output()
         .expect("preinfer runs");

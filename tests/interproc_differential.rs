@@ -12,8 +12,10 @@
 //! corpus; the multi-function `Interproc.Summaries` namespace is where the
 //! divergence allow-list can apply.
 
+mod common;
+
 use preinfer::prelude::*;
-use preinfer_core::{build_summaries, validates, SummaryBuildConfig, SummaryTable};
+use preinfer_core::validates;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,34 +48,20 @@ fn allowlisted(name: &str) -> bool {
     ALLOW_STRONGER.iter().any(|(n, _)| *n == name)
 }
 
-/// Inference output for one method under one interprocedural mode:
-/// `(acl, rendered ψ, ψ formula)` per triggered entry ACL, in ACL order.
+/// Inference output for one method under one interprocedural mode (the
+/// default run, with a fresh summary table in summary mode):
+/// `(acl, ψ line, ψ formula)` per triggered entry ACL, in ACL order.
 fn infer_psis(
     m: &subjects::SubjectMethod,
     mode: InterprocMode,
 ) -> Vec<(minilang::CheckId, String, Formula)> {
-    let tp = m.compile();
-    let mut tg = TestGenConfig::default();
-    let mut cfg = PreInferConfig::default();
-    cfg.prune.jobs = 1;
-    if mode == InterprocMode::Summary {
-        let table = SummaryTable::new();
-        let build_cfg = SummaryBuildConfig {
-            testgen: tg.clone(),
-            prune: cfg.prune.clone(),
-            jobs: 1,
-            stats: Default::default(),
-        };
-        let build = build_summaries(&tp, m.name, &table, &build_cfg);
-        if !build.resolved.is_empty() {
-            tg.concolic.summaries = Some(build.resolved.clone());
-            cfg.prune.concolic.summaries = Some(build.resolved);
-        }
-    }
-    let suite = generate_tests(&tp, m.name, &tg);
-    infer_all_preconditions(&tp, m.name, &suite, &cfg, 1)
+    let table = SummaryTable::new();
+    let table = (mode == InterprocMode::Summary).then_some(&table);
+    SummaryBuildConfig::default()
+        .run(&m.compile(), m.name, table)
+        .inferences
         .into_iter()
-        .map(|(acl, inf)| (acl, inf.precondition.psi.to_string(), inf.precondition.psi))
+        .map(|(acl, inf)| (acl, common::psi_line(m.name, acl, &inf), inf.precondition.psi))
         .collect()
 }
 
@@ -98,11 +86,9 @@ fn probe_implication(func: &minilang::Func, stronger: &Formula, weaker: &Formula
 /// probe-verifiably stronger.
 #[test]
 fn summary_mode_matches_or_strengthens_inline_psi_across_the_corpus() {
-    let mut methods = subjects::all_subjects();
-    methods.push(subjects::motivating::motivating());
     let mut nonempty = 0usize;
     let mut diverged = 0usize;
-    for m in &methods {
+    for m in &common::corpus() {
         let inline = infer_psis(m, InterprocMode::Inline);
         let summary = infer_psis(m, InterprocMode::Summary);
         let inline_acls: Vec<_> = inline.iter().map(|(a, _, _)| *a).collect();
@@ -114,15 +100,15 @@ fn summary_mode_matches_or_strengthens_inline_psi_across_the_corpus() {
         );
         let tp = m.compile();
         let func = m.func(&tp);
-        for ((acl, i_render, i_psi), (_, s_render, s_psi)) in inline.iter().zip(&summary) {
-            if i_render == s_render {
+        for ((acl, i_line, i_psi), (_, s_line, s_psi)) in inline.iter().zip(&summary) {
+            if i_psi.to_string() == s_psi.to_string() {
                 continue;
             }
             diverged += 1;
             assert!(
                 allowlisted(m.name),
                 "{}::{} {acl:?}: ψ diverged without an allow-list entry\n  \
-                 inline:  {i_render}\n  summary: {s_render}",
+                 inline:  {i_line}\n  summary: {s_line}",
                 m.namespace,
                 m.name
             );
