@@ -20,6 +20,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
+use std::time::Instant;
 use symbolic::rename::{apply_actuals, ActualBinding};
 use symbolic::{
     eval_pred, CmpOp, EntryKind, Env, EvalError, Formula, PathCondition, PathEntry, PathOutcome,
@@ -31,6 +32,10 @@ use symbolic::{
 /// allocation budgets are the interpreter's ([`interp::FUEL`],
 /// [`interp::MAX_CALL_DEPTH`], [`interp::MAX_ARRAY_CELLS`]).
 pub const MAX_ENTRIES: usize = 4_096;
+
+/// Under a deadline, the executor reads the clock every this many steps,
+/// starting at the first; a run past the deadline ends as `OutOfFuel`.
+pub const CLOCK_EVERY: u64 = 1_024;
 
 /// Executor configuration.
 #[derive(Debug, Clone, Default)]
@@ -57,7 +62,10 @@ impl ConcolicOutcome {
     }
 }
 
-/// Runs `func_name` concolically on `state`.
+/// Runs `func_name` concolically on `state`. Past `deadline` the run
+/// stops as [`PathOutcome::OutOfFuel`]: a run a resource bound cut short
+/// says nothing about which inputs reach an error, and the suite partition
+/// drops it.
 ///
 /// # Panics
 ///
@@ -68,10 +76,18 @@ pub fn run_concolic(
     func_name: &str,
     state: &MethodEntryState,
     config: &ConcolicConfig,
+    deadline: Option<Instant>,
 ) -> ConcolicOutcome {
     let func = program.func(func_name).unwrap_or_else(|| panic!("unknown function {func_name}"));
     assert!(state.conforms_to(func), "state {state} does not conform to {func_name}");
-    let mut m = Exec { program, config, fuel: FUEL, entries: Vec::new(), visited: HashSet::new() };
+    let mut m = Exec {
+        program,
+        config,
+        deadline,
+        fuel: FUEL,
+        entries: Vec::new(),
+        visited: HashSet::new(),
+    };
     let mut env: HashMap<String, CVal> = HashMap::new();
     for p in &func.params {
         let place = Place::param(p.name.clone());
@@ -99,7 +115,7 @@ enum Flow {
 enum Stop {
     /// A violated check; the violating predicate is the last recorded entry.
     Check(CheckId),
-    /// Step budget exhausted (runaway loop).
+    /// Step budget exhausted (runaway loop) or deadline passed.
     Fuel,
     /// Call-depth bound exceeded (runaway recursion).
     CallDepth,
@@ -115,6 +131,7 @@ struct Frame {
 struct Exec<'a> {
     program: &'a TypedProgram,
     config: &'a ConcolicConfig,
+    deadline: Option<Instant>,
     fuel: u64,
     entries: Vec<PathEntry>,
     visited: HashSet<NodeId>,
@@ -124,6 +141,11 @@ impl<'a> Exec<'a> {
     fn tick(&mut self) -> R<()> {
         if self.fuel == 0 || self.entries.len() > MAX_ENTRIES {
             return Err(Stop::Fuel);
+        }
+        if let Some(at) = self.deadline {
+            if (FUEL - self.fuel).is_multiple_of(CLOCK_EVERY) && Instant::now() >= at {
+                return Err(Stop::Fuel);
+            }
         }
         self.fuel -= 1;
         Ok(())

@@ -13,7 +13,7 @@
 //! # fn main() {
 //! let tp = compile("fn f(x int) -> int { if (x > 3) { return 1; } return 0; }").unwrap();
 //! let state = MethodEntryState::from_pairs([("x", InputValue::Int(5))]);
-//! let out = run_concolic(&tp, "f", &state, &ConcolicConfig::default());
+//! let out = run_concolic(&tp, "f", &state, &ConcolicConfig::default(), None);
 //! assert_eq!(out.path.to_string(), "x > 3");
 //! # }
 //! ```

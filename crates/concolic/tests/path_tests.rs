@@ -45,7 +45,7 @@ fn table1_path_condition_for_tf1() {
     let tp = fig1();
     // t_f1: (s: {null}, a: 1, b: 0, c: 1, d: 0)
     let state = fig1_state(InputValue::ArrayStr(Some(vec![None])), 1, 0, 1, 0);
-    let out = run_concolic(&tp, "example", &state, &ConcolicConfig::default());
+    let out = run_concolic(&tp, "example", &state, &ConcolicConfig::default(), None);
     assert!(matches!(out.path.outcome, PathOutcome::Failed(c) if c.kind == CheckKind::NullDeref));
     let preds: Vec<String> = out.path.entries.iter().map(|e| e.pred.to_string()).collect();
     // The paper's Table I sequence (we additionally record benign duplicate
@@ -70,7 +70,7 @@ fn table2_path_condition_for_tf3() {
     // t_f3: (s: {"a","a",null}, a: 1, b: 0, c: 1, d: 0)
     let a = Some(vec![97i64]);
     let state = fig1_state(InputValue::ArrayStr(Some(vec![a.clone(), a, None])), 1, 0, 1, 0);
-    let out = run_concolic(&tp, "example", &state, &ConcolicConfig::default());
+    let out = run_concolic(&tp, "example", &state, &ConcolicConfig::default(), None);
     let preds: Vec<String> = out.path.entries.iter().map(|e| e.pred.to_string()).collect();
     for want in [
         "a > 0",
@@ -96,7 +96,7 @@ fn passing_path_tp1_reaches_check_without_violation() {
     // t_p1-like: (s: {"aa"}, a: 0, b: 1, c: 1, d: 0) — a <= 0 branch, reaches
     // the element check but all elements are non-null.
     let state = fig1_state(InputValue::ArrayStr(Some(vec![Some(vec![97, 97])])), 0, 1, 1, 0);
-    let out = run_concolic(&tp, "example", &state, &ConcolicConfig::default());
+    let out = run_concolic(&tp, "example", &state, &ConcolicConfig::default(), None);
     assert!(matches!(out.path.outcome, PathOutcome::Completed));
     let preds: Vec<String> = out.path.entries.iter().map(|e| e.pred.to_string()).collect();
     assert!(preds.contains(&"a <= 0".to_string()), "{preds:?}");
@@ -116,7 +116,7 @@ fn concolic_and_interp_agree_on_outcomes() {
         fig1_state(InputValue::ArrayStr(Some(vec![])), 1, 1, 1, 1),
     ];
     for state in states {
-        let c = run_concolic(&tp, "example", &state, &ConcolicConfig::default());
+        let c = run_concolic(&tp, "example", &state, &ConcolicConfig::default(), None);
         let i = run(&tp, "example", &state);
         match (&c.path.outcome, &i.result) {
             (PathOutcome::Completed, ExecResult::Completed(_)) => {}
@@ -144,11 +144,11 @@ fn solved_path_conditions_replay_the_same_path() {
         fig1_state(InputValue::ArrayStr(Some(vec![])), -1, 4, 2, 0),
     ];
     for seed in seeds {
-        let original = run_concolic(&tp, "example", &seed, &ConcolicConfig::default());
+        let original = run_concolic(&tp, "example", &seed, &ConcolicConfig::default(), None);
         let preds: Vec<_> = original.path.entries.iter().map(|e| e.pred.clone()).collect();
         match solve_preds(&preds, &sig, &cfg) {
             SolveResult::Sat(model) => {
-                let replay = run_concolic(&tp, "example", &model, &ConcolicConfig::default());
+                let replay = run_concolic(&tp, "example", &model, &ConcolicConfig::default(), None);
                 assert_eq!(
                     replay.path.entries.len(),
                     original.path.entries.len(),
@@ -173,7 +173,7 @@ fn pins_recorded_for_nonlinear_ops() {
         ("x".to_string(), InputValue::Int(3)),
         ("y".to_string(), InputValue::Int(4)),
     ]);
-    let out = run_concolic(&tp, "f", &state, &ConcolicConfig::default());
+    let out = run_concolic(&tp, "f", &state, &ConcolicConfig::default(), None);
     let pins: Vec<_> = out.path.entries.iter().filter(|e| e.kind == EntryKind::Pin).collect();
     assert_eq!(pins.len(), 1);
     assert_eq!(pins[0].pred.to_string(), "y == 4");
@@ -183,7 +183,7 @@ fn pins_recorded_for_nonlinear_ops() {
 fn division_records_check_and_symbolic_quotient() {
     let tp = compile("fn f(x int) -> int { if (x / 2 > 3) { return 1; } return 0; }").unwrap();
     let state = MethodEntryState::from_pairs([("x", InputValue::Int(10))]);
-    let out = run_concolic(&tp, "f", &state, &ConcolicConfig::default());
+    let out = run_concolic(&tp, "f", &state, &ConcolicConfig::default(), None);
     let preds: Vec<String> = out.path.entries.iter().map(|e| e.pred.to_string()).collect();
     assert!(preds.iter().any(|p| p.contains("(x / 2) > 3")), "{preds:?}");
 }
@@ -196,6 +196,7 @@ fn assert_retags_last_decision_as_check() {
         "f",
         &MethodEntryState::from_pairs([("x", InputValue::Int(5))]),
         &ConcolicConfig::default(),
+        None,
     );
     assert!(matches!(ok.path.outcome, PathOutcome::Completed));
     let e = ok.path.entries.last().unwrap();
@@ -206,6 +207,7 @@ fn assert_retags_last_decision_as_check() {
         "f",
         &MethodEntryState::from_pairs([("x", InputValue::Int(0))]),
         &ConcolicConfig::default(),
+        None,
     );
     assert!(matches!(bad.path.outcome, PathOutcome::Failed(c) if c.kind == CheckKind::AssertFail));
     assert_eq!(bad.path.last_branch().unwrap().pred.to_string(), "x <= 0");
@@ -219,6 +221,7 @@ fn bool_param_branches_record_boolvar() {
         "f",
         &MethodEntryState::from_pairs([("flag", InputValue::Bool(true))]),
         &ConcolicConfig::default(),
+        None,
     );
     assert_eq!(out.path.to_string(), "flag");
     let out = run_concolic(
@@ -226,6 +229,7 @@ fn bool_param_branches_record_boolvar() {
         "f",
         &MethodEntryState::from_pairs([("flag", InputValue::Bool(false))]),
         &ConcolicConfig::default(),
+        None,
     );
     assert_eq!(out.path.to_string(), "!flag");
 }
@@ -244,6 +248,7 @@ fn callee_branches_join_callers_path_condition() {
         "main",
         &MethodEntryState::from_pairs([("x", InputValue::Int(20))]),
         &ConcolicConfig::default(),
+        None,
     );
     assert_eq!(out.path.to_string(), "x > 10");
 }
@@ -265,6 +270,7 @@ fn writes_preserve_symbolic_identity() {
         "f",
         &MethodEntryState::from_pairs([("x", InputValue::Int(9))]),
         &ConcolicConfig::default(),
+        None,
     );
     let preds: Vec<String> = out.path.entries.iter().map(|e| e.pred.to_string()).collect();
     assert!(preds.iter().any(|p| p.contains("(x + 1) > 5")), "{preds:?}");
@@ -279,6 +285,7 @@ fn string_chars_symbolic_through_char_at() {
         "f",
         &MethodEntryState::from_pairs([("s", InputValue::str_from(" x"))]),
         &ConcolicConfig::default(),
+        None,
     );
     let preds: Vec<String> = out.path.entries.iter().map(|e| e.pred.to_string()).collect();
     assert!(preds.contains(&"is_space(char_at(s, 0))".to_string()), "{preds:?}");
@@ -297,6 +304,7 @@ fn is_space_on_literal_strings_is_concrete() {
         "f",
         &MethodEntryState::from_pairs([("x", InputValue::Int(1))]),
         &ConcolicConfig::default(),
+        None,
     );
     // No symbolic content from the literal: only constant checks remain.
     assert!(out.path.entries.iter().all(|e| !matches!(e.kind, EntryKind::ExplicitBranch)

@@ -81,7 +81,7 @@ proptest! {
             .new_tree(&mut runner)
             .map(|t| t.current())
             .unwrap_or_else(|_| MethodEntryState::seed_for(m.func(&tp)));
-        let c = run_concolic(&tp, m.name, &state, &ConcolicConfig::default());
+        let c = run_concolic(&tp, m.name, &state, &ConcolicConfig::default(), None);
         let i = run(&tp, m.name, &state);
         match (&c.path.outcome, &i.result) {
             (PathOutcome::Completed, ExecResult::Completed(_)) => {}
@@ -120,7 +120,7 @@ fn recorded_predicates_hold_on_originating_state() {
         }
         states.push(rich);
         for state in states {
-            let out = run_concolic(&tp, m.name, &state, &ConcolicConfig::default());
+            let out = run_concolic(&tp, m.name, &state, &ConcolicConfig::default(), None);
             let env = Env::new(&state);
             for entry in &out.path.entries {
                 assert_eq!(

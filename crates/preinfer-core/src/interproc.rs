@@ -228,7 +228,11 @@ pub fn build_summaries(
             }
             None => {
                 let stored = infer_func_summary(program, &cg, &name, &by_func, cfg);
-                table.insert(key, stored.clone());
+                // A summary built past the deadline may be partial: it
+                // serves this run but never a later one.
+                if !cfg.prune.solver.deadline.expired() {
+                    table.insert(key, stored.clone());
+                }
                 stored
             }
         };
@@ -346,6 +350,29 @@ mod tests {
         assert_eq!(table.lookup(a).unwrap().checks[&0], Formula::t());
         assert_eq!(table.lookup(b).unwrap().checks[&0], Formula::f());
         assert_eq!((table.len(), table.hits(), table.misses()), (2, 2, 1));
+    }
+
+    #[test]
+    fn summary_built_past_the_deadline_is_not_stored() {
+        let tp = minilang::compile(HELPER).unwrap();
+        let table = SummaryTable::new();
+        let expired = SummaryBuildConfig::new(
+            testgen::TestGenConfig::default(),
+            None,
+            solver::Deadline::after_ms(0),
+            None,
+            Default::default(),
+            Default::default(),
+        );
+        build_summaries(&tp, "main", &table, &expired);
+        assert_eq!(table.inserts(), 0, "a summary built past the deadline was stored");
+        // A later deadline-free build infers the callee afresh.
+        let later = build_summaries(&tp, "main", &table, &SummaryBuildConfig::default());
+        let fresh =
+            build_summaries(&tp, "main", &SummaryTable::new(), &SummaryBuildConfig::default());
+        assert_eq!(later.table_hits, 0);
+        assert_eq!(later.summarized, fresh.summarized);
+        assert_eq!(later.resolved.by_func, fresh.resolved.by_func);
     }
 
     #[test]

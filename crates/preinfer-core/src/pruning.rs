@@ -336,9 +336,9 @@ fn prune_one(
             SolveResult::Unknown => Removal::Rejected,
             SolveResult::Sat(model) => {
                 stats.dynamic_runs += 1;
-                let out = run_concolic(program, func_name, &model, &cfg.concolic);
-                let fails_here = out.path.outcome.failed_check() == Some(acl);
-                local_pool.push(out.path);
+                let path = execute(program, func_name, &model, cfg);
+                let fails_here = path.outcome.failed_check() == Some(acl);
+                local_pool.push(path);
                 if fails_here {
                     Removal::Accepted
                 } else {
@@ -384,6 +384,18 @@ fn session_solve(
     let (result, lookup) = session.solve_preds(preds);
     stats.count_lookup(lookup);
     result
+}
+
+/// Runs a solver model concolically, stopping at the deadline: a run cut
+/// short ends as `OutOfFuel`, which neither reaches nor fails at any check,
+/// so the predicate it was run for is kept.
+fn execute(
+    program: &TypedProgram,
+    func_name: &str,
+    model: &MethodEntryState,
+    cfg: &PruneConfig,
+) -> PathCondition {
+    run_concolic(program, func_name, model, &cfg.concolic, cfg.solver.deadline.instant()).path
 }
 
 /// Verdict of the removal-verification step.
@@ -448,9 +460,9 @@ fn manufacture(
         stats.dynamic_runs += 1;
         let solved = session_solve(session, &prefix_neg(with_suffix), stats);
         if let SolveResult::Sat(model) = solved {
-            let out = run_concolic(program, func_name, &model, &cfg.concolic);
-            let reaches = out.path.reaches_check(acl);
-            last = Some(out.path);
+            let path = execute(program, func_name, &model, cfg);
+            let reaches = path.reaches_check(acl);
+            last = Some(path);
             if reaches {
                 return last;
             }
@@ -509,7 +521,7 @@ mod tests {
             ("c".to_string(), minilang::InputValue::Int(1)),
             ("d".to_string(), minilang::InputValue::Int(0)),
         ]);
-        let tf1_out = run_concolic(&tp, "example", &tf1_state, &ConcolicConfig::default());
+        let tf1_out = run_concolic(&tp, "example", &tf1_state, &ConcolicConfig::default(), None);
         assert_eq!(tf1_out.path.outcome.failed_check(), Some(acl), "t_f1 fails at the element ACL");
         let tf1 = TestRun::new(tf1_state, tf1_out);
         let (reduced, _stats) =
@@ -559,5 +571,61 @@ mod tests {
             let last = r.entries.last().expect("non-empty reduction");
             assert_eq!(last.pred.to_string(), "y == 3");
         }
+    }
+
+    /// A deviation at `x != 7` runs a 20 000-iteration loop before the
+    /// assertion, so a deadline cuts the witness or verification run for
+    /// that predicate while the solves before it still answer.
+    const LONG_DEVIATION: &str = "
+        fn f(x int, y int) -> int {
+            let s = 0;
+            if (x == 7) {
+                for (let i = 0; i < 20000; i = i + 1) { s = s + 1; }
+            }
+            assert(y != 3);
+            return s;
+        }";
+
+    #[test]
+    fn a_run_cut_by_the_deadline_keeps_its_predicate() {
+        let tp = minilang::compile(LONG_DEVIATION).unwrap();
+        let run = |x: i64, y: i64| {
+            let state = MethodEntryState::from_pairs([
+                ("x".to_string(), minilang::InputValue::Int(x)),
+                ("y".to_string(), minilang::InputValue::Int(y)),
+            ]);
+            let out = run_concolic(&tp, "f", &state, &ConcolicConfig::default(), None);
+            TestRun::new(state, out)
+        };
+        let (pass, fail) = (run(0, 0), run(0, 3));
+        let acl = fail.path.outcome.failed_check().expect("y == 3 fails");
+        let prune = |cfg: &PruneConfig| {
+            let (reduced, _) = prune_failing_paths(&tp, "f", acl, &[&pass], &[&fail], cfg);
+            reduced[0].entries.iter().map(|e| e.pred.to_string()).collect::<Vec<_>>()
+        };
+        // Without a deadline the witness and the verification run both
+        // reach the assertion, so `x != 7` is removed.
+        assert_eq!(prune(&PruneConfig::default()), ["y == 3"]);
+
+        let cut = [1, 2, 4, 8, 16, 32, 64].into_iter().any(|d| {
+            let sink = Arc::new(obs::TraceSink::recording());
+            let mut cfg = PruneConfig { trace: Some(sink.clone()), ..PruneConfig::default() };
+            cfg.solver.deadline = solver::Deadline::after_ms(d);
+            cfg.solver.trace = cfg.trace.clone();
+            let kept = prune(&cfg);
+            // Two answered solves then `c_depend` mean the witness run was
+            // cut; three then `guard`, the verification run. Otherwise the
+            // deadline fell on the solver gate or after the last run.
+            let lines = sink.lines();
+            let count = |needle: &str| lines.iter().filter(|l| l.contains(needle)).count();
+            let answered = count("\"ev\":\"solver_call\"") - count("\"verdict\":\"deadline\"");
+            let kept_by = (count("\"decision\":\"c_depend\""), count("\"decision\":\"guard\""));
+            let cut_run = matches!((answered, kept_by), (2, (1, 0)) | (3, (0, 1)));
+            if cut_run {
+                assert_eq!(kept, ["x != 7", "y == 3"], "deadline {d} ms cut a run");
+            }
+            cut_run
+        });
+        assert!(cut, "no deadline in the sweep cut a witness or verification run");
     }
 }

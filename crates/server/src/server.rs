@@ -21,13 +21,14 @@
 //! Admission is bounded ([`BoundedQueue`]): a full queue rejects with a
 //! typed `overloaded` response instead of buffering unboundedly. Each
 //! request's deadline starts at admission, so queue wait counts against
-//! it; workers check it between solver calls and return partial results
-//! marked `timed_out` — a deadline can never hang a worker because every
-//! solve is budget-bounded. On shutdown (SIGTERM in the binary, or
-//! [`ShutdownHandle::shutdown`]), the connection core stops accepting and
-//! answers new work with `shutting_down`; once its last connection closes
-//! it closes the queue, workers drain it to empty, and `join` returns once
-//! every thread has exited.
+//! it; workers check it before each solver call and every 1024 executor
+//! steps, and return partial results marked `timed_out` — a deadline can
+//! never hang a worker because every solve is budget-bounded. On shutdown
+//! (SIGTERM in the binary, or [`ShutdownHandle::shutdown`]), the
+//! connection core stops accepting and answers new work with
+//! `shutting_down`; once its last connection closes it closes the queue,
+//! workers drain it to empty, and `join` returns once every thread has
+//! exited.
 
 use crate::eio;
 use crate::netcore::{resident_bytes, ConnCounters, Reactor, ShutdownHandle};

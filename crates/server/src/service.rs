@@ -50,7 +50,8 @@ pub struct InferOutcome {
     pub coverage_percent: f64,
     /// One inference per triggered ACL, in ACL order.
     pub inferences: Vec<(CheckId, Inference)>,
-    /// Whether the per-request deadline expired mid-run (partial result).
+    /// Whether the clock passed the per-request deadline before the reply
+    /// (the result may be partial).
     pub timed_out: bool,
     /// Inference wall-clock, milliseconds.
     pub elapsed_ms: f64,
@@ -99,7 +100,7 @@ pub fn run_infer(
         ..SummaryBuildConfig::new(
             tg,
             Some(cache.clone()),
-            deadline.clone(),
+            *deadline,
             trace.clone(),
             tiers.clone(),
             incremental.clone(),

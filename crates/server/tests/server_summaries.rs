@@ -151,3 +151,37 @@ fn same_entry_function_with_different_callees_gets_its_own_psi() {
         server.join();
     }
 }
+
+#[test]
+fn a_summary_built_past_its_deadline_never_answers_a_later_request() {
+    // A callee whose ψ needs flipped inputs: the seeds alone, all a request
+    // past its deadline gets to run, infer a weaker summary.
+    const HELPER_CALL: &str = "
+fn helper(a int, b int) -> int {
+    if (a > 3) { assert(b != a); }
+    return 100 / a;
+}
+fn main(x int, y int) -> int { return helper(x - 1, y); }";
+    let answer = |poison: bool| {
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            interproc: InterprocMode::Summary,
+            ..ServerConfig::default()
+        })
+        .expect("bind loopback");
+        let mut cl = Client::connect(&server.local_addr().to_string()).expect("connect");
+        if poison {
+            let expired = InferRequest { deadline_ms: Some(0), ..req_for(HELPER_CALL, "main") };
+            let resp = cl.infer(&expired).expect("expired request");
+            assert_eq!(resp.get("timed_out").and_then(|v| v.as_bool()), Some(true));
+        }
+        let resp = cl.infer(&req_for(HELPER_CALL, "main")).expect("infer");
+        let fallbacks = summary_field(&mut cl, "fallbacks");
+        server.handle().shutdown();
+        server.join();
+        (served_psis(&resp).expect("served ψ"), resp.u64_field("tests"), fallbacks)
+    };
+    let fresh = answer(false);
+    assert_eq!(fresh.2, 0, "a fresh daemon applies the callee summary");
+    assert_eq!(answer(true), fresh, "an expired request's summary answered a later request");
+}

@@ -1,33 +1,32 @@
-//! Cooperative wall-clock deadlines for solver-bound work.
+//! Cooperative wall-clock deadlines.
 //!
-//! A [`Deadline`] is a cheap, cloneable handle to one request's time
-//! budget. Clones share the same underlying instant and trip flag, so a
-//! deadline created at a request boundary can be threaded through
-//! [`SolverConfig`] into test generation, pruning, and witness
-//! manufacture; every [`solve_preds_with`] call checks it *between*
-//! solves (individual solves are already bounded by `budget_nodes`, so no
-//! single call can hang). Once expired, solver entry points return
-//! [`SolveResult::Unknown`], which every caller in the pipeline treats
-//! conservatively — pruning keeps predicates, test generation stops
-//! flipping branches — so work winds down quickly and the partial result
-//! is still sound, just less reduced.
+//! A [`Deadline`] is one request's time budget: a `Copy` value over an
+//! optional instant, threaded through [`SolverConfig`] into test
+//! generation, pruning and witness manufacture. It is checked where work
+//! is spent: at the solver gate (every [`solve_preds_with`] call checks it
+//! *before* solving; individual solves are bounded by `budget_nodes`), at
+//! the heads of the test-generation and pruning loops, and every 1024
+//! steps of the concolic executor. Once expired, solver entry points
+//! return [`SolveResult::Unknown`] and executor runs stop as out of fuel;
+//! every caller treats both conservatively — pruning keeps predicates,
+//! test generation stops flipping branches, the partition drops cut runs —
+//! so work winds down quickly and the partial result is still sound, just
+//! less reduced.
 //!
-//! The trip flag records whether anyone *observed* the expiry, which is
-//! what request-level code reports as `timed_out`.
+//! Nothing the deadline changes happens before the clock has passed it,
+//! so "did the deadline cut this reply short?" is [`Deadline::expired`]
+//! asked once at the end of the run.
 //!
 //! [`SolverConfig`]: crate::theory::SolverConfig
 //! [`solve_preds_with`]: crate::theory::solve_preds_with
 //! [`SolveResult::Unknown`]: crate::theory::SolveResult::Unknown
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A shared wall-clock deadline. The default deadline never expires.
-#[derive(Debug, Clone, Default)]
+/// A wall-clock deadline. The default deadline never expires.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Deadline {
     at: Option<Instant>,
-    tripped: Arc<AtomicBool>,
 }
 
 impl Deadline {
@@ -38,50 +37,17 @@ impl Deadline {
 
     /// A deadline `ms` milliseconds from now.
     pub fn after_ms(ms: u64) -> Deadline {
-        Deadline::at(Instant::now() + Duration::from_millis(ms))
+        Deadline { at: Some(Instant::now() + Duration::from_millis(ms)) }
     }
 
-    /// A deadline at an explicit instant.
-    pub fn at(at: Instant) -> Deadline {
-        Deadline { at: Some(at), tripped: Arc::new(AtomicBool::new(false)) }
+    /// The instant the deadline passes, `None` when it never does.
+    pub fn instant(self) -> Option<Instant> {
+        self.at
     }
 
-    /// Whether a finite deadline was set at all.
-    pub fn is_set(&self) -> bool {
-        self.at.is_some()
-    }
-
-    /// Checks the clock. Returns `true` (and latches the trip flag) once
-    /// the deadline has passed; a [`Deadline::none`] never expires.
-    pub fn expired(&self) -> bool {
-        match self.at {
-            Some(at) if Instant::now() >= at => {
-                self.tripped.store(true, Ordering::Relaxed);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Whether any clone of this deadline ever observed the expiry. Unlike
-    /// [`Deadline::expired`] this does not consult the clock, so it is the
-    /// right question for "did the work actually get cut short?".
-    pub fn was_tripped(&self) -> bool {
-        self.tripped.load(Ordering::Relaxed)
-    }
-
-    /// Time left, `None` when no deadline is set, `Some(0)` when expired.
-    /// Observing an exhausted budget latches the trip flag, exactly like
-    /// [`Deadline::expired`] — a caller that paces itself via `remaining()`
-    /// alone still gets its timeout reported.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.at.map(|at| {
-            let left = at.saturating_duration_since(Instant::now());
-            if left == Duration::ZERO {
-                self.tripped.store(true, Ordering::Relaxed);
-            }
-            left
-        })
+    /// Whether the deadline has passed; a [`Deadline::none`] never expires.
+    pub fn expired(self) -> bool {
+        self.at.is_some_and(|at| Instant::now() >= at)
     }
 }
 
@@ -92,43 +58,19 @@ mod tests {
     #[test]
     fn none_never_expires() {
         let d = Deadline::none();
-        assert!(!d.is_set());
         assert!(!d.expired());
-        assert!(!d.was_tripped());
-        assert_eq!(d.remaining(), None);
+        assert_eq!(d.instant(), None);
     }
 
     #[test]
-    fn past_deadline_expires_and_trips_all_clones() {
-        let d = Deadline::at(Instant::now() - Duration::from_millis(1));
-        let clone = d.clone();
-        assert!(!d.was_tripped(), "not tripped until someone checks");
-        assert!(clone.expired());
-        assert!(d.was_tripped(), "trip flag is shared across clones");
-        assert_eq!(d.remaining(), Some(Duration::ZERO));
-    }
-
-    #[test]
-    fn remaining_latches_the_trip_flag_on_expiry() {
-        // Regression: a caller that budgets work via `remaining()` alone
-        // used to observe `Some(0)` without the flag ever latching, so its
-        // work was cut short yet the request reported `timed_out: false`.
-        let d = Deadline::at(Instant::now() - Duration::from_millis(1));
-        let clone = d.clone();
-        assert_eq!(d.remaining(), Some(Duration::ZERO));
-        assert!(clone.was_tripped(), "remaining() must latch the shared flag");
-        // A live deadline does not trip.
-        let live = Deadline::after_ms(60_000);
-        assert!(live.remaining().unwrap() > Duration::ZERO);
-        assert!(!live.was_tripped());
+    fn past_deadline_expires() {
+        let d = Deadline { at: Some(Instant::now() - Duration::from_millis(1)) };
+        assert!(d.expired());
+        assert!(Deadline::after_ms(0).expired());
     }
 
     #[test]
     fn future_deadline_not_yet_expired() {
-        let d = Deadline::after_ms(60_000);
-        assert!(d.is_set());
-        assert!(!d.expired());
-        assert!(!d.was_tripped());
-        assert!(d.remaining().unwrap() > Duration::from_secs(1));
+        assert!(!Deadline::after_ms(60_000).expired());
     }
 }

@@ -18,6 +18,10 @@
 //! verdict-preserving (see [`crate::backend`]), so both backend stacks
 //! return byte-identical results — the tiered stack is purely a fast path.
 //!
+//! The deadline is checked once, at the gate: a query that passes it runs
+//! to completion under `budget_nodes`, so every verdict, stored or not, is
+//! a pure function of its canonical key and a cache miss always stores.
+//!
 //! Every model is *re-validated* by concretely evaluating the original
 //! predicates before being returned; a model that fails re-validation is
 //! reported as `Unknown`, never returned.
@@ -79,20 +83,11 @@ pub struct SolverConfig {
     /// that want one set of numbers across test generation and pruning
     /// install the same `Arc` in both configs.
     pub tiers: Arc<TierCounters>,
-    /// Wall-clock deadline checked *between* solves: once expired, entry
-    /// points return [`SolveResult::Unknown`] without solving (and without
-    /// touching the cache, so memoized verdicts stay pure functions of
-    /// their keys). Not part of the cache key.
+    /// Wall-clock deadline checked before each solve: once expired, entry
+    /// points return [`SolveResult::Unknown`] without solving and without
+    /// touching the cache. Test generation and pruning also pass it to the
+    /// concolic executor. Not part of the cache key.
     pub deadline: crate::deadline::Deadline,
-    /// Cheap-tier deadline reserve, in milliseconds. When a deadline is set
-    /// and less than this much wall clock remains, escalation to the simplex
-    /// tier is suppressed: the syntactic/interval tiers still answer what
-    /// they can (they are orders of magnitude cheaper), while queries that
-    /// would need the bottom tier return [`SolveResult::Unknown`] *without
-    /// being cached* (the verdict depends on the clock, so memoizing it
-    /// would poison the cache's purity). Inactive under
-    /// [`crate::deadline::Deadline::none`]. Not part of the cache key.
-    pub cheap_tier_reserve_ms: u64,
     /// Incremental-session counters (sessions opened, queries, pushes,
     /// pops, reused depth), shared by every session opened under a clone of
     /// this config. Observation-only — never part of the cache key.
@@ -113,7 +108,6 @@ impl Default for SolverConfig {
             backend: BackendKind::default(),
             tiers: Arc::new(TierCounters::default()),
             deadline: crate::deadline::Deadline::none(),
-            cheap_tier_reserve_ms: 10,
             incremental_stats: Arc::new(crate::incremental::IncrementalCounters::default()),
             trace: None,
         }
@@ -229,17 +223,15 @@ pub(crate) fn solve_query<Q: Borrow<CanonQuery>>(
                 // Solve outside the shard lock: queries can be slow, and two
                 // threads racing on the same key compute the same value.
                 None => {
-                    let (result, tier, store_ok) = solve_canonical(q, cfg, bottom);
+                    let (result, tier) = solve_canonical(q, cfg, bottom);
                     let verdict = q.positional(result);
-                    if store_ok {
-                        cache.store(key, verdict.clone(), tier);
-                    }
+                    cache.store(key, verdict.clone(), tier);
                     (verdict, CacheLookup::Miss, tier)
                 }
             }
         }
         None => {
-            let (result, tier, _store_ok) = solve_canonical(q, cfg, bottom);
+            let (result, tier) = solve_canonical(q, cfg, bottom);
             (q.positional(result), CacheLookup::Bypass, tier)
         }
     };
@@ -279,47 +271,25 @@ fn record_call(
     }
 }
 
-/// Whether the cheap-tier deadline reserve forbids entering the simplex
-/// tier: a deadline is set and its remaining wall clock is below
-/// [`SolverConfig::cheap_tier_reserve_ms`]. Always `false` without a
-/// deadline.
-fn simplex_starved(cfg: &SolverConfig) -> bool {
-    match cfg.deadline.remaining() {
-        Some(rem) => rem.as_millis() < u128::from(cfg.cheap_tier_reserve_ms),
-        None => false,
-    }
-}
-
 /// Dispatches a canonical conjunction through the configured backend
 /// stack, attributing the answer to the tier that produced it, with
 /// `bottom` as the simplex tier. Counters tick only here — on work
 /// actually executed — so cache hits replay tiers without re-counting.
-///
-/// The third return is whether the verdict may be memoized: `false` exactly
-/// when the cheap-tier deadline reserve suppressed an escalation, in which
-/// case the `Unknown` is a function of the clock rather than the query.
 fn solve_canonical(
     q: &CanonQuery,
     cfg: &SolverConfig,
     bottom: impl FnOnce(&CanonQuery) -> SolveResult,
-) -> (SolveResult, Tier, bool) {
+) -> (SolveResult, Tier) {
     if cfg.backend == BackendKind::Tiered {
         match solve_interval(q.canon_preds(), q.canon_sig(), cfg) {
             Some((result, tier)) => {
                 cfg.tiers.count(tier);
-                return (result, tier, true);
+                return (result, tier);
             }
             None => cfg.tiers.count_escalation(),
         }
     }
-    // Per-tier deadline budgeting: with the deadline nearly spent, the
-    // cheap tiers above have already answered what they could; refusing
-    // the expensive tier keeps the remaining budget for queries the cheap
-    // tiers *can* still answer instead of sinking it into one simplex run.
-    if simplex_starved(cfg) {
-        return (SolveResult::Unknown, Tier::Simplex, false);
-    }
     let result = bottom(q);
     cfg.tiers.count(Tier::Simplex);
-    (result, Tier::Simplex, true)
+    (result, Tier::Simplex)
 }

@@ -105,7 +105,8 @@ impl Explored {
         if !self.seen_states.insert(state.clone()) {
             return None;
         }
-        let outcome = run_concolic(program, func_name, &state, &cfg.concolic);
+        let outcome =
+            run_concolic(program, func_name, &state, &cfg.concolic, cfg.solver.deadline.instant());
         let signature: Vec<u32> = outcome.path.entries.iter().map(|e| self.id(e.canon())).collect();
         let fresh_path = self.seen_paths.insert(signature.clone());
         self.signatures.push(signature);

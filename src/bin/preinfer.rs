@@ -46,8 +46,9 @@ fn usage() -> ! {
          \x20                  the entry is identical or strictly stronger\n\
          \x20                  (callee-internal atoms drop out of disjuncts)\n\
          --timeout-ms N     wall-clock deadline for the whole run, checked\n\
-         \x20                  between solver calls; a partial (still sound)\n\
-         \x20                  result is reported as timed out\n\
+         \x20                  before each solver call and every 1024\n\
+         \x20                  executor steps; a run that passes it reports\n\
+         \x20                  a partial (still sound) result as timed out\n\
          --trace-out FILE   record a structured JSON-lines trace of every\n\
          \x20                  pipeline stage (spans, per-decision events,\n\
          \x20                  solver calls) to FILE; results are identical\n\
@@ -137,7 +138,7 @@ fn main() -> ExitCode {
     let run = SummaryBuildConfig::new(
         tg,
         Some(cache.clone()),
-        deadline.clone(),
+        deadline,
         sink.clone(),
         tiers.clone(),
         inc_stats.clone(),
@@ -153,6 +154,14 @@ fn main() -> ExitCode {
     let MethodRun { suite, inferences: inferred, summaries: summary_build } =
         run.run(&program, &func_name, table);
     let elapsed = run_start.elapsed();
+    // Every answer the deadline changed was changed after the clock passed
+    // it, so one look at the end tells whether this run was cut short.
+    let timed_out = match opts.timeout_ms {
+        Some(ms) if deadline.expired() => {
+            format!(" [TIMED OUT after {ms} ms — results are partial but sound]")
+        }
+        _ => String::new(),
+    };
     let func = program.func(&func_name).expect("checked above");
     println!(
         "{} tests, {:.1}% block coverage, {} exception-throwing location(s)\n",
@@ -161,7 +170,7 @@ fn main() -> ExitCode {
         suite.triggered_acls().len()
     );
     if suite.triggered_acls().is_empty() {
-        println!("no failures found — nothing to infer.");
+        println!("no failures found — nothing to infer.{timed_out}");
         finish_trace(&opts, &sink, &func_name, run_start, 0);
         return ExitCode::SUCCESS;
     }
@@ -219,16 +228,10 @@ fn main() -> ExitCode {
     }
 
     print!(
-        "inferred {} precondition(s) in {:.2}s (tests and inference)",
+        "inferred {} precondition(s) in {:.2}s (tests and inference){timed_out}",
         inferred.len(),
         elapsed.as_secs_f64(),
     );
-    if deadline.expired() {
-        print!(
-            " [TIMED OUT after {} ms — results are partial but sound]",
-            opts.timeout_ms.unwrap()
-        );
-    }
     let c = cache.stats();
     println!(
         "; solver cache: {} hits / {} misses ({:.0}% hit rate), {} entries, {} evicted in {} sweep(s)",

@@ -28,7 +28,7 @@ fn both_executors_run_out_of_fuel_on_the_generated_oversized_allocation() {
         .find(|r| matches!(r.state.get("n"), Some(InputValue::Int(n)) if *n > MAX_ARRAY_CELLS))
         .expect("test generation flips the branch to an oversized size");
     assert_eq!(huge.path.outcome, PathOutcome::OutOfFuel);
-    let concolic = run_concolic(&tp, "f", &huge.state, &ConcolicConfig::default());
+    let concolic = run_concolic(&tp, "f", &huge.state, &ConcolicConfig::default(), None);
     assert_eq!(concolic.path.outcome, PathOutcome::OutOfFuel);
     assert!(matches!(run(&tp, "f", &huge.state).result, ExecResult::OutOfFuel));
     assert!(suite.triggered_acls().is_empty(), "a budget stop is not a check failure");
