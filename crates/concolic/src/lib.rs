@@ -24,4 +24,4 @@ pub mod summary;
 
 pub use cval::{materialize, ArrIntObj, ArrStrObj, CStr, CVal};
 pub use exec::{run_concolic, ConcolicConfig, ConcolicOutcome};
-pub use summary::{InterprocMode, ResolvedSummaries, SummaryApplyStats};
+pub use summary::{ResolvedSummaries, SummaryApplyStats};

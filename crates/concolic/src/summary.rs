@@ -12,52 +12,9 @@
 //! path-space thus collapses to one entry group per traversed check.
 
 use std::collections::HashMap;
-use std::fmt;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use symbolic::Formula;
-
-/// How the executor treats user `Call` expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InterprocMode {
-    /// Unroll the callee body into the caller's path condition (the
-    /// original behaviour).
-    #[default]
-    Inline,
-    /// Apply stored callee ψ-summaries at call sites, falling back to
-    /// inlining per call (recursion, originless reference actuals, missing
-    /// or disagreeing summaries).
-    Summary,
-}
-
-impl InterprocMode {
-    /// Stable lowercase label (flag value, stats, bench axis).
-    pub fn label(self) -> &'static str {
-        match self {
-            InterprocMode::Inline => "inline",
-            InterprocMode::Summary => "summary",
-        }
-    }
-}
-
-impl FromStr for InterprocMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "inline" => Ok(InterprocMode::Inline),
-            "summary" => Ok(InterprocMode::Summary),
-            other => Err(format!("unknown interproc mode `{other}` (inline|summary)")),
-        }
-    }
-}
-
-impl fmt::Display for InterprocMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Counters for summary application, shared between the executor and
 /// whoever serves stats (CLI footer, daemon `summaries` block).
@@ -105,25 +62,11 @@ impl ResolvedSummaries {
     pub fn is_empty(&self) -> bool {
         self.by_func.values().all(|m| m.is_empty())
     }
-
-    /// Total check summaries across callees.
-    pub fn check_count(&self) -> usize {
-        self.by_func.values().map(|m| m.len()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_parses_and_labels() {
-        assert_eq!("inline".parse::<InterprocMode>().unwrap(), InterprocMode::Inline);
-        assert_eq!("summary".parse::<InterprocMode>().unwrap(), InterprocMode::Summary);
-        assert!("both".parse::<InterprocMode>().is_err());
-        assert_eq!(InterprocMode::Summary.label(), "summary");
-        assert_eq!(InterprocMode::default(), InterprocMode::Inline);
-    }
 
     #[test]
     fn stats_count() {

@@ -74,11 +74,6 @@ impl TypedProgram {
     pub fn ty_of(&self, id: NodeId) -> Ty {
         *self.expr_tys.get(&id).unwrap_or_else(|| panic!("no type recorded for {id}"))
     }
-
-    /// The checked type if `id` is an expression node.
-    pub fn try_ty_of(&self, id: NodeId) -> Option<Ty> {
-        self.expr_tys.get(&id).copied()
-    }
 }
 
 /// Type-checks a parsed program.

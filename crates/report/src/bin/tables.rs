@@ -8,16 +8,32 @@
 
 use report::{evaluate_corpus, EvalConfig};
 
+/// The selections `tables` knows.
+const PICKS: [&str; 8] = ["1", "2", "3", "4", "5", "6", "f3", "interproc"];
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: tables [1|2|3|4|5|6|f3|interproc ...] [--json OUT]\n\
+         \n\
+         Prints the paper's tables and Figure 3 from the corpus (all of\n\
+         them when no selection is given); `interproc` prints the\n\
+         inline-vs-summary table of the multi-function slice. --json OUT\n\
+         also writes the per-ACL results of the evaluation to OUT."
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json_path: Option<String> = None;
     let mut picks: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
+    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         if a == "--json" {
-            json_path = it.next();
-        } else {
+            json_path = Some(it.next().unwrap_or_else(|| usage()));
+        } else if PICKS.contains(&a.as_str()) {
             picks.push(a);
+        } else {
+            usage();
         }
     }
     let want = |k: &str| picks.is_empty() || picks.iter().any(|p| p == k);
@@ -78,7 +94,7 @@ fn main() {
             eprintln!("wrote {path}");
         }
     }
-    if !picks.is_empty() && picks.iter().any(|p| p == "interproc") {
+    if picks.iter().any(|p| p == "interproc") {
         // Multi-function slice, evaluated once per interprocedural mode.
         let slice: Vec<_> = subjects::all_subjects()
             .into_iter()
@@ -87,7 +103,6 @@ fn main() {
         eprintln!("evaluating interproc slice ({} methods, both modes)…", slice.len());
         let inline_cfg = EvalConfig::default();
         let summary_cfg = EvalConfig {
-            interproc: concolic::InterprocMode::Summary,
             summary_table: Some(std::sync::Arc::new(preinfer_core::SummaryTable::new())),
             ..EvalConfig::default()
         };

@@ -2,7 +2,6 @@
 //! and scores PreInfer, FixIt and DySy per assertion-containing location.
 
 use baselines::{infer_dysy, infer_fixit};
-use concolic::InterprocMode;
 use interp::{run, ExecResult};
 use minilang::{program_check_sites, CheckId, LoopPos, MethodEntryState, TypedProgram};
 use preinfer_core::metrics::PROBE_SEED;
@@ -158,12 +157,10 @@ pub struct EvalConfig {
     /// no event buffering). Timings are diagnostics; every other result
     /// field is identical with tracing on or off.
     pub trace: bool,
-    /// How user calls are treated: inline the callee body (the default,
-    /// the paper's behaviour) or apply bottom-up ψ-summaries at call sites.
-    pub interproc: InterprocMode,
-    /// Shared summary table for summary mode. `None` gives each method a
-    /// private table; a shared [`Arc`] lets α-equivalent callee closures
-    /// across methods reuse each other's inference.
+    /// How user calls are treated: `None` inlines the callee body (the
+    /// default, the paper's behaviour); a table applies bottom-up
+    /// ψ-summaries at call sites, shared across methods so α-equivalent
+    /// callee closures reuse each other's inference.
     pub summary_table: Option<Arc<SummaryTable>>,
 }
 
@@ -174,7 +171,6 @@ impl Default for EvalConfig {
             jobs: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             solver_cache: true,
             trace: true,
-            interproc: InterprocMode::default(),
             summary_table: None,
         }
     }
@@ -233,11 +229,10 @@ pub fn evaluate_method(m: &SubjectMethod, cfg: &EvalConfig) -> MethodResult {
         tiers.clone(),
         Default::default(),
     );
-    // Summary mode: infer each reachable callee's ψ once, bottom-up, and
-    // apply ψ(actuals) at call sites instead of unrolling.
-    let table = (cfg.interproc == InterprocMode::Summary)
-        .then(|| cfg.summary_table.clone().unwrap_or_default());
-    let MethodRun { suite, inferences, summaries } = run.run(&tp, m.name, table.as_deref());
+    // With a summary table: infer each reachable callee's ψ once,
+    // bottom-up, and apply ψ(actuals) at call sites instead of unrolling.
+    let MethodRun { suite, inferences, summaries } =
+        run.run(&tp, m.name, cfg.summary_table.as_deref());
     let coverage = suite.coverage_percent(&func);
     // Program-wide: a triggered ACL may live inside a callee (reached
     // through inlining or reported through a summary application).
@@ -329,7 +324,7 @@ pub fn evaluate_method(m: &SubjectMethod, cfg: &EvalConfig) -> MethodResult {
         solver_cache_misses: cache_stats.misses,
         stage_timings,
         solver_tiers: tiers.snapshot(),
-        interproc: cfg.interproc.label(),
+        interproc: if cfg.summary_table.is_some() { "summary" } else { "inline" },
         summarized_callees: summaries.as_ref().map_or(0, |b| b.summarized.len()),
         summary_table_hits: summaries.as_ref().map_or(0, |b| b.table_hits),
         summary_applies: summaries.as_ref().map_or(0, |b| b.resolved.stats.applies()),

@@ -34,7 +34,6 @@ use crate::netcore::{self, ClientConn, Clients, Reactor, SWEEP_MS, TOKEN_LISTENE
 use crate::protocol::{self, render_error, ErrorCode, Request};
 use crate::server::{self, InferDisposition, ReplyTo, Shared};
 use obs::json::ObjBuilder;
-use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -63,26 +62,11 @@ pub(crate) fn event_loop(reactor: Reactor, shared: &Arc<Shared>) {
     let Reactor { listener, poller, waker } = reactor;
     let completions =
         Arc::new(Completions { queue: Mutex::new(Vec::new()), waker: Arc::clone(&waker) });
-    let mut clients = Clients::new(Arc::clone(&shared.conns));
+    let mut clients = Clients::new(Arc::clone(&shared.shell.conns));
     let mut events = Vec::new();
     let mut frames = Vec::new();
-    let mut draining = false;
 
-    loop {
-        if shared.shutdown.requested() && !draining {
-            draining = true;
-            // Final sweep: backlog connections get typed `shutting_down`
-            // answers instead of a reset, then the listener goes quiet.
-            clients.accept_burst(&listener, &poller);
-            poller.delete(listener.as_raw_fd());
-        }
-        if draining {
-            clients.close_quiet(&poller);
-            if clients.is_empty() {
-                break;
-            }
-        }
-
+    while !clients.drained(&listener, &poller, &shared.shell.shutdown) {
         if poller.wait(&mut events, SWEEP_MS).is_err() {
             break;
         }
@@ -97,11 +81,7 @@ pub(crate) fn event_loop(reactor: Reactor, shared: &Arc<Shared>) {
 
         for ev in &events {
             match ev.token {
-                TOKEN_LISTENER => {
-                    if !draining {
-                        clients.accept_burst(&listener, &poller);
-                    }
-                }
+                TOKEN_LISTENER => clients.accept(&listener, &poller),
                 TOKEN_WAKER => {} // drained above
                 token => {
                     let Some(conn) = clients.get_mut(token) else { continue };
@@ -125,7 +105,7 @@ pub(crate) fn event_loop(reactor: Reactor, shared: &Arc<Shared>) {
             }
         }
 
-        clients.sweep(&poller, shared.idle_timeout, draining);
+        clients.sweep(&poller, shared.shell.idle_timeout);
     }
 
     shared.queue.close();
@@ -141,16 +121,11 @@ fn dispatch(
     shared: &Arc<Shared>,
     completions: &Arc<Completions>,
 ) {
-    shared.conns.requests.fetch_add(1, Ordering::Relaxed);
+    shared.shell.conns.requests.fetch_add(1, Ordering::Relaxed);
     let started = Instant::now();
     match protocol::parse_request(&payload) {
         Ok(Request::Ping { id }) => {
-            let resp = ObjBuilder::new()
-                .bool("ok", true)
-                .opt_str("id", id.as_deref())
-                .str("verb", "ping")
-                .build();
-            conn.io.queue(&resp);
+            conn.io.queue(&protocol::render_pong(id.as_deref()));
             shared.latency.ping.record(started.elapsed());
         }
         Ok(Request::Stats { id }) => {
@@ -158,7 +133,7 @@ fn dispatch(
                 .bool("ok", true)
                 .opt_str("id", id.as_deref())
                 .str("verb", "stats");
-            conn.io.queue(&shared.registry.render_stats(head).build());
+            conn.io.queue(&shared.shell.registry.render_stats(head).build());
             shared.latency.stats.record(started.elapsed());
         }
         Ok(Request::Metrics { id }) => {
@@ -189,7 +164,7 @@ fn dispatch(
         Err(reason) => {
             // Parseable framing, unparseable payload: answer and keep the
             // connection (the stream is still in sync).
-            shared.conns.bad_requests.fetch_add(1, Ordering::Relaxed);
+            shared.shell.conns.bad_requests.fetch_add(1, Ordering::Relaxed);
             conn.io.queue(&render_error(None, ErrorCode::BadRequest, &reason));
         }
     }

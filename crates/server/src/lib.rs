@@ -25,11 +25,16 @@
 //! under the router's `upstream_rtt`). Sampled requests also leave their
 //! `trace_id` as Prometheus exemplars on the latency histograms.
 //!
-//! Both processes share one serving shell: the client-connection
-//! lifecycle and its counters ([`netcore::ConnCounters`]), the trace-ring
-//! surface ([`TraceRing::select`], [`StoredTrace::render`], the retention
-//! values both verbs serve), one [`ShutdownHandle`] and one SIGTERM/SIGINT wait
-//! ([`wait_for_signal`]).
+//! Both processes share one serving shell ([`shell`]): one settings type
+//! ([`ShellConfig`]) and one flag parser for the five settings they share,
+//! one start-up that builds the reactor, connection counters
+//! ([`netcore::ConnCounters`]), trace ring, sampling policy and registry,
+//! and one `main` (start, `listening on`, [`wait_for_signal`], drain
+//! through the [`ShutdownHandle`], exit). They also share the
+//! client-connection lifecycle, the trace-ring surface
+//! ([`TraceRing::select`], [`StoredTrace::render`], the retention values
+//! both verbs serve) and the one-tier sampling rule
+//! (`SamplingPolicy::decide`).
 
 pub mod client;
 pub mod eio;
@@ -40,6 +45,7 @@ pub mod router;
 pub mod routing;
 pub mod server;
 pub mod service;
+pub mod shell;
 pub mod trace;
 
 pub use client::{offline_psis, served_psis, Client, ClientError};
@@ -52,4 +58,5 @@ pub use router::{Router, RouterConfig};
 pub use routing::{canonical_method, shard_of, CanonicalMethod};
 pub use server::{Server, ServerConfig, ServerLatency};
 pub use service::{run_infer, InferOutcome, SummaryPolicy};
+pub use shell::ShellConfig;
 pub use trace::{RetainReason, SamplingPolicy, StoredTrace, TraceRing};

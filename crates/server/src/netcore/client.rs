@@ -230,11 +230,14 @@ pub(crate) struct Clients {
     conns: HashMap<u64, ClientConn>,
     next_token: u64,
     counters: Arc<ConnCounters>,
+    /// Set once shutdown was seen: nothing more is accepted, and no
+    /// connection is idle-closed.
+    draining: bool,
 }
 
 impl Clients {
     pub(crate) fn new(counters: Arc<ConnCounters>) -> Clients {
-        Clients { conns: HashMap::new(), next_token: TOKEN_FIRST_CONN, counters }
+        Clients { conns: HashMap::new(), next_token: TOKEN_FIRST_CONN, counters, draining: false }
     }
 
     /// A fresh poller token.
@@ -248,13 +251,40 @@ impl Clients {
         self.conns.get_mut(&token)
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.conns.is_empty()
+    /// The shutdown step at the top of each run-loop tick. Once
+    /// `shutdown` is requested, a final accept sweep gives backlog
+    /// connections typed `shutting_down` answers instead of a reset and
+    /// the listener goes quiet; from then on each tick drops the
+    /// connections quiescent past [`DRAIN_GRACE`]. True once the last one
+    /// has closed: the loop is done.
+    pub(crate) fn drained(
+        &mut self,
+        listener: &TcpListener,
+        poller: &Poller,
+        shutdown: &ShutdownHandle,
+    ) -> bool {
+        if shutdown.requested() && !self.draining {
+            self.accept(listener, poller);
+            self.draining = true;
+            poller.delete(listener.as_raw_fd());
+        }
+        if self.draining {
+            let quiet: Vec<u64> =
+                self.conns.iter().filter(|(_, c)| c.drain_quiet()).map(|(t, _)| *t).collect();
+            for token in quiet {
+                self.close(poller, token);
+            }
+        }
+        self.draining && self.conns.is_empty()
     }
 
-    /// Accepts every pending connection with read interest. One that
-    /// fails to register is dropped at once (counted accepted and closed).
-    pub(crate) fn accept_burst(&mut self, listener: &TcpListener, poller: &Poller) {
+    /// Accepts every pending connection with read interest, unless
+    /// draining. One that fails to register is dropped at once (counted
+    /// accepted and closed).
+    pub(crate) fn accept(&mut self, listener: &TcpListener, poller: &Poller) {
+        if self.draining {
+            return;
+        }
         while let Ok((stream, _)) = listener.accept() {
             self.counters.connections.fetch_add(1, Ordering::Relaxed);
             let Ok(io) = FramedConn::new(stream) else {
@@ -276,16 +306,6 @@ impl Clients {
         if let Some(conn) = self.conns.remove(&token) {
             poller.delete(conn.io.stream().as_raw_fd());
             self.counters.conns_closed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Shutdown drain: drops every connection that is quiescent and past
-    /// [`DRAIN_GRACE`].
-    pub(crate) fn close_quiet(&mut self, poller: &Poller) {
-        let quiet: Vec<u64> =
-            self.conns.iter().filter(|(_, c)| c.drain_quiet()).map(|(t, _)| *t).collect();
-        for token in quiet {
-            self.close(poller, token);
         }
     }
 
@@ -313,11 +333,11 @@ impl Clients {
     /// and reaping of connections that are drained or whose socket
     /// failed. (Visiting every connection each tick is fine at these
     /// connection counts and keeps the bookkeeping obviously right.)
-    pub(crate) fn sweep(&mut self, poller: &Poller, idle: Option<Duration>, draining: bool) {
+    pub(crate) fn sweep(&mut self, poller: &Poller, idle: Option<Duration>) {
         let now = Instant::now();
         let mut dead = Vec::new();
         for (&token, conn) in self.conns.iter_mut() {
-            if let Some(limit) = idle.filter(|_| !draining) {
+            if let Some(limit) = idle.filter(|_| !self.draining) {
                 if conn.idle_expired(now, limit) {
                     self.counters.idle_closed.fetch_add(1, Ordering::Relaxed);
                     conn.io.queue(&render_error(

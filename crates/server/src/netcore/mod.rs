@@ -4,9 +4,11 @@
 //! connection state machine ([`FramedConn`]), and the client-connection
 //! lifecycle built on them (`Clients`, which keeps the shared
 //! [`ConnCounters`]), written directly on `epoll(7)`/`eventfd(2)` FFI — no
-//! async runtime, no external crates. The process shell both serving
-//! binaries share lives here too: one [`ShutdownHandle`] type and one
-//! SIGTERM/SIGINT wait ([`wait_for_signal`]).
+//! async runtime, no external crates. The parts of the serving shell
+//! (`crate::shell`) that sit on the OS live here too: one
+//! [`ShutdownHandle`] type, the shutdown step both run loops take
+//! (`Clients::drained`), and one SIGTERM/SIGINT wait
+//! ([`wait_for_signal`]).
 //!
 //! Two run loops share it:
 //!

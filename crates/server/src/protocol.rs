@@ -361,6 +361,11 @@ pub fn render_infer(id: Option<&str>, req: &InferRequest) -> String {
     b.build()
 }
 
+/// Renders the `ping` response: the answering process is live.
+pub fn render_pong(id: Option<&str>) -> String {
+    ObjBuilder::new().bool("ok", true).opt_str("id", id).str("verb", "ping").build()
+}
+
 /// Renders a typed error response.
 pub fn render_error(id: Option<&str>, code: ErrorCode, message: &str) -> String {
     ObjBuilder::new()

@@ -25,10 +25,12 @@
 //!   `shard="i"` and regroups every family under one `# HELP`/`# TYPE`
 //!   header; `trace` concatenates the retained traces). `ping` answers
 //!   locally — it is the router's liveness.
-//! * **Process shell**: the client-connection counters
-//!   ([`ConnCounters`]), the retained-trace ring surface ([`TraceRing`]),
-//!   the shutdown handle and the signal wait are the daemon's own, so the
-//!   two processes count, export and stop identically.
+//! * **Process shell**: the settings it shares with the daemon, its flag
+//!   parser, its start-up (reactor, client-connection counters, trace
+//!   ring, sampling policy, registry, idle limit), its `main` and its
+//!   tracing decision (`SamplingPolicy::decide`) are the
+//!   daemon's own ([`crate::shell`]), so the two processes are
+//!   configured, count, export, trace and stop identically.
 //! * **Dead shards**: a request routed to a shard with no live upstream
 //!   connection gets a typed `upstream_unavailable` error immediately;
 //!   in-flight requests on a dying connection get the same. A connector
@@ -40,14 +42,15 @@
 //!   pure), and parks new requests for the shard until it lands.
 
 use crate::netcore::{
-    Clients, ConnCounters, FramedConn, Interest, Poller, Reactor, ShutdownHandle, Waker, SWEEP_MS,
+    Clients, FramedConn, Interest, Poller, Reactor, ShutdownHandle, Waker, SWEEP_MS,
     TOKEN_LISTENER, TOKEN_WAKER,
 };
-use crate::protocol::{self, render_error, ErrorCode, Request, TraceContext, TraceSelect};
+use crate::protocol::{self, render_error, ErrorCode, Request, TraceSelect};
 use crate::routing;
-use crate::trace::{mint_trace_id, RetainReason, SamplingPolicy, StoredTrace, TraceRing};
+use crate::shell::{Serving, Shell, ShellConfig};
+use crate::trace::{StoredTrace, TraceDecision};
 use obs::json::{self, ObjBuilder};
-use obs::{reader, Entry, MetricsRegistry, TraceSink};
+use obs::{reader, Entry, TraceSink};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io;
@@ -60,50 +63,34 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Router configuration.
+///
+/// Tracing (`shell.trace_sample`, `shell.slow_trace_ms`) samples routed
+/// `infer` requests: the router mints the trace context and injects it
+/// into the forwarded frame, so the shard records under the same
+/// `trace_id` and the per-process traces stitch back together. Tail
+/// capture records — and forwards a sampled context for — every request,
+/// so the shard half of a slow trace exists by the time it is wanted.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Bind address; port 0 picks a free port.
-    pub addr: String,
+    /// The settings the router shares with the daemon.
+    pub shell: ShellConfig,
     /// Upstream shard daemon addresses (`HOST:PORT`), in shard order.
     /// The order is the hash space: the same list in the same order must
     /// be used across router restarts for affinity to persist.
     pub shards: Vec<String>,
     /// Pooled upstream connections per shard.
     pub conns_per_shard: usize,
-    /// Idle deadline for downstream client connections (0 disables).
-    pub idle_timeout_ms: u64,
-    /// Head-sample every N-th routed `infer` request into a distributed
-    /// trace (0 disables). The router mints the trace context and injects
-    /// it into the forwarded frame, so the shard records under the same
-    /// `trace_id` and the two per-process traces stitch back together.
-    pub trace_sample: u64,
-    /// Also retain the router-side trace of any routed request slower
-    /// than this many milliseconds end-to-end (`None` disables; 0 retains
-    /// every request). Tail capture records — and forwards a sampled
-    /// context for — every request, so the shard half of a slow trace
-    /// exists by the time it is wanted.
-    pub slow_trace_ms: Option<u64>,
-    /// Bounded retained-trace ring capacity.
-    pub trace_buffer: usize,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
-        RouterConfig {
-            addr: "127.0.0.1:0".to_string(),
-            shards: Vec::new(),
-            conns_per_shard: 2,
-            idle_timeout_ms: 60_000,
-            trace_sample: 0,
-            slow_trace_ms: None,
-            trace_buffer: 64,
-        }
+        RouterConfig { shell: ShellConfig::default(), shards: Vec::new(), conns_per_shard: 2 }
     }
 }
 
 /// Monotonic routing counters (the merged `stats` response's `router`
 /// block and the `preinfer_router_*` metrics family; the connection
-/// lifecycle is counted by [`ConnCounters`]).
+/// lifecycle is counted by [`crate::netcore::ConnCounters`]).
 #[derive(Debug, Default)]
 pub struct RouterCounters {
     pub forwarded: AtomicU64,
@@ -116,7 +103,12 @@ pub struct RouterCounters {
 }
 
 struct RouterShared {
-    shutdown: ShutdownHandle,
+    /// Shutdown handle, connection counters, trace ring, sampling policy,
+    /// registry and idle limit. The sampling policy runs over the router's
+    /// own admission counter — the daemons' policy, applied one tier up;
+    /// the ring's traces are served by the `trace` verb alongside the
+    /// shard fan-out parts.
+    shell: Shell,
     /// The event loop's waker, registered before the connector thread
     /// starts, so the connector's first result can never go unnoticed.
     wake: Arc<Waker>,
@@ -124,7 +116,6 @@ struct RouterShared {
     connect_requests: Mutex<Vec<(usize, usize)>>,
     /// Freshly connected upstream streams from the connector thread.
     connect_results: Mutex<Vec<(usize, usize, TcpStream)>>,
-    conns: Arc<ConnCounters>,
     counters: Arc<RouterCounters>,
     /// Live upstream connections across all shards. Its own `Arc`, so the
     /// registry's reader does not hold `RouterShared`, which owns the
@@ -132,21 +123,12 @@ struct RouterShared {
     live_upstreams: Arc<AtomicU64>,
     /// Shards with at least one live upstream connection.
     live_shards: AtomicU64,
-    registry: Arc<MetricsRegistry>,
-    started: Instant,
-    /// Deterministic head/tail sampling over the router's own admission
-    /// counter — the same policy the daemons run, applied one tier up.
-    sampling: SamplingPolicy,
-    /// Retained router-side traces, served by the `trace` verb alongside
-    /// the shard fan-out parts.
-    ring: Arc<TraceRing>,
     cfg: RouterConfig,
 }
 
 /// A running router.
 pub struct Router {
     shared: Arc<RouterShared>,
-    local_addr: SocketAddr,
     event: JoinHandle<()>,
     connector: JoinHandle<()>,
 }
@@ -158,12 +140,9 @@ impl Router {
         if cfg.shards.is_empty() {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "no shards configured"));
         }
-        let reactor = Reactor::bind(&cfg.addr)?;
-        let local_addr = reactor.listener.local_addr()?;
-        let registry = Arc::new(MetricsRegistry::new());
-        let started = Instant::now();
+        let (reactor, shell) = Shell::start(&cfg.shell)?;
         let shared = Arc::new(RouterShared {
-            shutdown: reactor.shutdown_handle(),
+            shell,
             wake: Arc::clone(&reactor.waker),
             connect_requests: Mutex::new(
                 (0..cfg.shards.len())
@@ -171,14 +150,9 @@ impl Router {
                     .collect(),
             ),
             connect_results: Mutex::new(Vec::new()),
-            conns: Arc::new(ConnCounters::default()),
-            counters: Arc::new(RouterCounters::default()),
-            live_upstreams: Arc::new(AtomicU64::new(0)),
+            counters: Arc::default(),
+            live_upstreams: Arc::default(),
             live_shards: AtomicU64::new(0),
-            registry,
-            started,
-            sampling: SamplingPolicy::new(cfg.trace_sample, cfg.slow_trace_ms),
-            ring: Arc::new(TraceRing::new(cfg.trace_buffer)),
             cfg,
         });
         declare_observables(&shared);
@@ -196,15 +170,15 @@ impl Router {
         {
             std::thread::sleep(Duration::from_millis(5));
         }
-        Ok(Router { shared, local_addr, event, connector })
+        Ok(Router { shared, event, connector })
     }
 
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.shared.shell.local_addr
     }
 
     pub fn handle(&self) -> ShutdownHandle {
-        self.shared.shutdown.clone()
+        self.shared.shell.shutdown.clone()
     }
 
     /// Blocks until the router has drained (call
@@ -215,17 +189,28 @@ impl Router {
     }
 }
 
+impl Serving for Router {
+    fn local_addr(&self) -> SocketAddr {
+        Router::local_addr(self)
+    }
+
+    fn handle(&self) -> ShutdownHandle {
+        Router::handle(self)
+    }
+
+    fn join(self) {
+        Router::join(self)
+    }
+}
+
 /// Declares every value the router serves, once: the merged `stats`
 /// response's `router` block and the router's own `metrics` series are
 /// both renderings of these entries.
 fn declare_observables(shared: &Arc<RouterShared>) {
-    let reg = &shared.registry;
-    shared.conns.declare(
-        reg,
-        shared.started,
-        "",
-        ("preinfer_router_requests_total", "Downstream request frames."),
-    );
+    let shell = &shared.shell;
+    let reg = &shell.registry;
+    let requests = ("preinfer_router_requests_total", "Downstream request frames.");
+    shell.conns.declare(reg, shell.started, "", requests);
     type Count = fn(&RouterCounters) -> &AtomicU64;
     let counts: [(&str, &'static str, &'static str, Count); 5] = [
         ("forwarded", "preinfer_router_forwarded_total", "Requests forwarded to a shard.", |c| {
@@ -279,7 +264,7 @@ fn declare_observables(shared: &Arc<RouterShared>) {
             .series("preinfer_router_shards", "Configured shard count.", &[])
             .stats("shards"),
     );
-    shared.ring.declare(reg);
+    shell.ring.declare(reg);
 }
 
 // ---- connector thread -------------------------------------------------------
@@ -312,7 +297,7 @@ fn connector_loop(shared: &Arc<RouterShared>) {
         backoff: Duration,
     }
     let mut queue: Vec<Attempt> = Vec::new();
-    while !shared.shutdown.requested() {
+    while !shared.shell.shutdown.requested() {
         for (shard, slot) in shared.connect_requests.lock().expect("connect requests").drain(..) {
             queue.push(Attempt { shard, slot, not_before: Instant::now(), backoff: RECONNECT_MIN });
         }
@@ -387,10 +372,9 @@ struct Pending {
 /// nesting cannot describe.
 struct PendingTrace {
     sink: Arc<TraceSink>,
-    trace_id: String,
-    /// Whether the context was minted by the *client* (honored verbatim;
-    /// retention reason `context`) rather than by the router's own policy.
-    from_client: bool,
+    /// The recorded decision: its context names the trace, and it decides
+    /// retention.
+    decision: TraceDecision,
     /// Router admission id (the sampling counter, not the wire id).
     request_id: u64,
     func: String,
@@ -482,7 +466,7 @@ fn event_loop(reactor: Reactor, shared: &Arc<RouterShared>) {
     let mut lp = Loop {
         poller: &poller,
         shared,
-        downs: Clients::new(Arc::clone(&shared.conns)),
+        downs: Clients::new(Arc::clone(&shared.shell.conns)),
         ups: HashMap::new(),
         shards: Shards {
             slots: vec![vec![None; shared.cfg.conns_per_shard.max(1)]; nshards],
@@ -495,21 +479,8 @@ fn event_loop(reactor: Reactor, shared: &Arc<RouterShared>) {
     };
     let mut events = Vec::new();
     let mut frames = Vec::new();
-    let mut draining = false;
 
-    loop {
-        if shared.shutdown.requested() && !draining {
-            draining = true;
-            lp.downs.accept_burst(&listener, &poller);
-            poller.delete(listener.as_raw_fd());
-        }
-        if draining {
-            lp.downs.close_quiet(&poller);
-            if lp.downs.is_empty() {
-                break;
-            }
-        }
-
+    while !lp.downs.drained(&listener, &poller, &shared.shell.shutdown) {
         if poller.wait(&mut events, SWEEP_MS).is_err() {
             break;
         }
@@ -518,11 +489,7 @@ fn event_loop(reactor: Reactor, shared: &Arc<RouterShared>) {
 
         for ev in &events {
             match ev.token {
-                TOKEN_LISTENER => {
-                    if !draining {
-                        lp.downs.accept_burst(&listener, &poller);
-                    }
-                }
+                TOKEN_LISTENER => lp.downs.accept(&listener, &poller),
                 TOKEN_WAKER => {}
                 token if lp.ups.contains_key(&token) => {
                     // Read even on a socket error: a shard's `idle_timeout`
@@ -557,7 +524,7 @@ fn event_loop(reactor: Reactor, shared: &Arc<RouterShared>) {
             }
         }
 
-        lp.flush_and_sweep(draining);
+        lp.flush_and_sweep();
     }
 }
 
@@ -717,35 +684,38 @@ impl<'a> Loop<'a> {
 
     /// Parses and routes one downstream request frame.
     fn dispatch_down(&mut self, token: u64, payload: String) {
-        self.shared.conns.requests.fetch_add(1, Ordering::Relaxed);
+        self.shared.shell.conns.requests.fetch_add(1, Ordering::Relaxed);
         match protocol::parse_request(&payload) {
             Ok(Request::Ping { id }) => {
                 // The router's own liveness, answered locally.
-                let resp = ObjBuilder::new()
-                    .bool("ok", true)
-                    .opt_str("id", id.as_deref())
-                    .str("verb", "ping")
-                    .build();
-                self.deliver_inline(token, resp);
+                self.deliver_inline(token, protocol::render_pong(id.as_deref()));
             }
             Ok(Request::Infer { id, mut infer }) => {
                 self.next_req_id += 1;
                 let request_id = self.next_req_id;
                 let t_dispatch = Instant::now();
                 // Decide tracing before routing so the `route_decide` span
-                // can cover the shard computation.
-                let traced = decide_trace(self.shared, request_id, &mut infer);
-                let root = traced.as_ref().map(|(sink, _, _)| sink.begin_span("route", None));
+                // can cover the shard computation. The request carries the
+                // decision's context on to the shard: verbatim when the
+                // router does not record it, with the router's
+                // `upstream_rtt` span as its parent when it does.
+                let decision =
+                    self.shared.shell.sampling.decide(request_id, infer.trace.take(), true);
+                infer.trace = decision.context.clone();
+                let traced = decision
+                    .recording_sink("preinfer-router")
+                    .map(|sink| (Arc::new(sink), decision));
+                let root = traced.as_ref().map(|(sink, _)| sink.begin_span("route", None));
                 let decide = traced
                     .as_ref()
-                    .map(|(sink, _, _)| (sink.begin_span("route_decide", root), Instant::now()));
+                    .map(|(sink, _)| (sink.begin_span("route_decide", root), Instant::now()));
                 let shard = routing::shard_of(
                     &infer.program,
                     infer.func.as_deref(),
                     self.shared.cfg.shards.len(),
                 );
                 let routable = self.routable(shard);
-                if let (Some((sink, _, _)), Some((did, t0))) = (&traced, decide) {
+                if let (Some((sink, _)), Some((did, t0))) = (&traced, decide) {
                     sink.end_span(did, "route_decide", t0.elapsed());
                 }
                 if !routable {
@@ -761,20 +731,17 @@ impl<'a> Loop<'a> {
                 // Open the forwarding spans and inject the context: the
                 // shard's spans will hang under `upstream_rtt` when the
                 // per-process traces are merged.
-                let trace = traced.map(|(sink, trace_id, from_client)| {
+                let trace = traced.map(|(sink, decision)| {
                     let root = root.expect("root opened with the sink");
                     let t_queued = Instant::now();
                     let queue_span = Some(sink.begin_span("upstream_queue", Some(root)));
                     let rtt_span = sink.begin_span("upstream_rtt", Some(root));
-                    infer.trace = Some(TraceContext {
-                        trace_id: trace_id.clone(),
-                        parent_span_id: Some(rtt_span),
-                        sampled: true,
-                    });
+                    if let Some(ctx) = &mut infer.trace {
+                        ctx.parent_span_id = Some(rtt_span);
+                    }
                     PendingTrace {
                         sink,
-                        trace_id,
-                        from_client,
+                        decision,
                         request_id,
                         func: infer.func.clone().unwrap_or_default(),
                         root,
@@ -810,7 +777,7 @@ impl<'a> Loop<'a> {
                 self.fan_out(token, id, FanVerb::Trace, Some(select))
             }
             Err(reason) => {
-                self.shared.conns.bad_requests.fetch_add(1, Ordering::Relaxed);
+                self.shared.shell.conns.bad_requests.fetch_add(1, Ordering::Relaxed);
                 let resp = render_error(None, ErrorCode::BadRequest, &reason);
                 self.deliver_inline(token, resp);
             }
@@ -839,7 +806,7 @@ impl<'a> Loop<'a> {
         // shards get, so a stitched trace response carries every tier.
         let (local_traces, local_buffered) = match verb {
             FanVerb::Trace => {
-                let matched = self.shared.ring.select(&select);
+                let matched = self.shared.shell.ring.select(&select);
                 // `request_id` is meaningful only within one process's
                 // admission counter — every shard has its own request 17.
                 // When the id names a router-retained trace, resolve the
@@ -850,7 +817,8 @@ impl<'a> Loop<'a> {
                         select = TraceSelect::ByTraceId(tid);
                     }
                 }
-                (matched.iter().map(StoredTrace::render).collect(), self.shared.ring.len() as u64)
+                let buffered = self.shared.shell.ring.len() as u64;
+                (matched.iter().map(StoredTrace::render).collect(), buffered)
             }
             _ => (Vec::new(), 0),
         };
@@ -961,20 +929,17 @@ impl<'a> Loop<'a> {
         }
     }
 
-    /// Retention for one completed router-side trace: a client-minted
-    /// context is always retained (the client already decided); router-
-    /// minted traces go through the same head/slow policy as the daemons.
-    fn retain_trace(&self, tr: PendingTrace, service: std::time::Duration) {
-        let reason = if tr.from_client {
-            Some(RetainReason::Context)
-        } else {
-            self.shared.sampling.retain(tr.request_id, service)
+    /// Retention for one completed router-side trace, by the same rule
+    /// as the daemons' ([`TraceDecision::retain`]).
+    fn retain_trace(&self, tr: PendingTrace, service: Duration) {
+        let shell = &self.shared.shell;
+        let Some(reason) = tr.decision.retain(&shell.sampling, tr.request_id, service) else {
+            return;
         };
-        let Some(reason) = reason else { return };
-        self.shared.ring.push(StoredTrace {
+        shell.ring.push(StoredTrace {
             process: Some("preinfer-router"),
             request_id: tr.request_id,
-            trace_id: Some(tr.trace_id),
+            trace_id: tr.decision.context.map(|c| c.trace_id),
             func: tr.func,
             reason,
             queue_us: tr.queue_us,
@@ -1009,7 +974,7 @@ impl<'a> Loop<'a> {
 
     /// Flushes every connection, re-arms interest, applies idle
     /// deadlines, and reaps the dead.
-    fn flush_and_sweep(&mut self, draining: bool) {
+    fn flush_and_sweep(&mut self) {
         let now = Instant::now();
         for shard in 0..self.shards.parked.len() {
             if self.shards.redial_until[shard].is_some_and(|t| now >= t) {
@@ -1019,9 +984,7 @@ impl<'a> Loop<'a> {
                 }
             }
         }
-        let idle_limit = (self.shared.cfg.idle_timeout_ms > 0)
-            .then(|| Duration::from_millis(self.shared.cfg.idle_timeout_ms));
-        self.downs.sweep(self.poller, idle_limit, draining);
+        self.downs.sweep(self.poller, self.shared.shell.idle_timeout);
         let mut dead_ups = Vec::new();
         for (&token, up) in self.ups.iter_mut() {
             if up.io.wants_write() {
@@ -1060,50 +1023,6 @@ impl<'a> Loop<'a> {
             self.fail_upstream(token);
         }
     }
-}
-
-/// The tracing decision for one routed `infer` request. Exactly one tier
-/// decides sampling:
-///
-/// * A client-supplied context is honored verbatim — that tier decided;
-///   the router joins the trace as a middle hop (when `sampled`) or stays
-///   dark (when not).
-/// * Otherwise, with a router policy configured, the router decides and
-///   mints the context. Non-sampled requests are forwarded with an
-///   explicit `sampled: false` so shards do not independently head-sample
-///   a request the router declined — one trace per decision, not two.
-/// * With no policy and no context, the frame is forwarded untouched and
-///   the shard's own head/tail policy applies as before.
-///
-/// Returns `(sink, trace_id, from_client)` when the router records.
-fn decide_trace(
-    shared: &RouterShared,
-    request_id: u64,
-    infer: &mut protocol::InferRequest,
-) -> Option<(Arc<TraceSink>, String, bool)> {
-    let (ctx, from_client) = match infer.trace.clone() {
-        Some(c) => (c, true),
-        None => {
-            if !shared.sampling.enabled() {
-                return None;
-            }
-            let sampled = shared.sampling.record(request_id);
-            (
-                TraceContext { trace_id: mint_trace_id(request_id), parent_span_id: None, sampled },
-                false,
-            )
-        }
-    };
-    if !ctx.sampled {
-        infer.trace = Some(ctx);
-        return None;
-    }
-    let sink = Arc::new(TraceSink::recording_in_trace(
-        "preinfer-router",
-        &ctx.trace_id,
-        ctx.parent_span_id,
-    ));
-    Some((sink, ctx.trace_id, from_client))
 }
 
 /// Locates the router's correlation token `"id":"r<seq>"` in a raw shard
@@ -1151,7 +1070,7 @@ fn merge_stats(f: &FanState, shared: &Arc<RouterShared>) -> String {
         .bool("ok", true)
         .opt_str("id", f.orig_id.as_deref())
         .str("verb", "stats")
-        .raw("router", shared.registry.render_stats(ObjBuilder::new()).build())
+        .raw("router", shared.shell.registry.render_stats(ObjBuilder::new()).build())
         .u64("shards_unavailable", f.unavailable as u64)
         .arr("shards", shards)
         .build()
@@ -1193,7 +1112,7 @@ fn merge_metrics(f: &FanState, shared: &Arc<RouterShared>) -> String {
             }
         }
     };
-    add(&shared.registry.render_prometheus(), None);
+    add(&shared.shell.registry.render_prometheus(), None);
     for (shard, raw) in &f.parts {
         let Ok(parsed) = json::parse(raw) else { continue };
         let Some(text) = parsed.str_field("text") else { continue };

@@ -29,17 +29,25 @@
 //! `shutting_down`; once its last connection closes it closes the queue,
 //! workers drain it to empty, and `join` returns once every thread has
 //! exited.
+//!
+//! ## Shell
+//!
+//! The settings the daemon shares with the router ([`ShellConfig`]), its
+//! flag parser, start-up and `main` are the serving shell in
+//! [`crate::shell`]; whether a request records a trace is the one-tier
+//! rule of `SamplingPolicy::decide` in [`crate::trace`].
 
 use crate::eio;
-use crate::netcore::{resident_bytes, ConnCounters, Reactor, ShutdownHandle};
+use crate::netcore::{resident_bytes, ShutdownHandle};
 use crate::protocol::{render_error, ErrorCode, InferRequest, TraceSelect};
 use crate::queue::BoundedQueue;
 use crate::service;
 use crate::service::SummaryPolicy;
-use crate::trace::{SamplingPolicy, StoredTrace, TraceRing};
-use concolic::InterprocMode;
+use crate::shell::{Serving, Shell, ShellConfig};
+use crate::trace::StoredTrace;
 use obs::json::ObjBuilder;
-use obs::{reader, Entry, Histogram, MetricsRegistry};
+use obs::{reader, Entry, Histogram};
+use preinfer_core::SummaryTable;
 use solver::{Deadline, IncrementalCounters, SolverCache, TierCounters};
 use std::io;
 use std::net::SocketAddr;
@@ -51,46 +59,31 @@ use std::time::{Duration, Instant};
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Bind address; port 0 picks a free port (see [`Server::local_addr`]).
-    pub addr: String,
+    /// The settings the daemon shares with the router.
+    pub shell: ShellConfig,
     /// Worker threads executing `infer` jobs.
     pub workers: usize,
     /// Admission-queue capacity (requests waiting for a worker).
     pub queue_capacity: usize,
-    /// Close connections with no in-flight work that have been silent this
-    /// long (typed `idle_timeout` response; 0 disables).
-    pub idle_timeout_ms: u64,
-    /// Head-sample 1 in N `infer` requests for per-request tracing
-    /// (deterministic on the admission counter; 0 disables).
-    pub trace_sample: u64,
-    /// Tail capture: retain the trace of any request whose service time
-    /// exceeds this many milliseconds, sampled or not.
-    pub slow_trace_ms: Option<u64>,
-    /// Capacity of the retained-trace ring served by the `trace` verb.
-    pub trace_buffer: usize,
-    /// How `infer` requests treat user calls (`--interproc`): inline the
-    /// callee body (default) or apply callee ψ-summaries from the
-    /// daemon-lifetime shared table.
-    pub interproc: InterprocMode,
+    /// Apply callee ψ-summaries at call sites from a daemon-lifetime
+    /// shared table (`--interproc summary`) instead of inlining callee
+    /// bodies (`--interproc inline`, the default).
+    pub summaries: bool,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
+            shell: ShellConfig::default(),
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2),
             queue_capacity: 64,
-            idle_timeout_ms: 60_000,
-            trace_sample: 0,
-            slow_trace_ms: None,
-            trace_buffer: 64,
-            interproc: InterprocMode::Inline,
+            summaries: false,
         }
     }
 }
 
 /// The daemon's `infer` outcome counters (the connection lifecycle is
-/// counted by [`ConnCounters`]).
+/// counted by [`crate::netcore::ConnCounters`]).
 #[derive(Debug, Default)]
 pub struct Counters {
     pub infers_ok: AtomicU64,
@@ -132,17 +125,19 @@ pub(crate) struct Job {
 }
 
 /// State shared by every thread. The observable pieces (`queue`,
-/// `counters`, `latency`, `trace`, `tiers`, `ring`) are individually
-/// `Arc`'d so the registry's readers can capture them without holding
-/// the whole `Shared` (which owns the registry — a cycle).
+/// `counters`, `latency`, `trace`, `tiers`, the shell's counters and
+/// ring) are individually `Arc`'d so the registry's readers can capture
+/// them without holding the whole `Shared` (which owns the registry — a
+/// cycle).
 pub(crate) struct Shared {
-    pub(crate) shutdown: ShutdownHandle,
+    /// Shutdown handle, connection counters, trace ring, sampling policy,
+    /// registry and idle limit.
+    pub(crate) shell: Shell,
     /// Closed by the connection core once every connection has closed, so
     /// a request admitted in the instant the shutdown flag flips is still
     /// drained, not orphaned.
     pub(crate) queue: Arc<BoundedQueue<Job>>,
     pub(crate) cache: Arc<SolverCache>,
-    pub(crate) conns: Arc<ConnCounters>,
     pub(crate) counters: Arc<Counters>,
     pub(crate) latency: Arc<ServerLatency>,
     /// Aggregate pipeline-stage histograms shared by every worker, served
@@ -153,21 +148,12 @@ pub(crate) struct Shared {
     /// Which solver tier answered each executed query, summed across all
     /// workers for the daemon's lifetime, served through the registry.
     pub(crate) tiers: Arc<TierCounters>,
-    /// Retained per-request traces, served by the `trace` verb.
-    pub(crate) ring: Arc<TraceRing>,
     /// Incremental-session counters shared by every worker, served
     /// through the registry.
     pub(crate) incremental: Arc<IncrementalCounters>,
-    /// Interprocedural policy: mode, the daemon-lifetime summary table,
-    /// and apply counters, served through the registry.
+    /// Interprocedural policy: the daemon-lifetime summary table (in
+    /// summary mode) and apply counters, served through the registry.
     pub(crate) summaries: SummaryPolicy,
-    /// Deterministic per-request sampling policy (fixed at startup).
-    pub(crate) sampling: SamplingPolicy,
-    /// Every served value, declared once: rendered by the `stats` and
-    /// `metrics` verbs.
-    pub(crate) registry: Arc<MetricsRegistry>,
-    /// Idle-close deadline for silent connections; `None` when disabled.
-    pub(crate) idle_timeout: Option<Duration>,
     /// Admission counter: ids are 1-based, assigned in [`start_infer`].
     pub(crate) next_request_id: AtomicU64,
 }
@@ -175,7 +161,6 @@ pub(crate) struct Shared {
 /// A running daemon.
 pub struct Server {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
     event: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -183,54 +168,24 @@ pub struct Server {
 impl Server {
     /// Binds and starts the daemon.
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
-        let reactor = Reactor::bind(&cfg.addr)?;
-        let local_addr = reactor.listener.local_addr()?;
-        let started = Instant::now();
-        let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity));
-        let cache = Arc::new(SolverCache::new());
-        let conns = Arc::new(ConnCounters::default());
-        let counters = Arc::new(Counters::default());
-        let latency = Arc::new(ServerLatency::default());
-        let trace = Arc::new(obs::TraceSink::aggregate());
-        let tiers = Arc::new(TierCounters::default());
-        let ring = Arc::new(TraceRing::new(cfg.trace_buffer));
-        let incremental = Arc::new(IncrementalCounters::default());
-        let summaries = SummaryPolicy { mode: cfg.interproc, ..SummaryPolicy::default() };
-        let sampling = SamplingPolicy::new(cfg.trace_sample, cfg.slow_trace_ms);
-        let registry = Arc::new(MetricsRegistry::new());
-        declare_observables(
-            &registry,
-            &cache,
-            &tiers,
-            &conns,
-            &counters,
-            &latency,
-            &trace,
-            &queue,
-            &ring,
-            &incremental,
-            &summaries,
-            &sampling,
-            started,
-        );
+        let (reactor, shell) = Shell::start(&cfg.shell)?;
+        let summaries = SummaryPolicy {
+            table: cfg.summaries.then(|| Arc::new(SummaryTable::new())),
+            ..SummaryPolicy::default()
+        };
         let shared = Arc::new(Shared {
-            shutdown: reactor.shutdown_handle(),
-            queue,
-            cache,
-            conns,
-            counters,
-            latency,
-            trace,
-            tiers,
-            ring,
-            incremental,
+            shell,
+            queue: Arc::new(BoundedQueue::new(cfg.queue_capacity)),
+            cache: Arc::new(SolverCache::new()),
+            counters: Arc::default(),
+            latency: Arc::default(),
+            trace: Arc::new(obs::TraceSink::aggregate()),
+            tiers: Arc::default(),
+            incremental: Arc::default(),
             summaries,
-            sampling,
-            registry,
-            idle_timeout: (cfg.idle_timeout_ms > 0)
-                .then(|| Duration::from_millis(cfg.idle_timeout_ms)),
             next_request_id: AtomicU64::new(0),
         });
+        shared.declare_observables();
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -241,17 +196,17 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || eio::event_loop(reactor, &shared))
         };
-        Ok(Server { shared, local_addr, event, workers })
+        Ok(Server { shared, event, workers })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.shared.shell.local_addr
     }
 
     /// A shutdown trigger usable from signal handlers and tests.
     pub fn handle(&self) -> ShutdownHandle {
-        self.shared.shutdown.clone()
+        self.shared.shell.shutdown.clone()
     }
 
     /// The shared solver cache (exposed for tests and diagnostics).
@@ -267,6 +222,20 @@ impl Server {
         for w in self.workers {
             let _ = w.join();
         }
+    }
+}
+
+impl Serving for Server {
+    fn local_addr(&self) -> SocketAddr {
+        Server::local_addr(self)
+    }
+
+    fn handle(&self) -> ShutdownHandle {
+        Server::handle(self)
+    }
+
+    fn join(self) {
+        Server::join(self)
     }
 }
 
@@ -287,7 +256,7 @@ pub(crate) fn start_infer(
     shared: &Arc<Shared>,
     reply: ReplyTo,
 ) -> InferDisposition {
-    if shared.shutdown.requested() {
+    if shared.shell.shutdown.requested() {
         return InferDisposition::Done(render_error(
             id.as_deref(),
             ErrorCode::ShuttingDown,
@@ -319,7 +288,7 @@ pub(crate) fn render_metrics_response(id: Option<&str>, shared: &Shared) -> Stri
         .opt_str("id", id)
         .str("verb", "metrics")
         .str("content_type", "text/plain; version=0.0.4")
-        .str("text", &shared.registry.render_prometheus())
+        .str("text", &shared.shell.registry.render_prometheus())
         .build()
 }
 
@@ -330,12 +299,13 @@ pub(crate) fn render_trace_response(
     select: &TraceSelect,
     shared: &Shared,
 ) -> String {
-    let rendered = shared.ring.select(select).iter().map(StoredTrace::render).collect();
+    let ring = &shared.shell.ring;
+    let rendered = ring.select(select).iter().map(StoredTrace::render).collect();
     ObjBuilder::new()
         .bool("ok", true)
         .opt_str("id", id)
         .str("verb", "trace")
-        .u64("buffered", shared.ring.len() as u64)
+        .u64("buffered", ring.len() as u64)
         .arr("traces", rendered)
         .build()
 }
@@ -359,38 +329,20 @@ pub(crate) fn record_latency(h: &Histogram, d: Duration, trace_id: Option<&str>)
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
+    let sampling = &shared.shell.sampling;
     while let Some(job) = shared.queue.pop() {
         let dequeued = Instant::now();
         let queue_wait = dequeued.duration_since(job.admitted_at);
         let queue_ms = queue_wait.as_secs_f64() * 1e3;
-        // Sampled requests (and all requests under a slow threshold) run
-        // on a private recording sink; everyone else shares the aggregate.
+        // A request this process records (the one-tier rule of
+        // `SamplingPolicy::decide`) runs on a private sink stamped with
+        // its trace id, so the per-process traces stitch together and
+        // `trace --trace-id` finds it; everyone else shares the aggregate.
         // Recording is observation-only — the trace-neutrality tests prove
-        // served ψ identical either way. An upstream-minted trace context
-        // overrides the local policy entirely: exactly one tier decides
-        // sampling, and a context-recorded sink stamps the shared trace_id
-        // so the per-process traces stitch together afterwards. A request
-        // the daemon samples itself gets a trace id minted here, as the
-        // router mints one, so `trace --trace-id` finds it too.
-        let ctx = job.request.trace.clone();
-        let recording = match &ctx {
-            Some(c) => c.sampled,
-            None => shared.sampling.record(job.request_id),
-        };
-        let sink = match (&ctx, recording) {
-            (Some(c), true) => Arc::new(obs::TraceSink::recording_in_trace(
-                "preinferd",
-                &c.trace_id,
-                c.parent_span_id,
-            )),
-            (None, true) => Arc::new(obs::TraceSink::recording_in_trace(
-                "preinferd",
-                &crate::trace::mint_trace_id(job.request_id),
-                None,
-            )),
-            (_, false) => Arc::clone(&shared.trace),
-        };
-        let trace = Some(Arc::clone(&sink));
+        // served ψ identical either way.
+        let decision = sampling.decide(job.request_id, job.request.trace.clone(), false);
+        let recording = decision.recording_sink("preinferd").map(Arc::new);
+        let trace = Some(recording.clone().unwrap_or_else(|| Arc::clone(&shared.trace)));
         let result = service::run_infer(
             &job.request,
             &shared.cache,
@@ -425,7 +377,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // The id of the trace the ring keeps, if any: the exemplar that
         // links this request's latency samples to it.
         let mut exemplar = None;
-        if recording {
+        if let Some(sink) = &recording {
             let queue_us = queue_wait.as_micros().min(u64::MAX as u128) as u64;
             let service_us = service_time.as_micros().min(u64::MAX as u128) as u64;
             // Trailing request summary so an exported trace is
@@ -441,17 +393,11 @@ fn worker_loop(shared: &Arc<Shared>) {
             );
             // Fold the private sink's stage histograms into the daemon
             // aggregate so `stats`/`metrics` stay complete under sampling.
-            shared.trace.absorb(&sink);
-            // With a context the upstream tier already decided retention;
-            // locally-sampled requests go through the head/tail policy.
-            let reason = match &ctx {
-                Some(_) => Some(crate::trace::RetainReason::Context),
-                None => shared.sampling.retain(job.request_id, service_time),
-            };
-            if let Some(reason) = reason {
+            shared.trace.absorb(sink);
+            if let Some(reason) = decision.retain(sampling, job.request_id, service_time) {
                 let trace_id = sink.trace_id();
                 exemplar = trace_id.clone();
-                shared.ring.push(StoredTrace {
+                shared.shell.ring.push(StoredTrace {
                     process: None,
                     request_id: job.request_id,
                     trace_id,
@@ -472,273 +418,269 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Declares every value the daemon serves, once: the `stats` verb and
-/// the `metrics` verb are both renderings of these entries. Readers
-/// capture individual `Arc`s (never `Shared`, which owns the registry)
-/// and read their atomics at render time — zero hot-path cost.
-#[allow(clippy::too_many_arguments)]
-fn declare_observables(
-    reg: &MetricsRegistry,
-    cache: &Arc<SolverCache>,
-    tiers: &Arc<TierCounters>,
-    conns: &Arc<ConnCounters>,
-    counters: &Arc<Counters>,
-    latency: &Arc<ServerLatency>,
-    trace: &Arc<obs::TraceSink>,
-    queue: &Arc<BoundedQueue<Job>>,
-    ring: &Arc<TraceRing>,
-    incremental: &Arc<IncrementalCounters>,
-    summaries: &SummaryPolicy,
-    sampling: &SamplingPolicy,
-    started: Instant,
-) {
-    conns.declare(reg, started, "counters.", ("preinfer_requests_total", "Parsed request frames."));
-    reg.add(
-        Entry::gauge(reader(queue, |q| q.len() as u64))
-            .series("preinfer_queue_depth", "Requests waiting for a worker.", &[])
-            .stats("counters.queue_depth"),
-    );
-    reg.add(
-        Entry::gauge(reader(queue, |q| q.capacity() as u64))
-            .series("preinfer_queue_capacity", "Admission queue capacity.", &[])
-            .stats("counters.queue_capacity"),
-    );
-    type Outcome = fn(&Counters) -> &AtomicU64;
-    let outcomes: [(&str, &str, Outcome); 4] = [
-        ("ok", "infers_ok", |c| &c.infers_ok),
-        ("error", "infer_errors", |c| &c.infer_errors),
-        ("overloaded", "overloaded", |c| &c.overloaded),
-        ("timed_out", "timed_out", |c| &c.timed_out),
-    ];
-    for (result, key, sel) in outcomes {
-        let c = Arc::clone(counters);
+impl Shared {
+    /// Declares every value the daemon serves, once: the `stats` verb and
+    /// the `metrics` verb are both renderings of these entries. Readers
+    /// capture individual `Arc`s (never `Shared`, which owns the registry)
+    /// and read their atomics at render time — zero hot-path cost.
+    fn declare_observables(&self) {
+        let reg = &self.shell.registry;
+        let requests = ("preinfer_requests_total", "Parsed request frames.");
+        self.shell.conns.declare(reg, self.shell.started, "counters.", requests);
         reg.add(
-            Entry::counter(move || sel(&c).load(Ordering::Relaxed))
-                .series(
-                    "preinfer_infer_results_total",
-                    "Completed infer requests by result.",
-                    &[("result", result)],
-                )
-                .stats(format!("counters.{key}")),
+            Entry::gauge(reader(&self.queue, |q| q.len() as u64))
+                .series("preinfer_queue_depth", "Requests waiting for a worker.", &[])
+                .stats("counters.queue_depth"),
         );
-    }
-
-    const LOOKUPS: &str = "preinfer_cache_lookups_total";
-    const LOOKUP_HELP: &str = "Solver cache lookups by result.";
-    reg.add(
-        Entry::counter(reader(cache, |c| c.stats().hits))
-            .series(LOOKUPS, LOOKUP_HELP, &[("result", "hit")])
-            .stats("cache.hits"),
-    );
-    reg.add(
-        Entry::counter(reader(cache, |c| c.stats().misses))
-            .series(LOOKUPS, LOOKUP_HELP, &[("result", "miss")])
-            .stats("cache.misses"),
-    );
-    reg.add(
-        Entry::gauge(reader(cache, |c| c.stats().entries))
-            .series("preinfer_cache_entries", "Entries resident in the solver cache.", &[])
-            .stats("cache.entries"),
-    );
-    reg.add(
-        Entry::gauge(reader(cache, |c| c.stats().bytes))
-            .series("preinfer_cache_bytes", "Bytes owned by solver cache entries.", &[])
-            .stats("memory.cache_bytes"),
-    );
-    reg.add(
-        Entry::counter(reader(cache, |c| c.stats().evictions))
-            .series("preinfer_cache_eviction_sweeps_total", "Cache eviction sweeps.", &[])
-            .stats("cache.evictions"),
-    );
-    reg.add(
-        Entry::counter(reader(cache, |c| c.stats().evicted_entries))
-            .series("preinfer_cache_evicted_entries_total", "Entries evicted.", &[])
-            .stats("cache.evicted_entries"),
-    );
-    reg.add(Entry::real(reader(cache, |c| c.stats().hit_rate())).stats("cache.hit_rate"));
-
-    const TIERS: &str = "preinfer_solver_tier_answers_total";
-    const TIER_HELP: &str = "Solver queries answered, by deciding tier.";
-    reg.add(
-        Entry::counter(reader(tiers, |t| t.snapshot().answered_by_syntactic))
-            .series(TIERS, TIER_HELP, &[("tier", "syntactic")])
-            .stats("solver_tiers.answered_by_syntactic"),
-    );
-    reg.add(
-        Entry::counter(reader(tiers, |t| t.snapshot().answered_by_interval))
-            .series(TIERS, TIER_HELP, &[("tier", "interval")])
-            .stats("solver_tiers.answered_by_interval"),
-    );
-    reg.add(
-        Entry::counter(reader(tiers, |t| t.snapshot().answered_by_simplex))
-            .series(TIERS, TIER_HELP, &[("tier", "simplex")])
-            .stats("solver_tiers.answered_by_simplex"),
-    );
-    reg.add(
-        Entry::counter(reader(tiers, |t| t.snapshot().escalations))
-            .series("preinfer_solver_escalations_total", "Tier escalations.", &[])
-            .stats("solver_tiers.escalations"),
-    );
-    reg.add(
-        Entry::real(reader(tiers, |t| t.snapshot().tier1_rate())).stats("solver_tiers.tier1_rate"),
-    );
-
-    reg.add(
-        Entry::counter(reader(incremental, |i| i.snapshot().sessions))
-            .series(
-                "preinfer_solver_incremental_sessions_total",
-                "Warm incremental solver sessions opened.",
-                &[],
-            )
-            .stats("solver_incremental.sessions"),
-    );
-    reg.add(
-        Entry::counter(reader(incremental, |i| i.snapshot().queries))
-            .series(
-                "preinfer_solver_incremental_queries_total",
-                "Solver queries answered through an incremental session.",
-                &[],
-            )
-            .stats("solver_incremental.queries"),
-    );
-    reg.add(
-        Entry::counter(reader(incremental, |i| i.snapshot().pushes))
-            .series(
-                "preinfer_solver_incremental_pushes_total",
-                "Predicates pushed onto incremental session stacks.",
-                &[],
-            )
-            .stats("solver_incremental.pushes"),
-    );
-    reg.add(
-        Entry::counter(reader(incremental, |i| i.snapshot().pops))
-            .series(
-                "preinfer_solver_incremental_pops_total",
-                "Incremental session stack rewinds.",
-                &[],
-            )
-            .stats("solver_incremental.pops"),
-    );
-    reg.add(
-        Entry::counter(reader(incremental, |i| i.snapshot().reused_depth_sum))
-            .series(
-                "preinfer_solver_incremental_reused_depth_total",
-                "Stacked predicates reused across incremental queries (sum).",
-                &[],
-            )
-            .stats("solver_incremental.reused_depth_sum"),
-    );
-    reg.add(
-        Entry::real(reader(incremental, |i| i.snapshot().avg_reused_depth()))
-            .stats("solver_incremental.avg_reused_depth"),
-    );
-
-    let mode = summaries.mode.label();
-    reg.add(Entry::text(move || mode.to_string()).stats("summaries.mode"));
-    const SUMMARY_LOOKUPS: &str = "preinfer_summary_table_lookups_total";
-    const SUMMARY_LOOKUP_HELP: &str = "Summary-table lookups by result.";
-    reg.add(
-        Entry::counter(reader(&summaries.table, |t| t.hits()))
-            .series(SUMMARY_LOOKUPS, SUMMARY_LOOKUP_HELP, &[("result", "hit")])
-            .stats("summaries.hits"),
-    );
-    reg.add(
-        Entry::counter(reader(&summaries.table, |t| t.misses()))
-            .series(SUMMARY_LOOKUPS, SUMMARY_LOOKUP_HELP, &[("result", "miss")])
-            .stats("summaries.misses"),
-    );
-    reg.add(
-        Entry::counter(reader(&summaries.table, |t| t.inserts()))
-            .series(
-                "preinfer_summary_table_inserts_total",
-                "Callee closures inserted into the summary table.",
-                &[],
-            )
-            .stats("summaries.inserts"),
-    );
-    reg.add(
-        Entry::gauge(reader(&summaries.table, |t| t.len() as u64))
-            .series(
-                "preinfer_summary_table_entries",
-                "Callee closures resident in the summary table.",
-                &[],
-            )
-            .stats("summaries.entries"),
-    );
-    reg.add(
-        Entry::counter(reader(&summaries.stats, |s| s.applies()))
-            .series(
-                "preinfer_summary_applies_total",
-                "Checks summarized at call sites (psi(actuals) recorded).",
-                &[],
-            )
-            .stats("summaries.applies"),
-    );
-    reg.add(
-        Entry::counter(reader(&summaries.stats, |s| s.fallbacks()))
-            .series(
-                "preinfer_summary_fallbacks_total",
-                "Call-site fallbacks to inline recording.",
-                &[],
-            )
-            .stats("summaries.fallbacks"),
-    );
-
-    for stage in obs::Stage::ALL {
-        let tr = Arc::clone(trace);
         reg.add(
-            Entry::histogram_with_total(move || tr.stage_histogram(stage).snapshot())
-                .series(
-                    "preinfer_stage_duration_us",
-                    "Pipeline stage wall-clock, microseconds.",
-                    &[("stage", stage.label())],
-                )
-                .stats(format!("stages.{}", stage.label())),
+            Entry::gauge(reader(&self.queue, |q| q.capacity() as u64))
+                .series("preinfer_queue_capacity", "Admission queue capacity.", &[])
+                .stats("counters.queue_capacity"),
         );
-    }
-    type VerbSelector = fn(&ServerLatency) -> &Histogram;
-    let verbs: [(&str, VerbSelector); 5] = [
-        ("infer", |l| &l.infer),
-        ("stats", |l| &l.stats),
-        ("ping", |l| &l.ping),
-        ("metrics", |l| &l.metrics),
-        ("trace", |l| &l.trace),
-    ];
-    for (verb, sel) in verbs {
-        let l = Arc::clone(latency);
-        reg.add(
-            Entry::histogram(move || sel(&l).snapshot())
-                .series(
-                    "preinfer_request_duration_us",
-                    "Request service latency by verb, microseconds.",
-                    &[("verb", verb)],
-                )
-                .stats(format!("latency.{verb}")),
-        );
-    }
-    reg.add(
-        Entry::histogram(reader(latency, |l| l.queue_wait.snapshot()))
-            .series("preinfer_queue_wait_us", "Admission-to-dequeue wait, microseconds.", &[])
-            .stats("latency.queue_wait"),
-    );
-    ring.declare(reg);
-    let sample = sampling.sample;
-    reg.add(Entry::gauge(move || sample).stats("traces.sample"));
+        type Outcome = fn(&Counters) -> &AtomicU64;
+        let outcomes: [(&str, &str, Outcome); 4] = [
+            ("ok", "infers_ok", |c| &c.infers_ok),
+            ("error", "infer_errors", |c| &c.infer_errors),
+            ("overloaded", "overloaded", |c| &c.overloaded),
+            ("timed_out", "timed_out", |c| &c.timed_out),
+        ];
+        for (result, key, sel) in outcomes {
+            let c = Arc::clone(&self.counters);
+            reg.add(
+                Entry::counter(move || sel(&c).load(Ordering::Relaxed))
+                    .series(
+                        "preinfer_infer_results_total",
+                        "Completed infer requests by result.",
+                        &[("result", result)],
+                    )
+                    .stats(format!("counters.{key}")),
+            );
+        }
 
-    reg.add(
-        Entry::gauge(resident_bytes)
-            .series("preinfer_resident_bytes", "Resident set size (/proc/self/statm), bytes.", &[])
-            .stats("memory.resident_bytes"),
-    );
-    for (i, (arena, _)) in symbolic::arena_sizes().into_iter().enumerate() {
+        const LOOKUPS: &str = "preinfer_cache_lookups_total";
+        const LOOKUP_HELP: &str = "Solver cache lookups by result.";
         reg.add(
-            Entry::gauge(move || symbolic::arena_sizes()[i].1 as u64)
-                .series(
-                    "preinfer_arena_nodes",
-                    "Distinct nodes in the process-wide hash-consing arenas (never freed).",
-                    &[("arena", arena)],
-                )
-                .stats(format!("memory.arena_nodes.{arena}")),
+            Entry::counter(reader(&self.cache, |c| c.stats().hits))
+                .series(LOOKUPS, LOOKUP_HELP, &[("result", "hit")])
+                .stats("cache.hits"),
         );
+        reg.add(
+            Entry::counter(reader(&self.cache, |c| c.stats().misses))
+                .series(LOOKUPS, LOOKUP_HELP, &[("result", "miss")])
+                .stats("cache.misses"),
+        );
+        reg.add(
+            Entry::gauge(reader(&self.cache, |c| c.stats().entries))
+                .series("preinfer_cache_entries", "Entries resident in the solver cache.", &[])
+                .stats("cache.entries"),
+        );
+        reg.add(
+            Entry::gauge(reader(&self.cache, |c| c.stats().bytes))
+                .series("preinfer_cache_bytes", "Bytes owned by solver cache entries.", &[])
+                .stats("memory.cache_bytes"),
+        );
+        reg.add(
+            Entry::counter(reader(&self.cache, |c| c.stats().evictions))
+                .series("preinfer_cache_eviction_sweeps_total", "Cache eviction sweeps.", &[])
+                .stats("cache.evictions"),
+        );
+        reg.add(
+            Entry::counter(reader(&self.cache, |c| c.stats().evicted_entries))
+                .series("preinfer_cache_evicted_entries_total", "Entries evicted.", &[])
+                .stats("cache.evicted_entries"),
+        );
+        reg.add(Entry::real(reader(&self.cache, |c| c.stats().hit_rate())).stats("cache.hit_rate"));
+
+        const TIERS: &str = "preinfer_solver_tier_answers_total";
+        const TIER_HELP: &str = "Solver queries answered, by deciding tier.";
+        reg.add(
+            Entry::counter(reader(&self.tiers, |t| t.snapshot().answered_by_syntactic))
+                .series(TIERS, TIER_HELP, &[("tier", "syntactic")])
+                .stats("solver_tiers.answered_by_syntactic"),
+        );
+        reg.add(
+            Entry::counter(reader(&self.tiers, |t| t.snapshot().answered_by_interval))
+                .series(TIERS, TIER_HELP, &[("tier", "interval")])
+                .stats("solver_tiers.answered_by_interval"),
+        );
+        reg.add(
+            Entry::counter(reader(&self.tiers, |t| t.snapshot().answered_by_simplex))
+                .series(TIERS, TIER_HELP, &[("tier", "simplex")])
+                .stats("solver_tiers.answered_by_simplex"),
+        );
+        reg.add(
+            Entry::counter(reader(&self.tiers, |t| t.snapshot().escalations))
+                .series("preinfer_solver_escalations_total", "Tier escalations.", &[])
+                .stats("solver_tiers.escalations"),
+        );
+        reg.add(
+            Entry::real(reader(&self.tiers, |t| t.snapshot().tier1_rate()))
+                .stats("solver_tiers.tier1_rate"),
+        );
+
+        reg.add(
+            Entry::counter(reader(&self.incremental, |i| i.snapshot().sessions))
+                .series(
+                    "preinfer_solver_incremental_sessions_total",
+                    "Warm incremental solver sessions opened.",
+                    &[],
+                )
+                .stats("solver_incremental.sessions"),
+        );
+        reg.add(
+            Entry::counter(reader(&self.incremental, |i| i.snapshot().queries))
+                .series(
+                    "preinfer_solver_incremental_queries_total",
+                    "Solver queries answered through an incremental session.",
+                    &[],
+                )
+                .stats("solver_incremental.queries"),
+        );
+        reg.add(
+            Entry::counter(reader(&self.incremental, |i| i.snapshot().pushes))
+                .series(
+                    "preinfer_solver_incremental_pushes_total",
+                    "Predicates pushed onto incremental session stacks.",
+                    &[],
+                )
+                .stats("solver_incremental.pushes"),
+        );
+        reg.add(
+            Entry::counter(reader(&self.incremental, |i| i.snapshot().pops))
+                .series(
+                    "preinfer_solver_incremental_pops_total",
+                    "Incremental session stack rewinds.",
+                    &[],
+                )
+                .stats("solver_incremental.pops"),
+        );
+        reg.add(
+            Entry::counter(reader(&self.incremental, |i| i.snapshot().reused_depth_sum))
+                .series(
+                    "preinfer_solver_incremental_reused_depth_total",
+                    "Stacked predicates reused across incremental queries (sum).",
+                    &[],
+                )
+                .stats("solver_incremental.reused_depth_sum"),
+        );
+        reg.add(
+            Entry::real(reader(&self.incremental, |i| i.snapshot().avg_reused_depth()))
+                .stats("solver_incremental.avg_reused_depth"),
+        );
+
+        let mode = if self.summaries.table.is_some() { "summary" } else { "inline" };
+        reg.add(Entry::text(move || mode.to_string()).stats("summaries.mode"));
+        // Inline mode serves the counts of a table nothing ever fills: zeros.
+        let table = self.summaries.table.clone().unwrap_or_default();
+        const SUMMARY_LOOKUPS: &str = "preinfer_summary_table_lookups_total";
+        const SUMMARY_LOOKUP_HELP: &str = "Summary-table lookups by result.";
+        reg.add(
+            Entry::counter(reader(&table, |t| t.hits()))
+                .series(SUMMARY_LOOKUPS, SUMMARY_LOOKUP_HELP, &[("result", "hit")])
+                .stats("summaries.hits"),
+        );
+        reg.add(
+            Entry::counter(reader(&table, |t| t.misses()))
+                .series(SUMMARY_LOOKUPS, SUMMARY_LOOKUP_HELP, &[("result", "miss")])
+                .stats("summaries.misses"),
+        );
+        reg.add(
+            Entry::counter(reader(&table, |t| t.inserts()))
+                .series(
+                    "preinfer_summary_table_inserts_total",
+                    "Callee closures inserted into the summary table.",
+                    &[],
+                )
+                .stats("summaries.inserts"),
+        );
+        reg.add(
+            Entry::gauge(reader(&table, |t| t.len() as u64))
+                .series(
+                    "preinfer_summary_table_entries",
+                    "Callee closures resident in the summary table.",
+                    &[],
+                )
+                .stats("summaries.entries"),
+        );
+        reg.add(
+            Entry::counter(reader(&self.summaries.stats, |s| s.applies()))
+                .series(
+                    "preinfer_summary_applies_total",
+                    "Checks summarized at call sites (psi(actuals) recorded).",
+                    &[],
+                )
+                .stats("summaries.applies"),
+        );
+        reg.add(
+            Entry::counter(reader(&self.summaries.stats, |s| s.fallbacks()))
+                .series(
+                    "preinfer_summary_fallbacks_total",
+                    "Call-site fallbacks to inline recording.",
+                    &[],
+                )
+                .stats("summaries.fallbacks"),
+        );
+
+        for stage in obs::Stage::ALL {
+            let tr = Arc::clone(&self.trace);
+            reg.add(
+                Entry::histogram_with_total(move || tr.stage_histogram(stage).snapshot())
+                    .series(
+                        "preinfer_stage_duration_us",
+                        "Pipeline stage wall-clock, microseconds.",
+                        &[("stage", stage.label())],
+                    )
+                    .stats(format!("stages.{}", stage.label())),
+            );
+        }
+        type VerbSelector = fn(&ServerLatency) -> &Histogram;
+        let verbs: [(&str, VerbSelector); 5] = [
+            ("infer", |l| &l.infer),
+            ("stats", |l| &l.stats),
+            ("ping", |l| &l.ping),
+            ("metrics", |l| &l.metrics),
+            ("trace", |l| &l.trace),
+        ];
+        for (verb, sel) in verbs {
+            let l = Arc::clone(&self.latency);
+            reg.add(
+                Entry::histogram(move || sel(&l).snapshot())
+                    .series(
+                        "preinfer_request_duration_us",
+                        "Request service latency by verb, microseconds.",
+                        &[("verb", verb)],
+                    )
+                    .stats(format!("latency.{verb}")),
+            );
+        }
+        reg.add(
+            Entry::histogram(reader(&self.latency, |l| l.queue_wait.snapshot()))
+                .series("preinfer_queue_wait_us", "Admission-to-dequeue wait, microseconds.", &[])
+                .stats("latency.queue_wait"),
+        );
+        self.shell.ring.declare(reg);
+        let sample = self.shell.sampling.sample;
+        reg.add(Entry::gauge(move || sample).stats("traces.sample"));
+
+        reg.add(
+            Entry::gauge(resident_bytes)
+                .series(
+                    "preinfer_resident_bytes",
+                    "Resident set size (/proc/self/statm), bytes.",
+                    &[],
+                )
+                .stats("memory.resident_bytes"),
+        );
+        for (i, (arena, _)) in symbolic::arena_sizes().into_iter().enumerate() {
+            reg.add(
+                Entry::gauge(move || symbolic::arena_sizes()[i].1 as u64)
+                    .series(
+                        "preinfer_arena_nodes",
+                        "Distinct nodes in the process-wide hash-consing arenas (never freed).",
+                        &[("arena", arena)],
+                    )
+                    .stats(format!("memory.arena_nodes.{arena}")),
+            );
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! changing an answer.
 
 use crate::protocol::{ErrorCode, InferRequest};
-use concolic::{InterprocMode, SummaryApplyStats};
+use concolic::SummaryApplyStats;
 use minilang::CheckId;
 use obs::json::ObjBuilder;
 use preinfer_core::{Inference, MethodRun, SummaryBuildConfig, SummaryTable};
@@ -19,27 +19,17 @@ use std::sync::Arc;
 use std::time::Instant;
 use testgen::TestGenConfig;
 
-/// Daemon-wide interprocedural policy: whether `infer` requests apply
-/// callee ψ-summaries at call sites (`--interproc summary`) or inline
-/// callee bodies (the default), the daemon-lifetime [`SummaryTable`]
-/// shared by every worker (α-equivalent callee closures across requests
-/// hit instead of re-inferring), and the lifetime apply/fallback counters.
-/// Served under `stats.summaries` and the `preinfer_summary_*` metrics.
-#[derive(Debug, Clone)]
+/// Daemon-wide interprocedural policy: the daemon-lifetime
+/// [`SummaryTable`] shared by every worker when `infer` requests apply
+/// callee ψ-summaries at call sites (`--interproc summary`; α-equivalent
+/// callee closures across requests hit instead of re-inferring) — `None`
+/// inlines callee bodies (the default) — and the lifetime apply/fallback
+/// counters. Served under `stats.summaries` and the `preinfer_summary_*`
+/// metrics.
+#[derive(Debug, Clone, Default)]
 pub struct SummaryPolicy {
-    pub mode: InterprocMode,
-    pub table: Arc<SummaryTable>,
+    pub table: Option<Arc<SummaryTable>>,
     pub stats: Arc<SummaryApplyStats>,
-}
-
-impl Default for SummaryPolicy {
-    fn default() -> Self {
-        SummaryPolicy {
-            mode: InterprocMode::Inline,
-            table: Arc::new(SummaryTable::new()),
-            stats: Arc::new(SummaryApplyStats::default()),
-        }
-    }
 }
 
 /// A completed `infer` request.
@@ -108,8 +98,8 @@ pub fn run_infer(
     };
     // Summary mode builds (or re-resolves from the shared table) the
     // callee summaries for this program before the entry inference.
-    let table = (summaries.mode == InterprocMode::Summary).then_some(&*summaries.table);
-    let MethodRun { suite, inferences, .. } = run.run(&program, &func_name, table);
+    let MethodRun { suite, inferences, .. } =
+        run.run(&program, &func_name, summaries.table.as_deref());
     let func = program.func(&func_name).expect("checked above");
     Ok(InferOutcome {
         coverage_percent: suite.coverage_percent(func),

@@ -1,8 +1,9 @@
 //! Per-request trace sampling and retention.
 //!
-//! The daemon assigns every admitted `infer` request a monotonic id and
-//! decides — deterministically, from that id alone — whether the request
-//! runs with its own recording `TraceSink`:
+//! Each serving process (the daemon and the router alike) assigns every
+//! admitted `infer` request a monotonic id and decides — deterministically,
+//! from that id alone — whether the request runs with its own recording
+//! `TraceSink`:
 //!
 //! * **Head sampling**: with `--trace-sample N`, every N-th request
 //!   (ids 1, N+1, 2N+1, …) records. The decision is a modulus on the
@@ -15,13 +16,20 @@
 //!   of a request you could not know would be slow. Head-sampled requests
 //!   are always retained.
 //!
+//! Exactly one tier decides sampling, and `SamplingPolicy::decide` is
+//! that rule for both processes: a request that arrives with a trace
+//! context ([`TraceContext`]) follows it verbatim — it records iff the
+//! context is `sampled`, and is retained as `context` — and only a request
+//! without one goes through the local policy above, which mints a trace
+//! id for each request it records.
+//!
 //! Retained traces go into a bounded ring ([`TraceRing`]) that evicts the
 //! oldest entry on overflow, and are served by the `trace` verb
 //! (`{last: K}` / `{request_id: N}`, PROTOCOL.md). Recording is
 //! observation-only: the trace-neutrality differential proves served ψ
 //! byte-identical with sampling on or off.
 
-use crate::protocol::TraceSelect;
+use crate::protocol::{TraceContext, TraceSelect};
 use obs::json::ObjBuilder;
 use obs::{reader, Entry, MetricsRegistry};
 use std::collections::VecDeque;
@@ -126,6 +134,71 @@ impl SamplingPolicy {
             _ => None,
         }
     }
+
+    /// The one-tier rule for request `request_id`, which arrived with the
+    /// trace context `incoming`. A context is obeyed verbatim: the request
+    /// records iff it is `sampled`. Without one this policy decides, and a
+    /// request it records gets a freshly minted trace id. With
+    /// `mint_declined` (a tier with tiers below it), a request the policy
+    /// declines while it is on also gets a minted `sampled: false`
+    /// context, so the tier below does not sample on its own what this
+    /// tier declined: one trace per decision, not two.
+    pub(crate) fn decide(
+        &self,
+        request_id: u64,
+        incoming: Option<TraceContext>,
+        mint_declined: bool,
+    ) -> TraceDecision {
+        if incoming.is_some() {
+            return TraceDecision { context: incoming, upstream: true };
+        }
+        let sampled = self.record(request_id);
+        let context = (sampled || (mint_declined && self.enabled())).then(|| TraceContext {
+            trace_id: mint_trace_id(request_id),
+            parent_span_id: None,
+            sampled,
+        });
+        TraceDecision { context, upstream: false }
+    }
+}
+
+/// One process's tracing decision for one request
+/// ([`SamplingPolicy::decide`]): the request records iff its context is
+/// `sampled`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct TraceDecision {
+    /// The context the request runs under and carries on to the tier
+    /// below, if any.
+    pub(crate) context: Option<TraceContext>,
+    /// Whether the context came from an upstream tier, which then decided
+    /// retention too.
+    pub(crate) upstream: bool,
+}
+
+impl TraceDecision {
+    /// A recording sink in this decision's trace for `process`, when the
+    /// request records.
+    pub(crate) fn recording_sink(&self, process: &str) -> Option<obs::TraceSink> {
+        let ctx = self.context.as_ref().filter(|c| c.sampled)?;
+        Some(obs::TraceSink::recording_in_trace(process, &ctx.trace_id, ctx.parent_span_id))
+    }
+
+    /// Retention once the request finished in `service`: a recorded
+    /// upstream decision is retained as `context`, a recorded local one by
+    /// `policy`'s head/slow rule; a request that did not record keeps
+    /// nothing.
+    pub(crate) fn retain(
+        &self,
+        policy: &SamplingPolicy,
+        request_id: u64,
+        service: Duration,
+    ) -> Option<RetainReason> {
+        match &self.context {
+            Some(c) if c.sampled && self.upstream => Some(RetainReason::Context),
+            Some(c) if c.sampled => policy.retain(request_id, service),
+            _ => None,
+        }
+    }
 }
 
 /// One retained request trace.
@@ -213,31 +286,21 @@ impl TraceRing {
         entries.push_back(trace);
     }
 
-    /// The `k` most recent traces, newest first.
-    pub fn last(&self, k: usize) -> Vec<StoredTrace> {
-        let entries = self.entries.lock().expect("trace ring");
-        entries.iter().rev().take(k).cloned().collect()
-    }
-
-    /// The trace of one request, if still retained.
-    pub fn by_request_id(&self, request_id: u64) -> Option<StoredTrace> {
-        let entries = self.entries.lock().expect("trace ring");
-        entries.iter().rev().find(|t| t.request_id == request_id).cloned()
-    }
-
-    /// The trace recorded under one distributed trace id, if retained.
-    pub fn by_trace_id(&self, trace_id: &str) -> Option<StoredTrace> {
-        let entries = self.entries.lock().expect("trace ring");
-        entries.iter().rev().find(|t| t.trace_id.as_deref() == Some(trace_id)).cloned()
-    }
-
-    /// The traces a `trace` verb selection names, newest first.
+    /// The traces a `trace` verb selection names, newest first: the `k`
+    /// most recent, or the newest one of a request id or trace id.
     pub fn select(&self, select: &TraceSelect) -> Vec<StoredTrace> {
-        match select {
-            TraceSelect::Last(k) => self.last(usize::try_from(*k).unwrap_or(usize::MAX)),
-            TraceSelect::ById(rid) => self.by_request_id(*rid).into_iter().collect(),
-            TraceSelect::ByTraceId(tid) => self.by_trace_id(tid).into_iter().collect(),
-        }
+        let entries = self.entries.lock().expect("trace ring");
+        let newest = entries.iter().rev();
+        let picked: Vec<&StoredTrace> = match select {
+            TraceSelect::Last(k) => {
+                newest.take(usize::try_from(*k).unwrap_or(usize::MAX)).collect()
+            }
+            TraceSelect::ById(rid) => newest.filter(|t| t.request_id == *rid).take(1).collect(),
+            TraceSelect::ByTraceId(tid) => {
+                newest.filter(|t| t.trace_id.as_deref() == Some(tid)).take(1).collect()
+            }
+        };
+        picked.into_iter().cloned().collect()
     }
 
     /// Number of traces currently retained.
@@ -337,16 +400,52 @@ mod tests {
     }
 
     #[test]
+    fn one_tier_decides_an_incoming_context_verbatim_and_the_policy_otherwise() {
+        let p = SamplingPolicy::new(2, None);
+        let ms = Duration::from_millis(1);
+        let ctx = |sampled| TraceContext {
+            trace_id: format!("{:032x}", 7),
+            parent_span_id: Some(3),
+            sampled,
+        };
+        // An upstream context is obeyed whatever the local policy says.
+        for id in [1, 2] {
+            let d = p.decide(id, Some(ctx(true)), true);
+            assert_eq!(d, TraceDecision { context: Some(ctx(true)), upstream: true });
+            assert!(d.recording_sink("preinferd").is_some());
+            assert_eq!(d.retain(&p, id, ms), Some(RetainReason::Context));
+            let d = p.decide(id, Some(ctx(false)), true);
+            assert_eq!(d, TraceDecision { context: Some(ctx(false)), upstream: true });
+            assert!(d.recording_sink("preinferd").is_none());
+            assert_eq!(d.retain(&p, id, ms), None);
+        }
+        // Without one the policy decides, minting an id for what it records.
+        let head = p.decide(1, None, false);
+        let minted = head.context.as_ref().expect("a recorded request gets a context");
+        assert!(minted.sampled && minted.parent_span_id.is_none() && minted.trace_id.len() == 32);
+        assert_eq!(head.retain(&p, 1, ms), Some(RetainReason::Head));
+        // A declined request stays dark; a tier with tiers below tells
+        // them so, but only while its policy is on.
+        assert_eq!(p.decide(2, None, false), TraceDecision { context: None, upstream: false });
+        let declined = p.decide(2, None, true);
+        assert_eq!(declined.context.as_ref().map(|c| c.sampled), Some(false));
+        assert!(declined.recording_sink("preinfer-router").is_none());
+        assert_eq!(declined.retain(&p, 2, ms), None);
+        let off = SamplingPolicy::default().decide(1, None, true);
+        assert_eq!(off, TraceDecision { context: None, upstream: false });
+    }
+
+    #[test]
     fn ring_evicts_oldest_and_serves_newest_first() {
         let ring = TraceRing::new(2);
         ring.push(stored(1, RetainReason::Head));
         ring.push(stored(2, RetainReason::Head));
         ring.push(stored(3, RetainReason::Slow));
         assert_eq!(ring.len(), 2);
-        let last = ring.last(10);
+        let last = ring.select(&TraceSelect::Last(10));
         assert_eq!(last.iter().map(|t| t.request_id).collect::<Vec<_>>(), vec![3, 2]);
-        assert!(ring.by_request_id(1).is_none(), "oldest entry was evicted");
-        assert_eq!(ring.by_request_id(3).unwrap().reason, RetainReason::Slow);
+        assert!(ring.select(&TraceSelect::ById(1)).is_empty(), "oldest entry was evicted");
+        assert_eq!(ring.select(&TraceSelect::ById(3))[0].reason, RetainReason::Slow);
         assert_eq!(counters(&ring), (2, 1, 0, 1));
     }
 
@@ -355,9 +454,10 @@ mod tests {
         let ring = TraceRing::new(4);
         ring.push(stored(1, RetainReason::Context));
         ring.push(stored(2, RetainReason::Context));
-        let found = ring.by_trace_id(&format!("{:032x}", 2)).expect("trace retained");
-        assert_eq!(found.request_id, 2);
-        assert!(ring.by_trace_id("ffffffffffffffffffffffffffffffff").is_none());
+        let found = ring.select(&TraceSelect::ByTraceId(format!("{:032x}", 2)));
+        assert_eq!(found.iter().map(|t| t.request_id).collect::<Vec<_>>(), vec![2]);
+        let missing = TraceSelect::ByTraceId("ffffffffffffffffffffffffffffffff".to_string());
+        assert!(ring.select(&missing).is_empty());
         assert_eq!(counters(&ring), (0, 0, 2, 0));
         assert_eq!(RetainReason::Context.label(), "context");
     }

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use server::{
     offline_psis, protocol, served_psis, Client, InferRequest, Router, RouterConfig, Server,
-    ServerConfig, MAX_FRAME_LEN,
+    ServerConfig, ShellConfig, MAX_FRAME_LEN,
 };
 use std::collections::HashSet;
 use std::io::Write;
@@ -168,7 +168,7 @@ fn idle_connections_are_closed_with_a_typed_error() {
     let start = || {
         let server = Server::start(ServerConfig {
             workers: 1,
-            idle_timeout_ms: 300,
+            shell: ShellConfig { idle_timeout_ms: 300, ..ShellConfig::default() },
             ..ServerConfig::default()
         })
         .expect("bind loopback");
@@ -179,7 +179,7 @@ fn idle_connections_are_closed_with_a_typed_error() {
     let router_over = |shard: SocketAddr| {
         let router = Router::start(RouterConfig {
             shards: vec![shard.to_string()],
-            idle_timeout_ms: 300,
+            shell: ShellConfig { idle_timeout_ms: 300, ..ShellConfig::default() },
             ..RouterConfig::default()
         })
         .expect("start router");
@@ -211,9 +211,12 @@ fn idle_connections_are_closed_with_a_typed_error() {
 /// fire while bytes keep arriving.
 #[test]
 fn slow_partial_writes_are_decoded_not_idle_closed() {
-    let server =
-        Server::start(ServerConfig { workers: 1, idle_timeout_ms: 200, ..ServerConfig::default() })
-            .expect("bind loopback");
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        shell: ShellConfig { idle_timeout_ms: 200, ..ShellConfig::default() },
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
     let addr = server.local_addr();
     Box::leak(Box::new(server));
 

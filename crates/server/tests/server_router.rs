@@ -9,6 +9,7 @@
 use server::protocol;
 use server::{
     offline_psis, served_psis, Client, InferRequest, Router, RouterConfig, Server, ServerConfig,
+    ShellConfig,
 };
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -163,9 +164,12 @@ fn dead_shard_yields_typed_upstream_unavailable() {
 /// on a fresh connection and succeed: none fails over.
 #[test]
 fn requests_routed_just_after_a_shard_idle_close_succeed() {
-    let shard =
-        Server::start(ServerConfig { workers: 1, idle_timeout_ms: 200, ..ServerConfig::default() })
-            .expect("bind shard daemon");
+    let shard = Server::start(ServerConfig {
+        workers: 1,
+        shell: ShellConfig { idle_timeout_ms: 200, ..ShellConfig::default() },
+        ..ServerConfig::default()
+    })
+    .expect("bind shard daemon");
     // One pooled connection, so each idle close leaves no live one.
     let router = Router::start(RouterConfig {
         shards: vec![shard.local_addr().to_string()],
@@ -299,7 +303,7 @@ fn tracing_is_psi_neutral_and_stitches_across_processes() {
     let plain = start_router(&[&shard0, &shard1]);
     let traced = Router::start(RouterConfig {
         shards: vec![shard0.local_addr().to_string(), shard1.local_addr().to_string()],
-        trace_sample: 1,
+        shell: ShellConfig { trace_sample: 1, ..ShellConfig::default() },
         ..RouterConfig::default()
     })
     .expect("start traced router");

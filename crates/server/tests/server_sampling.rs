@@ -5,7 +5,8 @@
 //! invariant everything else rides on — sampling never changes a served ψ.
 
 use server::{
-    served_psis, Client, InferRequest, Router, RouterConfig, Server, ServerConfig, TraceSelect,
+    served_psis, Client, InferRequest, Router, RouterConfig, Server, ServerConfig, ShellConfig,
+    TraceSelect,
 };
 
 fn infer_req(program: &str, func: &str) -> InferRequest {
@@ -50,7 +51,11 @@ fn sampled_ids(cfg: ServerConfig, n: usize) -> Vec<u64> {
 
 #[test]
 fn head_sampling_is_deterministic_across_runs_and_worker_counts() {
-    let cfg = |workers: usize| ServerConfig { workers, trace_sample: 3, ..ServerConfig::default() };
+    let cfg = |workers: usize| ServerConfig {
+        workers,
+        shell: ShellConfig { trace_sample: 3, ..ShellConfig::default() },
+        ..ServerConfig::default()
+    };
     // 1-based admission ids, 1-in-3: requests 1, 4, 7, 10.
     let expect = vec![1, 4, 7, 10];
     assert_eq!(sampled_ids(cfg(1), 10), expect);
@@ -65,8 +70,11 @@ fn head_sampling_is_deterministic_across_runs_and_worker_counts() {
 #[test]
 fn tail_capture_retains_slow_requests_with_head_sampling_off() {
     let server = Server::start(ServerConfig {
-        trace_sample: 0,
-        slow_trace_ms: Some(0), // every request is "slow": service > 0 ms
+        shell: ShellConfig {
+            trace_sample: 0,
+            slow_trace_ms: Some(0), // every request is "slow": service > 0 ms
+            ..ShellConfig::default()
+        },
         ..ServerConfig::default()
     })
     .expect("bind loopback");
@@ -94,7 +102,7 @@ fn tail_capture_retains_slow_requests_with_head_sampling_off() {
     // request is retained, with reason `slow`.
     let router = Router::start(RouterConfig {
         shards: vec![addr],
-        slow_trace_ms: Some(0),
+        shell: ShellConfig { slow_trace_ms: Some(0), ..ShellConfig::default() },
         ..RouterConfig::default()
     })
     .expect("start router");
@@ -117,8 +125,11 @@ fn tail_capture_retains_slow_requests_with_head_sampling_off() {
 #[test]
 fn trace_ring_evicts_oldest_and_serves_by_request_id() {
     let server = Server::start(ServerConfig {
-        trace_sample: 1, // retain every request
-        trace_buffer: 2,
+        shell: ShellConfig {
+            trace_sample: 1, // retain every request
+            trace_buffer: 2,
+            ..ShellConfig::default()
+        },
         ..ServerConfig::default()
     })
     .expect("bind loopback");
@@ -174,8 +185,11 @@ fn stats_exposes_uptime_queue_capacity_and_queue_wait() {
 
 #[test]
 fn metrics_verb_serves_prometheus_exposition() {
-    let server = Server::start(ServerConfig { trace_sample: 1, ..ServerConfig::default() })
-        .expect("bind loopback");
+    let server = Server::start(ServerConfig {
+        shell: ShellConfig { trace_sample: 1, ..ShellConfig::default() },
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
     let addr = server.local_addr().to_string();
     let mut cl = Client::connect(&addr).expect("connect");
     cl.infer(&motivating_req()).expect("infer round-trip");
@@ -273,8 +287,11 @@ fn metrics_verb_serves_prometheus_exposition() {
 /// exemplar.
 #[test]
 fn self_sampled_traces_get_a_trace_id_and_an_exemplar() {
-    let server = Server::start(ServerConfig { trace_sample: 1, ..ServerConfig::default() })
-        .expect("bind loopback");
+    let server = Server::start(ServerConfig {
+        shell: ShellConfig { trace_sample: 1, ..ShellConfig::default() },
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
     let mut cl = Client::connect(&server.local_addr().to_string()).expect("connect");
     cl.infer(&motivating_req()).expect("infer round-trip");
     let traces = |resp: server::json::Json| -> Vec<server::json::Json> {
@@ -376,8 +393,7 @@ fn inline_overloaded_replies_keep_their_latency_exemplar() {
 #[test]
 fn sampling_never_changes_a_served_psi_across_the_corpus() {
     let sampled = Server::start(ServerConfig {
-        trace_sample: 1,
-        slow_trace_ms: Some(0),
+        shell: ShellConfig { trace_sample: 1, slow_trace_ms: Some(0), ..ShellConfig::default() },
         ..ServerConfig::default()
     })
     .expect("bind loopback");

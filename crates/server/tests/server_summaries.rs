@@ -8,7 +8,6 @@
 //! one daemon serves two programs that differ only in a callee body each
 //! its own ψ, in both interprocedural modes.
 
-use concolic::InterprocMode;
 use server::{offline_psis, served_psis, Client, InferRequest, Server, ServerConfig};
 
 const CHAIN: &str = "
@@ -56,12 +55,9 @@ fn summary_field(cl: &mut Client, field: &str) -> u64 {
 
 #[test]
 fn summary_table_is_daemon_lifetime_and_second_pass_increases_hit_rate() {
-    let server = Server::start(ServerConfig {
-        workers: 1,
-        interproc: InterprocMode::Summary,
-        ..ServerConfig::default()
-    })
-    .expect("bind loopback");
+    let server =
+        Server::start(ServerConfig { workers: 1, summaries: true, ..ServerConfig::default() })
+            .expect("bind loopback");
     let mut cl = Client::connect(&server.local_addr().to_string()).expect("connect");
 
     // Pass 1: cold table — every callee closure misses and is inserted.
@@ -134,8 +130,8 @@ fn same_entry_function_with_different_callees_gets_its_own_psi() {
             offline
         })
         .collect();
-    for interproc in [InterprocMode::Inline, InterprocMode::Summary] {
-        let server = Server::start(ServerConfig { interproc, ..ServerConfig::default() })
+    for summaries in [false, true] {
+        let server = Server::start(ServerConfig { summaries, ..ServerConfig::default() })
             .expect("bind loopback");
         let mut cl = Client::connect(&server.local_addr().to_string()).expect("connect");
         // Both orders on one daemon: whichever program is served first,
@@ -144,7 +140,7 @@ fn same_entry_function_with_different_callees_gets_its_own_psi() {
             for ((source, _), want) in programs.iter().zip(&expected) {
                 let resp = cl.infer(&req_for(source, "lift_guard")).expect("infer round-trip");
                 let served = served_psis(&resp).expect("served ψ");
-                assert_eq!(&served, want, "{interproc:?} mode, round {round}: {source}");
+                assert_eq!(&served, want, "summaries {summaries}, round {round}: {source}");
             }
         }
         server.handle().shutdown();
@@ -163,12 +159,9 @@ fn helper(a int, b int) -> int {
 }
 fn main(x int, y int) -> int { return helper(x - 1, y); }";
     let answer = |poison: bool| {
-        let server = Server::start(ServerConfig {
-            workers: 1,
-            interproc: InterprocMode::Summary,
-            ..ServerConfig::default()
-        })
-        .expect("bind loopback");
+        let server =
+            Server::start(ServerConfig { workers: 1, summaries: true, ..ServerConfig::default() })
+                .expect("bind loopback");
         let mut cl = Client::connect(&server.local_addr().to_string()).expect("connect");
         if poison {
             let expired = InferRequest { deadline_ms: Some(0), ..req_for(HELPER_CALL, "main") };

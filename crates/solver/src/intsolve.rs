@@ -98,11 +98,6 @@ impl Budget {
         }
     }
 
-    /// Remaining units.
-    pub fn remaining(&self) -> u64 {
-        self.nodes
-    }
-
     /// The shared simplex work pool, for [`solve_lp_within`].
     fn work_pool(&mut self) -> &mut u64 {
         &mut self.work

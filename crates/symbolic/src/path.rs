@@ -114,11 +114,6 @@ pub struct PathCondition {
 }
 
 impl PathCondition {
-    /// An empty, completed path.
-    pub fn completed(entries: Vec<PathEntry>) -> Self {
-        PathCondition { entries, outcome: PathOutcome::Completed }
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -133,16 +128,6 @@ impl PathCondition {
     /// when the path failed).
     pub fn last_branch(&self) -> Option<&PathEntry> {
         self.entries.iter().rev().find(|e| e.kind.is_branch())
-    }
-
-    /// Indices of branch entries (pins excluded), in order.
-    pub fn branch_indices(&self) -> Vec<usize> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.kind.is_branch())
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Whether entries `0..j` of `self` and `other` agree (same sites, same

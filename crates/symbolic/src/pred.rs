@@ -150,24 +150,13 @@ impl Pred {
                 Pred::Cmp(*op, a.subst_var(name, replacement), b.subst_var(name, replacement))
             }
             Pred::Null { place, positive } => {
-                Pred::Null { place: subst_place_var(place, name, replacement), positive: *positive }
+                Pred::Null { place: place.subst_var(name, replacement), positive: *positive }
             }
             Pred::BoolVar { .. } | Pred::Const(_) => self.clone(),
             Pred::IsSpace { arg, positive } => {
                 Pred::IsSpace { arg: arg.subst_var(name, replacement), positive: *positive }
             }
         }
-    }
-}
-
-fn subst_place_var(p: &Place, name: &str, replacement: &Term) -> Place {
-    use crate::term::PlaceNode;
-    match p.node() {
-        PlaceNode::Param(_) => *p,
-        PlaceNode::Elem(base, ix) => Place::elem_at(
-            subst_place_var(base, name, replacement),
-            ix.subst_var(name, replacement),
-        ),
     }
 }
 

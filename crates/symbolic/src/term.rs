@@ -99,6 +99,16 @@ impl Place {
             PlaceNode::Elem(base, ix) => base.mentions_var(name) || ix.mentions_var(name),
         }
     }
+
+    /// Substitutes int variable `name` by `replacement` in every index.
+    pub fn subst_var(&self, name: &str, replacement: &Term) -> Place {
+        match self.node() {
+            PlaceNode::Param(_) => *self,
+            PlaceNode::Elem(base, ix) => {
+                Place::elem_at(base.subst_var(name, replacement), ix.subst_var(name, replacement))
+            }
+        }
+    }
 }
 
 impl fmt::Display for Place {
@@ -338,18 +348,18 @@ impl Term {
                 SymVarNode::Int(n) if n == name => *replacement,
                 SymVarNode::Int(_) => *self,
                 SymVarNode::Len(p) => {
-                    Term::of_var(SymVarNode::Len(subst_place(p, name, replacement)).intern())
+                    Term::of_var(SymVarNode::Len(p.subst_var(name, replacement)).intern())
                 }
                 SymVarNode::IntElem(p, ix) => Term::of_var(
                     SymVarNode::IntElem(
-                        subst_place(p, name, replacement),
+                        p.subst_var(name, replacement),
                         ix.subst_var(name, replacement),
                     )
                     .intern(),
                 ),
                 SymVarNode::Char(p, ix) => Term::of_var(
                     SymVarNode::Char(
-                        subst_place(p, name, replacement),
+                        p.subst_var(name, replacement),
                         ix.subst_var(name, replacement),
                     )
                     .intern(),
@@ -397,16 +407,6 @@ impl Term {
             TermNode::Neg(a) | TermNode::Mul(_, a) | TermNode::Div(a, _) | TermNode::Rem(a, _) => {
                 a.collect_vars_seen(out, seen)
             }
-        }
-    }
-}
-
-fn subst_place(p: &Place, name: &str, replacement: &Term) -> Place {
-    match p.node() {
-        PlaceNode::Param(_) => *p,
-        PlaceNode::Elem(base, ix) => {
-            PlaceNode::Elem(subst_place(base, name, replacement), ix.subst_var(name, replacement))
-                .intern()
         }
     }
 }

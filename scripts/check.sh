@@ -27,6 +27,44 @@ wait_for_addr() {
     return 1
 }
 
+# The serving processes the smokes start, by name; each logs to NAME.out.
+declare -A SERVING=()
+
+# `start_serving NAME CMD...` runs CMD in the background, logging to
+# NAME.out (`wait_for_addr NAME.out` then prints the address it bound).
+start_serving() {
+    local name="$1"
+    shift
+    "$@" >"$name.out" 2>&1 &
+    SERVING[$name]=$!
+}
+
+# `stop_serving NAME...` sends each SIGTERM, which must drain it and exit
+# 0, then removes its log.
+stop_serving() {
+    local name
+    for name in "$@"; do kill -TERM "${SERVING[$name]}"; done
+    for name in "$@"; do
+        wait "${SERVING[$name]}" || { echo "$name exited non-zero after SIGTERM"; exit 1; }
+        unset "SERVING[$name]"
+        rm -f "$name.out"
+    done
+}
+
+# On any exit, kill whatever serving process is still running and remove
+# the serving smokes' files.
+on_exit() {
+    local name
+    for name in "${!SERVING[@]}"; do
+        kill "${SERVING[$name]}" 2>/dev/null || true
+        rm -f "$name.out"
+    done
+    rm -f server_metrics.txt server_stats.json server_trace.jsonl server_trace_report.txt \
+        summary_stats1.json summary_stats2.json router_trace_hdr.txt router_trace.jsonl \
+        router_trace_report.txt router_metrics.txt router_stats.json
+}
+trap on_exit EXIT
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
@@ -157,9 +195,7 @@ rm -f trace_smoke.ml trace_smoke.jsonl trace_smoke.txt
 
 echo "== server smoke (preinferd + preinfer-client)"
 cargo build --release -p server --quiet
-./target/release/preinferd --addr 127.0.0.1:0 --trace-sample 2 >server_smoke.out 2>&1 &
-SERVER_PID=$!
-trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -f server_smoke.out server_metrics.txt server_stats.json server_trace.jsonl' EXIT
+start_serving server_smoke ./target/release/preinferd --addr 127.0.0.1:0 --trace-sample 2
 ADDR="$(wait_for_addr server_smoke.out)"
 # A corpus slice, each served ψ checked byte-for-byte against the offline
 # pipeline (the client exits non-zero on any divergence).
@@ -193,10 +229,8 @@ grep -q "exclusive total" server_trace_report.txt \
     || { echo "preinfer-trace could not analyze a served trace"; exit 1; }
 rm -f server_trace_report.txt
 # SIGTERM must drain and exit 0.
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID" || { echo "preinferd exited non-zero after SIGTERM"; exit 1; }
-trap - EXIT
-rm -f server_smoke.out server_metrics.txt server_stats.json server_trace.jsonl
+stop_serving server_smoke
+rm -f server_metrics.txt server_stats.json server_trace.jsonl
 
 echo "== interproc summary smoke (preinferd --interproc summary)"
 # A summary-mode daemon over two passes of the multi-function slice: every
@@ -204,9 +238,7 @@ echo "== interproc summary smoke (preinferd --interproc summary)"
 # daemon-lifetime `summaries` stats block is populated, and the second
 # pass strictly increases the table hit rate (α-equivalent callee closures
 # resolve from the shared table instead of being re-inferred).
-./target/release/preinferd --addr 127.0.0.1:0 --interproc summary >summary_smoke.out 2>&1 &
-SUMMARY_PID=$!
-trap 'kill "$SUMMARY_PID" 2>/dev/null || true; rm -f summary_smoke.out summary_stats1.json summary_stats2.json' EXIT
+start_serving summary_smoke ./target/release/preinferd --addr 127.0.0.1:0 --interproc summary
 SADDR="$(wait_for_addr summary_smoke.out)"
 for SUBJECT in lift_guard chain_depth diamond branchy_scale; do
     ./target/release/preinfer-client --addr "$SADDR" corpus "$SUBJECT" --check-offline
@@ -230,28 +262,21 @@ assert rate2 > rate1, f"hit rate did not increase across passes: {rate1:.3f} -> 
 print(f"interproc summary smoke: {s2['entries']} table entries, hit rate "
       f"{rate1:.1%} -> {rate2:.1%}, {s2['applies']} applies, {s2['fallbacks']} fallbacks")
 EOF
-kill -TERM "$SUMMARY_PID"
-wait "$SUMMARY_PID" || { echo "summary-mode preinferd exited non-zero after SIGTERM"; exit 1; }
-trap - EXIT
-rm -f summary_smoke.out summary_stats1.json summary_stats2.json
+stop_serving summary_smoke
+rm -f summary_stats1.json summary_stats2.json
 
 echo "== router smoke (2 shards + preinfer-router)"
 # Two shard daemons fronted by the key-affinity router;
 # a corpus slice served *through* the router must still be byte-identical
 # to the offline pipeline, and SIGTERM must drain all three processes.
-./target/release/preinferd --addr 127.0.0.1:0 >shard0.out 2>&1 &
-SHARD0_PID=$!
-./target/release/preinferd --addr 127.0.0.1:0 >shard1.out 2>&1 &
-SHARD1_PID=$!
-trap 'kill "$SHARD0_PID" "$SHARD1_PID" 2>/dev/null || true; rm -f shard0.out shard1.out router_smoke.out' EXIT
+start_serving shard0 ./target/release/preinferd --addr 127.0.0.1:0
+start_serving shard1 ./target/release/preinferd --addr 127.0.0.1:0
 SHARD0="$(wait_for_addr shard0.out)"
 SHARD1="$(wait_for_addr shard1.out)"
 # --trace-sample 1: every routed infer is traced end-to-end — the ψ
 # differential below doubles as the routed trace-neutrality check.
-./target/release/preinfer-router --addr 127.0.0.1:0 --shard "$SHARD0" --shard "$SHARD1" \
-    --trace-sample 1 >router_smoke.out 2>&1 &
-ROUTER_PID=$!
-trap 'kill "$ROUTER_PID" "$SHARD0_PID" "$SHARD1_PID" 2>/dev/null || true; rm -f shard0.out shard1.out router_smoke.out router_trace_hdr.txt router_trace.jsonl router_trace_report.txt router_metrics.txt router_stats.json' EXIT
+start_serving router_smoke ./target/release/preinfer-router --addr 127.0.0.1:0 \
+    --shard "$SHARD0" --shard "$SHARD1" --trace-sample 1
 RADDR="$(wait_for_addr router_smoke.out)"
 for SUBJECT in guarded_div reverse_words binary_search; do
     ./target/release/preinfer-client --addr "$RADDR" corpus "$SUBJECT" --check-offline
@@ -325,12 +350,7 @@ EOF
 python3 scripts/check_observables.py router_stats.json router_metrics.txt
 rm -f router_trace_hdr.txt router_trace.jsonl router_trace_report.txt router_metrics.txt router_stats.json
 # SIGTERM must drain the router and both shards, all exiting 0.
-kill -TERM "$ROUTER_PID"
-wait "$ROUTER_PID" || { echo "preinfer-router exited non-zero after SIGTERM"; exit 1; }
-kill -TERM "$SHARD0_PID" "$SHARD1_PID"
-wait "$SHARD0_PID" || { echo "shard 0 exited non-zero after SIGTERM"; exit 1; }
-wait "$SHARD1_PID" || { echo "shard 1 exited non-zero after SIGTERM"; exit 1; }
-trap - EXIT
-rm -f shard0.out shard1.out router_smoke.out
+stop_serving router_smoke
+stop_serving shard0 shard1
 
 echo "== OK"

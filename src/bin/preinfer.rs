@@ -24,7 +24,7 @@ struct Options {
     func: Option<String>,
     baselines: bool,
     max_runs: Option<usize>,
-    interproc: InterprocMode,
+    summaries: bool,
     timeout_ms: Option<u64>,
     verbose: bool,
     trace_out: Option<String>,
@@ -64,7 +64,7 @@ fn parse_args() -> Options {
         func: None,
         baselines: false,
         max_runs: None,
-        interproc: InterprocMode::default(),
+        summaries: false,
         timeout_ms: None,
         verbose: false,
         trace_out: None,
@@ -75,7 +75,11 @@ fn parse_args() -> Options {
             "--baselines" => opts.baselines = true,
             "--verbose" => opts.verbose = true,
             "--interproc" => {
-                opts.interproc = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+                opts.summaries = match args.next().as_deref() {
+                    Some("inline") => false,
+                    Some("summary") => true,
+                    _ => usage(),
+                }
             }
             "--tests" => {
                 opts.max_runs =
@@ -146,7 +150,7 @@ fn main() -> ExitCode {
     // Summary mode: infer every non-recursive reachable callee's ψ first
     // (bottom-up), then apply the summaries at call sites.
     let table = SummaryTable::new();
-    let table = (opts.interproc == InterprocMode::Summary).then_some(&table);
+    let table = opts.summaries.then_some(&table);
     if table.is_some() {
         println!("building callee ψ-summaries for `{func_name}` …");
     }

@@ -53,7 +53,7 @@ pub use testgen;
 /// Convenient access to the most-used items.
 pub mod prelude {
     pub use baselines::{infer_dysy, infer_fixit};
-    pub use concolic::{run_concolic, ConcolicConfig, InterprocMode};
+    pub use concolic::{run_concolic, ConcolicConfig};
     pub use interp::run;
     pub use minilang::{compile, InputValue, MethodEntryState};
     pub use preinfer_core::{

@@ -1,7 +1,8 @@
 //! `preinfer --interproc summary --trace-out` traces the callee summary
 //! build like any other inference: the callee's pruning runs under the
 //! same sink as the entry's, so its `prune` spans (and the solver calls
-//! inside them) are in the trace file.
+//! inside them) are in the trace file. `--interproc` takes only `inline`
+//! or `summary`.
 
 use std::process::Command;
 
@@ -46,4 +47,15 @@ fn summary_mode_trace_records_the_callees_prune_spans() {
     assert!(callee_prunes > 0, "no callee prune spans before the entry's testgen: {span_starts:?}");
     let psi_events = lines.iter().filter(|l| l.contains(r#""ev":"psi""#)).count();
     assert_eq!(psi_events, 2, "expected the callee's ψ and the entry's ψ in the trace");
+}
+
+#[test]
+fn an_unknown_interproc_mode_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_preinfer"))
+        .args(["lift.ml", "--interproc", "both"])
+        .output()
+        .expect("preinfer runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("usage: preinfer"), "{stderr}");
 }

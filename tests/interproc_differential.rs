@@ -53,10 +53,10 @@ fn allowlisted(name: &str) -> bool {
 /// `(acl, ψ line, ψ formula)` per triggered entry ACL, in ACL order.
 fn infer_psis(
     m: &subjects::SubjectMethod,
-    mode: InterprocMode,
+    summaries: bool,
 ) -> Vec<(minilang::CheckId, String, Formula)> {
     let table = SummaryTable::new();
-    let table = (mode == InterprocMode::Summary).then_some(&table);
+    let table = summaries.then_some(&table);
     SummaryBuildConfig::default()
         .run(&m.compile(), m.name, table)
         .inferences
@@ -89,8 +89,8 @@ fn summary_mode_matches_or_strengthens_inline_psi_across_the_corpus() {
     let mut nonempty = 0usize;
     let mut diverged = 0usize;
     for m in &common::corpus() {
-        let inline = infer_psis(m, InterprocMode::Inline);
-        let summary = infer_psis(m, InterprocMode::Summary);
+        let inline = infer_psis(m, false);
+        let summary = infer_psis(m, true);
         let inline_acls: Vec<_> = inline.iter().map(|(a, _, _)| *a).collect();
         let summary_acls: Vec<_> = summary.iter().map(|(a, _, _)| *a).collect();
         assert_eq!(
