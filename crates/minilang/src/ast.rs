@@ -91,11 +91,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Whether the operator is a comparison producing `bool` from two `int`s.
-    pub fn is_int_cmp(self) -> bool {
-        matches!(self, BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
-    }
-
     /// Whether the operator is `+ - * / %`.
     pub fn is_arith(self) -> bool {
         matches!(self, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem)
@@ -368,8 +363,6 @@ mod tests {
 
     #[test]
     fn binop_classification() {
-        assert!(BinOp::Lt.is_int_cmp());
-        assert!(!BinOp::Eq.is_int_cmp());
         assert!(BinOp::Div.is_arith());
         assert!(!BinOp::And.is_arith());
         assert_eq!(BinOp::Ne.symbol(), "!=");

@@ -21,10 +21,6 @@ pub struct CallGraph {
     /// `edges[i]` = indices of user functions called by function `i`,
     /// deduplicated, in first-occurrence order.
     edges: Vec<Vec<usize>>,
-    /// `(caller, callee)` pairs whose callee is not a program function.
-    /// The type checker rejects these programs; the graph records them so
-    /// callers that work on unchecked ASTs can surface the same parity.
-    unknown: Vec<(String, String)>,
     /// `scc_of[i]` = component id of function `i`. Component ids are
     /// assigned in Tarjan completion order, which is reverse topological:
     /// if `f` calls `g` (and they are in different components) then
@@ -43,51 +39,23 @@ impl CallGraph {
         let index: HashMap<String, usize> =
             names.iter().enumerate().map(|(i, n)| (n.clone(), i)).collect();
         let mut edges = vec![Vec::new(); names.len()];
-        let mut unknown = Vec::new();
         let mut self_loop = vec![false; names.len()];
         for (i, f) in program.funcs.iter().enumerate() {
             let mut targets = Vec::new();
             collect_block_calls(&f.body, &mut targets);
-            for t in targets {
-                match index.get(&t) {
-                    Some(&j) => {
-                        if j == i {
-                            self_loop[i] = true;
-                        }
-                        if !edges[i].contains(&j) {
-                            edges[i].push(j);
-                        }
-                    }
-                    None => {
-                        if !unknown.iter().any(|(c, u)| c == &f.name && u == &t) {
-                            unknown.push((f.name.clone(), t));
-                        }
-                    }
+            // A call to a name that is not a program function is no edge
+            // (the type checker rejects such programs).
+            for &j in targets.iter().filter_map(|t| index.get(t)) {
+                if j == i {
+                    self_loop[i] = true;
+                }
+                if !edges[i].contains(&j) {
+                    edges[i].push(j);
                 }
             }
         }
         let (scc_of, scc_size) = tarjan(&edges);
-        CallGraph { names, index, edges, unknown, scc_of, scc_size, self_loop }
-    }
-
-    /// All function names, in program order.
-    pub fn functions(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Distinct user functions called by `name`, in first-occurrence order.
-    /// Empty for unknown functions.
-    pub fn callees_of(&self, name: &str) -> Vec<&str> {
-        match self.index.get(name) {
-            Some(&i) => self.edges[i].iter().map(|&j| self.names[j].as_str()).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// `(caller, callee)` pairs targeting names that are not program
-    /// functions (the type checker rejects such programs).
-    pub fn unknown_callees(&self) -> &[(String, String)] {
-        &self.unknown
+        CallGraph { names, index, edges, scc_of, scc_size, self_loop }
     }
 
     /// Whether `name` participates in recursion: it calls itself, or it
@@ -97,19 +65,6 @@ impl CallGraph {
             Some(&i) => self.self_loop[i] || self.scc_size[self.scc_of[i]] > 1,
             None => false,
         }
-    }
-
-    /// Strongly connected components in reverse topological order
-    /// (a component's callees appear in earlier components). Singleton
-    /// components are included; member order within a component follows
-    /// Tarjan's stack order.
-    pub fn sccs(&self) -> Vec<Vec<String>> {
-        let n_comps = self.scc_size.len();
-        let mut comps: Vec<Vec<String>> = vec![Vec::new(); n_comps];
-        for (i, &c) in self.scc_of.iter().enumerate() {
-            comps[c].push(self.names[i].clone());
-        }
-        comps
     }
 
     /// Functions reachable from `entry` (excluding `entry` itself unless it
@@ -291,10 +246,8 @@ mod tests {
              fn leaf(z int) -> int { assert(z > 0); return z; }",
         );
         assert_eq!(g.bottom_up_from("entry"), vec!["leaf".to_string(), "mid".to_string()]);
-        assert_eq!(g.callees_of("entry"), vec!["mid"]);
         assert!(!g.is_recursive("entry"));
         assert!(!g.is_recursive("leaf"));
-        assert!(g.unknown_callees().is_empty());
     }
 
     #[test]
@@ -331,17 +284,6 @@ mod tests {
         );
         assert!(g.is_recursive("even"));
         assert!(g.is_recursive("odd"));
-        let sccs = g.sccs();
-        assert!(sccs.iter().any(|c| c.len() == 2), "mutual pair in one component: {sccs:?}");
-    }
-
-    #[test]
-    fn unknown_callees_are_recorded_matching_tyck_rejection() {
-        let p = parse_program("fn f(x int) -> int { return ghost(x); }").unwrap();
-        let g = CallGraph::of(&p);
-        assert_eq!(g.unknown_callees(), &[("f".to_string(), "ghost".to_string())]);
-        // tyck rejects the same program for the same reason.
-        assert!(crate::tyck::check_program(p).is_err());
     }
 
     #[test]
@@ -367,6 +309,6 @@ mod tests {
                  return h(v);
              }",
         );
-        assert_eq!(g.callees_of("f"), vec!["h"]);
+        assert_eq!(g.bottom_up_from("f"), vec!["h".to_string()]);
     }
 }

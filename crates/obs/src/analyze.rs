@@ -510,7 +510,7 @@ mod tests {
                 let _guard = sink.span(Stage::PassingGuard);
                 std::thread::sleep(Duration::from_millis(2));
             }
-            sink.solver_call(3, "sat", "miss", "simplex", Duration::from_millis(3));
+            sink.solver_call(3, "sat", "miss", "simplex", None, Duration::from_millis(3));
         }
         let lines = sink.lines();
         let a = TraceAnalysis::from_lines(lines.iter().map(String::as_str)).unwrap();
@@ -561,9 +561,9 @@ mod tests {
     #[test]
     fn top_solver_calls_sorts_by_duration() {
         let sink = TraceSink::recording();
-        sink.solver_call(1, "sat", "miss", "interval", Duration::from_micros(5));
-        sink.solver_call(9, "unsat", "miss", "simplex", Duration::from_micros(500));
-        sink.solver_call(2, "sat", "hit", "syntactic", Duration::from_micros(50));
+        sink.solver_call(1, "sat", "miss", "interval", None, Duration::from_micros(5));
+        sink.solver_call(9, "unsat", "miss", "simplex", None, Duration::from_micros(500));
+        sink.solver_call(2, "sat", "hit", "syntactic", None, Duration::from_micros(50));
         let lines = sink.lines();
         let a = TraceAnalysis::from_lines(lines.iter().map(String::as_str)).unwrap();
         let top = a.top_solver_calls(2);

@@ -41,7 +41,6 @@ pub const EXEMPLAR_SLOTS: usize = H_MAX - EXEMPLAR_MIN_OCTAVE + 1;
 #[derive(Debug)]
 pub struct Histogram {
     counts: [AtomicU64; BUCKETS],
-    total: AtomicU64,
     sum_us: AtomicU64,
     /// Last exemplar per high octave; locked only on the (rare) sampled
     /// path and at scrape time, never on plain `record`.
@@ -52,7 +51,6 @@ impl Default for Histogram {
     fn default() -> Histogram {
         Histogram {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            total: AtomicU64::new(0),
             sum_us: AtomicU64::new(0),
             exemplars: Mutex::new(std::array::from_fn(|_| None)),
         }
@@ -83,24 +81,6 @@ fn bucket_bound(k: usize) -> u64 {
     (1u64 << h) + (sub + 1) * (1u64 << (h - 3)) - 1
 }
 
-/// The `q`-quantile of `(bound, count)` buckets holding `total` samples:
-/// the inclusive upper bound of the bucket containing that rank (0 with no
-/// samples).
-fn quantile(total: u64, buckets: impl Iterator<Item = (u64, u64)>, q: f64) -> u64 {
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-    let mut seen = 0u64;
-    for (bound, count) in buckets {
-        seen += count;
-        if seen >= rank {
-            return bound;
-        }
-    }
-    bucket_bound(BUCKETS - 1)
-}
-
 /// Exemplar slot for a value, if it is high enough to carry one.
 fn exemplar_slot(us: u64) -> Option<usize> {
     if us < (1u64 << EXEMPLAR_MIN_OCTAVE) {
@@ -119,7 +99,6 @@ impl Histogram {
     pub fn record(&self, d: std::time::Duration) {
         let us = d.as_micros().min(u64::MAX as u128) as u64;
         self.counts[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
     }
 
@@ -137,51 +116,18 @@ impl Histogram {
         }
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all recorded samples, in µs.
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed)
-    }
-
-    /// Mean latency in µs (0 with no samples).
-    pub fn mean_us(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed).checked_div(self.count()).unwrap_or(0)
-    }
-
-    /// The `q`-quantile (`0 < q <= 1`) as the *inclusive* upper bound of
-    /// the bucket containing that rank, in µs — so the reported quantile
-    /// never exceeds every recorded sample. Returns 0 with no samples.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        let buckets = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(k, c)| (bucket_bound(k), c.load(Ordering::Relaxed)));
-        quantile(self.count(), buckets, q)
-    }
-
-    /// `(p50, p90, p99)` in µs.
-    pub fn percentiles_us(&self) -> (u64, u64, u64) {
-        (self.quantile_us(0.50), self.quantile_us(0.90), self.quantile_us(0.99))
-    }
-
-    /// Per-bucket `(inclusive upper bound µs, count)` pairs, in bucket
-    /// order. The registry renders the non-empty ones as cumulative
-    /// Prometheus buckets.
-    pub fn buckets_us(&self) -> [(u64, u64); BUCKETS] {
-        std::array::from_fn(|k| (bucket_bound(k), self.counts[k].load(Ordering::Relaxed)))
-    }
-
     /// A point-in-time copy for exposition (buckets, sample sum, and the
     /// current exemplar per occupied high-octave slot).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let exemplars =
             self.exemplars.lock().expect("exemplar slots").iter().flatten().cloned().collect();
-        HistogramSnapshot { buckets_us: self.buckets_us(), sum_us: self.sum_us(), exemplars }
+        HistogramSnapshot {
+            buckets_us: std::array::from_fn(|k| {
+                (bucket_bound(k), self.counts[k].load(Ordering::Relaxed))
+            }),
+            sum_us: self.sum_us.load(Ordering::Relaxed),
+            exemplars,
+        }
     }
 
     /// Adds every sample recorded in `other` into `self` (bucket-wise),
@@ -196,7 +142,6 @@ impl Histogram {
                 self.counts[k].fetch_add(n, Ordering::Relaxed);
             }
         }
-        self.total.fetch_add(other.total.load(Ordering::Relaxed), Ordering::Relaxed);
         self.sum_us.fetch_add(other.sum_us.load(Ordering::Relaxed), Ordering::Relaxed);
         let theirs = other.exemplars.lock().expect("exemplar slots");
         let mut ours = self.exemplars.lock().expect("exemplar slots");
@@ -235,21 +180,53 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Number of samples (the bucket counts' sum, so the summary is
-    /// self-consistent even when the copy raced a `record`).
-    pub fn count(&self) -> u64 {
-        self.buckets_us.iter().map(|&(_, c)| c).sum()
+    /// The one latency summary of these samples. The count is the bucket
+    /// counts' sum, so the summary is self-consistent even when the copy
+    /// raced a `record`.
+    pub fn summary(&self) -> LatencySummary {
+        let count = self.buckets_us.iter().map(|&(_, c)| c).sum();
+        LatencySummary {
+            count,
+            total_us: self.sum_us,
+            mean_us: self.sum_us.checked_div(count).unwrap_or(0),
+            p50_us: self.quantile_us(count, 0.50),
+            p90_us: self.quantile_us(count, 0.90),
+            p99_us: self.quantile_us(count, 0.99),
+        }
     }
 
-    /// Mean sample in µs (0 with no samples).
-    pub fn mean_us(&self) -> u64 {
-        self.sum_us.checked_div(self.count()).unwrap_or(0)
+    /// The `q`-quantile (`0 < q <= 1`) of `count` samples as the
+    /// *inclusive* upper bound of the bucket containing that rank, in µs —
+    /// so the reported quantile never exceeds every recorded sample. 0 with
+    /// no samples.
+    fn quantile_us(&self, count: u64, q: f64) -> u64 {
+        if count == 0 {
+            return 0;
+        }
+        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+        let mut seen = 0u64;
+        let bucket = self.buckets_us.iter().find(|&&(_, n)| {
+            seen += n;
+            seen >= rank
+        });
+        bucket.map_or(0, |&(bound, _)| bound)
     }
+}
 
-    /// The `q`-quantile in µs, as [`Histogram::quantile_us`] computes it.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        quantile(self.count(), self.buckets_us.iter().copied(), q)
-    }
+/// A latency summary: what `stats`, the `preinfer` stage footer and
+/// `tables` report for a histogram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LatencySummary {
+    /// Number of samples.
+    pub count: u64,
+    /// Sum of the samples, µs.
+    pub total_us: u64,
+    /// Mean sample, µs (0 with no samples).
+    pub mean_us: u64,
+    /// Quantiles, µs, each the inclusive upper bound of its bucket.
+    pub p50_us: u64,
+    pub p90_us: u64,
+    pub p99_us: u64,
 }
 
 #[cfg(test)]
@@ -299,12 +276,11 @@ mod tests {
         for _ in 0..10 {
             h.record(Duration::from_millis(50));
         }
-        assert_eq!(h.count(), 100);
-        let (p50, p90, p99) = h.percentiles_us();
-        assert_eq!(p50, 103, "p50 = {p50}");
-        assert_eq!(p90, 103, "p90 = {p90}");
-        assert_eq!(p99, 53_247, "p99 = {p99}");
-        assert!(p50 <= p90 && p90 <= p99);
+        let s = h.snapshot().summary();
+        assert_eq!(s.count, 100);
+        assert_eq!(s.p50_us, 103, "p50 = {}", s.p50_us);
+        assert_eq!(s.p90_us, 103, "p90 = {}", s.p90_us);
+        assert_eq!(s.p99_us, 53_247, "p99 = {}", s.p99_us);
     }
 
     /// Regression for the saturated-tail bug: under 64-conn pipelined load
@@ -322,7 +298,7 @@ mod tests {
         for _ in 0..10 {
             h.record(Duration::from_micros(60_000));
         }
-        let (p50, _, p99) = h.percentiles_us();
+        let LatencySummary { p50_us: p50, p99_us: p99, .. } = h.snapshot().summary();
         assert!(p50 < p99, "bimodal modes collapsed: p50 = {p50}, p99 = {p99}");
         assert!((35_000..36_864).contains(&p50), "p50 = {p50}");
         assert!((60_000..65_536).contains(&p99), "p99 = {p99}");
@@ -338,12 +314,12 @@ mod tests {
         for _ in 0..100 {
             h.record(Duration::from_micros(100));
         }
-        assert_eq!(h.quantile_us(0.50), 103);
-        assert_eq!(h.quantile_us(0.99), 103);
+        let s = h.snapshot().summary();
+        assert_eq!((s.p50_us, s.p99_us), (103, 103));
         // Low buckets hold one exact value; their inclusive bound is it.
         let z = Histogram::new();
         z.record(Duration::ZERO);
-        assert_eq!(z.quantile_us(0.50), 0);
+        assert_eq!(z.snapshot().summary().p50_us, 0);
     }
 
     #[test]
@@ -354,12 +330,11 @@ mod tests {
         b.record(Duration::from_micros(100));
         b.record(Duration::from_millis(50));
         a.merge_from(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum_us(), 100 + 100 + 50_000);
-        let buckets = a.buckets_us();
-        assert_eq!(buckets.iter().map(|(_, c)| c).sum::<u64>(), 3);
+        let snap = a.snapshot();
+        let s = snap.summary();
+        assert_eq!((s.count, s.total_us), (3, 100 + 100 + 50_000));
         // The two 100 µs samples share a sub-bucket.
-        assert!(buckets.iter().any(|&(bound, c)| bound == 103 && c == 2));
+        assert!(snap.buckets_us.iter().any(|&(bound, c)| bound == 103 && c == 2));
     }
 
     #[test]
@@ -392,26 +367,8 @@ mod tests {
 
     #[test]
     fn empty_histogram_reports_zeros() {
-        let h = Histogram::new();
-        assert_eq!(h.percentiles_us(), (0, 0, 0));
-        assert_eq!(h.mean_us(), 0);
-        assert_eq!(h.sum_us(), 0);
-        assert!(h.snapshot().exemplars.is_empty());
-        assert_eq!(h.snapshot().quantile_us(0.5), 0);
-        assert_eq!(h.snapshot().mean_us(), 0);
-    }
-
-    #[test]
-    fn snapshots_summarize_like_the_live_histogram() {
-        let h = Histogram::new();
-        for us in [3, 100, 100, 2_000, 50_000, 1 << 30] {
-            h.record(Duration::from_micros(us));
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), h.count());
-        assert_eq!(snap.mean_us(), h.mean_us());
-        for q in [0.01, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(snap.quantile_us(q), h.quantile_us(q), "q = {q}");
-        }
+        let snap = Histogram::new().snapshot();
+        assert_eq!(snap.summary(), LatencySummary::default());
+        assert!(snap.exemplars.is_empty());
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Std-only observability for the PreInfer pipeline: structured spans and
 //! events ([`TraceSink`], [`SpanGuard`]) attributing wall-clock to the
-//! pipeline stages ([`Stage`]), and the lock-free power-of-two latency
-//! [`Histogram`] shared by the CLI trace footer and `preinferd`'s `stats`
-//! verb.
+//! pipeline stages ([`Stage`]), and the lock-free log-linear latency
+//! [`Histogram`] whose one summary ([`LatencySummary`]) the CLI trace
+//! footer, `tables` and `preinferd`'s `stats` verb all print.
 //!
 //! Three companions complete the layer: the unified [`MetricsRegistry`]
 //! (every served counter, gauge and histogram declared once, rendered
@@ -30,6 +30,6 @@ pub mod registry;
 pub mod sink;
 
 pub use analyze::TraceAnalysis;
-pub use histogram::{Exemplar, Histogram, HistogramSnapshot};
+pub use histogram::{Exemplar, Histogram, HistogramSnapshot, LatencySummary};
 pub use registry::{reader, Entry, MetricsRegistry};
-pub use sink::{maybe_span, recording_sink, SpanGuard, Stage, StageSnapshot, TraceSink, Val};
+pub use sink::{maybe_span, recording_sink, SpanGuard, Stage, TraceSink, Val};

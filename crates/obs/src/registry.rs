@@ -93,13 +93,13 @@ impl Reader {
             Reader::Text(f) => json::escape(&f()),
             Reader::Since(t) => t.elapsed().as_secs().to_string(),
             Reader::Histogram { read, total } => {
-                let snap = read();
-                let b = ObjBuilder::new().u64("count", snap.count());
-                let b = if *total { b.u64("total_us", snap.sum_us) } else { b };
-                b.u64("mean_us", snap.mean_us())
-                    .u64("p50_us", snap.quantile_us(0.50))
-                    .u64("p90_us", snap.quantile_us(0.90))
-                    .u64("p99_us", snap.quantile_us(0.99))
+                let s = read().summary();
+                let b = ObjBuilder::new().u64("count", s.count);
+                let b = if *total { b.u64("total_us", s.total_us) } else { b };
+                b.u64("mean_us", s.mean_us)
+                    .u64("p50_us", s.p50_us)
+                    .u64("p90_us", s.p90_us)
+                    .u64("p99_us", s.p99_us)
                     .build()
             }
         }

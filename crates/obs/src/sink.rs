@@ -24,10 +24,11 @@
 //! duration contains its nested `solver` calls); the JSON-lines output
 //! carries the parent links needed to subtract.
 
-use crate::histogram::Histogram;
+use crate::histogram::{Histogram, LatencySummary};
 use crate::json;
 use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::iter;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -92,17 +93,20 @@ pub enum Val<'a> {
     S(&'a str),
     /// Boolean.
     B(bool),
+    /// JSON `null`.
+    Null,
 }
 
-/// Aggregated timings for one stage, as observed at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StageSnapshot {
-    pub count: u64,
-    pub total_us: u64,
-    pub mean_us: u64,
-    pub p50_us: u64,
-    pub p90_us: u64,
-    pub p99_us: u64,
+impl Val<'_> {
+    /// `U(v)`, or `Null` for `None`.
+    fn opt(v: Option<u64>) -> Val<'static> {
+        v.map_or(Val::Null, Val::U)
+    }
+}
+
+/// A duration in whole microseconds, saturating.
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u64::MAX as u128) as u64
 }
 
 /// A sink for pipeline spans and events. See the module docs for the two
@@ -164,18 +168,14 @@ impl TraceSink {
     ) -> TraceSink {
         let sink = TraceSink::recording();
         *sink.trace_id.lock().expect("sink trace id") = Some(trace_id.to_string());
-        let mut body = String::with_capacity(64);
-        body.push_str("\"trace_id\":");
-        json::escape_into(&mut body, trace_id);
-        body.push_str(",\"process\":");
-        json::escape_into(&mut body, process);
-        match parent_span {
-            Some(p) => {
-                let _ = write!(body, ",\"parent_span\":{p}");
-            }
-            None => body.push_str(",\"parent_span\":null"),
-        }
-        sink.push_line("trace_meta", &body);
+        sink.push_line(
+            "trace_meta",
+            [
+                ("trace_id", Val::S(trace_id)),
+                ("process", Val::S(process)),
+                ("parent_span", Val::opt(parent_span)),
+            ],
+        );
         sink
     }
 
@@ -203,17 +203,7 @@ impl TraceSink {
             s.push(id);
             parent
         });
-        if self.record {
-            let mut body = format!("\"id\":{id},");
-            match parent {
-                Some(p) => {
-                    let _ = write!(body, "\"parent\":{p},");
-                }
-                None => body.push_str("\"parent\":null,"),
-            }
-            let _ = write!(body, "\"stage\":\"{}\"", stage.label());
-            self.push_line("span_start", &body);
-        }
+        self.span_start(id, parent, stage.label());
         SpanGuard { sink: self, stage, id, start: Instant::now() }
     }
 
@@ -227,18 +217,7 @@ impl TraceSink {
     /// collide in one trace.
     pub fn begin_span(&self, stage: &str, parent: Option<u64>) -> u64 {
         let id = self.next_span.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-        if self.record {
-            let mut body = format!("\"id\":{id},");
-            match parent {
-                Some(p) => {
-                    let _ = write!(body, "\"parent\":{p},");
-                }
-                None => body.push_str("\"parent\":null,"),
-            }
-            body.push_str("\"stage\":");
-            json::escape_into(&mut body, stage);
-            self.push_line("span_start", &body);
-        }
+        self.span_start(id, parent, stage);
         id
     }
 
@@ -248,10 +227,20 @@ impl TraceSink {
     /// their own latency metrics.
     pub fn end_span(&self, id: u64, stage: &str, dur: Duration) {
         if self.record {
-            let mut body = format!("\"id\":{id},\"stage\":");
-            json::escape_into(&mut body, stage);
-            let _ = write!(body, ",\"dur_us\":{}", dur.as_micros().min(u64::MAX as u128) as u64);
-            self.push_line("span_end", &body);
+            self.push_line(
+                "span_end",
+                [("id", Val::U(id)), ("stage", Val::S(stage)), ("dur_us", Val::U(micros(dur)))],
+            );
+        }
+    }
+
+    /// The `span_start` line of span `id` (recording mode only).
+    fn span_start(&self, id: u64, parent: Option<u64>, stage: &str) {
+        if self.record {
+            self.push_line(
+                "span_start",
+                [("id", Val::U(id)), ("parent", Val::opt(parent)), ("stage", Val::S(stage))],
+            );
         }
     }
 
@@ -260,88 +249,39 @@ impl TraceSink {
     /// even built). The event is stamped with the innermost open span on
     /// this thread, if any.
     pub fn event(&self, ev: &str, fields: &[(&str, Val<'_>)]) {
-        if !self.record {
-            return;
+        if self.record {
+            self.push_event(ev, fields.iter().copied());
         }
-        let span = SPAN_STACK.with(|s| s.borrow().last().copied());
-        let mut body = String::with_capacity(64);
-        match span {
-            Some(id) => {
-                let _ = write!(body, "\"span\":{id}");
-            }
-            None => body.push_str("\"span\":null"),
-        }
-        for (name, val) in fields {
-            body.push(',');
-            json::escape_into(&mut body, name);
-            body.push(':');
-            match val {
-                Val::U(v) => {
-                    let _ = write!(body, "{v}");
-                }
-                Val::B(v) => {
-                    let _ = write!(body, "{v}");
-                }
-                Val::S(v) => json::escape_into(&mut body, v),
-            }
-        }
-        self.push_line(ev, &body);
     }
 
     /// Records one solver call: duration into the solver-stage histogram,
     /// plus (when recording) a `solver_call` event carrying the predicate
     /// count, verdict, cache-lookup and answering-tier labels. `tier` is
     /// `"none"` for calls that never reached a backend (expired deadline).
+    /// A call answered through an incremental (warm prefix-sharing) solver
+    /// session passes `reused_depth`, the number of stacked predicates the
+    /// session reused from its previous query; the event then carries it
+    /// as `reused_depth`.
     pub fn solver_call(
         &self,
         preds: usize,
         verdict: &'static str,
         lookup: &'static str,
         tier: &'static str,
+        reused_depth: Option<u64>,
         dur: Duration,
     ) {
         self.stages[Stage::Solver.index()].record(dur);
         if self.record {
-            self.event(
-                "solver_call",
-                &[
-                    ("preds", Val::U(preds as u64)),
-                    ("verdict", Val::S(verdict)),
-                    ("lookup", Val::S(lookup)),
-                    ("tier", Val::S(tier)),
-                    ("dur_us", Val::U(dur.as_micros().min(u64::MAX as u128) as u64)),
-                ],
-            );
-        }
-    }
-
-    /// [`TraceSink::solver_call`] for calls answered through an incremental
-    /// (warm prefix-sharing) solver session: the event additionally carries
-    /// `reused_depth`, the number of stacked predicates the session reused
-    /// from its previous query. Analyzers that predate the field ignore it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solver_call_reused(
-        &self,
-        preds: usize,
-        verdict: &'static str,
-        lookup: &'static str,
-        tier: &'static str,
-        reused_depth: u64,
-        dur: Duration,
-    ) {
-        self.stages[Stage::Solver.index()].record(dur);
-        if self.record {
-            self.event(
-                "solver_call",
-                &[
-                    ("preds", Val::U(preds as u64)),
-                    ("verdict", Val::S(verdict)),
-                    ("lookup", Val::S(lookup)),
-                    ("tier", Val::S(tier)),
-                    ("reused_depth", Val::U(reused_depth)),
-                    ("dur_us", Val::U(dur.as_micros().min(u64::MAX as u128) as u64)),
-                ],
-            );
+            let labels = [
+                ("preds", Val::U(preds as u64)),
+                ("verdict", Val::S(verdict)),
+                ("lookup", Val::S(lookup)),
+                ("tier", Val::S(tier)),
+            ];
+            let reused = reused_depth.map(|d| ("reused_depth", Val::U(d)));
+            let fields = labels.into_iter().chain(reused).chain([("dur_us", Val::U(micros(dur)))]);
+            self.push_event("solver_call", fields);
         }
     }
 
@@ -360,22 +300,13 @@ impl TraceSink {
         }
     }
 
-    /// An aggregated snapshot for one stage.
-    pub fn snapshot(&self, stage: Stage) -> StageSnapshot {
-        let h = &self.stages[stage.index()];
-        let (p50_us, p90_us, p99_us) = h.percentiles_us();
-        StageSnapshot {
-            count: h.count(),
-            total_us: h.sum_us(),
-            mean_us: h.mean_us(),
-            p50_us,
-            p90_us,
-            p99_us,
-        }
+    /// The latency summary of one stage.
+    pub fn snapshot(&self, stage: Stage) -> LatencySummary {
+        self.stages[stage.index()].snapshot().summary()
     }
 
-    /// Snapshots for every stage, in pipeline order.
-    pub fn stages(&self) -> impl Iterator<Item = (Stage, StageSnapshot)> + '_ {
+    /// Summaries for every stage, in pipeline order.
+    pub fn stages(&self) -> impl Iterator<Item = (Stage, LatencySummary)> + '_ {
         Stage::ALL.iter().map(|&s| (s, self.snapshot(s)))
     }
 
@@ -392,20 +323,43 @@ impl TraceSink {
         Ok(())
     }
 
-    /// Appends one line; `seq` is the line's position, assigned under the
-    /// buffer lock so it is strictly increasing in output order even when
-    /// several worker threads record concurrently. `t_us` is the offset
-    /// from this sink's creation — a per-process relative clock, so traces
-    /// recorded on different machines merge without clock agreement.
-    fn push_line(&self, ev: &str, body: &str) {
-        let t_us = self.epoch.elapsed().as_micros().min(u64::MAX as u128) as u64;
+    /// Appends event `ev` stamped with the innermost open span on this
+    /// thread (`"span"`, `null` outside any span), then `fields`.
+    fn push_event<'v>(&self, ev: &str, fields: impl IntoIterator<Item = (&'v str, Val<'v>)>) {
+        let span = SPAN_STACK.with(|s| s.borrow().last().copied());
+        self.push_line(ev, iter::once(("span", Val::opt(span))).chain(fields));
+    }
+
+    /// The one writer of trace lines: appends
+    /// `{"ev":EV,"seq":N,"t_us":T,FIELDS…}`. `seq` is the line's position,
+    /// assigned under the buffer lock so it is strictly increasing in
+    /// output order even when several worker threads record concurrently.
+    /// `t_us` is the offset from this sink's creation — a per-process
+    /// relative clock, so traces recorded on different machines merge
+    /// without clock agreement.
+    fn push_line<'v>(&self, ev: &str, fields: impl IntoIterator<Item = (&'v str, Val<'v>)>) {
+        let mut body = String::with_capacity(64);
+        for (name, val) in fields {
+            body.push(',');
+            json::escape_into(&mut body, name);
+            body.push(':');
+            match val {
+                Val::U(v) => {
+                    let _ = write!(body, "{v}");
+                }
+                Val::B(v) => body.push_str(if v { "true" } else { "false" }),
+                Val::S(v) => json::escape_into(&mut body, v),
+                Val::Null => body.push_str("null"),
+            }
+        }
+        let t_us = micros(self.epoch.elapsed());
         let mut lines = self.lines.lock().expect("trace lines");
         let seq = lines.len();
         let mut line = String::with_capacity(body.len() + ev.len() + 40);
-        let _ = write!(line, "{{\"ev\":");
+        line.push_str("{\"ev\":");
         json::escape_into(&mut line, ev);
-        let _ = write!(line, ",\"seq\":{seq},\"t_us\":{t_us},");
-        line.push_str(body);
+        let _ = write!(line, ",\"seq\":{seq},\"t_us\":{t_us}");
+        line.push_str(&body);
         line.push('}');
         lines.push(line);
     }
@@ -433,16 +387,7 @@ impl Drop for SpanGuard<'_> {
             }
         });
         self.sink.stages[self.stage.index()].record(dur);
-        if self.sink.record {
-            let mut body = format!("\"id\":{},", self.id);
-            let _ = write!(
-                body,
-                "\"stage\":\"{}\",\"dur_us\":{}",
-                self.stage.label(),
-                dur.as_micros().min(u64::MAX as u128) as u64
-            );
-            self.sink.push_line("span_end", &body);
-        }
+        self.sink.end_span(self.id, self.stage.label(), dur);
     }
 }
 
@@ -472,7 +417,7 @@ mod tests {
         {
             let _s = sink.span(Stage::Prune);
             sink.event("prune_decision", &[("decision", Val::S("removed"))]);
-            sink.solver_call(3, "unsat", "miss", "syntactic", Duration::from_micros(5));
+            sink.solver_call(3, "unsat", "miss", "syntactic", None, Duration::from_micros(5));
         }
         assert!(sink.lines().is_empty(), "aggregate mode must not buffer events");
         assert_eq!(sink.snapshot(Stage::Prune).count, 1);
@@ -516,7 +461,7 @@ mod tests {
         let snap = sink.snapshot(Stage::TestGen);
         assert_eq!(snap.count, 1);
         assert!(snap.total_us >= 2_000, "slept 2ms, recorded {} µs", snap.total_us);
-        assert_eq!(sink.snapshot(Stage::Generalize), StageSnapshot::default());
+        assert_eq!(sink.snapshot(Stage::Generalize), LatencySummary::default());
     }
 
     #[test]
@@ -538,7 +483,7 @@ mod tests {
         let per_request = TraceSink::recording();
         {
             let _s = per_request.span(Stage::Prune);
-            per_request.solver_call(2, "sat", "miss", "interval", Duration::from_micros(9));
+            per_request.solver_call(2, "sat", "miss", "interval", None, Duration::from_micros(9));
         }
         agg.absorb(&per_request);
         assert_eq!(agg.snapshot(Stage::Prune).count, 1);
@@ -602,6 +547,64 @@ mod tests {
         let id = agg.begin_span("route", None);
         agg.end_span(id, "route", Duration::from_micros(1));
         assert!(agg.lines().is_empty(), "aggregate mode still buffers nothing");
+    }
+
+    /// `line` with the digits after every `"t_us":` and `"dur_us":`
+    /// replaced by `_`: the clock-dependent part of a recorded line.
+    fn mask_times(line: &str) -> String {
+        let mut out = String::with_capacity(line.len());
+        let mut rest = line;
+        while let Some(at) = ["\"t_us\":", "\"dur_us\":"]
+            .iter()
+            .filter_map(|key| rest.find(key).map(|i| i + key.len()))
+            .min()
+        {
+            out.push_str(&rest[..at]);
+            out.push('_');
+            rest = rest[at..].trim_start_matches(|c: char| c.is_ascii_digit());
+        }
+        out.push_str(rest);
+        out
+    }
+
+    #[test]
+    fn recorded_lines_match_the_format_exactly() {
+        let sink =
+            TraceSink::recording_in_trace("shard", "0123456789abcdef0123456789abcdef", Some(7));
+        {
+            let _outer = sink.span(Stage::Prune);
+            let _inner = sink.span(Stage::PassingGuard);
+            sink.event("note", &[("pred", Val::S("s[\"x\"]\\n\n")), ("n", Val::U(3))]);
+            sink.solver_call(2, "sat", "miss", "interval", None, Duration::from_micros(9));
+            sink.solver_call(4, "unsat", "hit", "simplex", Some(3), Duration::from_micros(11));
+        }
+        let root = sink.begin_span("route", None);
+        let rtt = sink.begin_span("upstream_rtt", Some(root));
+        sink.event("flag", &[("ok", Val::B(true))]);
+        sink.end_span(rtt, "upstream_rtt", Duration::from_micros(70));
+        sink.end_span(root, "route", Duration::from_micros(100));
+        let expected = [
+            r#"{"ev":"trace_meta","seq":0,"t_us":_,"trace_id":"0123456789abcdef0123456789abcdef","process":"shard","parent_span":7}"#,
+            r#"{"ev":"span_start","seq":1,"t_us":_,"id":1,"parent":null,"stage":"prune"}"#,
+            r#"{"ev":"span_start","seq":2,"t_us":_,"id":2,"parent":1,"stage":"passing_guard"}"#,
+            r#"{"ev":"note","seq":3,"t_us":_,"span":2,"pred":"s[\"x\"]\\n\n","n":3}"#,
+            r#"{"ev":"solver_call","seq":4,"t_us":_,"span":2,"preds":2,"verdict":"sat","lookup":"miss","tier":"interval","dur_us":_}"#,
+            r#"{"ev":"solver_call","seq":5,"t_us":_,"span":2,"preds":4,"verdict":"unsat","lookup":"hit","tier":"simplex","reused_depth":3,"dur_us":_}"#,
+            r#"{"ev":"span_end","seq":6,"t_us":_,"id":2,"stage":"passing_guard","dur_us":_}"#,
+            r#"{"ev":"span_end","seq":7,"t_us":_,"id":1,"stage":"prune","dur_us":_}"#,
+            r#"{"ev":"span_start","seq":8,"t_us":_,"id":3,"parent":null,"stage":"route"}"#,
+            r#"{"ev":"span_start","seq":9,"t_us":_,"id":4,"parent":3,"stage":"upstream_rtt"}"#,
+            r#"{"ev":"flag","seq":10,"t_us":_,"span":null,"ok":true}"#,
+            r#"{"ev":"span_end","seq":11,"t_us":_,"id":4,"stage":"upstream_rtt","dur_us":_}"#,
+            r#"{"ev":"span_end","seq":12,"t_us":_,"id":3,"stage":"route","dur_us":_}"#,
+        ];
+        let lines: Vec<String> = sink.lines().iter().map(|l| mask_times(l)).collect();
+        assert_eq!(lines, expected);
+        let root_meta = TraceSink::recording_in_trace("router", "ab", None);
+        assert_eq!(
+            mask_times(&root_meta.lines()[0]),
+            r#"{"ev":"trace_meta","seq":0,"t_us":_,"trace_id":"ab","process":"router","parent_span":null}"#
+        );
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! Overly specific predicates — families like `s[0] != null`, `1 < len(s)`,
 //! `s[1] != null`, …, `s[2] == null` produced by loops over collections —
 //! are matched against quantifier templates and replaced by a single
-//! quantified condition. Two templates ship by default (the paper's
-//! Existential and Universal); the registry is open, and the even-index
-//! step template sketched in the paper is provided as [`StepTemplate`].
+//! quantified condition. The default registry ([`default_templates`])
+//! holds the paper's Existential and Universal templates plus the
+//! even- and odd-index step templates sketched in the paper
+//! ([`StepTemplate`] with stride 2); the registry is open to further
+//! templates, such as other strides.
 //!
 //! A template instantiation is accepted only if it is *validated*: the
 //! generalized disjunct must not hold on any observed passing state

@@ -7,6 +7,7 @@
 //!   tables --json OUT     # additionally dump per-ACL results as JSON
 
 use report::{evaluate_corpus, EvalConfig};
+use std::io::Write;
 
 /// The selections `tables` knows.
 const PICKS: [&str; 8] = ["1", "2", "3", "4", "5", "6", "f3", "interproc"];
@@ -23,6 +24,12 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Reports that the `--json` output cannot be written and exits 1.
+fn cannot_write(path: &str, e: std::io::Error) -> ! {
+    eprintln!("tables: cannot write {path}: {e}");
+    std::process::exit(1);
+}
+
 fn main() {
     let mut json_path: Option<String> = None;
     let mut picks: Vec<String> = Vec::new();
@@ -37,6 +44,11 @@ fn main() {
         }
     }
     let want = |k: &str| picks.is_empty() || picks.iter().any(|p| p == k);
+    // Opened before anything is evaluated, so an unwritable path fails fast.
+    let json_out = json_path.map(|path| match std::fs::File::create(&path) {
+        Ok(file) => (path, file),
+        Err(e) => cannot_write(&path, e),
+    });
 
     if want("1") || want("2") {
         println!("{}", report::table_1_2());
@@ -44,7 +56,7 @@ fn main() {
     if want("3") {
         println!("{}", report::table_3());
     }
-    let needs_eval = want("4") || want("5") || want("6") || want("f3") || json_path.is_some();
+    let needs_eval = want("4") || want("5") || want("6") || want("f3") || json_out.is_some();
     if needs_eval {
         eprintln!("evaluating corpus ({} methods)…", subjects::all_subjects().len());
         let start = std::time::Instant::now();
@@ -64,8 +76,8 @@ fn main() {
         let mut stage_totals: std::collections::BTreeMap<&'static str, (u64, u64)> =
             Default::default();
         for r in &results {
-            for t in &r.stage_timings {
-                let e = stage_totals.entry(t.stage).or_insert((0, 0));
+            for (stage, t) in &r.stage_timings {
+                let e = stage_totals.entry(stage.label()).or_insert((0, 0));
                 e.0 += t.count;
                 e.1 += t.total_us;
             }
@@ -88,9 +100,9 @@ fn main() {
         if want("f3") {
             println!("{}", report::figure_3(&results));
         }
-        if let Some(path) = json_path {
+        if let Some((path, mut file)) = json_out {
             let json = report::results_to_json(&results);
-            std::fs::write(&path, json).expect("write JSON results");
+            file.write_all(json.as_bytes()).unwrap_or_else(|e| cannot_write(&path, e));
             eprintln!("wrote {path}");
         }
     }

@@ -4,6 +4,7 @@
 use baselines::{infer_dysy, infer_fixit};
 use interp::{run, ExecResult};
 use minilang::{program_check_sites, CheckId, LoopPos, MethodEntryState, TypedProgram};
+use obs::{LatencySummary, Stage};
 use preinfer_core::metrics::PROBE_SEED;
 use preinfer_core::{
     evaluate_precondition, map_parallel, random_probe, MethodRun, PrecondQuality,
@@ -88,21 +89,6 @@ impl AclResult {
     }
 }
 
-/// Aggregated timing for one pipeline stage while evaluating a method.
-/// Derived from an aggregate [`obs::TraceSink`]; purely diagnostic — the
-/// timings never feed back into inference.
-#[derive(Debug, Clone)]
-pub struct StageTiming {
-    /// Stage label (`test_gen`, `prune`, `solver`, …).
-    pub stage: &'static str,
-    pub count: u64,
-    pub total_us: u64,
-    pub mean_us: u64,
-    pub p50_us: u64,
-    pub p90_us: u64,
-    pub p99_us: u64,
-}
-
 /// Per-method evaluation output.
 #[derive(Debug, Clone)]
 pub struct MethodResult {
@@ -116,10 +102,12 @@ pub struct MethodResult {
     pub solver_cache_hits: u64,
     /// Solver-cache misses observed while evaluating this method.
     pub solver_cache_misses: u64,
-    /// Per-stage timing breakdown (stages with zero samples are omitted;
-    /// empty when [`EvalConfig::trace`] is off). Diagnostics only — every
-    /// other field is byte-identical with tracing on or off.
-    pub stage_timings: Vec<StageTiming>,
+    /// Per-stage latency summaries from an aggregate [`obs::TraceSink`]
+    /// (stages with zero samples are omitted; empty when
+    /// [`EvalConfig::trace`] is off). Diagnostics only — the timings never
+    /// feed back into inference, and every other field is byte-identical
+    /// with tracing on or off.
+    pub stage_timings: Vec<(Stage, LatencySummary)>,
     /// Per-tier solver answer counts for this method (executed solves
     /// only — cache hits replay tiers without counting). Diagnostics:
     /// like cache hit counts, the split depends on traffic order.
@@ -299,20 +287,7 @@ pub fn evaluate_method(m: &SubjectMethod, cfg: &EvalConfig) -> MethodResult {
     let cache_stats = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
     let stage_timings = sink
         .as_ref()
-        .map(|s| {
-            s.stages()
-                .filter(|(_, snap)| snap.count > 0)
-                .map(|(stage, snap)| StageTiming {
-                    stage: stage.label(),
-                    count: snap.count,
-                    total_us: snap.total_us,
-                    mean_us: snap.mean_us,
-                    p50_us: snap.p50_us,
-                    p90_us: snap.p90_us,
-                    p99_us: snap.p99_us,
-                })
-                .collect()
-        })
+        .map(|s| s.stages().filter(|(_, summary)| summary.count > 0).collect())
         .unwrap_or_default();
     MethodResult {
         namespace: m.namespace.to_string(),

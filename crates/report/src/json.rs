@@ -5,8 +5,9 @@
 //! to produce for `Vec<MethodResult>`, keeping downstream consumers of
 //! `tables --json` working.
 
-use crate::eval::{AclResult, ApproachResult, MethodResult, StageTiming};
+use crate::eval::{AclResult, ApproachResult, MethodResult};
 use obs::json::{escape, num};
+use obs::{LatencySummary, Stage};
 use std::fmt::Write;
 
 /// Serializes the full evaluation output as pretty-printed JSON.
@@ -39,8 +40,8 @@ fn write_method(out: &mut String, m: &MethodResult, level: usize) {
     // Rendered on a single line: timing values vary run to run, so
     // differential consumers can drop this one line and compare the rest.
     let _ = write!(out, "{inner}\"stage_timings\": [");
-    for (i, t) in m.stage_timings.iter().enumerate() {
-        write_stage_timing(out, t);
+    for (i, (stage, summary)) in m.stage_timings.iter().enumerate() {
+        write_stage_timing(out, *stage, summary);
         if i + 1 < m.stage_timings.len() {
             out.push_str(", ");
         }
@@ -69,12 +70,12 @@ fn write_method(out: &mut String, m: &MethodResult, level: usize) {
     let _ = write!(out, "{pad}}}");
 }
 
-fn write_stage_timing(out: &mut String, t: &StageTiming) {
+fn write_stage_timing(out: &mut String, stage: Stage, t: &LatencySummary) {
     let _ = write!(
         out,
         "{{\"stage\": {}, \"count\": {}, \"total_us\": {}, \"mean_us\": {}, \
          \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}}}",
-        escape(t.stage),
+        escape(stage.label()),
         t.count,
         t.total_us,
         t.mean_us,

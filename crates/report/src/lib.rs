@@ -9,8 +9,7 @@ pub mod json;
 pub mod tables;
 
 pub use eval::{
-    evaluate_corpus, evaluate_method, AclResult, Approach, ApproachResult, EvalConfig,
-    MethodResult, StageTiming,
+    evaluate_corpus, evaluate_method, AclResult, Approach, ApproachResult, EvalConfig, MethodResult,
 };
 pub use json::results_to_json;
 pub use tables::{figure_3, interproc_table, table_1_2, table_3, table_4, table_5, table_6};

@@ -10,8 +10,8 @@
 //! * **Read**: readiness drains the socket and decodes every complete
 //!   frame; each frame is dispatched — verbs other than `infer` answer
 //!   inline, `infer` goes through the admission path
-//!   ([`server::start_infer`]): drain check, then bounded admission
-//!   with a [`ReplyTo`]. Connections pipeline freely: many frames may be in
+//!   (`server::start_infer`): drain check, then bounded admission
+//!   with a `ReplyTo`. Connections pipeline freely: many frames may be in
 //!   flight at once and responses are written in completion order (the
 //!   client matches them by `request_id`/`id`, see PROTOCOL.md).
 //! * **Completions**: workers push finished responses onto the

@@ -91,7 +91,7 @@ impl ShutdownHandle {
     }
 }
 
-/// Client-connection lifecycle counters, kept by [`Clients`] and served
+/// Client-connection lifecycle counters, kept by `Clients` and served
 /// through the registry of whichever process owns it.
 #[derive(Debug, Default)]
 pub struct ConnCounters {

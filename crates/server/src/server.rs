@@ -209,11 +209,6 @@ impl Server {
         self.shared.shell.shutdown.clone()
     }
 
-    /// The shared solver cache (exposed for tests and diagnostics).
-    pub fn cache(&self) -> Arc<SolverCache> {
-        Arc::clone(&self.shared.cache)
-    }
-
     /// Blocks until the daemon has fully drained and every thread exited.
     /// Call [`ShutdownHandle::shutdown`] (or deliver SIGTERM to the binary)
     /// first, or this never returns.

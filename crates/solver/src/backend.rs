@@ -88,14 +88,6 @@ impl TierCounters {
             escalations: self.escalations.load(Ordering::Relaxed),
         }
     }
-
-    /// Zeroes every counter.
-    pub fn reset(&self) {
-        self.syntactic.store(0, Ordering::Relaxed);
-        self.interval.store(0, Ordering::Relaxed);
-        self.simplex.store(0, Ordering::Relaxed);
-        self.escalations.store(0, Ordering::Relaxed);
-    }
 }
 
 /// [`TierCounters`] as observed at one instant.
@@ -162,7 +154,5 @@ mod tests {
         assert_eq!(s.total(), 4);
         assert_eq!(s.tier1(), 3);
         assert!((s.tier1_rate() - 0.75).abs() < 1e-12);
-        c.reset();
-        assert_eq!(c.snapshot(), TierSnapshot::default());
     }
 }

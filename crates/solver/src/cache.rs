@@ -273,15 +273,7 @@ impl SolverCache {
         }
     }
 
-    /// Resets the hit/miss/eviction counters (entries stay).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.evicted_entries.store(0, Ordering::Relaxed);
-    }
-
-    /// Drops every entry and resets the counters.
+    /// Drops every entry and resets the hit/miss/eviction counters.
     pub fn clear(&self) {
         for s in &self.shards {
             let mut shard = s.lock().expect("cache shard");
@@ -291,7 +283,9 @@ impl SolverCache {
             shard.map.clear();
             shard.order.clear();
         }
-        self.reset_stats();
+        for counter in [&self.hits, &self.misses, &self.evictions, &self.evicted_entries] {
+            counter.store(0, Ordering::Relaxed);
+        }
     }
 }
 

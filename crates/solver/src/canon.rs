@@ -7,7 +7,8 @@
 //! constraint problem. The canonical form renames every parameter to a
 //! positional placeholder (`%0`, `%1`, … following signature order — `%`
 //! cannot start a MiniLang identifier, so placeholders never collide with
-//! real names), canonicalizes every predicate with [`canon_pred`], and
+//! real names), canonicalizes every predicate with
+//! [`canon_pred`](symbolic::linform::canon_pred), and
 //! sorts and de-duplicates the resulting list.
 //!
 //! Every tier consumes this form: the interval tier's complementary-pair
@@ -131,7 +132,8 @@ impl Renaming {
 
 impl CanonQuery {
     /// Canonicalizes a query: α-rename to positional placeholders, apply
-    /// [`canon_pred`], sort, de-duplicate, and drop trivial truths.
+    /// [`canon_pred`](symbolic::linform::canon_pred), sort, de-duplicate,
+    /// and drop trivial truths.
     pub fn build(preds: &[Pred], sig: &FuncSig) -> CanonQuery {
         let renaming = Renaming::of(sig);
         let mut canon: Vec<CPred> = preds.iter().map(|p| renaming.canon_one(p)).collect();
@@ -209,7 +211,7 @@ impl CanonQuery {
 ///
 /// The router feeds this the target function's pretty-printed source with
 /// every parameter α-renamed to the same positional `%i` placeholders
-/// [`Renaming`] assigns, so two methods that are α-equivalent — and
+/// `Renaming` assigns, so two methods that are α-equivalent — and
 /// therefore produce identical [`CacheKey`]s for every solver query their
 /// inference issues — also hash to the same shard. Routing by this hash
 /// turns the per-process [`crate::SolverCache`] into a partitioned global

@@ -7,7 +7,7 @@
 //! re-canonicalize and re-build the whole prefix — Θ(n²) predicate
 //! canonicalizations per path. An [`IncrementalSession`] instead keeps the
 //! stack alive between calls: predicates are *pushed* once (canonicalized
-//! once, applied to a warm [`Builder`] once) and *popped* back to any
+//! once, applied to a warm `Builder` once) and *popped* back to any
 //! prefix mark by rewinding a mutation trail, so each query pays only for
 //! the predicates that changed. Pruning and test generation always solve
 //! through sessions.
@@ -23,7 +23,7 @@
 //!
 //! - **Order independence.** The warm builder receives predicates in push
 //!   order while the scratch builder receives them in canonical (sorted)
-//!   order; [`Builder::solve_current`] normalizes before searching, so both
+//!   order; `Builder::solve_current` normalizes before searching, so both
 //!   run the identical search (see `builder.rs` module docs).
 //! - **Deduplication.** The session maintains the multiset of canonical
 //!   conjuncts; the builder sees each distinct conjunct exactly once (on
@@ -95,15 +95,6 @@ impl IncrementalCounters {
             pops: self.pops.load(Ordering::Relaxed),
             reused_depth_sum: self.reused_depth.load(Ordering::Relaxed),
         }
-    }
-
-    /// Zeroes every counter.
-    pub fn reset(&self) {
-        self.sessions.store(0, Ordering::Relaxed);
-        self.queries.store(0, Ordering::Relaxed);
-        self.pushes.store(0, Ordering::Relaxed);
-        self.pops.store(0, Ordering::Relaxed);
-        self.reused_depth.store(0, Ordering::Relaxed);
     }
 }
 

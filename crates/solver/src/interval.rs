@@ -18,7 +18,7 @@
 //!   a parameter-nullness atom, or a unit bound on a plain integer
 //!   variable, the L1-minimal model is per-variable `clamp(0, [lo, hi])` —
 //!   exactly the unique optimum branch-and-bound would return — built
-//!   through the shared [`crate::model::build_model`].
+//!   through the shared `model::build_model`.
 //!
 //! Escalation guards keep the verdicts aligned with simplex in the corner
 //! cases where the full stack answers `Unknown` instead of `Unsat`: places

@@ -83,7 +83,7 @@ pub struct Budget {
 
 impl Budget {
     /// A budget allowing `nodes` LP solves and `nodes ×`
-    /// [`WORK_PER_NODE`] simplex work units overall.
+    /// `WORK_PER_NODE` simplex work units overall.
     pub fn new(nodes: u64) -> Self {
         Budget { nodes, work: nodes.saturating_mul(WORK_PER_NODE) }
     }

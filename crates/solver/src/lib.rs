@@ -48,6 +48,4 @@ pub use incremental::{IncrementalCounters, IncrementalSession, IncrementalSnapsh
 pub use intsolve::{satisfies, solve_int, Budget, IntProblem, IntResult};
 pub use rational::Rat;
 pub use simplex::{solve_lp, Lp, LpResult};
-pub use theory::{
-    solve_preds, solve_preds_cached, solve_preds_with, FuncSig, SolveResult, SolverConfig,
-};
+pub use theory::{solve_preds, solve_preds_with, FuncSig, SolveResult, SolverConfig};

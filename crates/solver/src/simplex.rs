@@ -10,7 +10,7 @@
 //!
 //! The entering column is chosen by Dantzig's rule (most negative reduced
 //! cost) because it converges in few pivots on real tableaus. Dantzig
-//! alone can cycle on degenerate problems, so after [`STALL_LIMIT`]
+//! alone can cycle on degenerate problems, so after `STALL_LIMIT`
 //! consecutive pivots with no objective improvement the rule falls back
 //! to Bland's (first negative reduced cost), which provably terminates
 //! from any tableau; any strict improvement returns to Dantzig. Leaving
@@ -27,7 +27,7 @@
 //!   (gcd normalization over ever-larger integers) until a `Rat`
 //!   operation overflows `i128` and panics. A magnitude guard aborts the
 //!   solve when any entry's numerator or denominator reaches
-//!   [`MAX_COEF_BITS`] bits.
+//!   `MAX_COEF_BITS` bits.
 //! * **Pivot blowup** — degenerate stalls can burn thousands of pivots in
 //!   a single solve, branch-and-bound multiplies that per node, and the
 //!   tableau itself grows with branching depth so late pivots cost far
@@ -83,7 +83,7 @@ pub enum LpResult {
     /// The objective is unbounded below; `x` is some feasible point.
     Unbounded { x: Vec<Rat> },
     /// A resource guard tripped mid-solve — exact-rational entries blew
-    /// past [`MAX_COEF_BITS`] bits, or the caller's work allowance ran
+    /// past `MAX_COEF_BITS` bits, or the caller's work allowance ran
     /// dry — and the tableau was abandoned with no verdict. Callers must
     /// treat this as "unknown", never as infeasibility.
     Blowup,

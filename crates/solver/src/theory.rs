@@ -150,20 +150,10 @@ impl SolveResult {
 /// predicates canonicalized, sorted, de-duplicated — see [`CanonQuery`]), so
 /// the verdict *and the model* depend only on the canonical form: permuting
 /// the conjunction or renaming the parameters cannot change the answer.
-/// That invariance is what lets [`solve_preds_cached`] return memoized
-/// results that are bit-identical to a fresh solve.
+/// That invariance is what lets a [`SolverCache`] (see [`solve_preds_with`])
+/// return memoized results that are bit-identical to a fresh solve.
 pub fn solve_preds(preds: &[Pred], sig: &FuncSig, cfg: &SolverConfig) -> SolveResult {
     solve_preds_with(preds, sig, cfg, None).0
-}
-
-/// [`solve_preds`] fronted by a [`SolverCache`].
-pub fn solve_preds_cached(
-    preds: &[Pred],
-    sig: &FuncSig,
-    cfg: &SolverConfig,
-    cache: &SolverCache,
-) -> SolveResult {
-    solve_preds_with(preds, sig, cfg, Some(cache)).0
 }
 
 /// [`solve_preds`] with an optional cache, also reporting whether the
@@ -208,7 +198,10 @@ pub(crate) fn solve_query<Q: Borrow<CanonQuery>>(
     // even under deadline pressure.
     if cfg.deadline.expired() {
         let lookup = CacheLookup::Bypass;
-        record_call(cfg, originals.len(), "deadline", lookup, "none", reused, Duration::ZERO);
+        if let Some(sink) = cfg.trace.as_ref() {
+            let preds = originals.len();
+            sink.solver_call(preds, "deadline", lookup.label(), "none", reused, Duration::ZERO);
+        }
         return (SolveResult::Unknown, lookup);
     }
     let start = cfg.trace.as_ref().map(|_| Instant::now());
@@ -247,28 +240,11 @@ pub(crate) fn solve_query<Q: Borrow<CanonQuery>>(
             result = SolveResult::Unknown;
         }
     }
-    if let Some(start) = start {
-        let (verdict, tier) = (result.label(), tier.label());
-        record_call(cfg, originals.len(), verdict, lookup, tier, reused, start.elapsed());
+    if let (Some(start), Some(sink)) = (start, cfg.trace.as_ref()) {
+        let (preds, verdict) = (originals.len(), result.label());
+        sink.solver_call(preds, verdict, lookup.label(), tier.label(), reused, start.elapsed());
     }
     (result, lookup)
-}
-
-/// Records one `solver_call` on the config's trace sink, if any.
-fn record_call(
-    cfg: &SolverConfig,
-    preds: usize,
-    verdict: &'static str,
-    lookup: CacheLookup,
-    tier: &'static str,
-    reused: Option<u64>,
-    dur: Duration,
-) {
-    let Some(sink) = cfg.trace.as_ref() else { return };
-    match reused {
-        Some(depth) => sink.solver_call_reused(preds, verdict, lookup.label(), tier, depth, dur),
-        None => sink.solver_call(preds, verdict, lookup.label(), tier, dur),
-    }
 }
 
 /// Dispatches a canonical conjunction through the configured backend

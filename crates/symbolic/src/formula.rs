@@ -14,7 +14,6 @@
 //! concrete [`minilang::MethodEntryState`] is therefore total and decidable.
 
 use crate::pred::Pred;
-use crate::term::Term;
 use std::fmt;
 
 /// Quantifier kinds.
@@ -142,36 +141,6 @@ impl Formula {
             }
             Formula::Implies(a, b) => 1 + a.complexity() + b.complexity(),
             Formula::Quant { body, .. } => 1 + body.complexity(),
-        }
-    }
-
-    /// Substitutes the *free* occurrences of int variable `name`.
-    pub fn subst_var(&self, name: &str, replacement: &Term) -> Formula {
-        match self {
-            Formula::Pred(p) => Formula::Pred(p.subst_var(name, replacement)),
-            Formula::Not(inner) => Formula::Not(Box::new(inner.subst_var(name, replacement))),
-            Formula::And(parts) => {
-                Formula::And(parts.iter().map(|p| p.subst_var(name, replacement)).collect())
-            }
-            Formula::Or(parts) => {
-                Formula::Or(parts.iter().map(|p| p.subst_var(name, replacement)).collect())
-            }
-            Formula::Implies(a, b) => Formula::Implies(
-                Box::new(a.subst_var(name, replacement)),
-                Box::new(b.subst_var(name, replacement)),
-            ),
-            Formula::Quant { q, var, body } => {
-                if var == name {
-                    // `name` is shadowed inside.
-                    self.clone()
-                } else {
-                    Formula::Quant {
-                        q: *q,
-                        var: var.clone(),
-                        body: Box::new(body.subst_var(name, replacement)),
-                    }
-                }
-            }
         }
     }
 
@@ -313,20 +282,6 @@ mod tests {
                 assert!(matches!(**body, Formula::Pred(_)));
             }
             other => panic!("expected forall, got {other}"),
-        }
-    }
-
-    #[test]
-    fn substitution_respects_shadowing() {
-        let inner = Formula::exists("i", lt("i", 5));
-        let outer = Formula::and([lt("i", 7), inner.clone()]);
-        let sub = outer.subst_var("i", &Term::int(0));
-        match sub {
-            Formula::And(parts) => {
-                assert_eq!(parts[0].to_string(), "0 < 7");
-                assert_eq!(parts[1], inner);
-            }
-            other => panic!("{other}"),
         }
     }
 

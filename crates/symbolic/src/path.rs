@@ -166,19 +166,6 @@ impl PathCondition {
         self.entries.iter().any(|e| e.kind.check_id() == Some(check))
     }
 
-    /// All check ids traversed, in order, de-duplicated.
-    pub fn checks_traversed(&self) -> Vec<CheckId> {
-        let mut out = Vec::new();
-        for e in &self.entries {
-            if let Some(id) = e.kind.check_id() {
-                if !out.contains(&id) {
-                    out.push(id);
-                }
-            }
-        }
-        out
-    }
-
     /// Renders the paper's Table I/II layout: one row per predicate with
     /// line number and branch kind.
     pub fn to_table(&self) -> String {
@@ -301,7 +288,6 @@ mod tests {
             outcome: PathOutcome::Failed(check),
         };
         assert!(pc.reaches_check(check));
-        assert_eq!(pc.checks_traversed(), vec![check]);
         assert_eq!(pc.outcome.failed_check(), Some(check));
     }
 

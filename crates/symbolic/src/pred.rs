@@ -133,16 +133,6 @@ impl Pred {
         self.negated().is_trivially_true()
     }
 
-    /// Whether the predicate mentions the named int variable.
-    pub fn mentions_var(&self, name: &str) -> bool {
-        match self {
-            Pred::Cmp(_, a, b) => a.mentions_var(name) || b.mentions_var(name),
-            Pred::Null { place, .. } => place.mentions_var(name),
-            Pred::BoolVar { .. } | Pred::Const(_) => false,
-            Pred::IsSpace { arg, .. } => arg.mentions_var(name),
-        }
-    }
-
     /// Substitutes int variable `name` by `replacement` throughout.
     pub fn subst_var(&self, name: &str, replacement: &Term) -> Pred {
         match self {

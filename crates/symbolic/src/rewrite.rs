@@ -11,7 +11,7 @@
 //! leaves, and a rewrite that changes nothing returns the same interned
 //! handles.
 //!
-//! `subst_var` on [`Term`], [`Pred`] and [`Formula`] stays apart on
+//! `subst_var` on [`Term`], [`Place`] and [`Pred`] stays apart on
 //! purpose: it rebuilds through the folding builders (instantiating
 //! `i := 2` folds `i + 1` to `3`), which no hook set here may do.
 

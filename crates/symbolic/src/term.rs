@@ -92,14 +92,6 @@ impl Place {
         }
     }
 
-    /// Whether the place mentions the given (bound or input) int variable.
-    pub fn mentions_var(&self, name: &str) -> bool {
-        match self.node() {
-            PlaceNode::Param(_) => false,
-            PlaceNode::Elem(base, ix) => base.mentions_var(name) || ix.mentions_var(name),
-        }
-    }
-
     /// Substitutes int variable `name` by `replacement` in every index.
     pub fn subst_var(&self, name: &str, replacement: &Term) -> Place {
         match self.node() {
@@ -151,17 +143,6 @@ impl SymVar {
     /// An `int` parameter or bound variable.
     pub fn int(name: impl Into<String>) -> SymVar {
         SymVarNode::Int(name.into()).intern()
-    }
-
-    /// Whether the variable (transitively) mentions the named int variable.
-    pub fn mentions_var(&self, name: &str) -> bool {
-        match self.node() {
-            SymVarNode::Int(n) => n == name,
-            SymVarNode::Len(p) => p.mentions_var(name),
-            SymVarNode::IntElem(p, ix) | SymVarNode::Char(p, ix) => {
-                p.mentions_var(name) || ix.mentions_var(name)
-            }
-        }
     }
 
     /// The place dereferenced by this variable, if any.
@@ -326,20 +307,6 @@ impl Term {
         }
     }
 
-    /// Whether the term mentions the named int variable (free occurrence).
-    pub fn mentions_var(&self, name: &str) -> bool {
-        match self.node() {
-            TermNode::Const(_) => false,
-            TermNode::Var(v) => v.mentions_var(name),
-            TermNode::Add(a, b) | TermNode::Sub(a, b) => {
-                a.mentions_var(name) || b.mentions_var(name)
-            }
-            TermNode::Neg(a) | TermNode::Mul(_, a) | TermNode::Div(a, _) | TermNode::Rem(a, _) => {
-                a.mentions_var(name)
-            }
-        }
-    }
-
     /// Substitutes every occurrence of int variable `name` by `replacement`.
     pub fn subst_var(&self, name: &str, replacement: &Term) -> Term {
         match self.node() {
@@ -480,16 +447,6 @@ mod tests {
         let t = Term::len(place);
         let t2 = t.subst_var("i", &Term::int(2));
         assert_eq!(t2.to_string(), "len(s[2])");
-        assert!(!t2.mentions_var("i"));
-        assert!(t.mentions_var("i"));
-    }
-
-    #[test]
-    fn mentions_var_on_scalars() {
-        let t = Term::var("a").add(Term::var("b").mul(3));
-        assert!(t.mentions_var("a"));
-        assert!(t.mentions_var("b"));
-        assert!(!t.mentions_var("c"));
     }
 
     #[test]

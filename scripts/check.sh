@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repository gate. In order: cargo fmt --check; clippy -D warnings; the
-# workspace tests, plus symbolic/solver/testgen in release; perf_smoke
+# Repository gate. In order: cargo fmt --check; clippy -D warnings;
+# rustdoc -D warnings; the workspace tests; the four examples;
+# symbolic/solver/testgen tests in release; perf_smoke
 # (paired A/B timings written to target/perf_smoke/) and its gates on the
 # solver cache, disabled-tracing noise, tiered vs simplex-only, incremental
 # vs scratch and summary vs inline; the benchmark's ψ smoke
@@ -71,8 +72,17 @@ cargo fmt --all --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
+echo "== cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+
 echo "== cargo test"
 cargo test --workspace -q
+
+echo "== examples"
+# An example that panics, or fails one of its assertions, fails the gate.
+for example in quickstart reverse_words custom_template debugging_workflow; do
+    cargo run --release --quiet --example "$example" >/dev/null
+done
 
 echo "== cargo test --release (symbolic, solver, testgen)"
 # Canonical forms use wrapping arithmetic so debug and release builds

@@ -282,20 +282,20 @@ fn main() -> ExitCode {
             println!("; inlined: {}", listed.join(", "));
         }
     }
-    finish_trace(&opts, &sink, &func_name, run_start, inferred.len());
-    ExitCode::SUCCESS
+    finish_trace(&opts, &sink, &func_name, run_start, inferred.len())
 }
 
 /// Stamps the final `run` event, writes the JSON-lines trace file, and
-/// prints the per-stage timing breakdown. No-op without `--trace-out`.
+/// prints the per-stage timing breakdown. Fails when the trace file cannot
+/// be written; succeeds without `--trace-out`.
 fn finish_trace(
     opts: &Options,
     sink: &Option<Arc<preinfer::obs::TraceSink>>,
     func_name: &str,
     run_start: std::time::Instant,
     acls: usize,
-) {
-    let (Some(path), Some(sink)) = (&opts.trace_out, sink) else { return };
+) -> ExitCode {
+    let (Some(path), Some(sink)) = (&opts.trace_out, sink) else { return ExitCode::SUCCESS };
     sink.event(
         "run",
         &[
@@ -304,16 +304,22 @@ fn finish_trace(
             ("acls", preinfer::obs::Val::U(acls as u64)),
         ],
     );
-    match std::fs::File::create(path) {
-        Ok(mut f) => {
-            if let Err(e) = sink.write_jsonl(&mut f) {
-                eprintln!("preinfer: cannot write trace to {path}: {e}");
-            } else {
+    let written = match std::fs::File::create(path) {
+        Ok(mut f) => match sink.write_jsonl(&mut f) {
+            Ok(()) => {
                 println!("wrote {} trace event(s) to {path}", sink.lines().len());
+                ExitCode::SUCCESS
             }
+            Err(e) => {
+                eprintln!("preinfer: cannot write trace to {path}: {e}");
+                ExitCode::FAILURE
+            }
+        },
+        Err(e) => {
+            eprintln!("preinfer: cannot create {path}: {e}");
+            ExitCode::FAILURE
         }
-        Err(e) => eprintln!("preinfer: cannot create {path}: {e}"),
-    }
+    };
     // Exclusive self-time per stage via the same span-tree reconstruction
     // `preinfer-trace` uses (inclusive totals alone double-count nested
     // work: a `prune` span contains every solver call fired inside it).
@@ -326,20 +332,21 @@ fn finish_trace(
             .map(|t| t.exclusive_us)
     };
     println!("stage breakdown (excl = self-time, nested work subtracted):");
-    for (stage, snap) in sink.stages() {
-        if snap.count == 0 {
+    for (stage, summary) in sink.stages() {
+        if summary.count == 0 {
             continue;
         }
         println!(
             "  {:>14}: {:>6} × mean {} µs (p50 {} / p90 {} / p99 {}), total {:.3}s, excl {:.3}s",
             stage.label(),
-            snap.count,
-            snap.mean_us,
-            snap.p50_us,
-            snap.p90_us,
-            snap.p99_us,
-            snap.total_us as f64 / 1e6,
-            exclusive(stage.label()).unwrap_or(snap.total_us) as f64 / 1e6,
+            summary.count,
+            summary.mean_us,
+            summary.p50_us,
+            summary.p90_us,
+            summary.p99_us,
+            summary.total_us as f64 / 1e6,
+            exclusive(stage.label()).unwrap_or(summary.total_us) as f64 / 1e6,
         );
     }
+    written
 }

@@ -61,9 +61,9 @@ pub mod prelude {
         MethodRun, PreInferConfig, SummaryBuildConfig, SummaryTable,
     };
     pub use solver::{
-        solve_preds, solve_preds_cached, BackendKind, CacheStats, Deadline, FuncSig,
-        IncrementalCounters, IncrementalSession, IncrementalSnapshot, SolveResult, SolverCache,
-        SolverConfig, TierCounters, TierSnapshot,
+        solve_preds, BackendKind, CacheStats, Deadline, FuncSig, IncrementalCounters,
+        IncrementalSession, IncrementalSnapshot, SolveResult, SolverCache, SolverConfig,
+        TierCounters, TierSnapshot,
     };
     pub use symbolic::{parse_spec, Formula, PathCondition, Pred};
     pub use testgen::{generate_tests, TestGenConfig};

@@ -2,7 +2,8 @@
 //! build like any other inference: the callee's pruning runs under the
 //! same sink as the entry's, so its `prune` spans (and the solver calls
 //! inside them) are in the trace file. `--interproc` takes only `inline`
-//! or `summary`.
+//! or `summary`. A trace file that cannot be written fails the run (exit 1)
+//! after the results are printed.
 
 use std::process::Command;
 
@@ -58,4 +59,25 @@ fn an_unknown_interproc_mode_is_a_usage_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.starts_with("usage: preinfer"), "{stderr}");
+}
+
+#[test]
+fn an_unwritable_trace_file_prints_the_results_then_exits_1() {
+    let dir = std::env::temp_dir().join(format!("preinfer-cli-trace-out-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let program = dir.join("lift.ml");
+    std::fs::write(&program, PROGRAM).unwrap();
+    let trace = dir.join("missing-dir").join("trace.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_preinfer"))
+        .arg(&program)
+        .args(["--fn", "lift_guard", "--trace-out"])
+        .arg(&trace)
+        .output()
+        .expect("preinfer runs");
+    std::fs::remove_dir_all(&dir).unwrap();
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("preinfer: cannot create {}", trace.display())), "{stderr}");
+    assert!(stdout.contains("inferred 1 precondition(s)"), "results not printed: {stdout}");
 }
