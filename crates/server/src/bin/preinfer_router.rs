@@ -6,18 +6,18 @@ use server::{shell, Router, RouterConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: preinfer-router --shard HOST:PORT [--shard HOST:PORT ...]\n\
-     \x20                      [--addr HOST:PORT] [--conns-per-shard N]\n\
-     \x20                      [--idle-timeout-ms N] [--trace-sample N]\n\
-     \x20                      [--slow-trace-ms N] [--trace-buffer K]\n\
+     \x20                      [--addr HOST:PORT] [--idle-timeout-ms N]\n\
+     \x20                      [--trace-sample N] [--slow-trace-ms N]\n\
+     \x20                      [--trace-buffer K]\n\
      \n\
      Fronts N preinferd shard daemons with key-affinity routing: every\n\
      infer request's target method is canonicalized (α-renamed) and\n\
      hashed, so α-equivalent methods always reach the shard whose\n\
      caches already hold their verdicts. stats/metrics/trace fan out\n\
-     to every shard and merge; ping answers locally. A shard with no\n\
-     live connection yields a typed `upstream_unavailable` error and\n\
-     is re-dialed with bounded backoff. --conns-per-shard N (default 2)\n\
-     pools upstream connections per shard.\n\
+     to every shard and merge; ping answers locally. The router holds\n\
+     one pipelined connection to each shard. A shard with no live\n\
+     connection yields a typed `upstream_unavailable` error and is\n\
+     re-dialed with bounded backoff.\n\
      \n\
      Shard order is the hash space: restart the router with the same\n\
      --shard list in the same order to keep affinity. Shards keep\n\
@@ -33,12 +33,7 @@ const USAGE: &str = "usage: preinfer-router --shard HOST:PORT [--shard HOST:PORT
 fn main() -> ExitCode {
     let mut cfg = RouterConfig::default();
     shell::parse_flags(USAGE, &mut cfg.shell, |flag, value| {
-        match flag {
-            "--shard" => cfg.shards.push(value.to_string()),
-            "--conns-per-shard" => cfg.conns_per_shard = shell::positive(value)?,
-            _ => return None,
-        }
-        Some(())
+        (flag == "--shard").then(|| cfg.shards.push(value.to_string()))
     });
     if cfg.shards.is_empty() {
         shell::refuse(USAGE);

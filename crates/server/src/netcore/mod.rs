@@ -18,8 +18,8 @@
 //!   buffering with `EAGAIN` backpressure, and per-connection idle
 //!   deadlines;
 //! * the `preinfer-router` front (`server::router`): the same client
-//!   lifecycle, plus pooled pipelined upstream connections to the shard
-//!   daemons.
+//!   lifecycle, plus one pipelined upstream connection to each shard
+//!   daemon.
 //!
 //! Design notes live in DESIGN.md §6.
 

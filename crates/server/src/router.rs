@@ -16,9 +16,9 @@
 //!   id back into the response text byte-for-byte, so a routed response
 //!   is byte-identical to a direct-daemon response in every other field —
 //!   the corpus differential test locks this in for every ψ.
-//! * **Pooling/pipelining**: each shard gets a small pool of persistent
-//!   upstream connections; requests pipeline onto them and responses are
-//!   matched by token, so out-of-order completions are fine.
+//! * **Pipelining**: each shard gets one persistent upstream connection;
+//!   requests pipeline onto it and responses are matched by token, so
+//!   out-of-order completions are fine.
 //! * **Fan-out verbs**: `stats`, `metrics`, and `trace` go to every live
 //!   shard and the responses are merged (`stats` nests each shard's
 //!   report; `metrics` re-labels each shard's Prometheus exposition with
@@ -34,8 +34,8 @@
 //! * **Dead shards**: a request routed to a shard with no live upstream
 //!   connection gets a typed `upstream_unavailable` error immediately;
 //!   in-flight requests on a dying connection get the same. A connector
-//!   thread re-dials lost connections with bounded exponential backoff.
-//! * **Idle closes**: a shard closes a quiet pooled connection with a
+//!   thread re-dials a lost connection with bounded exponential backoff.
+//! * **Idle closes**: a shard closes the router's quiet connection with a
 //!   typed `idle_timeout` notice. That is not a dead shard: the router
 //!   re-dials at once, sends the requests already written to the closed
 //!   connection once more on the fresh one (every forwarded verb is
@@ -70,22 +70,15 @@ use std::time::{Duration, Instant};
 /// `trace_id` and the per-process traces stitch back together. Tail
 /// capture records — and forwards a sampled context for — every request,
 /// so the shard half of a slow trace exists by the time it is wanted.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RouterConfig {
     /// The settings the router shares with the daemon.
     pub shell: ShellConfig,
-    /// Upstream shard daemon addresses (`HOST:PORT`), in shard order.
-    /// The order is the hash space: the same list in the same order must
-    /// be used across router restarts for affinity to persist.
+    /// Upstream shard daemon addresses (`HOST:PORT`), in shard order; the
+    /// router holds one pipelined connection to each. The order is the
+    /// hash space: the same list in the same order must be used across
+    /// router restarts for affinity to persist.
     pub shards: Vec<String>,
-    /// Pooled upstream connections per shard.
-    pub conns_per_shard: usize,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig { shell: ShellConfig::default(), shards: Vec::new(), conns_per_shard: 2 }
-    }
 }
 
 /// Monotonic routing counters (the merged `stats` response's `router`
@@ -112,17 +105,15 @@ struct RouterShared {
     /// The event loop's waker, registered before the connector thread
     /// starts, so the connector's first result can never go unnoticed.
     wake: Arc<Waker>,
-    /// (shard, slot) pairs the loop wants re-dialed.
-    connect_requests: Mutex<Vec<(usize, usize)>>,
+    /// Shards the loop wants (re-)dialed.
+    connect_requests: Mutex<Vec<usize>>,
     /// Freshly connected upstream streams from the connector thread.
-    connect_results: Mutex<Vec<(usize, usize, TcpStream)>>,
+    connect_results: Mutex<Vec<(usize, TcpStream)>>,
     counters: Arc<RouterCounters>,
-    /// Live upstream connections across all shards. Its own `Arc`, so the
-    /// registry's reader does not hold `RouterShared`, which owns the
+    /// Live upstream connections, one per live shard. Its own `Arc`, so
+    /// the registry's reader does not hold `RouterShared`, which owns the
     /// registry (a cycle would keep a stopped router's state alive).
     live_upstreams: Arc<AtomicU64>,
-    /// Shards with at least one live upstream connection.
-    live_shards: AtomicU64,
     cfg: RouterConfig,
 }
 
@@ -144,15 +135,10 @@ impl Router {
         let shared = Arc::new(RouterShared {
             shell,
             wake: Arc::clone(&reactor.waker),
-            connect_requests: Mutex::new(
-                (0..cfg.shards.len())
-                    .flat_map(|s| (0..cfg.conns_per_shard.max(1)).map(move |p| (s, p)))
-                    .collect(),
-            ),
+            connect_requests: Mutex::new((0..cfg.shards.len()).collect()),
             connect_results: Mutex::new(Vec::new()),
             counters: Arc::default(),
             live_upstreams: Arc::default(),
-            live_shards: AtomicU64::new(0),
             cfg,
         });
         declare_observables(&shared);
@@ -165,7 +151,7 @@ impl Router {
             std::thread::spawn(move || event_loop(reactor, &shared))
         };
         let deadline = Instant::now() + WAIT_READY;
-        while shared.live_shards.load(Ordering::SeqCst) < shared.cfg.shards.len() as u64
+        while shared.live_upstreams.load(Ordering::SeqCst) < shared.cfg.shards.len() as u64
             && Instant::now() < deadline
         {
             std::thread::sleep(Duration::from_millis(5));
@@ -277,29 +263,28 @@ const DIAL_TIMEOUT: Duration = Duration::from_millis(500);
 const RECONNECT_MIN: Duration = Duration::from_millis(50);
 const RECONNECT_MAX: Duration = Duration::from_millis(1_000);
 
-/// How long [`Router::start`] waits for every shard to have at least one
-/// live upstream connection before returning.
+/// How long [`Router::start`] waits for every shard's upstream connection
+/// to come live before returning.
 const WAIT_READY: Duration = Duration::from_millis(2_000);
 
-/// How long requests for a shard stay parked after it idle-closed a pooled
-/// connection: two dial timeouts, time for a re-dial to a live shard to
-/// land. Past it they fail over to `upstream_unavailable`.
+/// How long requests for a shard stay parked after it idle-closed the
+/// router's connection: two dial timeouts, time for a re-dial to a live
+/// shard to land. Past it they fail over to `upstream_unavailable`.
 const REDIAL_GRACE: Duration = DIAL_TIMEOUT.saturating_mul(2);
 
-/// Dials lost upstream connections off the event loop (blocking
+/// Dials each shard's upstream connection off the event loop (blocking
 /// `connect_timeout`), with per-shard exponential backoff between
 /// attempts, and hands live streams back through `connect_results`.
 fn connector_loop(shared: &Arc<RouterShared>) {
     struct Attempt {
         shard: usize,
-        slot: usize,
         not_before: Instant,
         backoff: Duration,
     }
     let mut queue: Vec<Attempt> = Vec::new();
     while !shared.shell.shutdown.requested() {
-        for (shard, slot) in shared.connect_requests.lock().expect("connect requests").drain(..) {
-            queue.push(Attempt { shard, slot, not_before: Instant::now(), backoff: RECONNECT_MIN });
+        for shard in shared.connect_requests.lock().expect("connect requests").drain(..) {
+            queue.push(Attempt { shard, not_before: Instant::now(), backoff: RECONNECT_MIN });
         }
         let now = Instant::now();
         let mut still_waiting = Vec::new();
@@ -316,11 +301,7 @@ fn connector_loop(shared: &Arc<RouterShared>) {
                 .or_else(|| TcpStream::connect(addr.as_str()).ok());
             match dialed {
                 Some(stream) => {
-                    shared
-                        .connect_results
-                        .lock()
-                        .expect("connect results")
-                        .push((a.shard, a.slot, stream));
+                    shared.connect_results.lock().expect("connect results").push((a.shard, stream));
                     shared.wake.wake();
                 }
                 None => {
@@ -341,7 +322,6 @@ fn connector_loop(shared: &Arc<RouterShared>) {
 struct UpConn {
     io: FramedConn,
     shard: usize,
-    slot: usize,
     /// Correlation tokens pipelined on this connection and still
     /// unanswered (failed over to `upstream_unavailable` if it dies).
     pending: Vec<u64>,
@@ -434,14 +414,16 @@ enum FanVerb {
     Trace,
 }
 
-struct Shards {
-    /// Per shard: per pool slot, the live upstream conn token.
-    slots: Vec<Vec<Option<u64>>>,
-    /// Per shard: requests waiting for the re-dial after an idle close.
-    parked: Vec<Vec<u64>>,
-    /// Per shard: set by an idle close, cleared when a fresh connection
-    /// lands; when it passes, the parked requests fail over.
-    redial_until: Vec<Option<Instant>>,
+/// One shard's upstream state.
+#[derive(Default)]
+struct Shard {
+    /// The live upstream connection's token.
+    conn: Option<u64>,
+    /// Requests waiting for the re-dial after an idle close.
+    parked: Vec<u64>,
+    /// Set by an idle close, cleared when a fresh connection lands; when
+    /// it passes, the parked requests fail over.
+    redial_until: Option<Instant>,
 }
 
 struct Loop<'a> {
@@ -451,7 +433,7 @@ struct Loop<'a> {
     /// upstream connections.
     downs: Clients,
     ups: HashMap<u64, UpConn>,
-    shards: Shards,
+    shards: Vec<Shard>,
     pending: HashMap<u64, Pending>,
     next_seq: u64,
     /// 1-based admission counter for routed `infer` requests — the
@@ -462,17 +444,12 @@ struct Loop<'a> {
 
 fn event_loop(reactor: Reactor, shared: &Arc<RouterShared>) {
     let Reactor { listener, poller, waker } = reactor;
-    let nshards = shared.cfg.shards.len();
     let mut lp = Loop {
         poller: &poller,
         shared,
         downs: Clients::new(Arc::clone(&shared.shell.conns)),
         ups: HashMap::new(),
-        shards: Shards {
-            slots: vec![vec![None; shared.cfg.conns_per_shard.max(1)]; nshards],
-            parked: vec![Vec::new(); nshards],
-            redial_until: vec![None; nshards],
-        },
+        shards: shared.cfg.shards.iter().map(|_| Shard::default()).collect(),
         pending: HashMap::new(),
         next_seq: 0,
         next_req_id: 0,
@@ -531,63 +508,50 @@ fn event_loop(reactor: Reactor, shared: &Arc<RouterShared>) {
 impl<'a> Loop<'a> {
     /// Registers streams the connector thread delivered.
     fn adopt_new_upstreams(&mut self) {
-        let arrivals: Vec<(usize, usize, TcpStream)> =
+        let arrivals: Vec<(usize, TcpStream)> =
             self.shared.connect_results.lock().expect("connect results").drain(..).collect();
-        for (shard, slot, stream) in arrivals {
+        for (shard, stream) in arrivals {
             let Ok(io) = FramedConn::new(stream) else {
-                self.request_reconnect(shard, slot);
+                self.request_reconnect(shard);
                 continue;
             };
             let token = self.downs.next_token();
             if self.poller.add(io.stream().as_raw_fd(), token, Interest::READ).is_err() {
-                self.request_reconnect(shard, slot);
+                self.request_reconnect(shard);
                 continue;
             }
-            if let Some(prev) = self.shards.slots[shard][slot].replace(token) {
-                // A stale connection still occupied the slot; retire it.
-                self.retire_upstream(prev);
-            }
-            self.ups.insert(token, UpConn { io, shard, slot, pending: Vec::new() });
+            // A shard has at most one dial outstanding, and a dial is
+            // requested only while the shard has no connection.
+            let s = &mut self.shards[shard];
+            debug_assert!(s.conn.is_none(), "shard {shard} dialed while connected");
+            s.conn = Some(token);
+            s.redial_until = None;
+            let parked = std::mem::take(&mut s.parked);
+            self.ups.insert(token, UpConn { io, shard, pending: Vec::new() });
             self.shared.live_upstreams.fetch_add(1, Ordering::SeqCst);
-            self.recount_live_shards();
-            self.shards.redial_until[shard] = None;
-            for seq in std::mem::take(&mut self.shards.parked[shard]) {
+            for seq in parked {
                 self.send(token, seq);
             }
         }
     }
 
-    fn recount_live_shards(&self) {
-        let live =
-            self.shards.slots.iter().filter(|slots| slots.iter().any(|s| s.is_some())).count();
-        self.shared.live_shards.store(live as u64, Ordering::SeqCst);
+    fn request_reconnect(&self, shard: usize) {
+        self.shared.connect_requests.lock().expect("connect requests").push(shard);
     }
 
-    fn request_reconnect(&self, shard: usize, slot: usize) {
-        self.shared.connect_requests.lock().expect("connect requests").push((shard, slot));
-    }
-
-    /// The least-loaded live upstream connection for `shard`.
-    fn pick_upstream(&self, shard: usize) -> Option<u64> {
-        self.shards.slots[shard]
-            .iter()
-            .flatten()
-            .copied()
-            .min_by_key(|t| self.ups.get(t).map(|u| u.pending.len()).unwrap_or(usize::MAX))
-    }
-
-    /// Whether `shard` can take a request now: a pooled connection is
-    /// live, or a re-dial after an idle close is under way.
+    /// Whether `shard` can take a request now: its connection is live, or
+    /// a re-dial after an idle close is under way.
     fn routable(&self, shard: usize) -> bool {
-        self.pick_upstream(shard).is_some() || self.shards.redial_until[shard].is_some()
+        let s = &self.shards[shard];
+        s.conn.is_some() || s.redial_until.is_some()
     }
 
-    /// Sends pending request `seq` to a routable `shard`: on its
-    /// least-loaded live connection, or parked for the re-dial.
+    /// Sends pending request `seq` to a routable `shard`: on its live
+    /// connection, or parked for the re-dial.
     fn forward(&mut self, shard: usize, seq: u64) {
-        match self.pick_upstream(shard) {
+        match self.shards[shard].conn {
             Some(up_token) => self.send(up_token, seq),
-            None => self.shards.parked[shard].push(seq),
+            None => self.shards[shard].parked.push(seq),
         }
     }
 
@@ -599,29 +563,15 @@ impl<'a> Loop<'a> {
         }
     }
 
-    /// Tears an upstream connection down without failing its in-flight
-    /// requests (used when a slot is superseded).
-    fn retire_upstream(&mut self, token: u64) {
-        if let Some(up) = self.ups.remove(&token) {
-            self.poller.delete(up.io.stream().as_raw_fd());
-            self.shared.live_upstreams.fetch_sub(1, Ordering::SeqCst);
-            for seq in up.pending {
-                self.answer_unavailable(seq, up.shard);
-            }
-            self.recount_live_shards();
-        }
-    }
-
-    /// Takes a lost upstream connection out of routing: the slot empties
-    /// and the connector re-dials it with backoff.
+    /// Takes a lost upstream connection out of routing: its shard has no
+    /// connection until the connector's re-dial, with backoff, lands.
     fn lose_upstream(&mut self, token: u64) -> Option<UpConn> {
         let up = self.ups.remove(&token)?;
         self.poller.delete(up.io.stream().as_raw_fd());
         self.shared.live_upstreams.fetch_sub(1, Ordering::SeqCst);
         self.shared.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-        self.shards.slots[up.shard][up.slot] = None;
-        self.recount_live_shards();
-        self.request_reconnect(up.shard, up.slot);
+        self.shards[up.shard].conn = None;
+        self.request_reconnect(up.shard);
         Some(up)
     }
 
@@ -642,12 +592,12 @@ impl<'a> Loop<'a> {
     /// park too until the re-dial lands or [`REDIAL_GRACE`] passes.
     fn idle_close_upstream(&mut self, token: u64) {
         let Some(up) = self.lose_upstream(token) else { return };
-        self.shards.redial_until[up.shard] = Some(Instant::now() + REDIAL_GRACE);
+        self.shards[up.shard].redial_until = Some(Instant::now() + REDIAL_GRACE);
         for seq in up.pending {
             match self.pending.get_mut(&seq) {
                 Some(p) if !p.resent => {
                     p.resent = true;
-                    self.shards.parked[up.shard].push(seq);
+                    self.shards[up.shard].parked.push(seq);
                 }
                 _ => self.answer_unavailable(seq, up.shard),
             }
@@ -657,21 +607,25 @@ impl<'a> Loop<'a> {
     /// Fails one pending request over to `upstream_unavailable`.
     fn answer_unavailable(&mut self, seq: u64, shard: usize) {
         let Some(p) = self.pending.remove(&seq) else { return };
-        self.shared.counters.unavailable.fetch_add(1, Ordering::Relaxed);
         match p.fan {
             None => {
-                let msg = format!(
-                    "shard {shard} ({}) is unavailable",
-                    self.shared.cfg.shards.get(shard).map(String::as_str).unwrap_or("?")
-                );
-                let resp = render_error(p.orig_id.as_deref(), ErrorCode::UpstreamUnavailable, &msg);
+                let resp = self.unavailable_reply(p.orig_id.as_deref(), shard);
                 self.deliver_down(p.down_token, resp);
             }
             Some(fan) => {
+                self.shared.counters.unavailable.fetch_add(1, Ordering::Relaxed);
                 fan.borrow_mut().unavailable += 1;
                 self.try_finish_fan(&fan);
             }
         }
+    }
+
+    /// Counts one routed request answered `upstream_unavailable` and
+    /// renders that answer.
+    fn unavailable_reply(&self, id: Option<&str>, shard: usize) -> String {
+        self.shared.counters.unavailable.fetch_add(1, Ordering::Relaxed);
+        let msg = format!("shard {shard} ({}) is unavailable", self.shared.cfg.shards[shard]);
+        render_error(id, ErrorCode::UpstreamUnavailable, &msg)
     }
 
     /// Queues a response onto a downstream connection (dropped if the
@@ -719,10 +673,7 @@ impl<'a> Loop<'a> {
                     sink.end_span(did, "route_decide", t0.elapsed());
                 }
                 if !routable {
-                    self.shared.counters.unavailable.fetch_add(1, Ordering::Relaxed);
-                    let msg =
-                        format!("shard {shard} ({}) is unavailable", self.shared.cfg.shards[shard]);
-                    let resp = render_error(id.as_deref(), ErrorCode::UpstreamUnavailable, &msg);
+                    let resp = self.unavailable_reply(id.as_deref(), shard);
                     self.deliver_inline(token, resp);
                     return;
                 };
@@ -976,10 +927,11 @@ impl<'a> Loop<'a> {
     /// deadlines, and reaps the dead.
     fn flush_and_sweep(&mut self) {
         let now = Instant::now();
-        for shard in 0..self.shards.parked.len() {
-            if self.shards.redial_until[shard].is_some_and(|t| now >= t) {
-                self.shards.redial_until[shard] = None;
-                for seq in std::mem::take(&mut self.shards.parked[shard]) {
+        for shard in 0..self.shards.len() {
+            let s = &mut self.shards[shard];
+            if s.redial_until.is_some_and(|t| now >= t) {
+                s.redial_until = None;
+                for seq in std::mem::take(&mut s.parked) {
                     self.answer_unavailable(seq, shard);
                 }
             }

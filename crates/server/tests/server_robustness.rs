@@ -180,7 +180,6 @@ fn idle_connections_are_closed_with_a_typed_error() {
         let router = Router::start(RouterConfig {
             shards: vec![shard.to_string()],
             shell: ShellConfig { idle_timeout_ms: 300, ..ShellConfig::default() },
-            ..RouterConfig::default()
         })
         .expect("start router");
         let addr = router.local_addr();
@@ -188,8 +187,8 @@ fn idle_connections_are_closed_with_a_typed_error() {
         addr
     };
     let daemon = start();
-    // The daemon idle-closes the router's pooled upstream connections
-    // too, so the router's `stats` fan-out below may land in a re-dial.
+    // The daemon idle-closes the router's upstream connection too, so
+    // the router's `stats` fan-out below may land in a re-dial.
     let router = router_over(daemon);
     // Where each process's `stats` reports its connection counters.
     for (addr, block) in [(daemon, "counters"), (router, "router")] {

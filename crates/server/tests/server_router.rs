@@ -142,7 +142,7 @@ fn dead_shard_yields_typed_upstream_unavailable() {
 
     shard0.handle().shutdown();
     shard0.join();
-    // Give the router a beat to observe the EOFs on its pooled conns.
+    // Give the router a beat to observe the EOF on its connection.
     std::thread::sleep(Duration::from_millis(300));
 
     let resp = cl.infer(&infer_req(dead_subject)).expect("typed error round-trip");
@@ -158,10 +158,44 @@ fn dead_shard_yields_typed_upstream_unavailable() {
     shard1.join();
 }
 
-/// A shard closes the router's quiet pooled connections with a typed
-/// `idle_timeout` notice. Requests routed right after that close, while
-/// the router re-dials or onto a connection the shard is closing, go out
-/// on a fresh connection and succeed: none fails over.
+/// The router holds one upstream connection per shard: merged `stats`
+/// counts one live upstream per shard, each shard has accepted exactly
+/// one connection (the router's), and the ψ served over them is the
+/// offline ψ.
+#[test]
+fn the_router_holds_one_connection_per_shard() {
+    let shard0 = start_shard();
+    let shard1 = start_shard();
+    let router = start_router(&[&shard0, &shard1]);
+    let mut cl = Client::connect(&router.local_addr().to_string()).expect("connect");
+
+    let m = &subjects::all_subjects()[0];
+    let resp = cl.infer(&infer_req(m)).expect("infer via router");
+    assert_eq!(served_psis(&resp), Some(offline_psis(&m.compile(), m.name)), "{}", m.name);
+
+    let stats = cl.stats().expect("merged stats");
+    let router_block = stats.get("router").expect("router block");
+    assert_eq!(router_block.u64_field("live_upstreams"), Some(2), "{stats:?}");
+    let shards = stats.get("shards").and_then(|s| s.as_array()).expect("shards array");
+    assert_eq!(shards.len(), 2, "{stats:?}");
+    for entry in shards {
+        let counters = entry.get("stats").and_then(|s| s.get("counters")).expect("counters");
+        assert_eq!(counters.u64_field("connections"), Some(1), "{entry:?}");
+    }
+
+    router.handle().shutdown();
+    router.join();
+    for s in [shard0, shard1] {
+        s.handle().shutdown();
+        s.join();
+    }
+}
+
+/// A shard closes the router's quiet connection with a typed
+/// `idle_timeout` notice, which leaves the shard no live connection.
+/// Requests routed right after that close, while the router re-dials or
+/// onto a connection the shard is closing, go out on a fresh connection
+/// and succeed: none fails over.
 #[test]
 fn requests_routed_just_after_a_shard_idle_close_succeed() {
     let shard = Server::start(ServerConfig {
@@ -170,10 +204,8 @@ fn requests_routed_just_after_a_shard_idle_close_succeed() {
         ..ServerConfig::default()
     })
     .expect("bind shard daemon");
-    // One pooled connection, so each idle close leaves no live one.
     let router = Router::start(RouterConfig {
         shards: vec![shard.local_addr().to_string()],
-        conns_per_shard: 1,
         ..RouterConfig::default()
     })
     .expect("start router");
@@ -304,7 +336,6 @@ fn tracing_is_psi_neutral_and_stitches_across_processes() {
     let traced = Router::start(RouterConfig {
         shards: vec![shard0.local_addr().to_string(), shard1.local_addr().to_string()],
         shell: ShellConfig { trace_sample: 1, ..ShellConfig::default() },
-        ..RouterConfig::default()
     })
     .expect("start traced router");
 

@@ -103,7 +103,6 @@ fn tail_capture_retains_slow_requests_with_head_sampling_off() {
     let router = Router::start(RouterConfig {
         shards: vec![addr],
         shell: ShellConfig { slow_trace_ms: Some(0), ..ShellConfig::default() },
-        ..RouterConfig::default()
     })
     .expect("start router");
     let mut via_router = Client::connect(&router.local_addr().to_string()).expect("connect");

@@ -3,7 +3,7 @@
 //! on a flag without its value and on a value it refuses, and starts with
 //! every flag set, prints `listening on HOST:PORT` and exits 0 on SIGTERM.
 //! Load generators and scripts spawn these binaries with these flags, so
-//! this surface must not move.
+//! a flag joins or leaves this surface only together with this test.
 
 use std::io::{BufRead, BufReader};
 use std::net::TcpListener;
@@ -57,7 +57,7 @@ fn both_binaries_refuse_bad_flags_with_usage() {
     let shard = ["--shard", "127.0.0.1:1"];
     for (bin, name, base, own) in [
         (DAEMON, "preinferd", &[][..], &[["--workers", "0"], ["--queue", "0"]][..]),
-        (ROUTER, "preinfer-router", &shard[..], &[["--conns-per-shard", "0"]][..]),
+        (ROUTER, "preinfer-router", &shard[..], &[][..]),
     ] {
         let with = |extra: &[&'static str]| [base, extra].concat();
         usage_error(bin, name, &with(&["--bogus", "1"]));
@@ -75,6 +75,7 @@ fn both_binaries_refuse_bad_flags_with_usage() {
     usage_error(DAEMON, "preinferd", &["--interproc", "both"]);
     usage_error(DAEMON, "preinferd", &["--conns-per-shard", "1"]);
     usage_error(ROUTER, "preinfer-router", &["--workers", "1"]);
+    usage_error(ROUTER, "preinfer-router", &["--shard", "127.0.0.1:1", "--conns-per-shard", "1"]);
     usage_error(ROUTER, "preinfer-router", &[]);
     usage_error(ROUTER, "preinfer-router", &["--addr", "127.0.0.1:0"]);
 }
@@ -95,9 +96,5 @@ fn both_binaries_start_with_every_flag_set_and_drain_on_sigterm() {
     // its backlog, which is all start-up waits for.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind a stand-in shard");
     let shard = listener.local_addr().expect("shard addr").to_string();
-    starts_and_drains(
-        ROUTER,
-        "preinfer-router",
-        &own(&["--shard", &shard, "--conns-per-shard", "1"]),
-    );
+    starts_and_drains(ROUTER, "preinfer-router", &own(&["--shard", &shard]));
 }

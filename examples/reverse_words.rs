@@ -6,10 +6,14 @@
 //! into `∀i. (0 ≤ i < strlen(value)) ⇒ is_space(char_at(value, i))`,
 //! recovering the paper's ground truth
 //! `value == null ∨ ∃i. i < value.Length ∧ ¬IsWhitespace(value[i])` (as its
-//! negation).
+//! negation). Both ACLs the suite triggers — the null dereference and
+//! the Fig. 2 index — get a ψ that is sufficient, necessary and equal to
+//! the ground truth, and the Fig. 2 ψ is quantified; the example asserts
+//! all of it.
 //!
 //! Run with: `cargo run --example reverse_words`
 
+use preinfer::minilang::CheckKind;
 use preinfer::prelude::*;
 
 fn main() {
@@ -29,15 +33,18 @@ fn main() {
     println!();
 
     let suite = generate_tests(&tp, subject.name, &TestGenConfig::default());
+    let acls = suite.triggered_acls();
     println!(
         "suite: {} tests, {:.1}% coverage, ACLs: {:?}\n",
         suite.len(),
         suite.coverage_percent(&func),
-        suite.triggered_acls()
+        acls
     );
+    let names: Vec<String> = acls.iter().map(ToString::to_string).collect();
+    assert_eq!(names, ["NullReference@n5", "IndexOutOfRange@n116"], "triggered ACLs");
 
-    for acl in suite.triggered_acls() {
-        let Some(truth_alpha) = subject.truth_alpha(&tp, acl) else { continue };
+    for acl in acls {
+        let truth_alpha = subject.truth_alpha(&tp, acl).expect("every ACL has a ground truth");
         let inferred =
             infer_precondition(&tp, subject.name, acl, &suite, &PreInferConfig::default())
                 .expect("failing tests exist");
@@ -58,6 +65,13 @@ fn main() {
         println!(
             "  sufficient: {} | necessary: {} | matches ground truth: {:?}\n",
             q.sufficient, q.necessary, q.correct
+        );
+        assert!(q.sufficient && q.necessary, "ACL {acl}: ψ must be sufficient and necessary");
+        assert_eq!(q.correct, Some(true), "ACL {acl}: ψ must match the ground truth");
+        assert_eq!(
+            inferred.precondition.quantified,
+            acl.kind == CheckKind::IndexOutOfRange,
+            "ACL {acl}: only the Fig. 2 ψ is quantified"
         );
     }
 }

@@ -297,9 +297,11 @@ import json, sys
 s = json.load(sys.stdin)
 r = s["router"]
 assert r["shards"] == 2, r
+assert r["live_upstreams"] == 2, r
 assert len(s["shards"]) == 2, "merged stats must nest both shard reports"
 assert r["unavailable"] == 0, "no request may have failed over"
 for shard in s["shards"]:
+    assert shard["stats"]["counters"]["open_connections"] >= 1, shard
     memory = shard["stats"]["memory"]
     assert memory["resident_bytes"] > 0 and memory["arena_nodes"]["cpreds"] > 0, shard
 print(f"router smoke: 2 shards live, {r['\''forwarded'\'']} requests forwarded")'
