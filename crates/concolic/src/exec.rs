@@ -29,8 +29,8 @@ use symbolic::{
 
 /// Path-condition entries one run may record before it ends as
 /// `OutOfFuel` (guards pathological loops). The step, call-depth and
-/// allocation budgets are the interpreter's ([`interp::FUEL`],
-/// [`interp::MAX_CALL_DEPTH`], [`interp::MAX_ARRAY_CELLS`]).
+/// allocation budgets are [`FUEL`], [`MAX_CALL_DEPTH`] and
+/// [`MAX_ARRAY_CELLS`].
 pub const MAX_ENTRIES: usize = 4_096;
 
 /// Under a deadline, the executor reads the clock every this many steps,

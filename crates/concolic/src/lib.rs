@@ -24,4 +24,5 @@ pub mod summary;
 
 pub use cval::{materialize, ArrIntObj, ArrStrObj, CStr, CVal};
 pub use exec::{run_concolic, ConcolicConfig, ConcolicOutcome};
+pub use interp::{FUEL, MAX_ARRAY_CELLS, MAX_CALL_DEPTH};
 pub use summary::{ResolvedSummaries, SummaryApplyStats};

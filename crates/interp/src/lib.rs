@@ -1,28 +1,28 @@
 //! # interp
 //!
-//! The concrete MiniLang interpreter: runtime values, implicit runtime
-//! checks (the paper's implicit assertion-containing locations), explicit
-//! assertions, execution bounded by fixed step, call-depth and allocation
-//! budgets ([`FUEL`], [`MAX_CALL_DEPTH`], [`MAX_ARRAY_CELLS`], which the
-//! concolic executor shares), and basic-block coverage collection for
-//! Table IV.
+//! The budgets that bound one MiniLang run, and the runtime string type.
+//! The one executor is `concolic::run_concolic`; `concolic` re-exports
+//! the three budgets, and every caller names them there.
 //!
-//! ```
-//! use interp::{run, ExecResult, Value};
-//! use minilang::{compile, InputValue, MethodEntryState};
-//!
-//! # fn main() {
-//! let tp = compile("fn f(x int) -> int { return x + 1; }").unwrap();
-//! let state = MethodEntryState::from_pairs([("x", InputValue::Int(41))]);
-//! let out = run(&tp, "f", &state);
-//! assert!(matches!(out.result, ExecResult::Completed(Value::Int(42))));
-//! # }
-//! ```
+//! The crate still exists only because `concolic`, `testgen` and
+//! `preinfer-core` declare it as a dependency, and the benchmark package's
+//! lock file lists that graph: removing a dependency line rewrites the
+//! lock. The next change to the benchmark folds these items into
+//! `concolic` and deletes the crate.
 
-pub mod machine;
-pub mod value;
+use std::rc::Rc;
 
-pub use machine::{
-    run, ExecOutcome, ExecResult, RuntimeError, FUEL, MAX_ARRAY_CELLS, MAX_CALL_DEPTH,
-};
-pub use value::{ArrIntRef, ArrStrRef, StrRef, Value};
+/// Statements one run may execute before it ends as `OutOfFuel`.
+pub const FUEL: u64 = 100_000;
+
+/// Deepest call nesting one run may reach before it ends as
+/// `CallDepthExceeded`.
+pub const MAX_CALL_DEPTH: u32 = 64;
+
+/// Largest array `new_int_array` / `new_str_array` may allocate, in cells.
+/// A larger size ends the run as `OutOfFuel` instead of allocating it:
+/// like the step budget, it bounds what one run can cost.
+pub const MAX_ARRAY_CELLS: i64 = 1 << 20;
+
+/// A runtime string: immutable shared character codes.
+pub type StrRef = Rc<Vec<i64>>;

@@ -4,8 +4,8 @@
 //! test generator on each evaluation subject. We approximate basic blocks by
 //! `Block` AST nodes (function body, `then`/`else` branches, loop bodies,
 //! `for`-desugaring scopes): each is entered as a unit, so visiting it marks
-//! one coverage unit. The interpreter reports visited block ids; coverage is
-//! `visited / total`.
+//! one coverage unit. The concolic executor reports visited block ids;
+//! coverage is `visited / total`.
 
 use crate::ast::*;
 use crate::span::NodeId;

@@ -1,7 +1,7 @@
 //! Type checker for MiniLang.
 //!
 //! Produces a [`TypedProgram`] wrapper that records the type of every
-//! expression node; downstream passes (interpreter, concolic executor)
+//! expression node; downstream passes (the concolic executor)
 //! consult it instead of re-deriving types.
 
 use crate::ast::*;

@@ -2,7 +2,7 @@
 //! and scores PreInfer, FixIt and DySy per assertion-containing location.
 
 use baselines::{infer_dysy, infer_fixit};
-use interp::{run, ExecResult};
+use concolic::{run_concolic, ConcolicConfig};
 use minilang::{program_check_sites, CheckId, LoopPos, MethodEntryState, TypedProgram};
 use obs::{LatencySummary, Stage};
 use preinfer_core::metrics::PROBE_SEED;
@@ -15,7 +15,7 @@ use rand::SeedableRng;
 use solver::{Deadline, SolverCache, TierCounters, TierSnapshot};
 use std::sync::Arc;
 use subjects::SubjectMethod;
-use symbolic::Formula;
+use symbolic::{Formula, PathOutcome};
 use testgen::TestGenConfig;
 
 /// The three approaches, in the tables' column order.
@@ -170,8 +170,9 @@ impl Default for EvalConfig {
 /// passing/failing per ACL by what actually happens.
 const CHECK_PROBES: usize = 150;
 
-/// Executes [`CHECK_PROBES`] random states, returning each with the check
-/// it failed at (if any). Out-of-fuel runs are dropped.
+/// Executes [`CHECK_PROBES`] random states on the concolic executor,
+/// returning each with the check it failed at (if any). Runs a budget
+/// stopped (out of fuel or past the call-depth bound) are dropped.
 fn classified_probes(
     tp: &TypedProgram,
     func: &minilang::Func,
@@ -180,11 +181,11 @@ fn classified_probes(
     let mut out = Vec::with_capacity(CHECK_PROBES);
     for _ in 0..CHECK_PROBES {
         let state = random_probe(func, &mut rng);
-        let result = run(tp, &func.name, &state);
-        match result.result {
-            ExecResult::OutOfFuel | ExecResult::CallDepthExceeded => {}
-            ExecResult::Completed(_) => out.push((state, None)),
-            ExecResult::Failed(e) => out.push((state, Some(e.check))),
+        let run = run_concolic(tp, &func.name, &state, &ConcolicConfig::default(), None);
+        match run.path.outcome {
+            PathOutcome::OutOfFuel | PathOutcome::CallDepthExceeded => {}
+            PathOutcome::Completed => out.push((state, None)),
+            PathOutcome::Failed(id) => out.push((state, Some(id))),
         }
     }
     out

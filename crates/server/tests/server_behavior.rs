@@ -217,7 +217,7 @@ fn graceful_shutdown_drains_in_flight_requests() {
 }
 
 /// Test generation on this program finds `n = 2^60 + 1`, an allocation past
-/// `interp::MAX_ARRAY_CELLS`: the executors end that run out of fuel, so
+/// `concolic::MAX_ARRAY_CELLS`: the executor ends that run out of fuel, so
 /// the lone worker answers, serves the next request and drains.
 #[test]
 fn oversized_allocation_is_answered_and_the_worker_serves_on() {

@@ -498,8 +498,8 @@ fn pipelined_requests_are_answered_by_id() {
 }
 
 /// The router half of the oversized-allocation regression: test generation
-/// finds `n = 2^60 + 1`, past `interp::MAX_ARRAY_CELLS`, so the executors
-/// end that run out of fuel; the one-worker shard behind the router
+/// finds `n = 2^60 + 1`, past `concolic::MAX_ARRAY_CELLS`, so the executor
+/// ends that run out of fuel; the one-worker shard behind the router
 /// answers it, serves the next request, and both processes drain.
 #[test]
 fn oversized_allocation_through_the_router_is_answered_and_the_shard_serves_on() {

@@ -5,7 +5,7 @@
 //! linear integer arithmetic, array/string lengths and elements, nullness
 //! flags, and a handful of interpreted atoms (`is_space`, truncated `/` and
 //! `%`). The solver decides satisfiability and, when satisfiable, builds a
-//! concrete [`minilang::MethodEntryState`] that the interpreter can run —
+//! concrete [`minilang::MethodEntryState`] that the executor can run —
 //! closing the concolic test-generation loop.
 //!
 //! Architecture (bottom-up): exact rational arithmetic ([`rational`]), a

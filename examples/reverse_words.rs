@@ -27,8 +27,8 @@ fn main() {
     // A few illustrative concrete runs.
     for (label, text) in [("two words", "ab cd"), ("all spaces", "   "), ("empty", "")] {
         let state = MethodEntryState::from_pairs([("value", InputValue::str_from(text))]);
-        let out = run(&tp, subject.name, &state);
-        println!("  value = {label:10} → {:?}", out.result);
+        let out = run_concolic(&tp, subject.name, &state, &ConcolicConfig::default(), None);
+        println!("  value = {label:10} → {:?}", out.path.outcome);
     }
     println!();
 

@@ -4,7 +4,8 @@
 # symbolic/solver/testgen tests in release; perf_smoke
 # (paired A/B timings written to target/perf_smoke/) and its gates on the
 # solver cache, disabled-tracing noise, tiered vs simplex-only, incremental
-# vs scratch and summary vs inline; the benchmark's ψ smoke
+# vs scratch and summary vs inline; a check that the benchmark build left
+# preinfer_bench/ unchanged; the benchmark's ψ smoke
 # (preinfer_bench --smoke, all four workloads) and the serving gates
 # (throughput, peak RSS) on its serve and routed runs; the preinfer
 # --trace-out and preinfer-trace smokes; and the preinferd, summary-mode
@@ -109,6 +110,12 @@ cargo build --release --quiet -p server --bin preinferd --bin preinfer-router \
     --target-dir .bench_build
 cargo build --release --quiet --manifest-path preinfer_bench/Cargo.toml --target-dir .bench_build
 cargo test --manifest-path preinfer_bench/Cargo.toml --target-dir .bench_build -q
+# A dependency edit in a crate the benchmark builds rewrites its lock file;
+# the benchmark's files change only with a change to the benchmark.
+git diff --exit-code -- preinfer_bench/ || {
+    echo "the benchmark build changed files under preinfer_bench/ (see the diff above)" >&2
+    exit 1
+}
 ./.bench_build/release/preinfer_bench --seed 1 --smoke
 
 echo "== serving gate (preinfer_bench --smoke: serve_uniform, serve_zipf, routed_uniform)"

@@ -12,7 +12,8 @@
 //!   layer) standing in for the SMT solver behind Pex.
 //! * [`obs`] — observability: structured spans, stage counters and latency
 //!   histograms threaded through every pipeline stage (zero-cost when off).
-//! * [`interp`] / [`concolic`] — concrete and concolic execution.
+//! * [`concolic`] — the one executor: a concrete run that records its
+//!   path condition.
 //! * [`testgen`] — Pex-like generational test generation.
 //! * [`preinfer_core`] — the paper's contribution: dynamic predicate
 //!   pruning, collection-element generalization, precondition assembly,
@@ -40,7 +41,6 @@
 
 pub use baselines;
 pub use concolic;
-pub use interp;
 pub use minilang;
 pub use obs;
 pub use preinfer_core;
@@ -54,7 +54,6 @@ pub use testgen;
 pub mod prelude {
     pub use baselines::{infer_dysy, infer_fixit};
     pub use concolic::{run_concolic, ConcolicConfig};
-    pub use interp::run;
     pub use minilang::{compile, InputValue, MethodEntryState};
     pub use preinfer_core::{
         build_summaries, evaluate_precondition, infer_all_preconditions, infer_precondition,

@@ -19,33 +19,46 @@ use preinfer_core::validates;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Subjects allowed to diverge from byte-parity, with the reason. Each
-/// divergence must still pass the probe-verified implication
-/// `ψ_summary ⟹ ψ_inline`.
-const ALLOW_STRONGER: &[(&str, &str)] = &[
-    // Populated only when a subject's summary-mode ψ legitimately
-    // strengthens; every entry needs a justification.
-    (
-        "shared_helper",
-        "three call sites into one helper: summary application records \
-         ψ(actuals) per traversed check instead of the callee's internal \
-         branch atoms, so pruning arrives at `p != 0 && q != 0` where \
-         inlining keeps the logically equivalent but redundant \
-         `p != 0 && (p == 0 || q != 0)`; the probe check verifies the \
-         implication (here an equivalence) holds",
-    ),
-    (
-        "callee_bounds",
-        "the failing-branch decomposition of ¬ψ at the call site has \
-         different atom granularity than the callee's internal branch \
-         order, leaving the redundant disjunct `(i + 1) >= len(a)` beside \
-         `(i + 1) >= 0` (subsumed because len(a) >= 0 on every reachable \
-         state); probe-verified equivalent",
-    ),
+/// A subject allowed to diverge from byte-parity: the exact ψ each mode
+/// infers at its one diverging ACL, and the reason. Each divergence must
+/// still pass the probe-verified implication `ψ_summary ⟹ ψ_inline`, and
+/// the pinned ψ pair keeps the reason from going stale silently.
+struct Stronger {
+    name: &'static str,
+    inline: &'static str,
+    summary: &'static str,
+    reason: &'static str,
+}
+
+/// Every entry needs a justification.
+const ALLOW_STRONGER: &[Stronger] = &[
+    Stronger {
+        name: "shared_helper",
+        inline: "p != 0 && (p == 0 || q != 0)",
+        summary: "p != 0 && (p == 0 || q != 0) && (p == 0 || q == 0 || (p + q) != 0)",
+        reason: "three call sites into one helper: summary application \
+                 records ψ(actuals) per traversed check, so the third call's \
+                 divisor `p + q` reaches pruning and summary mode adds \
+                 `(p == 0 || q == 0 || (p + q) != 0)`; inline mode drops it \
+                 and admits the failing state p = 1, q = -1. Summary ψ is \
+                 strictly stronger and the one that matches the ground truth \
+                 `p == 0 || q == 0 || p + q == 0`",
+    },
+    Stronger {
+        name: "callee_bounds",
+        inline: "(a == null || (i + 1) < len(a)) && (a == null || (i + 1) >= 0)",
+        summary: "(a == null || (i + 1) < len(a)) && \
+                  (a == null || (i + 1) >= len(a) || (i + 1) >= 0)",
+        reason: "the failing-branch decomposition of ¬ψ at the call site has \
+                 different atom granularity than the callee's internal branch \
+                 order, leaving the redundant disjunct `(i + 1) >= len(a)` \
+                 beside `(i + 1) >= 0` (subsumed because len(a) >= 0 on every \
+                 reachable state); probe-verified equivalent",
+    },
 ];
 
-fn allowlisted(name: &str) -> bool {
-    ALLOW_STRONGER.iter().any(|(n, _)| *n == name)
+fn allowlisted(name: &str) -> Option<&'static Stronger> {
+    ALLOW_STRONGER.iter().find(|entry| entry.name == name)
 }
 
 /// Inference output for one method under one interprocedural mode (the
@@ -105,14 +118,17 @@ fn summary_mode_matches_or_strengthens_inline_psi_across_the_corpus() {
                 continue;
             }
             diverged += 1;
-            assert!(
-                allowlisted(m.name),
-                "{}::{} {acl:?}: ψ diverged without an allow-list entry\n  \
-                 inline:  {i_line}\n  summary: {s_line}",
-                m.namespace,
-                m.name
-            );
-            probe_implication(func, s_psi, i_psi, &format!("{}::{} {acl:?}", m.namespace, m.name));
+            let entry = allowlisted(m.name).unwrap_or_else(|| {
+                panic!(
+                    "{}::{} {acl:?}: ψ diverged without an allow-list entry\n  \
+                     inline:  {i_line}\n  summary: {s_line}",
+                    m.namespace, m.name
+                )
+            });
+            assert_eq!(i_psi.to_string(), entry.inline, "{}: inline ψ moved", m.name);
+            assert_eq!(s_psi.to_string(), entry.summary, "{}: summary ψ moved", m.name);
+            let label = format!("{}::{} {acl:?} ({})", m.namespace, m.name, entry.reason);
+            probe_implication(func, s_psi, i_psi, &label);
         }
         nonempty += usize::from(!inline.is_empty());
     }
